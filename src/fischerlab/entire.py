@@ -19,7 +19,7 @@ import numpy as np
 from . import apolar, sampling
 from .errors import FormatError, InvalidInputError
 from .fields import EXACT, FLOAT, abs_sq
-from .fischer import project_homogeneous, validate_gap
+from .fischer import SliceSolver, validate_gap
 from .polyalg import Poly, poly_from_dict, poly_to_dict
 
 
@@ -351,6 +351,7 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
     if beta is not None:
         validate_gap(p, beta)
     pk = p.homogeneous_component(k)
+    solver = SliceSolver(pk)
     lower = {s: -(p.homogeneous_component(s)) for s in range(k)
              if not p.homogeneous_component(s).is_zero}
     m_cap = int(m_cap)
@@ -371,7 +372,7 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
     level = {}
     for n in range(mat_max + 1):
         if n + k <= m_cap or total_stream:
-            level[n] = (project_homogeneous(pk, f.component(n + k)).q, True)
+            level[n] = (solver.project(f.component(n + k))[0], True)
         else:
             level[n] = (zero, False)
     default_complete = total_stream
@@ -423,7 +424,7 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
                 prev_poly, prev_complete = prev if prev is not None else (zero, default_complete)
                 complete = complete and prev_complete
                 if not prev_poly.is_zero:
-                    acc = acc + project_homogeneous(pk, ps * prev_poly).q
+                    acc = acc + solver.project(ps * prev_poly)[0]
             nxt[n] = (acc, complete)
         level = nxt
         j += 1
@@ -455,6 +456,9 @@ def stream_from_dict(obj) -> TaylorStream:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("stream object needs a 'kind'")
     kind = obj["kind"]
+    cap = obj.get("max_degree", math.inf)
+    if "max_degree" in obj and (type(cap) is not int or cap < 0):
+        raise FormatError(f"max_degree must be a non-negative integer, got {cap!r}")
     if kind == "poly":
         body = {k: v for k, v in obj.items() if k not in ("kind", "max_degree")}
         return TaylorStream.from_poly(poly_from_dict(body))
@@ -462,7 +466,6 @@ def stream_from_dict(obj) -> TaylorStream:
         if "inner" not in obj:
             raise FormatError("exp_poly stream needs 'inner'")
         inner = poly_from_dict(obj["inner"])
-        cap = obj.get("max_degree", math.inf)
         return TaylorStream.from_exp(inner, max_degree=cap)
     raise FormatError(f"unknown stream kind {kind!r}")
 

@@ -1,12 +1,14 @@
 """Fischer decompositions f = P q + r with P_k*(D) r = 0.
 
-Four routes are provided:
+Four routes are provided; they reach the slice operator
+q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
 
 * ``project_homogeneous`` solves the normal equations of the orthogonal
   projection of a homogeneous f onto P_k times the lower slice.
 * ``decompose_direct`` solves q |-> P_k*(D)(P q) on the space of
   polynomials of degree <= deg f - k, which that map sends to itself
-  bijectively.
+  bijectively: exactly slice by slice from the top degree down, or in
+  floats as one conditioned system.
 * ``decompose_series`` runs the iterated projection series; for
   polynomial input it terminates exactly and agrees with the direct
   solve by uniqueness.
@@ -93,36 +95,52 @@ def _annihilator_residual(pk: Poly, r: Poly) -> float:
     return math.sqrt(float(val))
 
 
-def _solve_slice(pk: Poly, rhs: Poly, m: int):
-    """Solve pk*(D)(pk q) = rhs for q homogeneous of degree m - deg pk.
+def _weighted_solve(dim: int, basis, a: np.ndarray, rhs: Poly):
+    """Float solve of a x = rhs in the raw monomial ``basis``; returns (x, condition).
 
-    Returns (q, condition or None).  The exact field uses fraction-free
-    elimination on the raw monomial basis; the float field solves in the
-    alpha!-orthonormal basis to stay well scaled.
+    It runs in the well-scaled orthonormal basis z^alpha/sqrt(alpha!).
     """
-    k = pk.degree
-    if rhs.is_zero:
-        return Poly.zero(pk.dim, pk.field), None
-    fm = fischer_matrix(pk, m)
-    basis = fm.basis
-    if pk.field == EXACT and rhs.field == EXACT:
-        b = [rhs.coefficient(alpha) for alpha in basis]
-        x = bareiss_solve([list(row) for row in fm.rows], b)
-        if x is None:
-            raise NumericalError("projection system unexpectedly singular")
-        q = Poly(pk.dim, dict(zip(basis, x)), field=EXACT)
-        return q, None
-    weights = np.array([math.sqrt(midx_factorial(a)) for a in basis])
-    a = np.array([[complex(v) for v in row] for row in fm.rows], dtype=complex)
-    # conjugation by the weight matrix moves the raw-basis map to the
-    # orthonormal basis z^alpha/sqrt(alpha!)
+    weights = np.array([math.sqrt(midx_factorial(alpha)) for alpha in basis])
     a = a * (weights[:, None] / weights[None, :])
-    b = np.array([complex(rhs.to_float().coefficient(alpha)) for alpha in basis])
-    b = b * weights
+    rhs = rhs.to_float()
+    b = np.array([complex(rhs.coefficient(alpha)) for alpha in basis]) * weights
     x, cond = float_lstsq_solve(a, b)
-    q = Poly(pk.dim, {alpha: complex(x[i] / weights[i]) for i, alpha in enumerate(basis)},
-             field=FLOAT)
-    return q, cond
+    return Poly(dim, {alpha: complex(x[i] / weights[i]) for i, alpha in enumerate(basis)},
+                field=FLOAT), cond
+
+
+class SliceSolver:
+    """Solves pk*(D)(pk q) = rhs per slice; each slice matrix is assembled once."""
+
+    def __init__(self, pk: Poly):
+        _require_nonzero_homogeneous(pk)
+        self.pk = pk
+        self.pk_star = pk.star()
+        self._matrices = {}
+
+    def solve(self, rhs: Poly, m: int):
+        """q homogeneous of degree m - deg pk; returns (q, condition or None)."""
+        pk = self.pk
+        if rhs.is_zero:
+            return Poly.zero(pk.dim, pk.field), None
+        fm = self._matrices.get(m)
+        if fm is None:
+            fm = self._matrices[m] = fischer_matrix(pk, m)
+        if pk.field == EXACT and rhs.field == EXACT:
+            x = bareiss_solve(fm.rows, [rhs.coefficient(alpha) for alpha in fm.basis])
+            if x is None:
+                raise NumericalError("projection system unexpectedly singular")
+            return Poly(pk.dim, dict(zip(fm.basis, x)), field=EXACT), None
+        a = np.array([[complex(v) for v in row] for row in fm.rows], dtype=complex)
+        return _weighted_solve(pk.dim, fm.basis, a, rhs)
+
+    def project(self, fm: Poly):
+        """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous."""
+        if not fm.is_homogeneous():
+            raise InvalidInputError("fm must be homogeneous")
+        if fm.is_zero or fm.degree < self.pk.degree:
+            return Poly.zero(self.pk.dim, fm.field), None
+        return self.solve(apply_diff_op(self.pk_star, fm), fm.degree)
 
 
 def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
@@ -130,34 +148,27 @@ def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
 
     Pythagoras holds: ||fm||^2 = ||pk q||^2 + ||r||^2.
     """
-    _require_nonzero_homogeneous(pk)
-    if not fm.is_homogeneous():
-        raise InvalidInputError("fm must be homogeneous")
-    k = pk.degree
-    if fm.is_zero or fm.degree < k:
-        q = Poly.zero(pk.dim, fm.field)
-        return DecompositionResult(q, fm, _annihilator_residual(pk, fm), "direct", {})
-    rhs = apply_diff_op(pk.star(), fm)
-    q, cond = _solve_slice(pk, rhs, fm.degree)
-    r = fm - pk * q
+    q, cond = SliceSolver(pk).project(fm)
+    r = fm - pk * q if fm.degree >= pk.degree else fm
     diag = {} if cond is None else {"condition": cond}
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 
 
-def _project_components(pk: Poly, g: Poly) -> Poly:
+def _project_components(solver: SliceSolver, g: Poly) -> Poly:
     """Sum of the projection coefficients of each homogeneous component."""
-    out = Poly.zero(pk.dim, g.field)
-    for _, gm in g.homogeneous_components().items():
-        out = out + project_homogeneous(pk, gm).q
-    return out
+    return sum((solver.project(gm)[0] for gm in g.homogeneous_components().values()),
+               Poly.zero(solver.pk.dim, g.field))
 
 
 def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
-    """Fischer decomposition by one linear solve.
+    """Fischer decomposition by solving F(q) = P_k*(D) f.
 
-    Solves F(q) = P_k*(D) f with F(q) = P_k*(D)(p q) over polynomials of
-    degree <= deg f - k; F maps that space onto itself, so r = f - p q
-    satisfies P_k*(D) r = 0 identically.
+    F(q) = P_k*(D)(p q) maps the polynomials of degree <= deg f - k onto
+    themselves, so r = f - p q satisfies P_k*(D) r = 0 identically.  F
+    never raises degree and maps the top component q_n to the slice image
+    P_k*(D)(P_k q_n), so exact input is solved by back-substitution from
+    the top slice down.  Float input is one system, so that its condition
+    estimate covers the coupling between degrees.
     """
     if p.is_zero:
         raise InvalidInputError("p must be nonzero")
@@ -168,40 +179,25 @@ def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
         return DecompositionResult(q, f, _annihilator_residual(pk, f), "direct", {})
     n_deg = f.degree - k
     basis = enumerate_up_to_degree(p.dim, n_deg)
-    index = {alpha: i for i, alpha in enumerate(basis)}
-    n = len(basis)
     pk_star = pk.star()
-    exact = p.field == EXACT and f.field == EXACT
-    columns = []
-    for beta in basis:
-        image = apply_diff_op(pk_star, p * Poly.monomial(p.dim, beta, 1, field=p.field))
-        columns.append(image)
-    rhs_poly = apply_diff_op(pk_star, f)
-    diag = {"system_size": n}
-    if exact:
-        zero = GaussianRational(0)
-        rows = [[zero] * n for _ in range(n)]
-        for j, image in enumerate(columns):
-            for alpha, c in image.terms.items():
-                rows[index[alpha]][j] = c
-        b = [rhs_poly.coefficient(alpha) for alpha in basis]
-        x = bareiss_solve(rows, b)
-        if x is None:
-            raise NumericalError("Fischer system unexpectedly singular")
-        q = Poly(p.dim, dict(zip(basis, x)), field=EXACT)
+    rhs = apply_diff_op(pk_star, f)
+    diag = {"system_size": len(basis)}
+    if p.field == EXACT and f.field == EXACT:
+        solver = SliceSolver(pk)
+        lower = p - pk  # the slice map already accounts for pk q_n
+        q = Poly.zero(p.dim, EXACT)
+        for n in range(n_deg, -1, -1):
+            q_n, _ = solver.solve(rhs.homogeneous_component(n), n + k)
+            q = q + q_n
+            rhs = rhs - apply_diff_op(pk_star, lower * q_n)
     else:
-        weights = np.array([math.sqrt(midx_factorial(a)) for a in basis])
-        a = np.zeros((n, n), dtype=complex)
-        for j, image in enumerate(columns):
+        index = {alpha: i for i, alpha in enumerate(basis)}
+        a = np.zeros((len(basis), len(basis)), dtype=complex)
+        for j, beta in enumerate(basis):
+            image = apply_diff_op(pk_star, p * Poly.monomial(p.dim, beta, 1, field=p.field))
             for alpha, c in image.to_float().terms.items():
                 a[index[alpha], j] = c
-        a = a * (weights[:, None] / weights[None, :])
-        b = np.array([complex(rhs_poly.to_float().coefficient(alpha)) for alpha in basis])
-        b = b * weights
-        x, cond = float_lstsq_solve(a, b)
-        q = Poly(p.dim, {alpha: complex(x[i] / weights[i]) for i, alpha in enumerate(basis)},
-                 field=FLOAT)
-        diag["condition"] = cond
+        q, diag["condition"] = _weighted_solve(p.dim, basis, a, rhs)
     r = f - p * q
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 
@@ -232,13 +228,14 @@ def decompose_series(p: Poly, f: Poly, beta=None) -> DecompositionResult:
     if beta is not None:
         validate_gap(p, beta)
     pk = p.homogeneous_component(k)
+    solver = SliceSolver(pk)
     lower_neg = pk - p  # the series' lower terms: p = pk - lower_neg
     total = Poly.zero(p.dim, f.field)
-    level = _project_components(pk, f)
+    level = _project_components(solver, f)
     levels = 0
     while not level.is_zero:
         total = total + level
-        level = _project_components(pk, lower_neg * level)
+        level = _project_components(solver, lower_neg * level)
         levels += 1
     q = total
     r = f - p * q
@@ -429,7 +426,7 @@ def decompose_linear(p1: Poly, p0, f, max_degree=None) -> DecompositionResult:
     else:
         diag_extra = {}
     shifted = f.shift(z0)
-    q_shift = _project_components(p1, shifted)
+    q_shift = _project_components(SliceSolver(p1), shifted)
     h_shift = shifted - p1 * q_shift
     neg_z0 = [-v for v in z0]
     q = q_shift.shift(neg_z0)

@@ -118,7 +118,8 @@ class Poly:
         if terms:
             for alpha, c in (terms.items() if hasattr(terms, "items") else terms):
                 alpha = tuple(alpha)
-                if len(alpha) != dim or any(a < 0 or not isinstance(a, int) for a in alpha):
+                # exact type check: bool is an int subclass
+                if len(alpha) != dim or any(type(a) is not int or a < 0 for a in alpha):
                     raise InvalidInputError(f"bad exponent {alpha} for dimension {dim}")
                 if c == 0 or (isinstance(c, GaussianRational) and not c):
                     continue
@@ -127,7 +128,10 @@ class Poly:
             field = EXACT if all(is_exact_scalar(c) for _, c in items) else FLOAT
         store = {}
         for alpha, c in items:
-            c = _coerce_exact(c) if field == EXACT else complex(c)
+            try:
+                c = _coerce_exact(c) if field == EXACT else complex(c)
+            except TypeError as exc:
+                raise InvalidInputError(f"coefficient {c!r} is not in the {field} field") from exc
             if alpha in store:
                 c = store[alpha] + c
             if c == 0 or (isinstance(c, GaussianRational) and not c):
@@ -438,17 +442,19 @@ def poly_from_dict(obj) -> Poly:
     if not isinstance(obj, dict) or "dim" not in obj or "terms" not in obj:
         raise FormatError("polynomial object needs 'dim' and 'terms'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FormatError(f"bad dimension {dim!r}")
     kinds = set()
     terms = {}
     for t in obj["terms"]:
         try:
-            exp = tuple(int(e) for e in t["exp"])
+            exp = tuple(t["exp"])
             re = t.get("re", 0)
             im = t.get("im", "0/1" if isinstance(re, str) else 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad term {t!r}") from exc
+        if any(type(e) is not int for e in exp):  # rejects 1.7 and true alike
+            raise FormatError(f"exponents must be integers in term {t!r}")
         for part in (re, im):
             kinds.add("exact" if isinstance(part, str) else "float")
         if kinds == {"exact", "float"}:

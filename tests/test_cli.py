@@ -218,6 +218,25 @@ def test_exit_code_parse_error(tmp_path):
     assert cli.main(["inner", "--p", missing, "--q", missing]) == cli.EXIT_PARSE
 
 
+def test_exit_code_bad_stream_max_degree(files, tmp_path):
+    bad = tmp_path / "oops.json"
+    bad.write_text(json.dumps({"kind": "exp_poly", "max_degree": "oops", "inner": {
+        "dim": 2, "terms": [{"exp": [1, 0], "re": "1/1", "im": "0/1"}]}}))
+    rc = cli.main(["decompose", "--p", files["p"], "--f", str(bad), "--mcap", "6",
+                   "--out", str(tmp_path / "x")])
+    assert rc == cli.EXIT_PARSE
+    assert cli.main(["blambda", "--f", str(bad), "--lam", "inv-log"]) == cli.EXIT_PARSE
+
+
+def test_exit_code_non_integer_exponent(files, tmp_path):
+    bad = tmp_path / "frac_exp.json"
+    bad.write_text(json.dumps({"dim": 2, "terms": [
+        {"exp": [1.7, 0], "re": "1/1", "im": "0/1"}]}))
+    rc = cli.main(["decompose", "--p", files["p"], "--f", str(bad),
+                   "--out", str(tmp_path / "x")])
+    assert rc == cli.EXIT_PARSE
+
+
 def test_exit_code_precondition(files):
     # ks-fit needs homogeneous pk; p.json is not homogeneous
     assert cli.main(["ks-fit", "--p", files["p"]]) == cli.EXIT_PRECONDITION

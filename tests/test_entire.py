@@ -72,6 +72,15 @@ def test_stream_json_round_trip():
         entire.stream_from_dict({"kind": "mystery"})
 
 
+@pytest.mark.parametrize("cap", ["oops", -1, 2.5, True, None])
+def test_stream_rejects_bad_max_degree(cap):
+    inner = {"dim": 1, "terms": [{"exp": [1], "re": "1/1", "im": "0/1"}]}
+    with pytest.raises(FormatError):
+        entire.stream_from_dict({"kind": "exp_poly", "inner": inner, "max_degree": cap})
+    with pytest.raises(FormatError):
+        entire.stream_from_dict({"kind": "poly", **inner, "max_degree": cap})
+
+
 # ---------------------------------------------------------------------------
 # lambda sequences
 

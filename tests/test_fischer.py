@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fischerlab import apolar, fischer, spectral
+from fischerlab import apolar, entire, fischer, spectral
 from fischerlab.errors import ConditioningError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import GaussianRational
@@ -250,6 +251,26 @@ def test_series_gap_validation():
     assert p * res.q + res.r == x ** 3
 
 
+def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
+    assembled = Counter()
+    original = fischer.fischer_matrix
+
+    def counting(pk, m):
+        assembled[m] += 1
+        return original(pk, m)
+
+    monkeypatch.setattr(fischer, "fischer_matrix", counting)
+    x, y = variables(2)
+    p = x * x + y * y - 1
+    # the series projects degree 4 both from f and from its first level
+    fischer.decompose_series(p, x ** 4 * y ** 2 + x ** 3 * y + y ** 4)
+    assert assembled and max(assembled.values()) == 1
+    assembled.clear()
+    stream = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
+    entire.decompose_entire(p.to_float(), stream, 12)
+    assert assembled and max(assembled.values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # decompose_univariate
 
@@ -363,7 +384,7 @@ def test_linear_z0_choice_is_immaterial(rng):
     f = rand_poly(rng, 2, 4)
     base = fischer.decompose_linear(p1, Fraction(3), f)
     shifted = f.shift((Fraction(3), Fraction(0)))  # alternative z0 = (3, 0)
-    q_alt = fischer._project_components(p1, shifted)
+    q_alt = fischer._project_components(fischer.SliceSolver(p1), shifted)
     h_alt = shifted - p1 * q_alt
     back = (Fraction(-3), Fraction(0))
     assert q_alt.shift(back) == base.q

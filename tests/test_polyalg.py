@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fischerlab.errors import DimensionMismatchError, FormatError, InvalidInputError
-from fischerlab.fields import FLOAT, GaussianRational
+from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, poly_from_dict,
                                 poly_to_dict, variables)
@@ -198,3 +198,21 @@ def test_json_rejects_garbage():
         poly_from_dict({"dim": 1})
     with pytest.raises(FormatError):
         poly_from_dict({"dim": 1, "terms": [{"exp": [-1], "re": "1/1", "im": "0/1"}]})
+    with pytest.raises(FormatError):
+        poly_from_dict({"dim": True, "terms": [{"exp": [1], "re": "1/1", "im": "0/1"}]})
+
+
+@pytest.mark.parametrize("exp", [[1.7], [True], ["1"], [1.0]])
+def test_json_rejects_non_integer_exponents(exp):
+    with pytest.raises(FormatError):
+        poly_from_dict({"dim": 1, "terms": [{"exp": exp, "re": "1/1", "im": "0/1"}]})
+
+
+def test_poly_rejects_bool_exponent():
+    with pytest.raises(InvalidInputError):
+        Poly(2, {(True, 0): 1})
+
+
+def test_poly_rejects_float_coefficient_on_exact_field():
+    with pytest.raises(InvalidInputError):
+        Poly(1, {(1,): 1.5}, field=EXACT)
