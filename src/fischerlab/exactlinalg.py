@@ -1,13 +1,19 @@
-"""Linear solves: fraction-free exact elimination and diagnosed float paths.
+"""Linear solves: one fraction-free exact kernel and a diagnosed float path.
 
-The exact routines work on Gaussian-rational entries.  Rows are first
-scaled to Gaussian integers, then Bareiss elimination keeps every
-intermediate value an exact subdeterminant, so no rounding ever occurs.
+:func:`exact_rref` scales rows of Gaussian rationals to Gaussian integers
+held as ``(re, im)`` int pairs and runs Bareiss elimination (Math. Comp. 22,
+1968) over Z[i]: every entry stays a subdeterminant, so dividing by the
+previous pivot is exact.  Back-substitution is scaled by the last pivot,
+the pivot minor's determinant, so only returned entries are rationals.
+:func:`bareiss_solve` and :func:`exact_nullspace` read the reduced form.
 The float path is a rank-revealing least-squares solve that raises
 :class:`ConditioningError` instead of returning garbage.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,82 +21,82 @@ from .errors import ConditioningError
 from .fields import GaussianRational
 
 _ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
 _COND_LIMIT = 1e12
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
-
-
-def _clear_denominators(row):
-    """Scale a row of Gaussian rationals to Gaussian integers."""
-    scale = 1
-    for c in row:
-        scale = _lcm(scale, c.real.denominator)
-        scale = _lcm(scale, c.imag.denominator)
-    if scale == 1:
-        return list(row)
-    return [c * scale for c in row]
+def _divisor(re, im):
+    """(conj, norm) of b = re + i im, both over gcd(re, im), so that a / b ==
+    a * conj // norm for a multiple a of b; a real b costs one division."""
+    g = math.gcd(re, im)
+    return re // g, -im // g, (re * re + im * im) // g
 
 
 def bareiss_solve(rows, rhs):
     """Solve A x = b exactly; returns None if A is singular.
 
     ``rows`` is a list of lists of GaussianRational (square), ``rhs`` a
-    list of the same length.
+    list of the same length.  x is column n of the reduced ``[A | b]``.
     """
     n = len(rows)
-    aug = [_clear_denominators(list(rows[i]) + [rhs[i]]) for i in range(n)]
-    prev = GaussianRational(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            return None
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, n):
-            head = aug[r][col]
-            row = aug[r]
-            ref = aug[col]
-            for c in range(col + 1, n + 1):
-                row[c] = (pivot * row[c] - head * ref[c]) / prev
-            row[col] = _ZERO
-        prev = pivot
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc = acc - aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    mat, pivots = exact_rref([list(row) + [b] for row, b in zip(rows, rhs)], n + 1)
+    return [row[n] for row in mat] if pivots == list(range(n)) else None
 
 
 def exact_rref(rows, ncols):
     """Reduced row echelon form over the Gaussian rationals.
 
+    ``ncols`` is the row length (the column count when ``rows`` is empty).
     Returns (reduced rows, pivot column indices).
     """
-    mat = [list(r) for r in rows]
+    mat = []
+    for row in rows:
+        scale = math.lcm(*(part.denominator for c in row for part in (c.real, c.imag)))
+        mat.append([(c.real.numerator * (scale // c.real.denominator),
+                     c.imag.numerator * (scale // c.imag.denominator)) for c in row])
     pivots = []
-    lead = 0
+    qr, qi, qn = 1, 0, 1  # divisor of the previous pivot
     for col in range(ncols):
-        pivot_row = next((r for r in range(lead, len(mat)) if mat[r][col]), None)
+        lead = len(pivots)
+        pivot_row = next((r for r in range(lead, len(mat)) if mat[r][col] != (0, 0)), None)
         if pivot_row is None:
             continue
         mat[lead], mat[pivot_row] = mat[pivot_row], mat[lead]
-        inv = GaussianRational(1) / mat[lead][col]
-        mat[lead] = [v * inv for v in mat[lead]]
-        for r in range(len(mat)):
-            if r != lead and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[lead])]
+        ref = mat[lead]
+        pr, pi = ref[col]
+        for row in mat[lead + 1:]:
+            hr, hi = row[col]
+            for c in range(col + 1, ncols):
+                ar, ai = row[c]
+                br, bi = ref[c]
+                xr = pr * ar - pi * ai - hr * br + hi * bi
+                xi = pr * ai + pi * ar - hr * bi - hi * br
+                row[c] = ((xr * qr - xi * qi) // qn, (xr * qi + xi * qr) // qn)
+            row[col] = (0, 0)
+        qr, qi, qn = _divisor(pr, pi)
         pivots.append(col)
-        lead += 1
-        if lead == len(mat):
-            break
-    return mat, pivots
+    # det = last pivot; det * (reduced column j) lies in Z[i] (Cramer's rule)
+    dr, di = mat[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
+    dn = dr * dr + di * di
+    out = [[_ONE if j == pc else _ZERO for j in range(ncols)] for pc in pivots]
+    out += [[_ZERO] * ncols for _ in mat[len(pivots):]]
+    for j in sorted(set(range(ncols)).difference(pivots)):
+        top = sum(pc < j for pc in pivots)
+        x = [None] * top
+        for i in range(top - 1, -1, -1):
+            ar, ai = mat[i][j]
+            sr, si = dr * ar - di * ai, dr * ai + di * ar
+            for k in range(i + 1, top):
+                ur, ui = mat[i][pivots[k]]
+                xr, xi = x[k]
+                sr -= ur * xr - ui * xi
+                si -= ur * xi + ui * xr
+            ur, ui, un = _divisor(*mat[i][pivots[i]])
+            xr, xi = x[i] = ((sr * ur - si * ui) // un, (sr * ui + si * ur) // un)
+            if xr or xi:
+                out[i][j] = GaussianRational(Fraction(xr * dr + xi * di, dn),
+                                             Fraction(xi * dr - xr * di, dn))
+    return out, pivots
 
 
 def exact_nullspace(rows, ncols):
@@ -100,18 +106,11 @@ def exact_nullspace(rows, ncols):
     coordinates are read off the reduced form, giving a deterministic
     basis in column order.
     """
-    if not rows:
-        one = GaussianRational(1)
-        return [[one if i == j else _ZERO for i in range(ncols)]
-                for j in range(ncols)]
     mat, pivots = exact_rref(rows, ncols)
-    pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(ncols)).difference(pivots)):
         vec = [_ZERO] * ncols
-        vec[free] = GaussianRational(1)
+        vec[free] = _ONE
         for row_idx, pc in enumerate(pivots):
             vec[pc] = -mat[row_idx][free]
         basis.append(vec)

@@ -13,6 +13,7 @@ every degree.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -444,6 +445,8 @@ def poly_from_dict(obj) -> Poly:
     dim = obj["dim"]
     if type(dim) is not int or dim < 1:
         raise FormatError(f"bad dimension {dim!r}")
+    if type(obj["terms"]) is not list:
+        raise FormatError("'terms' must be a list")
     kinds = set()
     terms = {}
     for t in obj["terms"]:
@@ -456,6 +459,9 @@ def poly_from_dict(obj) -> Poly:
         if any(type(e) is not int for e in exp):  # rejects 1.7 and true alike
             raise FormatError(f"exponents must be integers in term {t!r}")
         for part in (re, im):
+            # exact type check: bool is an int subclass; null and lists are not numbers
+            if not isinstance(part, str) and type(part) not in (int, float):
+                raise FormatError(f"coefficient is not a number or rational string: {t!r}")
             kinds.add("exact" if isinstance(part, str) else "float")
         if kinds == {"exact", "float"}:
             raise FormatError("terms mix rational strings and plain numbers")
@@ -464,8 +470,10 @@ def poly_from_dict(obj) -> Poly:
                 coeff = GaussianRational(Fraction(re), Fraction(im))
             else:
                 coeff = complex(float(re), float(im))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise FormatError(f"bad coefficient in term {t!r}") from exc
+        if isinstance(coeff, complex) and not cmath.isfinite(coeff):
+            raise FormatError(f"non-finite coefficient in term {t!r}")
         if exp in terms:
             raise FormatError(f"duplicate exponent {exp}")
         terms[exp] = coeff

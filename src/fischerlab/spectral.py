@@ -163,20 +163,16 @@ def kernel_basis(pk: Poly, m: int):
         return [Poly.monomial(d, alpha, 1, field=pk.field) for alpha in col_basis]
     row_basis = enumerate_monomials(d, m - k)
     row_index = {alpha: i for i, alpha in enumerate(row_basis)}
+    zero = GaussianRational(0) if pk.field == EXACT else 0j
+    rows = [[zero] * len(col_basis) for _ in row_basis]
+    for j, beta in enumerate(col_basis):
+        image = apply_diff_op(pk, Poly.monomial(d, beta, 1, field=pk.field))
+        for alpha, c in image.terms.items():
+            rows[row_index[alpha]][j] = c
     if pk.field == EXACT:
-        zero = GaussianRational(0)
-        rows = [[zero] * len(col_basis) for _ in row_basis]
-        for j, beta in enumerate(col_basis):
-            image = apply_diff_op(pk, Poly.monomial(d, beta, 1, field=EXACT))
-            for alpha, c in image.terms.items():
-                rows[row_index[alpha]][j] = c
         vecs = exact_nullspace(rows, len(col_basis))
         return [Poly(d, dict(zip(col_basis, v)), field=EXACT) for v in vecs]
-    a = np.zeros((len(row_basis), len(col_basis)), dtype=complex)
-    for j, beta in enumerate(col_basis):
-        image = apply_diff_op(pk.to_float(), Poly.monomial(d, beta, 1.0, field=FLOAT))
-        for alpha, c in image.terms.items():
-            a[row_index[alpha], j] = c
+    a = np.array(rows, dtype=complex)
     _, sv, vh = np.linalg.svd(a)
     tol = max(a.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
     rank = int(np.sum(sv > tol))

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from fischerlab.fields import EXACT, GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials
+
+# no per-example deadline on a shared host; the same examples on every run
+settings.register_profile("fischerlab", deadline=None, derandomize=True)
+settings.load_profile("fischerlab")
 
 
 def rand_gaussian(rng, span=4, max_den=3):

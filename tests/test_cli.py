@@ -237,6 +237,22 @@ def test_exit_code_non_integer_exponent(files, tmp_path):
     assert rc == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("terms", [
+    '[{"exp": [1, 0], "re": true, "im": false}]',
+    '[{"exp": [1, 0], "re": null, "im": 0}]',
+    '[{"exp": [1, 0], "re": [1], "im": 0}]',
+    '[{"exp": [1, 0], "re": 1e400, "im": 0}]',
+    '5',
+], ids=["bool", "null", "list", "overflow", "terms-not-list"])
+def test_exit_code_bad_coefficient(files, tmp_path, terms):
+    bad = tmp_path / "bad_coeff.json"
+    bad.write_text('{"dim": 2, "terms": %s}' % terms)
+    rc = cli.main(["decompose", "--p", files["p"], "--f", str(bad),
+                   "--out", str(tmp_path / "x")])
+    assert rc == cli.EXIT_PARSE
+    assert not (tmp_path / "x.q.json").exists()
+
+
 def test_exit_code_precondition(files):
     # ks-fit needs homogeneous pk; p.json is not homogeneous
     assert cli.main(["ks-fit", "--p", files["p"]]) == cli.EXIT_PRECONDITION

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fischerlab.errors import ConditioningError
 from fischerlab.exactlinalg import (bareiss_solve, exact_nullspace, exact_rref,
@@ -79,6 +80,96 @@ def test_nullspace_dimension_and_membership():
 def test_nullspace_of_empty_matrix_is_everything():
     basis = exact_nullspace([], 3)
     assert len(basis) == 3
+
+
+# -- properties of the exact kernel on small random matrices ------------------
+
+_ZERO = G(0)
+_bounded = settings(max_examples=30)
+
+
+def _dot(row, vec):
+    acc = _ZERO
+    for c, v in zip(row, vec):
+        acc = acc + c * v
+    return acc
+
+
+@st.composite
+def _entries(draw, count):
+    """``count`` Gaussian rationals with parts in [-3, 3] over denominators 1-3."""
+    parts = draw(st.lists(st.integers(-3, 3), min_size=2 * count, max_size=2 * count))
+    dens = draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+    return [G(Fraction(parts[2 * i], dens[i]), Fraction(parts[2 * i + 1], dens[i]))
+            for i in range(count)]
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """(rows, ncols): a product L R with a random inner size, so zero and
+    rank-deficient matrices come up as often as full-rank ones."""
+    nrows = draw(st.integers(1 if square else 0, 4))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    inner = draw(st.integers(0, 4))
+    left = draw(_entries(nrows * inner))
+    right = draw(_entries(inner * ncols))
+    return [[_dot(left[i * inner:(i + 1) * inner], right[j::ncols]) for j in range(ncols)]
+            for i in range(nrows)], ncols
+
+
+@_bounded
+@given(_matrices())
+def test_rref_is_reduced_and_row_equivalent(system):
+    rows, ncols = system
+    mat, pivots = exact_rref(rows, ncols)
+    rank = len(pivots)
+    assert len(mat) == len(rows) and pivots == sorted(set(pivots))
+    for i, pc in enumerate(pivots):
+        assert all(not v for v in mat[i][:pc])
+        assert [r[pc] for r in mat] == [G(1) if k == i else _ZERO for k in range(len(mat))]
+    assert all(not v for row in mat[rank:] for v in row)
+    # each input row is the combination of the reduced rows read at the pivots
+    for row in rows:
+        assert row == [_dot([row[pc] for pc in pivots], [r[j] for r in mat[:rank]])
+                       for j in range(ncols)]
+
+
+@_bounded
+@given(_matrices(), st.randoms(use_true_random=False), _entries(4))
+def test_rref_is_unique_under_row_permutation_and_scaling(system, rnd, scales):
+    rows, ncols = system
+    # Re(s) + 4 > 0, so every row scale is nonzero
+    shuffled = [[c * (s + 4) for c in row] for row, s in zip(rows, scales)]
+    rnd.shuffle(shuffled)
+    assert exact_rref(shuffled, ncols) == exact_rref(rows, ncols)
+
+
+@_bounded
+@given(_matrices())
+def test_rref_is_idempotent(system):
+    rows, ncols = system
+    mat, pivots = exact_rref(rows, ncols)
+    assert exact_rref(mat, ncols) == (mat, pivots)
+
+
+@_bounded
+@given(_matrices())
+def test_nullspace_is_annihilated_and_complements_rank(system):
+    rows, ncols = system
+    basis = exact_nullspace(rows, ncols)
+    assert len(basis) == ncols - len(exact_rref(rows, ncols)[1])
+    assert all(_dot(row, v) == _ZERO for v in basis for row in rows)
+
+
+@_bounded
+@given(_matrices(square=True), _entries(4))
+def test_bareiss_solves_exactly_or_reports_singular(system, rhs):
+    rows, n = system
+    rhs = rhs[:n]
+    x = bareiss_solve(rows, rhs)
+    assert (x is None) == (len(exact_rref(rows, n)[1]) < n)
+    if x is not None:
+        assert [_dot(row, x) for row in rows] == rhs
 
 
 def test_float_lstsq_condition_reported():

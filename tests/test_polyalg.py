@@ -200,6 +200,13 @@ def test_json_rejects_garbage():
         poly_from_dict({"dim": 1, "terms": [{"exp": [-1], "re": "1/1", "im": "0/1"}]})
     with pytest.raises(FormatError):
         poly_from_dict({"dim": True, "terms": [{"exp": [1], "re": "1/1", "im": "0/1"}]})
+    with pytest.raises(FormatError):
+        poly_from_dict({"dim": 1, "terms": 5})
+    for re in [True, None, [1], float("inf"), float("nan"), 10 ** 400]:
+        with pytest.raises(FormatError):
+            poly_from_dict({"dim": 1, "terms": [{"exp": [1], "re": re, "im": 0}]})
+        with pytest.raises(FormatError):
+            poly_from_dict({"dim": 1, "terms": [{"exp": [1], "re": 0, "im": re}]})
 
 
 @pytest.mark.parametrize("exp", [[1.7], [True], ["1"], [1.0]])
