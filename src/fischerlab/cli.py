@@ -4,7 +4,8 @@ Verbs: inner, decompose, spectrum, ks-fit, kernel, classify2x2, order,
 blambda, verify.  Reports are JSON envelopes (CSV for spectral sweeps)
 written atomically; identical command plus seed gives byte-identical
 output.  Exit codes: 0 ok, 1 verify violations, 2 parse errors, 3
-precondition violations, 4 numerical failures.
+precondition violations, 4 numerical failures, 5 internal errors (any
+other exception; a bug, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import random
 import sys
 import tempfile
+import traceback
 from fractions import Fraction
 
 from . import __version__, apolar, entire, fischer, spectral
@@ -30,6 +32,7 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
+EXIT_INTERNAL = 5
 
 
 def _jsonable(value):
@@ -484,6 +487,10 @@ def main(argv=None) -> int:
     except (ConditioningError, NumericalError) as exc:
         print(f"fischer-lab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:  # noqa: BLE001 -- last resort: never exit 1 on a bug
+        traceback.print_exc()
+        print(f"fischer-lab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

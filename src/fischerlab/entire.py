@@ -20,7 +20,7 @@ from . import apolar, sampling
 from .errors import FormatError, InvalidInputError
 from .fields import EXACT, FLOAT, abs_sq
 from .fischer import SliceSolver, validate_gap
-from .polyalg import Poly, poly_from_dict, poly_to_dict
+from .polyalg import Poly, poly_from_dict
 
 
 class TaylorStream:
@@ -34,12 +34,11 @@ class TaylorStream:
     """
 
     def __init__(self, dim, component_fn, max_degree=math.inf,
-                 provenance="generator", total=False, poly_degree=None):
+                 total=False, poly_degree=None):
         if dim < 1:
             raise InvalidInputError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
         self.max_degree = max_degree
-        self.provenance = provenance
         self.total = total
         self.poly_degree = poly_degree
         self._fn = component_fn
@@ -67,21 +66,21 @@ class TaylorStream:
         return total
 
     @classmethod
-    def from_poly(cls, p: Poly, provenance="polynomial") -> "TaylorStream":
+    def from_poly(cls, p: Poly) -> "TaylorStream":
         comps = p.homogeneous_components()
         zero = Poly.zero(p.dim, p.field)
         deg = -1 if p.is_zero else int(p.degree)
         return cls(p.dim, lambda m: comps.get(m, zero), max_degree=math.inf,
-                   provenance=provenance, total=True, poly_degree=deg)
+                   total=True, poly_degree=deg)
 
     @classmethod
     def from_components(cls, dim, components: dict, max_degree, field=EXACT,
-                        provenance="table", total=False) -> "TaylorStream":
+                        total=False) -> "TaylorStream":
         zero = Poly.zero(dim, field)
         table = dict(components)
         deg = max((m for m, c in table.items() if not c.is_zero), default=-1) if total else None
         return cls(dim, lambda m: table.get(m, zero), max_degree=max_degree,
-                   provenance=provenance, total=total, poly_degree=deg)
+                   total=total, poly_degree=deg)
 
     @classmethod
     def from_exp(cls, inner: Poly, max_degree=math.inf) -> "TaylorStream":
@@ -111,7 +110,7 @@ class TaylorStream:
                 _state[n] = acc
             return _state[m]
 
-        return cls(inner.dim, comp, max_degree=max_degree, provenance="exp_poly")
+        return cls(inner.dim, comp, max_degree=max_degree)
 
 
 class LambdaSeq:
@@ -334,12 +333,17 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
     """Degree-wise truncated decomposition f = p q + r.
 
     For each output degree M the blocks of the iterated projection series
-    are summed in increasing level; a level whose inputs would exceed the
-    component budget is recorded as truncation, and for convergent input
-    the sum stops once a full block's norm falls below ``tol`` times the
-    running partial sum.  Finite (polynomial) streams disable the
-    tolerance stop and run the series to its exact finite end, so they
-    reproduce the direct polynomial decomposition exactly.
+    are summed in increasing level j = -1, 0, 1, ...  With k = deg p and
+    s_min <= s_max the lowest and highest degrees of the nonzero lower
+    components of p, the level-j block at M reads f from degree
+    M + k + (j + 1)(k - s_max) up to M + k + (j + 1)(k - s_min).  A total
+    (polynomial) stream ends the sum after the last level that reads a
+    degree <= deg f, which reproduces the direct decomposition exactly.  A
+    partial stream cut at ``m_cap`` ends it with ``truncated`` and
+    ``stopped_by: "truncation"`` at the first level j it cannot supply,
+    M + (j + 1)(k - s_min) > m_cap - k, or earlier once a nonzero block's
+    norm falls below ``tol`` times the running partial sum.  A homogeneous
+    p needs level -1 only.
     """
     if p.is_zero:
         raise InvalidInputError("p must be nonzero")
@@ -362,88 +366,66 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
     field = f.component(0).field
     zero = Poly.zero(p.dim, field)
 
-    # level -1: T f_{n+k} wherever the budget (or totality) allows
-    if total_stream:
+    # the last level each output degree can use (see the docstring)
+    degrees = range(out_max + 1)
+    reach = k - min(lower, default=k)
+    truncating = bool(lower) and not total_stream
+    mat_max = out_max  # the highest degree n at which level -1 is needed
+    if not lower:
+        last = dict.fromkeys(degrees, -1)
+    elif total_stream:
         poly_deg = f.poly_degree if f.poly_degree is not None else -1
+        gap = k - max(lower)
+        last = {M: max(-1, (poly_deg - M - k) // gap - 1) for M in degrees}
         mat_max = max(out_max, poly_deg - k)
     else:
-        poly_deg = None
-        mat_max = out_max
-    level = {}
-    for n in range(mat_max + 1):
-        if n + k <= m_cap or total_stream:
-            level[n] = (solver.project(f.component(n + k))[0], True)
-        else:
-            level[n] = (zero, False)
-    default_complete = total_stream
+        last = {M: (out_max - M) // reach - 1 for M in degrees}
 
-    g_sum = {M: zero for M in range(out_max + 1)}
+    # level -1: T f_{n+k}
+    level = {n: solver.project(f.component(n + k))[0] for n in range(mat_max + 1)}
+    g_sum = {M: zero for M in degrees}
     diag = {M: {"j_stop": None, "block_norms": [], "truncated": False,
-                "stopped_by": None} for M in range(out_max + 1)}
-    active = set(range(out_max + 1))
-    j = -1
-    max_levels = 2 * (m_cap + k + 2)
-    while active and j - (-1) <= max_levels:
+                "stopped_by": None} for M in degrees}
+    active = set(degrees)
+    for j in range(-1, max(last.values()) + 1):
         for M in sorted(active):
-            entry = level.get(M)
-            block, complete = entry if entry is not None else (zero, default_complete)
-            if not complete:
-                diag[M]["truncated"] = True
-                diag[M]["stopped_by"] = "truncation"
-                active.discard(M)
-                continue
-            g_sum[M] = g_sum[M] + block
+            g_sum[M] = g_sum[M] + level[M]
+            bn = apolar.norm(level[M])
             diag[M]["j_stop"] = j
-            bn = apolar.norm(block)
             diag[M]["block_norms"].append(bn)
-            if not lower:
-                # homogeneous divisor: the series is the single leading term
-                diag[M]["stopped_by"] = "degree"
+            # a zero block cannot end the sum: with sparse components a
+            # later level may still contribute
+            if truncating and 0.0 < bn <= tol * apolar.norm(g_sum[M]):
+                diag[M]["stopped_by"] = "tolerance"
                 active.discard(M)
-            elif total_stream:
-                # later blocks need components beyond deg f, hence vanish
-                gap = k - max(lower)
-                if M + k + (j + 2) * gap > poly_deg:
-                    diag[M]["stopped_by"] = "degree"
-                    active.discard(M)
-            else:
-                partial = apolar.norm(g_sum[M])
-                # a zero block cannot end the sum: with sparse components a
-                # later level may still contribute
-                if 0.0 < bn <= tol * partial:
-                    diag[M]["stopped_by"] = "tolerance"
-                    active.discard(M)
+            elif j == last[M]:
+                diag[M].update(stopped_by="truncation" if truncating else "degree",
+                               truncated=truncating)
+                active.discard(M)
         if not active:
             break
-        nxt = {}
-        for n in range(mat_max + 1):
-            acc = zero
-            complete = True
+        # level j + 1; a partial stream supplies it only up to degree top
+        top = mat_max if total_stream else out_max - (j + 2) * reach
+        nxt = dict.fromkeys(range(top + 1), zero)
+        for n in nxt:
             for s, ps in lower.items():
-                prev = level.get(n + k - s)
-                prev_poly, prev_complete = prev if prev is not None else (zero, default_complete)
-                complete = complete and prev_complete
-                if not prev_poly.is_zero:
-                    acc = acc + solver.project(ps * prev_poly)[0]
-            nxt[n] = (acc, complete)
+                prev = level.get(n + k - s, zero)
+                if not prev.is_zero:
+                    nxt[n] = nxt[n] + solver.project(ps * prev)[0]
         level = nxt
-        j += 1
     q_components = {M: g for M, g in g_sum.items() if not g.is_zero}
     q_stream = TaylorStream.from_components(p.dim, q_components, out_max,
-                                            field=field, provenance="decomposition",
-                                            total=total_stream)
+                                            field=field, total=total_stream)
 
     def r_component(M):
         prod_slice = Poly.zero(p.dim, field)
-        for s in range(k + 1):
+        for s in range(min(k, M) + 1):
             ps = p.homogeneous_component(s)
-            if ps.is_zero or M - s < 0 or M - s > out_max:
-                continue
-            prod_slice = prod_slice + ps * q_stream.component(M - s)
-        return f.component(M) - prod_slice if M <= f.max_degree else -prod_slice
+            if not ps.is_zero:
+                prod_slice = prod_slice + ps * q_stream.component(M - s)
+        return f.component(M) - prod_slice
 
-    r_stream = TaylorStream(p.dim, r_component, max_degree=out_max,
-                            provenance="decomposition", total=False)
+    r_stream = TaylorStream(p.dim, r_component, max_degree=out_max, total=False)
     return EntireDecomposition(q_stream, r_stream, diag)
 
 
@@ -478,11 +460,3 @@ def load_stream(path) -> TaylorStream:
             raise FormatError(f"{path}: {exc}") from exc
     return stream_from_dict(obj)
 
-
-def stream_to_dict(f: TaylorStream, cap=None) -> dict:
-    """Represent a stream as its polynomial truncation (for reports)."""
-    cap = f.max_degree if cap is None else min(cap, f.max_degree)
-    if math.isinf(cap):
-        raise InvalidInputError("cannot serialize an unbounded stream without a cap")
-    body = poly_to_dict(f.truncate(int(cap)))
-    return {"kind": "poly", "max_degree": int(cap), **body}

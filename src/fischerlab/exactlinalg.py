@@ -117,7 +117,7 @@ def exact_nullspace(rows, ncols):
     return basis
 
 
-def float_lstsq_solve(a: np.ndarray, b: np.ndarray, cond_limit=_COND_LIMIT):
+def float_lstsq_solve(a: np.ndarray, b: np.ndarray):
     """SVD-backed least-squares solve with a condition estimate.
 
     Returns (x, condition).  Raises ConditioningError when the system is
@@ -127,7 +127,7 @@ def float_lstsq_solve(a: np.ndarray, b: np.ndarray, cond_limit=_COND_LIMIT):
     if len(sv) == 0 or sv[0] == 0:
         raise ConditioningError("zero system", condition=float("inf"))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if rank < a.shape[1] or cond > cond_limit:
+    if rank < a.shape[1] or cond > _COND_LIMIT:
         raise ConditioningError(
             f"system too ill-conditioned (estimated condition {cond:.3e})",
             condition=cond)

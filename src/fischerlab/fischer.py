@@ -160,6 +160,18 @@ def _project_components(solver: SliceSolver, g: Poly) -> Poly:
                Poly.zero(solver.pk.dim, g.field))
 
 
+def _truncate_stream(f, max_degree):
+    """(f.truncate(cap), cap): cap is max_degree, else the stream's declared
+    degree; it must be finite and non-negative, and is clipped to the latter."""
+    cap = max_degree if max_degree is not None else f.max_degree
+    if cap is None or math.isinf(cap):
+        raise InvalidInputError("a finite truncation degree is required")
+    if cap < 0:
+        raise InvalidInputError(f"truncation degree must be >= 0, got {cap}")
+    cap = int(min(cap, f.max_degree))
+    return f.truncate(cap), cap
+
+
 def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
     """Fischer decomposition by solving F(q) = P_k*(D) f.
 
@@ -354,13 +366,8 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
     # Taylor stream input
     if f.dim != 1:
         raise InvalidInputError("stream must be univariate")
-    cap = max_degree if max_degree is not None else f.max_degree
-    if cap is None or math.isinf(cap):
-        raise InvalidInputError("a finite truncation degree is required")
-    cap = int(min(cap, f.max_degree))
-    f_trunc = Poly.zero(1, FLOAT)
-    for m in range(cap + 1):
-        f_trunc = f_trunc + f.component(m).to_float()
+    f_trunc, cap = _truncate_stream(f, max_degree)
+    f_trunc = f_trunc.to_float()
     pf = p.to_float()
     if k == 0:
         q = f_trunc / pf.coefficient((0,))
@@ -413,18 +420,10 @@ def decompose_linear(p1: Poly, p0, f, max_degree=None) -> DecompositionResult:
     denom = sum((c * c.conjugate() for c in coeffs),
                 GaussianRational(0) if p1.field == EXACT else 0j)
     z0 = [c.conjugate() * p0 / denom for c in coeffs]
+    diag_extra = {}
     if not isinstance(f, Poly):
-        cap = max_degree if max_degree is not None else f.max_degree
-        if cap is None or math.isinf(cap):
-            raise InvalidInputError("a finite truncation degree is required")
-        cap = int(min(cap, f.max_degree))
-        g = Poly.zero(d, f.component(0).field)
-        for m in range(cap + 1):
-            g = g + f.component(m)
+        f, cap = _truncate_stream(f, max_degree)
         diag_extra = {"truncation_degree": cap}
-        f = g
-    else:
-        diag_extra = {}
     shifted = f.shift(z0)
     q_shift = _project_components(SliceSolver(p1), shifted)
     h_shift = shifted - p1 * q_shift

@@ -28,10 +28,6 @@ NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 # multi-index helpers (exponent tuples)
 
-def midx_degree(alpha) -> int:
-    return sum(alpha)
-
-
 def midx_factorial(alpha) -> int:
     out = 1
     for a in alpha:
@@ -213,11 +209,6 @@ class Poly:
             buckets.setdefault(sum(a), {})[a] = c
         return {m: Poly(self.dim, t, field=self.field)
                 for m, t in sorted(buckets.items())}
-
-    def leading_part(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.homogeneous_component(self.degree)
 
     def sorted_terms(self):
         """Terms in graded-lex order (degree ascending)."""

@@ -53,8 +53,7 @@ def _sphere_points(d: int, n: int, seed: int) -> np.ndarray:
     return g[:, :d] + 1j * g[:, d:]
 
 
-def sphere_max(p, samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0,
-               polish: bool = True) -> float:
+def sphere_max(p, samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0) -> float:
     """Lower estimate of max |p| over the unit sphere of C^d.
 
     Exact for d = 1 and homogeneous p (the modulus is constant on the
@@ -71,8 +70,6 @@ def sphere_max(p, samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0,
     vals = np.abs(poly_eval_array(pf, pts))
     best_idx = int(np.argmax(vals))
     best = float(vals[best_idx])
-    if not polish:
-        return best
     d = p.dim
     w0 = np.concatenate([pts[best_idx].real, pts[best_idx].imag])
 

@@ -280,3 +280,12 @@ def test_exit_code_float_on_exact_backend(files, tmp_path):
     rc = cli.main(["inner", "--p", str(tmp_path / "float.json"),
                    "--q", str(tmp_path / "float.json"), "--backend", "exact"])
     assert rc == cli.EXIT_PARSE
+
+
+def test_exit_code_internal_error(files, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_order", broken)
+    assert cli.main(["order", "--f", files["expz"]]) == cli.EXIT_INTERNAL == 5
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err

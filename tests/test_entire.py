@@ -315,6 +315,46 @@ def test_entire_mixed_lower_part_converges():
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
+def test_entire_total_stream_stops_on_smallest_step():
+    # lower degrees 0 and 1: each level reads f at least k - 1 = 1 degree
+    # further, so the series must run until that step passes deg f
+    x, y = variables(2)
+    p = x * x + y * y + x - 1
+    f = x ** 6 + x ** 3 * y + y * y
+    dec = entire.decompose_entire(p, TaylorStream.from_poly(f), 8)
+    direct = fischer.decompose_direct(p, f)
+    assert dec.q.truncate(8) == direct.q
+    assert dec.r.truncate(8) == direct.r
+
+
+def test_entire_total_stream_of_degree_beyond_m_cap():
+    # deg f far above m_cap: the low output degrees need ~20 levels
+    x, y = variables(2)
+    p = x * x + y * y + x
+    f = x ** 24 + y ** 3
+    dec = entire.decompose_entire(p, TaylorStream.from_poly(f), 4)
+    direct = fischer.decompose_direct(p, f).q
+    assert dec.q.truncate(2) == sum((direct.homogeneous_component(m) for m in range(3)),
+                                    Poly.zero(2))
+    assert all(d["stopped_by"] == "degree" for d in dec.per_degree_diag.values())
+    assert dec.per_degree_diag[0]["j_stop"] == 21
+
+
+def test_entire_partial_stream_truncation_rule():
+    # k = 2, lowest lower degree 0, m_cap 14: degree M can use the levels j
+    # with M + 2 (j + 1) <= 12; tol = 0 rules out a tolerance stop
+    x, y = variables(2)
+    p = x * x + y * y - x - 1
+    f = TaylorStream.from_exp((x + y) * 0.3, max_degree=60)
+    dec = entire.decompose_entire(p, f, 14, tol=0.0)
+    assert sorted(dec.per_degree_diag) == list(range(13))
+    for m, diag in dec.per_degree_diag.items():
+        assert diag["truncated"]
+        assert diag["stopped_by"] == "truncation"
+        assert diag["j_stop"] == (12 - m) // 2 - 1
+        assert len(diag["block_norms"]) == diag["j_stop"] + 2
+
+
 def test_entire_gap_validation():
     x, y = variables(2)
     p = x ** 3 - x * x - 1

@@ -418,6 +418,16 @@ def test_linear_stream_nonzero_shift_exact_on_truncation():
     assert res.annihilator_residual == 0
 
 
+def test_stream_routes_reject_unusable_truncation_degree():
+    x, y = variables(2)
+    z, = variables(1)
+    for call in (lambda cap: fischer.decompose_univariate(z - 1, TaylorStream.from_exp(z), cap),
+                 lambda cap: fischer.decompose_linear(x, 1, TaylorStream.from_exp(y), cap)):
+        for cap in (None, -1):
+            with pytest.raises(InvalidInputError):
+                call(cap)
+
+
 # ---------------------------------------------------------------------------
 # cross-module consistency
 
