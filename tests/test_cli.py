@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from fischerlab import cli
+from fischerlab import cli, spectral
 from fischerlab.polyalg import Poly, load_poly, save_poly, variables
 
 
@@ -271,6 +273,23 @@ def test_exit_code_numerical_failure(tmp_path):
     rc = cli.main(["decompose", "--p", str(tmp_path / "illp.json"),
                    "--f", str(tmp_path / "illf.json"),
                    "--out", str(tmp_path / "ill")])
+    assert rc == cli.EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("error", [
+    ArpackNoConvergence("ARPACK: no convergence", np.empty(0), np.empty((0, 0))),
+    ArpackError(-9999),
+    RuntimeError("Factor is exactly singular"),
+])
+def test_exit_code_eigensolve_failure(tmp_path, monkeypatch, error):
+    def failing_eigs(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(spectral, "eigs", failing_eigs)
+    pk = Poly(3, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j})
+    save_poly(pk, tmp_path / "pk3.json")
+    # Gram size 276 at m = 22, above spectral.DENSE_EIG_MAX, so ARPACK runs
+    rc = cli.main(["ks-fit", "--p", str(tmp_path / "pk3.json"), "--m-min", "22",
+                   "--m-max", "25", "--out", str(tmp_path / "ks")])
     assert rc == cli.EXIT_NUMERICAL
 
 

@@ -10,6 +10,18 @@ from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import Poly, apply_diff_op, count_monomials, midx_factorial, variables
 from conftest import rand_homogeneous
 
+# The three dimension-3 quadratic classes: generic, a square in the z1, z2
+# plane plus c z3^2, and the sphere quadratic.  The degree-m Gram matrix has
+# size C(m+2, 2): 253 at m = 21, 276 at m = 22.
+_A, _B = 0.7 + 0.2j, -0.4 + 1.1j
+QUADRATICS_3D = {
+    "generic": Poly(3, {(2, 0, 0): 1 + 0j, (1, 1, 0): 1 + 0j, (0, 2, 0): 1 + 0j,
+                        (0, 0, 2): 1 + 0j, (0, 1, 1): 0.5 + 0.3j}),
+    "square": Poly(3, {(2, 0, 0): _A * _A, (1, 1, 0): 2 * _A * _B, (0, 2, 0): _B * _B,
+                       (0, 0, 2): 0.9 - 0.5j}),
+    "sphere": Poly(3, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j}),
+}
+
 
 def test_mult_matrix_z1_shape_and_values():
     x, y = variables(2)
@@ -242,12 +254,42 @@ def test_univariate_monotone_factorial_law():
 
 def test_sweep_worker_count_invariance(monkeypatch):
     x, y = variables(2)
-    pk = x * x + y * y
-    monkeypatch.setenv("FISCHER_LAB_THREADS", "4")
-    threaded = spectral.sweep_sigma(pk, range(2, 20))
-    monkeypatch.setenv("FISCHER_LAB_THREADS", "1")
-    serial = spectral.sweep_sigma(pk, range(2, 20))
-    assert threaded == serial
+    # d = 3 at m 20-25: Gram size 231-351, both sides of DENSE_EIG_MAX
+    for pk, degrees in ((x * x + y * y, range(2, 20)),
+                        (QUADRATICS_3D["generic"], range(20, 26)),
+                        (QUADRATICS_3D["sphere"], range(20, 26))):
+        monkeypatch.setenv("FISCHER_LAB_THREADS", "4")
+        threaded = spectral.sweep_sigma(pk, degrees)
+        monkeypatch.setenv("FISCHER_LAB_THREADS", "1")
+        serial = spectral.sweep_sigma(pk, degrees)
+        assert threaded == serial
+
+
+def test_size_rule_straddles_the_oracle_degrees():
+    assert count_monomials(3, 21) <= spectral.DENSE_EIG_MAX < count_monomials(3, 22)
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name in QUADRATICS_3D
+                                     for m in (8, 21, 22, 31)]
+                         + [("generic", m) for m in (40, 41, 42, 43)])
+def test_sigma_extremes_matches_dense_svd(name, m):
+    pk = QUADRATICS_3D[name]
+    sv = np.linalg.svd(spectral.mult_matrix(pk, m).matrix, compute_uv=False)
+    lo, hi = spectral.sigma_extremes(pk, m)
+    assert lo == pytest.approx(sv[-1], rel=1e-12, abs=0)
+    assert hi == pytest.approx(sv[0], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("pk,m", [(QUADRATICS_3D["sphere"], m) for m in (12, 14, 19, 23)]
+                         + [(Poly(3, {(2, 0, 0): 1 + 0j}), m) for m in (13, 14)])
+def test_arpack_extremes_repeat_bit_for_bit(monkeypatch, pk, m):
+    # Gram matrices of these symmetric pk have few distinct eigenvalues, so
+    # the Krylov space runs out and ARPACK draws new vectors from rng: they
+    # differ between calls unless rng has the fixed seed (eigsh on complex
+    # input drops rng) and the start vector is fixed
+    monkeypatch.setattr(spectral, "DENSE_EIG_MAX", 2)
+    first = spectral.sigma_extremes(pk, m)
+    assert all(spectral.sigma_extremes(pk, m) == first for _ in range(4))
 
 
 def test_report_csv_format():
