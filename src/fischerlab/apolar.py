@@ -64,11 +64,12 @@ def log_norm_sq(p: Poly) -> float:
     logs = []
     for alpha, c in p.terms.items():
         la = sum(math.lgamma(a + 1) for a in alpha)
-        a2 = abs_sq(c)
-        if isinstance(a2, Fraction):
+        if p.field == EXACT:
+            a2 = abs_sq(c)
             lc = math.log(a2.numerator) - math.log(a2.denominator)
         else:
-            lc = math.log(a2)
+            # |c|^2 underflows to 0 long before |c| does
+            lc = 2.0 * math.log(abs(c))
         logs.append(la + lc)
     top = max(logs)
     return top + math.log(sum(math.exp(l - top) for l in logs))

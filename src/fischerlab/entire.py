@@ -1,10 +1,11 @@
 """Entire functions as degree-indexed streams of homogeneous components.
 
-Everything here is degree-wise: growth order is estimated from the decay
-of component sup-norms, weighted sup norms classify membership in the
-lambda-weighted Banach spaces, and the truncated decomposition sums the
-iterated-projection blocks degree by degree with explicit per-degree
-stopping diagnostics.
+Everything here is degree-wise: growth order is fitted to the decay of the
+components' sphere sup norms, read off their exact apolar norms (which
+bracket the sup norm up to a factor polynomial in the degree), weighted
+sup norms classify membership in the lambda-weighted Banach spaces, and
+the truncated decomposition sums the iterated-projection blocks degree by
+degree with explicit per-degree stopping diagnostics.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import apolar, sampling
+from . import apolar
 from .errors import FormatError, InvalidInputError
-from .fields import EXACT, FLOAT, abs_sq
+from .fields import EXACT
 from .fischer import SliceSolver, validate_gap
 from .polyalg import Poly, poly_from_dict
 
@@ -167,54 +168,30 @@ class OrderEstimate:
     samples: list
 
 
-def _log_abs_sq(c) -> float:
-    a2 = abs_sq(c)
-    if isinstance(a2, Fraction):
-        return math.log(a2.numerator) - math.log(a2.denominator)
-    return math.log(a2)
-
-
-def _log_sup_norm(fm: Poly, seed: int = 0) -> float:
-    """log of the sphere sup norm, overflow-safe for extreme degrees.
-
-    Exact for d = 1; otherwise the component is normalized by its largest
-    coefficient (so float evaluation cannot under- or overflow), sampled,
-    and the scale is added back in log space.
-    """
-    if fm.is_zero:
-        return float("-inf")
-    if fm.dim == 1:
-        return 0.5 * _log_abs_sq(next(iter(fm.terms.values())))
-    items = list(fm.terms.items())
-    log_scales = [0.5 * _log_abs_sq(c) for _, c in items]
-    top = max(log_scales)
-    c_max = items[log_scales.index(top)][1]
-    # dividing by the largest coefficient keeps every ratio at modulus <= 1,
-    # so the float conversion is safe at any degree
-    scaled = Poly(fm.dim, {a: complex(c / c_max) for a, c in items}, field=FLOAT)
-    mx = sampling.sphere_max(scaled, seed=seed)
-    if mx <= 0:
-        return float("-inf")
-    return math.log(mx) + top
-
-
 def order_estimate(f: TaylorStream, degrees) -> OrderEstimate:
-    """Growth order from component sup norms.
+    """Growth order from the decay of the components' sphere sup norms.
 
-    If the sup norm decays like m^(-m/rho) C^m m^s, then -log ||f_m||_sup
-    is asymptotically (1/rho) m log m - (log C) m - s log m; a three-term
-    least-squares fit over the upper half of the requested degrees
-    recovers 1/rho while absorbing the geometric and polynomial factors.
-    All-zero tails report order 0 with a 'polynomial/zero' flag.
+    For homogeneous f_m in d variables the apolar norm brackets the sup
+    norm over the unit sphere: sqrt((d-1)!/(m+d-1)!) ||f_m|| <= max_S |f_m|
+    <= ||f_m|| / sqrt(m!) (sphere_max_bound_check's inequality, and
+    Cauchy-Schwarz against the reproducing kernel (z.conj(w))^m / m!).  So
+    each sample is the exact, seed-free (lgamma(m+d) - log ||f_m||^2) / 2,
+    which is -log max_S |f_m| up to a factor polynomial in m (exactly so
+    for d = 1).  If the sup norm decays like m^(-m/rho) C^m m^s, the
+    sample is asymptotically (1/rho) m log m - (log C) m - s log m; a
+    three-term least-squares fit over the upper half of the requested
+    degrees recovers 1/rho, and its s log m column absorbs the bracket's
+    polynomial factor.  All-zero tails report order 0 with a
+    'polynomial/zero' flag.
     """
     degrees = [m for m in degrees if 0 <= m <= f.max_degree]
     if len(degrees) < 20:
         raise InvalidInputError("order estimation needs at least 20 degrees")
     samples = []
     for m in degrees:
-        ls = _log_sup_norm(f.component(m))
-        if m >= 2 and not math.isinf(ls):
-            samples.append((m, -ls))
+        log_nsq = apolar.log_norm_sq(f.component(m))
+        if m >= 2 and not math.isinf(log_nsq):
+            samples.append((m, 0.5 * (math.lgamma(m + f.dim) - log_nsq)))
     tail_start = degrees[len(degrees) // 2]
     tail = [(m, L) for m, L in samples if m >= tail_start]
     if not tail:

@@ -1,11 +1,11 @@
 """Seeded sampling shared by the Gaussian-integral Monte Carlo and the
-sphere-maximum estimators.
+sphere-maximum estimate.
 
-Sphere maxima use scrambled Sobol points pushed through the inverse normal
-CDF plus a local polish, and are reported as lower bounds of the true
-maximum.  Gaussian batches come from the counter-based Philox generator,
-keyed per chunk, so results are identical for a fixed seed no matter how
-the chunks are distributed over workers.
+Both draw from one generator: Gaussian batches from the counter-based
+Philox generator, keyed per chunk, so results are identical for a fixed
+seed no matter how the chunks are distributed over workers.  Sphere maxima
+take the best of those points scaled onto the unit sphere and are
+reported as lower bounds of the true maximum.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ import math
 import os
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 DEFAULT_SPHERE_SAMPLES = 1 << 14
 MC_CHUNK = 1 << 16
@@ -42,52 +39,22 @@ def poly_eval_array(p, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _sphere_points(d: int, n: int, seed: int) -> np.ndarray:
-    """n quasi-random points on the unit sphere of C^d (= S^{2d-1})."""
-    sob = qmc.Sobol(d=2 * d, scramble=True, seed=int(seed) & (2 ** 64 - 1))
-    u = sob.random(n)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    g = g / norms[:, None]
-    return g[:, :d] + 1j * g[:, d:]
-
-
 def sphere_max(p, samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0) -> float:
     """Lower estimate of max |p| over the unit sphere of C^d.
 
     Exact for d = 1 and homogeneous p (the modulus is constant on the
-    circle).  Otherwise the best sampled point is polished by maximizing
-    the scale-invariant ratio |p(w)|^2 / |w|^(2 deg p).
+    circle).  Otherwise the largest |p| over ``samples`` points of
+    gaussian_point_chunks scaled onto the sphere, which are uniform there.
     """
     if p.is_zero:
         return 0.0
     if p.dim == 1 and p.is_homogeneous():
         return abs(next(iter(p.terms.values())))
     pf = p.to_float()
-    m = pf.degree
-    pts = _sphere_points(p.dim, samples, seed)
-    vals = np.abs(poly_eval_array(pf, pts))
-    best_idx = int(np.argmax(vals))
-    best = float(vals[best_idx])
-    d = p.dim
-    w0 = np.concatenate([pts[best_idx].real, pts[best_idx].imag])
-
-    def neg_ratio(w):
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-8:
-            return 0.0
-        z = (w[:d] + 1j * w[d:]).reshape(1, d)
-        val = abs(poly_eval_array(pf, z)[0])
-        return -(val / nrm ** m) ** 2 if m else -(val ** 2)
-
-    res = minimize(neg_ratio, w0, method="BFGS",
-                   options={"maxiter": 60, "gtol": 1e-12})
-    w = res.x
-    nrm = np.linalg.norm(w)
-    if nrm > 1e-8:
-        z = ((w[:d] + 1j * w[d:]) / nrm).reshape(1, d)
-        best = max(best, float(abs(poly_eval_array(pf, z)[0])))
+    best = 0.0
+    for pts in gaussian_point_chunks(p.dim, samples, seed):
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        best = max(best, float(np.abs(poly_eval_array(pf, pts)).max()))
     return best
 
 

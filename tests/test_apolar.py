@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fischerlab import apolar
+from fischerlab import apolar, sampling
 from fischerlab.errors import DimensionMismatchError, InvalidInputError
 from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials, midx_factorial, variables
@@ -248,6 +248,17 @@ def test_sphere_bound_monomial_d1():
         lhs, rhs = apolar.sphere_max_bound_check(z ** m)
         assert lhs == pytest.approx(math.sqrt(math.factorial(m)))
         assert lhs <= rhs * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [(1, 1), (2, 1), (3, 3), (1, 1, 1), (2, 0, 1),
+                                   (4, 1, 1)])
+def test_sphere_max_monomials(alpha):
+    # max over the unit sphere of |z^alpha| is prod (alpha_i/m)^(alpha_i/2),
+    # 1/2 for z1 z2
+    m = sum(alpha)
+    exact = math.prod((a / m) ** (a / 2) for a in alpha)
+    got = sampling.sphere_max(Poly(len(alpha), {alpha: 1}))
+    assert exact * 0.95 <= got <= exact * (1 + 1e-12)
 
 
 def test_sphere_bound_zero():

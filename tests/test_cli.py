@@ -149,6 +149,20 @@ def test_order_cli(files, capsys):
     assert abs(payload["order"] - 1.0) <= 0.1
 
 
+def test_order_cli_float_stream_high_degree(files, capsys):
+    # float components of exp(a.z) here have |c|^2 below the smallest double
+    stream = {"kind": "exp_poly", "max_degree": 139,
+              "inner": {"dim": 2, "terms": [{"exp": [1, 0], "re": 0.6, "im": 0.2},
+                                            {"exp": [0, 1], "re": -0.5, "im": 0.4}]}}
+    path = files["tmp"] / "float_exp.json"
+    path.write_text(json.dumps(stream))
+    rc = cli.main(["order", "--f", str(path), "--min-degree", "100",
+                   "--max-degree", "139"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert abs(payload["order"] - 1.0) <= 0.05
+
+
 def test_order_cli_polynomial_defaults(files, capsys):
     rc = cli.main(["order", "--f", files["f"], "--min-degree", "20"])
     assert rc == 0

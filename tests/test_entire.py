@@ -6,7 +6,7 @@ import pytest
 from fischerlab import apolar, entire, fischer
 from fischerlab.entire import LambdaSeq, TaylorStream
 from fischerlab.errors import FormatError, InvalidInputError
-from fischerlab.fields import FLOAT
+from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import Poly, variables
 from conftest import rand_homogeneous, rand_poly
 
@@ -153,6 +153,26 @@ def test_order_multivariate_exp():
     s = TaylorStream.from_exp(x + y, max_degree=90)
     est = entire.order_estimate(s, range(20, 81))
     assert abs(est.rho - 1.0) <= 0.15
+
+
+def _exp_linear_form_d2(max_degree):
+    """exp((1+i) z1 + i z2), an order-1 stream."""
+    x, y = variables(2)
+    return TaylorStream.from_exp(x * GaussianRational(1, 1) + y * GaussianRational(0, 1),
+                                 max_degree=max_degree)
+
+
+def test_order_repeats_exactly():
+    s = _exp_linear_form_d2(39)
+    assert entire.order_estimate(s, range(20, 40)) == entire.order_estimate(s, range(20, 40))
+
+
+@pytest.mark.parametrize("lo", [20, 81])
+def test_order_exp_linear_form_d2(lo):
+    s = _exp_linear_form_d2(lo + 19)
+    est = entire.order_estimate(s, range(lo, lo + 20))
+    assert est.flag == ""
+    assert abs(est.rho - 1.0) <= 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and the
+CLI does not load the heavy scipy subpackages it has no use for."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,12 @@ def test_module_imports_are_used(path):
 def test_unused_import_is_reported():
     source = "import math\nfrom .polyalg import Poly, poly_to_dict\n\nx = Poly(math.pi)\n"
     assert unused_imports(source) == ["poly_to_dict (line 2)"]
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    # scipy.stats and scipy.optimize took most of the CLI's start-up time
+    code = ("import sys, fischerlab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(fischerlab.__file__).parents[1])
+    assert out.stdout.strip() == "[]"
