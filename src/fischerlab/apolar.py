@@ -9,10 +9,11 @@ each other in this product, which is what the residual checkers verify.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .fields import EXACT, GaussianRational, abs_sq
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add,
                       midx_factorial)
@@ -58,20 +59,31 @@ def norm(p: Poly) -> float:
 
 
 def log_norm_sq(p: Poly) -> float:
-    """log <p, p>, overflow-safe for extreme degrees; -inf for p = 0."""
+    """log <p, p>, overflow-safe for extreme degrees; -inf for p = 0.
+
+    Float coefficients enter through log|c|, since |c|^2 underflows long
+    before |c| does.  A subnormal coefficient whose term is not negligible
+    next to the largest one raises NumericalError: the coefficient has lost
+    precision, and terms of its size may have flushed to zero unseen.
+    """
     if p.is_zero:
         return float("-inf")
     logs = []
+    log_subnormal = float("-inf")
     for alpha, c in p.terms.items():
         la = sum(math.lgamma(a + 1) for a in alpha)
         if p.field == EXACT:
             a2 = abs_sq(c)
             lc = math.log(a2.numerator) - math.log(a2.denominator)
         else:
-            # |c|^2 underflows to 0 long before |c| does
             lc = 2.0 * math.log(abs(c))
+            if abs(c) < sys.float_info.min:
+                log_subnormal = max(log_subnormal, la + lc)
         logs.append(la + lc)
     top = max(logs)
+    if log_subnormal > top + math.log(sys.float_info.epsilon):
+        raise NumericalError("float coefficients underflow: the apolar norm has lost "
+                             "precision")
     return top + math.log(sum(math.exp(l - top) for l in logs))
 
 

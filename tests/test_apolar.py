@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from fischerlab import apolar, sampling
-from fischerlab.errors import DimensionMismatchError, InvalidInputError
-from fischerlab.fields import GaussianRational
+from fischerlab.errors import DimensionMismatchError, InvalidInputError, NumericalError
+from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials, midx_factorial, variables
 from conftest import rand_homogeneous, rand_poly
 
@@ -259,6 +259,13 @@ def test_sphere_max_monomials(alpha):
     exact = math.prod((a / m) ** (a / 2) for a in alpha)
     got = sampling.sphere_max(Poly(len(alpha), {alpha: 1}))
     assert exact * 0.95 <= got <= exact * (1 + 1e-12)
+
+
+def test_log_norm_sq_float_underflow():
+    # 1e-310 is subnormal: next to 1 its term is negligible, alone it is not
+    assert apolar.log_norm_sq(Poly(1, {(0,): 1.0, (1,): 1e-310}, field=FLOAT)) == 0.0
+    with pytest.raises(NumericalError):
+        apolar.log_norm_sq(Poly(1, {(1,): 1e-310}, field=FLOAT))
 
 
 def test_sphere_bound_zero():

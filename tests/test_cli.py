@@ -149,18 +149,32 @@ def test_order_cli(files, capsys):
     assert abs(payload["order"] - 1.0) <= 0.1
 
 
+# exp((0.6+0.2i) z1 + (-0.5+0.4i) z2) in floats
+_FLOAT_EXP_INNER = {"dim": 2, "terms": [{"exp": [1, 0], "re": 0.6, "im": 0.2},
+                                        {"exp": [0, 1], "re": -0.5, "im": 0.4}]}
+
+
 def test_order_cli_float_stream_high_degree(files, capsys):
-    # float components of exp(a.z) here have |c|^2 below the smallest double
-    stream = {"kind": "exp_poly", "max_degree": 139,
-              "inner": {"dim": 2, "terms": [{"exp": [1, 0], "re": 0.6, "im": 0.2},
-                                            {"exp": [0, 1], "re": -0.5, "im": 0.4}]}}
+    # the components here have |c|^2 below the smallest double
     path = files["tmp"] / "float_exp.json"
-    path.write_text(json.dumps(stream))
+    path.write_text(json.dumps({"kind": "exp_poly", "max_degree": 139,
+                                "inner": _FLOAT_EXP_INNER}))
     rc = cli.main(["order", "--f", str(path), "--min-degree", "100",
                    "--max-degree", "139"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert abs(payload["order"] - 1.0) <= 0.05
+
+
+def test_order_cli_float_stream_underflow_is_numerical(files):
+    # from degree ~175 on the largest coefficients are subnormal, from 190
+    # the components are zero: an estimate here would be silently wrong
+    path = files["tmp"] / "float_exp.json"
+    path.write_text(json.dumps({"kind": "exp_poly", "max_degree": 189,
+                                "inner": _FLOAT_EXP_INNER}))
+    rc = cli.main(["order", "--f", str(path), "--min-degree", "170",
+                   "--max-degree", "189"])
+    assert rc == cli.EXIT_NUMERICAL
 
 
 def test_order_cli_polynomial_defaults(files, capsys):

@@ -150,29 +150,24 @@ def test_order_needs_enough_degrees():
 
 def test_order_multivariate_exp():
     x, y = variables(2)
-    s = TaylorStream.from_exp(x + y, max_degree=90)
-    est = entire.order_estimate(s, range(20, 81))
-    assert abs(est.rho - 1.0) <= 0.15
+    a = x * GaussianRational(1, 1) + y * GaussianRational(0, 1)
+    for inner, lo, hi, tol in [(x + y, 20, 80, 0.15), (a, 20, 39, 0.05), (a, 81, 100, 0.05)]:
+        s = TaylorStream.from_exp(inner, max_degree=hi)
+        est = entire.order_estimate(s, range(lo, hi + 1))
+        assert abs(est.rho - 1.0) <= tol
 
 
-def _exp_linear_form_d2(max_degree):
-    """exp((1+i) z1 + i z2), an order-1 stream."""
+def test_order_samples_are_exact_apolar_norms():
+    # exp(a.z) has ||f_m||^2 = |a|^(2m) / m!, and each sample is
+    # (lgamma(m+d) - log ||f_m||^2) / 2; |a|^2 = 3 here
     x, y = variables(2)
-    return TaylorStream.from_exp(x * GaussianRational(1, 1) + y * GaussianRational(0, 1),
-                                 max_degree=max_degree)
-
-
-def test_order_repeats_exactly():
-    s = _exp_linear_form_d2(39)
-    assert entire.order_estimate(s, range(20, 40)) == entire.order_estimate(s, range(20, 40))
-
-
-@pytest.mark.parametrize("lo", [20, 81])
-def test_order_exp_linear_form_d2(lo):
-    s = _exp_linear_form_d2(lo + 19)
-    est = entire.order_estimate(s, range(lo, lo + 20))
-    assert est.flag == ""
-    assert abs(est.rho - 1.0) <= 0.05
+    s = TaylorStream.from_exp(x * GaussianRational(1, 1) + y * GaussianRational(0, 1),
+                              max_degree=39)
+    est = entire.order_estimate(s, range(20, 40))
+    assert [m for m, _ in est.samples] == list(range(30, 40))
+    for m, sample in est.samples:
+        expected = 0.5 * (math.lgamma(m + 2) + math.lgamma(m + 1) - m * math.log(3))
+        assert sample == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
