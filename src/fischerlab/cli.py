@@ -192,12 +192,13 @@ def _cmd_decompose(args) -> int:
     else:
         if not isinstance(f, Poly):
             raise InvalidInputError("direct method needs polynomial input")
-        res = fischer.decompose_direct(p, f)
         if args.series_check:
-            other = fischer.decompose_series(p, f, beta=args.beta)
+            res, other = fischer._direct_and_series(p, f, args.beta)
             res.diagnostics["series_check_agrees"] = (
                 other.q == res.q if p.field == EXACT and f.field == EXACT
                 else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
+        else:
+            res = fischer.decompose_direct(p, f)
     prefix = args.out or "decomposition"
     save_poly(res.q, f"{prefix}.q.json")
     save_poly(res.r, f"{prefix}.r.json")

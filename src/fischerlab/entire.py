@@ -14,12 +14,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
 from . import apolar
-from .errors import FormatError, InvalidInputError
-from .fields import EXACT
+from .errors import FormatError, InvalidInputError, NumericalError
+from .fields import EXACT, FLOAT, GaussianRational
 from .fischer import SliceSolver, validate_gap
 from .polyalg import Poly, poly_from_dict
 
@@ -87,31 +88,130 @@ class TaylorStream:
     def from_exp(cls, inner: Poly, max_degree=math.inf) -> "TaylorStream":
         """Components of exp(inner), inner a polynomial with inner(0) = 0.
 
-        Uses the Euler-operator recurrence m f_m = sum_j (j g_j) f_{m-j},
-        which stays in exact arithmetic for exact input.
+        Uses the Euler-operator recurrence m f_m = sum_j (j g_j) f_{m-j}, g_j
+        the components of inner, on plain coefficient dicts; only the
+        requested component becomes a Poly.  Exact input runs on
+        Gaussian-integer numerators: inner is scaled once by the lcm D of
+        its denominators, each f_n is kept as (re, im) integer pairs over
+        one denominator, step n sums over the common denominator
+        n D lcm(den f_{n-j}) and divides out one gcd, so components are
+        exactly those of the Gaussian-rational recurrence.  Float input
+        takes the recurrence's float operations in a fixed order (product,
+        times j, sum over j, times 1/n), so components repeat bit for bit.
+        A float component that underflow has emptied raises NumericalError:
+        a product of nonzero doubles is zero only by underflow, and an
+        all-zero component would read as a polynomial's tail.
         """
         if not inner.homogeneous_component(0).is_zero:
             raise InvalidInputError("exp generator needs vanishing constant term")
-        parts = inner.homogeneous_components()
-        state = {0: Poly.constant(inner.dim, 1, field=inner.field)}
-
-        def comp(m, _state=state, _parts=parts, _dim=inner.dim, _field=inner.field):
-            for n in range(max(_state) + 1, m + 1):
-                acc = Poly.zero(_dim, _field)
-                for j, gj in _parts.items():
-                    if j == 0 or j > n:
-                        continue
-                    prev = _state[n - j]
-                    if not prev.is_zero:
-                        acc = acc + gj * prev * j
-                if _field == EXACT:
-                    acc = acc * Fraction(1, n)
-                else:
-                    acc = acc * (1.0 / n)
-                _state[n] = acc
-            return _state[m]
-
+        comp = (_exact_exp_components if inner.field == EXACT
+                else _float_exp_components)(inner)
         return cls(inner.dim, comp, max_degree=max_degree)
+
+
+def _merge_into(acc: dict, part: dict, plus, zero) -> None:
+    """acc += part termwise, dropping sums that cancel (Poly addition's
+    rule, which also fixes the key order that later sums run in)."""
+    for key, v in part.items():
+        if key in acc:
+            s = plus(acc[key], v)
+            if s == zero:
+                del acc[key]
+            else:
+                acc[key] = s
+        else:
+            acc[key] = v
+
+
+def _pair_add(u, v):
+    return u[0] + v[0], u[1] + v[1]
+
+
+def _exact_exp_components(inner: Poly):
+    """component(m) of exp(inner) for exact inner, on Z[i] numerators."""
+    dim = inner.dim
+    scale = math.lcm(*(x.denominator for c in inner.terms.values()
+                       for x in (c.real, c.imag)))
+    parts = [(j, [(a, (int(c.real * scale), int(c.imag * scale)))
+                  for a, c in gj.terms.items()])
+             for j, gj in inner.homogeneous_components().items()]
+    nums = [{(0,) * dim: (1, 0)}]  # f_n = nums[n] / dens[n]
+    dens = [1]
+
+    def step(n):
+        terms = [(j, gj, nums[n - j], dens[n - j]) for j, gj in parts
+                 if j <= n and nums[n - j]]
+        lcm = math.lcm(*(den for *_, den in terms))
+        acc = {}
+        for j, gj, prev, den in terms:
+            w = j * (lcm // den)
+            prod = {}
+            for a, (gr, gi) in gj:
+                gr, gi = w * gr, w * gi
+                for b, (fr, fi) in prev.items():
+                    key = tuple(map(add, a, b))
+                    pr, pi = gr * fr - gi * fi, gr * fi + gi * fr
+                    old = prod.get(key)
+                    prod[key] = (pr, pi) if old is None else (old[0] + pr, old[1] + pi)
+            _merge_into(acc, {k: v for k, v in prod.items() if v != (0, 0)},
+                        _pair_add, (0, 0))
+        den = n * scale * lcm
+        g = math.gcd(den, *(x for v in acc.values() for x in v))
+        nums.append({k: (re // g, im // g) for k, (re, im) in acc.items()})
+        dens.append(den // g)
+
+    def comp(m):
+        for n in range(len(nums), m + 1):
+            step(n)
+        den = dens[m]
+        return Poly(dim, {a: GaussianRational(Fraction(re, den), Fraction(im, den))
+                          for a, (re, im) in nums[m].items()}, field=EXACT)
+
+    return comp
+
+
+def _float_exp_components(inner: Poly):
+    """component(m) of exp(inner) for float inner, bit for bit the Poly-op
+    recurrence acc + (g_j * f_{n-j}) * j, then acc * (1/n)."""
+    dim = inner.dim
+    parts = [(j, list(gj.terms.items()))
+             for j, gj in inner.homogeneous_components().items()]
+    comps = [{(0,) * dim: 1 + 0j}]
+
+    def step(n):
+        acc = {}
+        for j, gj in parts:
+            if j > n or not comps[n - j]:
+                continue
+            prev = comps[n - j]
+            prod = {}
+            for a, ca in gj:
+                for b, cb in prev.items():
+                    key = tuple(map(add, a, b))
+                    if key in prod:
+                        prod[key] = prod[key] + ca * cb
+                    else:
+                        prod[key] = ca * cb
+            _merge_into(acc, {k: v * j for k, v in prod.items() if v != 0}, add, 0)
+        inv = 1.0 / n
+        out = {k: s for k, v in acc.items() if (s := v * inv) != 0}
+        if not out and (acc or _product_underflows(parts, comps, n)):
+            raise NumericalError(f"exp stream component {n} underflowed to zero "
+                                 "in double precision")
+        comps.append(out)
+
+    def comp(m):
+        for n in range(len(comps), m + 1):
+            step(n)
+        return Poly(dim, comps[m], field=FLOAT)
+
+    return comp
+
+
+def _product_underflows(parts, comps, n) -> bool:
+    """Whether some g_j * f_{n-j} coefficient product flushed to zero."""
+    return any(ca * cb == 0 for j, gj in parts if j <= n
+               for _, ca in gj for cb in comps[n - j].values())
 
 
 class LambdaSeq:

@@ -182,10 +182,18 @@ def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
     the top slice down.  Float input is one system, so that its condition
     estimate covers the coupling between degrees.
     """
+    return _decompose_direct(p, f, _slice_solver(p))
+
+
+def _slice_solver(p: Poly) -> SliceSolver:
     if p.is_zero:
         raise InvalidInputError("p must be nonzero")
+    return SliceSolver(p.homogeneous_component(p.degree))
+
+
+def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionResult:
     k = p.degree
-    pk = p.homogeneous_component(k)
+    pk = solver.pk
     if f.is_zero or f.degree < k:
         q = Poly.zero(p.dim, f.field)
         return DecompositionResult(q, f, _annihilator_residual(pk, f), "direct", {})
@@ -195,7 +203,6 @@ def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
     rhs = apply_diff_op(pk_star, f)
     diag = {"system_size": len(basis)}
     if p.field == EXACT and f.field == EXACT:
-        solver = SliceSolver(pk)
         lower = p - pk  # the slice map already accounts for pk q_n
         q = Poly.zero(p.dim, EXACT)
         for n in range(n_deg, -1, -1):
@@ -234,13 +241,13 @@ def decompose_series(p: Poly, f: Poly, beta=None) -> DecompositionResult:
     Every level drops total degree by at least deg p - beta, so the sum
     is finite for polynomial input and equals the direct solve exactly.
     """
-    if p.is_zero:
-        raise InvalidInputError("p must be nonzero")
-    k = p.degree
+    return _decompose_series(p, f, beta, _slice_solver(p))
+
+
+def _decompose_series(p: Poly, f: Poly, beta, solver: SliceSolver) -> DecompositionResult:
     if beta is not None:
         validate_gap(p, beta)
-    pk = p.homogeneous_component(k)
-    solver = SliceSolver(pk)
+    pk = solver.pk
     lower_neg = pk - p  # the series' lower terms: p = pk - lower_neg
     total = Poly.zero(p.dim, f.field)
     level = _project_components(solver, f)
@@ -253,6 +260,13 @@ def decompose_series(p: Poly, f: Poly, beta=None) -> DecompositionResult:
     r = f - p * q
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "series",
                                {"levels": levels})
+
+
+def _direct_and_series(p: Poly, f: Poly, beta):
+    """(decompose_direct(p, f), decompose_series(p, f, beta)) on one
+    SliceSolver, so each slice matrix is assembled once for both."""
+    solver = _slice_solver(p)
+    return _decompose_direct(p, f, solver), _decompose_series(p, f, beta, solver)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from fischerlab.fields import EXACT, GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials
@@ -34,6 +34,23 @@ def rand_homogeneous(rng, d, m, density=0.6):
     terms = {a: rand_gaussian(rng) for a in monos if rng.random() < density}
     if not all(terms.values()) or not terms:
         terms[monos[rng.randrange(len(monos))]] = GaussianRational(1)
+    return Poly(d, terms, field=EXACT)
+
+
+def gaussian_rationals():
+    """Gaussian rationals with parts in [-4, 4] over denominators 1-5."""
+    part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    return st.builds(GaussianRational, part, part)
+
+
+@st.composite
+def exact_polys(draw, dims=(1, 3), degrees=(0, 3), max_terms=5):
+    """Exact polynomials in 1-3 variables whose terms have total degree in
+    ``degrees``; may be zero."""
+    d = draw(st.integers(*dims))
+    exps = st.lists(st.integers(0, degrees[1]), min_size=d, max_size=d).map(tuple).filter(
+        lambda a: degrees[0] <= sum(a) <= degrees[1])
+    terms = draw(st.dictionaries(exps, gaussian_rationals(), max_size=max_terms))
     return Poly(d, terms, field=EXACT)
 
 

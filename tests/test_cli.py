@@ -1,11 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from fischerlab import cli, spectral
+from fischerlab import cli, fischer, spectral
 from fischerlab.polyalg import Poly, load_poly, save_poly, variables
 
 
@@ -48,6 +49,29 @@ def test_decompose_cli_oracle(files):
     payload = _read_envelope(f"{prefix}.diagnostics.json")
     assert payload["method"] == "direct"
     assert payload["annihilator_residual"] == 0
+
+
+def test_series_check_assembles_each_slice_once(files, monkeypatch):
+    assembled = Counter()
+    original = fischer.fischer_matrix
+
+    def counting(pk, m):
+        assembled[m] += 1
+        return original(pk, m)
+
+    monkeypatch.setattr(fischer, "fischer_matrix", counting)
+    x, y = variables(2)
+    p_path, f_path = files["tmp"] / "sc.p.json", files["tmp"] / "sc.f.json"
+    save_poly(x * x + y * y - x * y + 1, p_path)
+    save_poly(x ** 4 * y ** 2 + x ** 3 * y + y ** 4 - x, f_path)
+    prefix = str(files["tmp"] / "sc")
+    rc = cli.main(["decompose", "--p", str(p_path), "--f", str(f_path),
+                   "--backend", "exact", "--series-check", "--out", prefix])
+    assert rc == 0
+    payload = _read_envelope(f"{prefix}.diagnostics.json")
+    assert payload["diagnostics"]["series_check_agrees"] is True
+    # the direct and series routes share one solver, so one assembly per slice
+    assert len(assembled) >= 3 and max(assembled.values()) == 1
 
 
 def test_decompose_series_check(files):
@@ -174,6 +198,18 @@ def test_order_cli_float_stream_underflow_is_numerical(files):
                                 "inner": _FLOAT_EXP_INNER}))
     rc = cli.main(["order", "--f", str(path), "--min-degree", "170",
                    "--max-degree", "189"])
+    assert rc == cli.EXIT_NUMERICAL
+
+
+def test_order_cli_float_stream_total_underflow_is_numerical(files):
+    # float exp(z): 1/178! is below half the smallest subnormal, so every
+    # component from 178 on is empty; a window wholly past that point used
+    # to read as a polynomial's zero tail ("polynomial/zero", exit 0)
+    path = files["tmp"] / "float_expz.json"
+    path.write_text(json.dumps({"kind": "exp_poly", "max_degree": 239, "inner": {
+        "dim": 1, "terms": [{"exp": [1], "re": 1.0, "im": 0.0}]}}))
+    rc = cli.main(["order", "--f", str(path), "--min-degree", "200",
+                   "--max-degree", "239"])
     assert rc == cli.EXIT_NUMERICAL
 
 

@@ -1,14 +1,16 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fischerlab import apolar, entire, fischer
 from fischerlab.entire import LambdaSeq, TaylorStream
-from fischerlab.errors import FormatError, InvalidInputError
+from fischerlab.errors import FormatError, InvalidInputError, NumericalError
 from fischerlab.fields import FLOAT, GaussianRational
-from fischerlab.polyalg import Poly, variables
-from conftest import rand_homogeneous, rand_poly
+from fischerlab.polyalg import Poly, poly_to_dict, variables
+from conftest import exact_polys, rand_homogeneous, rand_poly
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,91 @@ def test_stream_rejects_bad_max_degree(cap):
         entire.stream_from_dict({"kind": "exp_poly", "inner": inner, "max_degree": cap})
     with pytest.raises(FormatError):
         entire.stream_from_dict({"kind": "poly", **inner, "max_degree": cap})
+
+
+@settings(max_examples=25)
+@given(exact_polys(degrees=(1, 3)), st.integers(0, 5))
+def test_exp_stream_exact_matches_truncated_series(inner, m):
+    # the degree-m part of exp(inner) comes from the terms inner^j / j!, j <= m
+    series = sum((inner ** j * Fraction(1, math.factorial(j)) for j in range(m + 1)),
+                 Poly.zero(inner.dim))
+    assert TaylorStream.from_exp(inner).component(m) == series.homogeneous_component(m)
+
+
+def _poly_op_exp_components(inner, top):
+    """Components 0..top of exp(inner) from the recurrence written in Poly
+    operations: acc + (g_j * f_{n-j}) * j summed over j, then acc * (1/n)."""
+    parts = inner.homogeneous_components()
+    state = {0: Poly.constant(inner.dim, 1, field=inner.field)}
+    for n in range(1, top + 1):
+        acc = Poly.zero(inner.dim, inner.field)
+        for j, gj in parts.items():
+            if j > n:
+                continue
+            prev = state[n - j]
+            if not prev.is_zero:
+                acc = acc + gj * prev * j
+        state[n] = acc * (1.0 / n)
+    return [state[n] for n in range(top + 1)]
+
+
+def _bits(p):
+    """Terms in storage order with the exact bits of each double."""
+    return [(a, c.real.hex(), c.imag.hex()) for a, c in p.terms.items()]
+
+
+@pytest.mark.parametrize("terms, top", [
+    ({(1,): 1.0}, 177),
+    ({(1,): 0.3 - 1.1j, (2,): 0.25j, (3,): -0.7 + 0.1j}, 120),
+    # partial underflow: coefficients turn subnormal from degree ~160
+    ({(1, 0): 0.6 + 0.2j, (0, 1): -0.5 + 0.4j}, 185),
+    ({(2, 0): 0.5 - 0.5j, (1, 1): 1.25, (0, 2): -0.75j, (1, 0): 0.1j}, 60),
+    ({(1, 0, 0): 0.9, (0, 1, 1): -0.4 + 0.3j, (0, 0, 3): 0.2 - 0.6j}, 30),
+])
+def test_exp_stream_float_bit_identical_to_poly_ops(terms, top):
+    inner = Poly(len(next(iter(terms))), terms, field=FLOAT)
+    stream = TaylorStream.from_exp(inner)
+    for m, expected in enumerate(_poly_op_exp_components(inner, top)):
+        assert _bits(stream.component(m)) == _bits(expected), m
+
+
+def test_exp_stream_float_total_underflow_raises():
+    z, = variables(1, field=FLOAT)
+    s = TaylorStream.from_exp(z)
+    assert not s.component(177).is_zero
+    with pytest.raises(NumericalError):
+        s.component(178)  # 1/178! is below half the smallest subnormal
+    # zero components with nothing to underflow are genuine zeros
+    sq = TaylorStream.from_exp(z * z)
+    assert sq.component(51).is_zero and sq.component(51).field == FLOAT
+
+
+@settings(max_examples=25)
+@given(exact_polys())
+def test_stream_from_dict_poly_round_trip(p):
+    s = entire.stream_from_dict(json.loads(json.dumps({"kind": "poly", **poly_to_dict(p)})))
+    assert s.total and s.poly_degree == (-1 if p.is_zero else p.degree)
+    for m in range(5):
+        assert s.component(m) == p.homogeneous_component(m)
+
+
+@settings(max_examples=25)
+@given(exact_polys(degrees=(1, 3)), st.booleans(), st.integers(0, 40))
+def test_stream_from_dict_exp_round_trip(inner, as_float, cap):
+    if as_float:
+        inner = inner.to_float()
+    obj = {"kind": "exp_poly", "inner": poly_to_dict(inner), "max_degree": cap}
+    s = entire.stream_from_dict(json.loads(json.dumps(obj)))
+    direct = TaylorStream.from_exp(inner)
+    assert s.max_degree == cap and not s.total
+    for m in range(min(cap, 4) + 1):
+        got, want = s.component(m), direct.component(m)
+        if as_float:
+            # the file lists terms in graded-lex order, so float sums may
+            # run in another order than they do on ``inner``
+            assert apolar.norm(got - want) <= 1e-12 * apolar.norm(want)
+        else:
+            assert got == want
 
 
 # ---------------------------------------------------------------------------

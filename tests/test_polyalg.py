@@ -2,13 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fischerlab.errors import DimensionMismatchError, FormatError, InvalidInputError
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, poly_from_dict,
                                 poly_to_dict, variables)
-from conftest import rand_poly
+from conftest import exact_polys, rand_poly
 
 
 def test_enumerate_single_variable():
@@ -185,6 +186,30 @@ def test_json_round_trip_float():
     q = poly_from_dict(poly_to_dict(p))
     assert q.field == FLOAT
     assert q == p
+
+
+@settings(max_examples=40)
+@given(exact_polys(degrees=(0, 6), max_terms=8))
+def test_json_round_trip_exact_property(p):
+    q = poly_from_dict(json.loads(json.dumps(poly_to_dict(p))))
+    assert q == p and q.field == EXACT
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3).flatmap(lambda d: st.dictionaries(
+    st.lists(st.integers(0, 6), min_size=d, max_size=d).map(tuple),
+    st.builds(complex, _finite, _finite), max_size=8)))
+def test_json_round_trip_float_property(terms):
+    p = Poly(len(next(iter(terms), (0,))), terms, field=FLOAT)
+    q = poly_from_dict(json.loads(json.dumps(poly_to_dict(p))))
+    # an empty term list carries no field and reads back as exact zero
+    assert q.field == (EXACT if p.is_zero else FLOAT)
+    # bit for bit, signed zeros and subnormals included
+    assert ({a: (c.real.hex(), c.imag.hex()) for a, c in q.terms.items()}
+            == {a: (c.real.hex(), c.imag.hex()) for a, c in p.terms.items()})
 
 
 def test_json_rejects_mixed_kinds():
