@@ -11,6 +11,7 @@ other exception; a bug, reported with its traceback).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -24,8 +25,8 @@ from . import __version__, apolar, entire, fischer, spectral
 from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
 from .fields import EXACT, GaussianRational
-from .polyalg import (Poly, apply_diff_op, load_poly, poly_from_dict,
-                      poly_to_dict, save_poly)
+from .polyalg import (Poly, apply_diff_op, enumerate_monomials, load_poly,
+                      poly_from_dict, poly_to_dict, save_poly)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -102,9 +103,12 @@ def _parse_scalar(text: str):
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError as exc:
         raise FormatError(f"cannot parse scalar {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise FormatError(f"scalar {text!r} is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,6 @@ def _random_exact_poly(rng, d, max_degree, terms=4):
 
 
 def _random_exact_homogeneous(rng, d, m):
-    from .polyalg import enumerate_monomials
     out = {}
     for alpha in enumerate_monomials(d, m):
         if rng.random() < 0.6:
@@ -315,6 +318,8 @@ def _random_exact_homogeneous(rng, d, m):
 def _cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     cases = args.cases
+    if cases < 0:
+        raise InvalidInputError(f"--cases must be >= 0, got {cases}")
     names = ["adjoint", "reznick", "bombieri", "pythagoras", "beauzamy",
              "shapiro-pointwise"]
     ran = {n: 0 for n in names}

@@ -252,8 +252,8 @@ def lambda_from_spec(spec: str) -> LambdaSeq:
             p = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise FormatError(f"bad lambda spec {spec!r}") from exc
-        if p <= 0:
-            raise FormatError("power exponent must be positive")
+        if not 0 < p < math.inf:
+            raise FormatError("power exponent must be positive and finite")
         return LambdaSeq(lambda m: (m + 1.0) ** (-p), spec)
     raise FormatError(f"unknown lambda spec {spec!r}")
 

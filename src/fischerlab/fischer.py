@@ -12,9 +12,9 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
 * ``decompose_series`` runs the iterated projection series; for
   polynomial input it terminates exactly and agrees with the direct
   solve by uniqueness.
-* ``decompose_univariate`` and ``decompose_linear`` are the d = 1
-  (interpolation at the root multiset) and k = 1 (translation trick)
-  special cases, which also accept truncated Taylor streams.
+* ``decompose_univariate`` (d = 1: division with remainder, whose remainder
+  is the interpolant at the root multiset) and ``decompose_linear`` (k = 1:
+  translation trick) also accept truncated Taylor streams.
 
 Exact inputs give exact results; float solves carry condition estimates.
 """
@@ -270,7 +270,7 @@ def _direct_and_series(p: Poly, f: Poly, beta):
 
 
 # ---------------------------------------------------------------------------
-# d = 1: interpolation at the root multiset
+# d = 1: division with remainder
 
 def _poly_divmod_1d(f: Poly, p: Poly):
     """Univariate long division: f = p q + rem with deg rem < deg p."""
@@ -295,117 +295,29 @@ def _poly_divmod_1d(f: Poly, p: Poly):
     return Poly(1, q_terms, field=r.field), r
 
 
-def _univariate_roots(p: Poly):
-    """Roots with multiplicities: companion eigenvalues, one Newton polish,
-    then clustering."""
-    k = int(p.degree)
-    coeffs = np.array([complex(p.coefficient((j,))) for j in range(k, -1, -1)])
-    raw = np.roots(coeffs)
-    dp = p.to_float().derivative((1,))
-    polished = []
-    for z in raw:
-        pz = complex(p.to_float().evaluate([z]))
-        dz = complex(dp.evaluate([z]))
-        if abs(dz) > 1e-8 * max(1.0, abs(pz)):
-            z = z - pz / dz
-        polished.append(z)
-    scale = max(1.0, max(abs(z) for z in polished))
-    tol = 1e-6 * scale
-    clusters = []
-    for z in sorted(polished, key=lambda w: (w.real, w.imag)):
-        for c in clusters:
-            if abs(z - c[0] / c[1]) <= tol:
-                c[0] += z
-                c[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    return [(c[0] / c[1], c[1]) for c in clusters]
-
-
-def _hermite_interpolant(nodes, values):
-    """Newton-form interpolant matching derivatives at repeated nodes.
-
-    ``nodes`` is a list of (x, multiplicity); ``values[i][j]`` holds the
-    j-th derivative at node i for j < multiplicity.
-    """
-    xs = []
-    for i, (x, mult) in enumerate(nodes):
-        xs.extend([(x, i)] * mult)
-    n = len(xs)
-    table = [[0j] * n for _ in range(n)]
-    for r in range(n):
-        table[r][0] = values[xs[r][1]][0]
-    for col in range(1, n):
-        for r in range(n - col):
-            x_lo, i_lo = xs[r]
-            x_hi, i_hi = xs[r + col]
-            if i_lo == i_hi:
-                table[r][col] = values[i_lo][col] / math.factorial(col)
-            else:
-                table[r][col] = (table[r + 1][col - 1] - table[r][col - 1]) / (x_hi - x_lo)
-    z = Poly.variable(1, 0, field=FLOAT)
-    interp = Poly.zero(1, FLOAT)
-    basis = Poly.constant(1, 1.0, field=FLOAT)
-    for col in range(n):
-        interp = interp + basis.scale(table[0][col])
-        basis = basis * (z - complex(xs[col][0]))
-    return interp
-
-
 def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
-    """d = 1 decomposition; r interpolates f at the root multiset of p.
+    """d = 1 decomposition by division with remainder.
 
-    For polynomial f, long division produces exactly that remainder (deg
-    r < deg p, and the leading derivative kills it).  For a Taylor stream
-    the roots are located numerically, f and its derivatives are read off
-    the truncated series, and q comes from synthetic division.
+    P_k*(D) r = 0 means r^(k) = 0, i.e. deg r < deg p, so f = p q + r is
+    long division and r is the interpolant of f at the root multiset of p.
+    A Taylor stream is truncated and divided in floats.
     """
     if p.dim != 1:
         raise InvalidInputError("decompose_univariate needs dimension 1")
     if p.is_zero:
         raise InvalidInputError("p must be nonzero")
+    diag = {}
+    if not isinstance(f, Poly):
+        if f.dim != 1:
+            raise InvalidInputError("stream must be univariate")
+        f, diag["truncation_degree"] = _truncate_stream(f, max_degree)
+        f, p = f.to_float(), p.to_float()
     k = int(p.degree)
-    if isinstance(f, Poly):
-        if k == 0:
-            q = f / p.coefficient((0,))
-            return DecompositionResult(q, Poly.zero(1, q.field), 0.0, "univariate", {})
-        if f.is_zero or f.degree < k:
-            pk = p.homogeneous_component(k)
-            return DecompositionResult(Poly.zero(1, f.field), f,
-                                       _annihilator_residual(pk, f), "univariate", {})
-        q, r = _poly_divmod_1d(f, p)
-        pk = p.homogeneous_component(k)
-        return DecompositionResult(q, r, _annihilator_residual(pk, r), "univariate", {})
-    # Taylor stream input
-    if f.dim != 1:
-        raise InvalidInputError("stream must be univariate")
-    f_trunc, cap = _truncate_stream(f, max_degree)
-    f_trunc = f_trunc.to_float()
-    pf = p.to_float()
     if k == 0:
-        q = f_trunc / pf.coefficient((0,))
-        return DecompositionResult(q, Poly.zero(1, FLOAT), 0.0, "univariate",
-                                   {"truncation_degree": cap})
-    roots = _univariate_roots(pf)
-    root_residuals = [abs(complex(pf.evaluate([z]))) for z, _ in roots]
-    values = []
-    for z, mult in roots:
-        derivs = []
-        g = f_trunc
-        for _ in range(mult):
-            derivs.append(complex(g.evaluate([z])))
-            g = g.derivative((1,))
-        values.append(derivs)
-    r = _hermite_interpolant(roots, values)
-    q, division_rem = _poly_divmod_1d(f_trunc - r, pf)
-    pk = pf.homogeneous_component(k)
-    diag = {
-        "truncation_degree": cap,
-        "roots": [[z.real, z.imag, mult] for z, mult in roots],
-        "root_residuals": root_residuals,
-        "interpolation_defect": apolar.norm(division_rem),
-    }
+        q = f / p.coefficient((0,))
+        return DecompositionResult(q, Poly.zero(1, q.field), 0.0, "univariate", diag)
+    q, r = (Poly.zero(1, f.field), f) if f.is_zero or f.degree < k else _poly_divmod_1d(f, p)
+    pk = p.homogeneous_component(k)
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "univariate", diag)
 
 

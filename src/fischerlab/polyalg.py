@@ -266,10 +266,8 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if c == 0:
-            field = self.field if is_exact_scalar(c) else FLOAT
-            return Poly.zero(self.dim, field)
-        return Poly(self.dim, {a: v * c for a, v in self._terms.items()})
+        field = EXACT if self.field == EXACT and is_exact_scalar(c) else FLOAT
+        return Poly(self.dim, {a: v * c for a, v in self._terms.items()}, field=field)
 
     def __truediv__(self, c):
         if isinstance(c, Poly):

@@ -54,6 +54,12 @@ def exact_polys(draw, dims=(1, 3), degrees=(0, 3), max_terms=5):
     return Poly(d, terms, field=EXACT)
 
 
+def exact_homogeneous(d, m, max_terms=5):
+    """Exact homogeneous polynomials of degree m in d variables; may be zero."""
+    return st.dictionaries(st.sampled_from(enumerate_monomials(d, m)), gaussian_rationals(),
+                           max_size=max_terms).map(lambda terms: Poly(d, terms, field=EXACT))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240901)

@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fischerlab import apolar, sampling
+from fischerlab import apolar, fischer, sampling
 from fischerlab.errors import DimensionMismatchError, InvalidInputError, NumericalError
 from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials, midx_factorial, variables
-from conftest import rand_homogeneous, rand_poly
+from conftest import exact_homogeneous, exact_polys, rand_homogeneous, rand_poly
 
 
 def test_inner_product_monomial():
@@ -130,6 +131,31 @@ def test_bombieri_inequality_exact(rng):
         p = rand_poly(rng, 2, 3)
         f = rand_poly(rng, 2, 4)
         assert apolar.norm_sq(p * f) >= apolar.norm_sq(p) * apolar.norm_sq(f)
+
+
+@st.composite
+def _identity_cases(draw):
+    """(pk, fm, q, f, g) in one dimension: pk nonzero homogeneous of degree
+    1-3, fm homogeneous of degree 0-4, q, f and g of degree <= 3."""
+    d = draw(st.integers(1, 3))
+    pk = draw(exact_homogeneous(d, draw(st.integers(1, 3))).filter(lambda p: not p.is_zero))
+    fm = draw(exact_homogeneous(d, draw(st.integers(0, 4))))
+    q, f, g = (draw(exact_polys(dims=(d, d))) for _ in range(3))
+    return pk, fm, q, f, g
+
+
+@settings(max_examples=30)
+@given(_identity_cases())
+def test_exact_identity_battery_property(case):
+    # the exact checks of `verify`: adjointness, Reznick, Bombieri, Pythagoras
+    pk, fm, q, f, g = case
+    assert apolar.adjoint_residual(q, f, g) == 0
+    assert apolar.reznick_residual(pk, fm) == 0
+    assert apolar.norm_sq(pk * fm) >= apolar.norm_sq(pk) * apolar.norm_sq(fm)
+    res = fischer.project_homogeneous(pk, fm)
+    assert apolar.norm_sq(fm) == apolar.norm_sq(pk * res.q) + apolar.norm_sq(res.r)
+    assert apolar.inner_product(pk * res.q, res.r) == 0
+    assert res.annihilator_residual == 0
 
 
 def test_c_alpha_m_trivial():

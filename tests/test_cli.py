@@ -319,6 +319,24 @@ def test_exit_code_bad_coefficient(files, tmp_path, terms):
     assert not (tmp_path / "x.q.json").exists()
 
 
+@pytest.mark.parametrize("scalar", ["nan", "inf", "nan+1j", "1+infj", "infj"])
+def test_exit_code_non_finite_scalar(scalar):
+    assert cli.main(["classify2x2", scalar, "1", "1"]) == cli.EXIT_PARSE
+    assert cli.main(["classify2x2", "1", "1", scalar]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("spec", ["power:nan", "power:inf", "power:0", "power:-1"])
+def test_exit_code_bad_power_lambda(files, spec):
+    assert cli.main(["blambda", "--f", files["expz"], "--lam", spec]) == cli.EXIT_PARSE
+
+
+def test_exit_code_negative_verify_cases(tmp_path):
+    out = tmp_path / "verify.json"
+    rc = cli.main(["verify", "--cases", "-3", "--mc-samples", "100", "--out", str(out)])
+    assert rc == cli.EXIT_PRECONDITION
+    assert not out.exists()
+
+
 def test_exit_code_precondition(files):
     # ks-fit needs homogeneous pk; p.json is not homogeneous
     assert cli.main(["ks-fit", "--p", files["p"]]) == cli.EXIT_PRECONDITION

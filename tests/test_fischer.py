@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from fischerlab import apolar, entire, fischer, spectral
 from fischerlab.errors import ConditioningError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
-from fischerlab.fields import GaussianRational
+from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import Poly, apply_diff_op, variables
 from fischerlab.entire import TaylorStream
 from conftest import rand_homogeneous, rand_poly
@@ -338,6 +340,76 @@ def test_univariate_stream_conjugate_and_double_roots():
     df = f_trunc.derivative((1,))
     assert abs(complex(df.evaluate([1.0])) - complex(dr.evaluate([1.0]))) <= 1e-6
     assert res.r.degree <= 3
+
+
+def _float_and_exact_division(p, stream, n):
+    """[(q, exact q), (r, exact r)]: the float stream route against exact
+    division of the exact truncation by p's float coefficients, read as the
+    Gaussian rationals they are."""
+    res = fischer.decompose_univariate(p, stream, max_degree=n)
+    assert res.q.field == res.r.field == FLOAT
+    p_exact = Poly(1, {a: GaussianRational(Fraction(c.real), Fraction(c.imag))
+                       for a, c in p.terms.items()})
+    want = fischer._poly_divmod_1d(stream.truncate(n), p_exact)
+    return [(got, w.to_float()) for got, w in zip((res.q, res.r), want)]
+
+
+def test_univariate_stream_triple_root_matches_exact_division():
+    z, = variables(1)
+    p = (z.to_float() - (0.5 + 0.25j)) ** 3
+    for got, want in _float_and_exact_division(p, TaylorStream.from_exp(z), 30):
+        assert apolar.norm(got - want) <= 1e-12 * apolar.norm(want)
+
+
+def test_univariate_stream_below_divisor_degree():
+    z, = variables(1)
+    res = fischer.decompose_univariate((z * z - 1).to_float(), TaylorStream.from_exp(z * 0),
+                                       max_degree=10)
+    assert res.q == Poly.zero(1, FLOAT)
+    assert res.r == Poly.constant(1, 1.0)
+    assert res.diagnostics == {"truncation_degree": 10}
+
+
+def _battery_roots(rng, root_class):
+    def disk(radius):
+        return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+    if root_class == "random":
+        return [disk(2) for _ in range(rng.randint(1, 6))]
+    if root_class == "clustered":
+        base, gap = disk(1.5), 10 ** rng.uniform(-9, -4)
+        return ([base + j * gap * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                 for j in range(rng.randint(2, 4))]
+                + [disk(2) for _ in range(rng.randint(0, 2))])
+    if root_class == "moduli":
+        return [cmath.rect(10 ** rng.uniform(-3, math.log10(20)), rng.uniform(0, 2 * math.pi))
+                for _ in range(rng.randint(1, 5))]
+    # exact multiple roots: dyadic, so the float coefficients carry them exactly
+    return [complex(rng.randint(-12, 12), rng.randint(-12, 12)) / 8
+            for _ in range(rng.randint(1, 2)) for _ in range(rng.randint(2, 4))]
+
+
+@pytest.mark.parametrize("seed, root_class", [
+    (1, "random"), (2, "clustered"), (3, "moduli"), (4, "multiple")])
+def test_univariate_stream_division_battery(seed, root_class):
+    rng = random.Random(seed)
+    z, = variables(1)
+    zf = z.to_float()
+    for _ in range(30):
+        p = Poly.constant(1, 1.0)
+        for root in _battery_roots(rng, root_class):
+            p = p * (zf - root)
+        c = GaussianRational(Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4))
+        stream = TaylorStream.from_exp(z * c, max_degree=60)
+        n = rng.randint(15, 50)
+        # long division with every subtraction replaced by an addition of
+        # magnitudes gives coefficient sizes free of cancellation; the
+        # forward error of float long division is within n * 2^-52 of them
+        k = int(p.degree)
+        p_abs = Poly(1, {a: abs(v) if a == (k,) else -abs(v) for a, v in p.terms.items()})
+        f_abs = Poly(1, {a: abs(v) for a, v in stream.truncate(n).terms.items()})
+        sizes = fischer._poly_divmod_1d(f_abs, p_abs)
+        for (got, want), size in zip(_float_and_exact_division(p, stream, n), sizes):
+            assert apolar.norm(got - want) <= n * 2.0 ** -52 * apolar.norm(size)
 
 
 def test_univariate_rejects_multivariate():

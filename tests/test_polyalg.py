@@ -167,6 +167,18 @@ def test_shift_round_trip(rng):
         assert back == p
 
 
+def test_scale_field_ignores_underflow():
+    # exact only when both the polynomial and the scalar are exact, even
+    # when every product underflows to zero
+    tiny = Poly(1, {(1,): 1e-300 + 0j})
+    for out in (tiny.scale(1e-300), tiny / 1e300, tiny.scale(0)):
+        assert out.is_zero and out.field == FLOAT
+    three = Poly(1, {(1,): 3})
+    assert three.scale(Fraction(1, 2)).field == EXACT
+    assert three.scale(0).field == EXACT
+    assert three.scale(0.5).field == FLOAT
+
+
 def test_power_zero_is_one():
     x, _ = variables(2)
     assert x ** 0 == Poly.constant(2, 1)
