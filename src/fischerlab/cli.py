@@ -25,8 +25,8 @@ from . import __version__, apolar, entire, fischer, spectral
 from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
 from .fields import EXACT, GaussianRational
-from .polyalg import (Poly, apply_diff_op, enumerate_monomials, load_poly,
-                      poly_from_dict, poly_to_dict, save_poly)
+from .polyalg import (Poly, enumerate_monomials, load_poly, poly_from_dict, poly_to_dict,
+                      save_poly)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -75,8 +75,7 @@ def emit_report(verb: str, payload, path=None) -> None:
         raise
 
 
-def _load_poly_arg(path, backend=None) -> Poly:
-    p = load_poly(path)
+def _on_backend(p: Poly, path, backend) -> Poly:
     if backend == "float":
         return p.to_float()
     if backend == "exact" and p.field != EXACT:
@@ -84,8 +83,13 @@ def _load_poly_arg(path, backend=None) -> Poly:
     return p
 
 
-def _load_function_arg(path):
-    """A polynomial file or a stream file, whichever parses."""
+def _load_poly_arg(path, backend=None) -> Poly:
+    return _on_backend(load_poly(path), path, backend)
+
+
+def _load_function_arg(path, backend=None):
+    """A polynomial file or a stream file, whichever parses; a polynomial
+    follows the backend rule of _load_poly_arg."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -93,7 +97,7 @@ def _load_function_arg(path):
             raise FormatError(f"{path}: {exc}") from exc
     if isinstance(obj, dict) and "kind" in obj:
         return entire.stream_from_dict(obj)
-    return poly_from_dict(obj)
+    return _on_backend(poly_from_dict(obj), path, backend)
 
 
 def _parse_scalar(text: str):
@@ -153,11 +157,7 @@ def _select_method(p: Poly, f, requested: str) -> str:
 
 def _cmd_decompose(args) -> int:
     p = _load_poly_arg(args.p, args.backend)
-    f = _load_function_arg(args.f)
-    if isinstance(f, Poly) and args.backend == "float":
-        f = f.to_float()
-    if isinstance(f, Poly) and args.backend == "exact" and f.field != EXACT:
-        raise FormatError(f"{args.f}: float coefficients cannot run on the exact backend")
+    f = _load_function_arg(args.f, args.backend)
     method = _select_method(p, f, args.method)
     mcap = args.mcap
     if method == "univariate":
@@ -180,7 +180,8 @@ def _cmd_decompose(args) -> int:
         cap = mcap
         if cap is None:
             if f.total:
-                cap = max(f.poly_degree, int(p.degree))
+                # r reaches deg f, and decompose_entire stops r at cap - deg p
+                cap = max(f.poly_degree, 0) + int(p.degree)
             elif not math.isinf(f.max_degree):
                 cap = int(f.max_degree)
             else:
@@ -189,9 +190,8 @@ def _cmd_decompose(args) -> int:
         q_trunc = dec.q.truncate(cap)
         r_trunc = dec.r.truncate(cap)
         pk = p.homogeneous_component(int(p.degree))
-        residual = apolar.norm(apply_diff_op(pk.star(), r_trunc))
         res = fischer.DecompositionResult(
-            q_trunc, r_trunc, residual, dec.method,
+            q_trunc, r_trunc, fischer._annihilator_residual(pk, r_trunc), dec.method,
             {"per_degree": dec.per_degree_diag})
     else:
         if not isinstance(f, Poly):
@@ -220,6 +220,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_spectrum(args, fit_required: bool) -> int:
     pk = _load_poly_arg(args.p)
     m_min, m_max = args.m_min, args.m_max
+    if m_max < m_min:
+        raise InvalidInputError(f"need m_max >= m_min, got window [{m_min}, {m_max}]")
     if fit_required or m_max - m_min + 1 >= 4:
         report = spectral.ks_exponent_fit(pk, (m_min, m_max), dim_cap=args.dim_cap)
     else:

@@ -3,28 +3,20 @@ sphere-maximum estimate.
 
 Both draw from one generator: Gaussian batches from the counter-based
 Philox generator, keyed per chunk, so results are identical for a fixed
-seed no matter how the chunks are distributed over workers.  Sphere maxima
-take the best of those points scaled onto the unit sphere and are
-reported as lower bounds of the true maximum.
+seed.  Chunking bounds the memory of a large sample; the chunks run one
+after another, there are no workers.  Sphere maxima take the best of
+those points scaled onto the unit sphere and are reported as lower
+bounds of the true maximum.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 DEFAULT_SPHERE_SAMPLES = 1 << 14
 MC_CHUNK = 1 << 16
-
-
-def worker_count() -> int:
-    """Worker cap from FISCHER_LAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("FISCHER_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def poly_eval_array(p, pts: np.ndarray) -> np.ndarray:
@@ -63,7 +55,7 @@ def gaussian_point_chunks(d: int, total: int, seed: int, chunk: int = MC_CHUNK):
 
     Real and imaginary parts are independent normals with variance 1/2.
     Each chunk uses Philox keyed by (seed, chunk index), so the stream is
-    reproducible and worker-split-invariant.
+    reproducible.
     """
     done = 0
     idx = 0

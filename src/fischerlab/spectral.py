@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -34,7 +33,6 @@ from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
 from .polyalg import (Poly, apply_diff_op, count_monomials, enumerate_monomials,
                       midx_factorial)
-from .sampling import worker_count
 
 DEFAULT_DIM_CAP = 20000
 
@@ -44,7 +42,7 @@ DEFAULT_DIM_CAP = 20000
 # size 276, 10.2 ms vs 7.6 ms.
 DENSE_EIG_MAX = 256
 # Seed of the ARPACK start and restart vectors: a fixed generator keeps
-# the extremes bit-identical from run to run and across worker threads.
+# the extremes bit-identical from run to run.
 _ARPACK_SEED = 20240
 # ARPACK accepts a Ritz value theta once its residual is below
 # tol * |theta|, which puts theta that close, relatively, to an eigenvalue.
@@ -62,13 +60,14 @@ class MultiplicationMatrix:
 
     Rows are indexed by the degree m+k monomials, columns by the degree m
     monomials, both in graded-lex order and normalized by sqrt(alpha!).
+    ``matrix`` is a CSC array with len(pk.terms) nonzeros per column.
     Entries are assembled from exact factorial ratios before the single
     float square root.
     """
 
     pk: Poly
     m: int
-    matrix: np.ndarray
+    matrix: csc_array
     row_basis: tuple
     col_basis: tuple
 
@@ -90,12 +89,16 @@ def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> Multiplicat
     col_basis = tuple(enumerate_monomials(d, m))
     row_basis = tuple(enumerate_monomials(d, m + k))
     row_index = {alpha: i for i, alpha in enumerate(row_basis)}
-    a = np.zeros((len(row_basis), len(col_basis)), dtype=complex)
+    rows, cols, vals = [], [], []
     for j, beta in enumerate(col_basis):
         fact_beta = midx_factorial(beta)
         for gamma, c in pk.terms.items():
             delta = tuple(g + b for g, b in zip(gamma, beta))
-            a[row_index[delta], j] = complex(c) * math.sqrt(midx_factorial(delta) / fact_beta)
+            rows.append(row_index[delta])
+            cols.append(j)
+            vals.append(complex(c) * math.sqrt(midx_factorial(delta) / fact_beta))
+    a = csc_array((np.array(vals, dtype=complex), (rows, cols)),
+                  shape=(len(row_basis), len(col_basis)))
     return MultiplicationMatrix(pk, m, a, row_basis, col_basis)
 
 
@@ -121,8 +124,7 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
     maximum directly.  Both agree with a dense SVD of M to a relative
     1e-12 and repeat bit for bit.
     """
-    mat = mult_matrix(pk, m, dim_cap=dim_cap)
-    a = csc_array(mat.matrix)
+    a = mult_matrix(pk, m, dim_cap=dim_cap).matrix
     gram = (a.conj().T @ a).tocsc()
     try:
         if gram.shape[0] <= DENSE_EIG_MAX:
@@ -135,7 +137,7 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
         # RuntimeError: ARPACK's ArpackError / ArpackNoConvergence and
         # SuperLU's exactly singular factor
         raise NumericalError(
-            f"eigensolve failed for degree {m} (shape {mat.matrix.shape}): {exc}") from exc
+            f"eigensolve failed for degree {m} (shape {a.shape}): {exc}") from exc
     return math.sqrt(lo), math.sqrt(hi)
 
 
@@ -152,15 +154,8 @@ class SpectralReport:
 
 
 def sweep_sigma(pk: Poly, degrees, dim_cap: int = DEFAULT_DIM_CAP):
-    """Per-degree singular-value extremes; independent degrees may run on
-    several workers, assembly order is fixed by the degree list."""
-    degrees = list(degrees)
-    workers = worker_count()
-    if workers > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(lambda mm: sigma_extremes(pk, mm, dim_cap), degrees))
-    else:
-        pairs = [sigma_extremes(pk, mm, dim_cap) for mm in degrees]
+    """Per-degree singular-value extremes, in the order of ``degrees``."""
+    pairs = [sigma_extremes(pk, mm, dim_cap) for mm in degrees]
     lo = [p[0] for p in pairs]
     hi = [p[1] for p in pairs]
     return lo, hi

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import cli, fischer, spectral
-from fischerlab.polyalg import Poly, load_poly, save_poly, variables
+from fischerlab.polyalg import Poly, load_poly, poly_to_dict, save_poly, variables
 
 
 @pytest.fixture
@@ -117,6 +117,27 @@ def test_decompose_entire_on_polynomial_file(files, tmp_path):
     assert payload["method"] == "entire_truncated"
     assert load_poly(f"{prefix}.q.json") == Poly.constant(2, 1)
     assert load_poly(f"{prefix}.r.json") == Poly.constant(2, 1)
+
+
+def test_decompose_polynomial_stream_keeps_top_degrees_of_r(tmp_path):
+    # r reaches deg f = 4 > deg f - deg p; the default cap must not cut it
+    x, y = variables(2)
+    p, f = x * x + y * y - 1, x ** 4
+    save_poly(p, tmp_path / "p.json")
+    save_poly(f, tmp_path / "f.json")
+    with open(tmp_path / "fs.json", "w") as fh:
+        json.dump({"kind": "poly", **poly_to_dict(f)}, fh)
+    direct = fischer.decompose_direct(p, f)
+    assert direct.r.degree == 4
+    for f_args in (["--f", str(tmp_path / "fs.json")],
+                   ["--f", str(tmp_path / "f.json"), "--method", "entire"]):
+        prefix = str(tmp_path / "out")
+        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), *f_args,
+                         "--out", prefix]) == 0
+        q, r = load_poly(f"{prefix}.q.json"), load_poly(f"{prefix}.r.json")
+        assert r == direct.r
+        assert q == direct.q
+        assert p * q + r == f
 
 
 def test_inner_cli(files, tmp_path):
@@ -340,6 +361,16 @@ def test_exit_code_negative_verify_cases(tmp_path):
 def test_exit_code_precondition(files):
     # ks-fit needs homogeneous pk; p.json is not homogeneous
     assert cli.main(["ks-fit", "--p", files["p"]]) == cli.EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "ks-fit"])
+def test_exit_code_inverted_spectrum_window(files, tmp_path, verb):
+    prefix = tmp_path / "inv"
+    rc = cli.main([verb, "--p", files["z1"], "--m-min", "5", "--m-max", "3",
+                   "--out", str(prefix)])
+    assert rc == cli.EXIT_PRECONDITION
+    assert not (tmp_path / "inv.csv").exists()
+    assert not (tmp_path / "inv.json").exists()
 
 
 def test_exit_code_series_on_stream(files, tmp_path):

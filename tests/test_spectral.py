@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from fischerlab import apolar, spectral
 from fischerlab.errors import InvalidInputError
 from fischerlab.fields import GaussianRational
-from fischerlab.polyalg import Poly, apply_diff_op, count_monomials, midx_factorial, variables
+from fischerlab.polyalg import (Poly, apply_diff_op, count_monomials, enumerate_monomials,
+                                midx_factorial, variables)
 from conftest import rand_homogeneous
 
 # The three dimension-3 quadratic classes: generic, a square in the z1, z2
@@ -27,7 +29,7 @@ def test_mult_matrix_z1_shape_and_values():
     x, y = variables(2)
     mm = spectral.mult_matrix(x, 1)
     assert mm.matrix.shape == (3, 2)
-    sv = np.linalg.svd(mm.matrix, compute_uv=False)
+    sv = np.linalg.svd(mm.matrix.toarray(), compute_uv=False)
     assert sv == pytest.approx([math.sqrt(2), 1.0])
 
 
@@ -40,7 +42,7 @@ def test_mult_matrix_column_norm_is_apolar_norm():
     x, y = variables(2)
     mm = spectral.mult_matrix(x * x + y * y, 0)
     assert mm.matrix.shape == (3, 1)
-    assert np.linalg.norm(mm.matrix[:, 0]) == pytest.approx(2.0)  # = ||pk||
+    assert np.linalg.norm(mm.matrix.toarray()[:, 0]) == pytest.approx(2.0)  # = ||pk||
 
 
 def test_mult_matrix_column_norms_random(rng):
@@ -49,13 +51,45 @@ def test_mult_matrix_column_norms_random(rng):
     mm = spectral.mult_matrix(pk, m)
     for j, beta in enumerate(mm.col_basis):
         expected = apolar.norm_sq(pk * Poly(2, {beta: 1})) / midx_factorial(beta)
-        assert np.linalg.norm(mm.matrix[:, j]) ** 2 == pytest.approx(float(expected))
+        assert np.linalg.norm(mm.matrix.toarray()[:, j]) ** 2 == pytest.approx(float(expected))
 
 
 def test_mult_matrix_respects_cap():
     x, y = variables(2)
     with pytest.raises(InvalidInputError):
         spectral.mult_matrix(x, 10, dim_cap=5)
+
+
+def _dense_mult_oracle(pk, m):
+    """The multiplication matrix filled entry by entry into a dense array."""
+    cols = enumerate_monomials(pk.dim, m)
+    rows = enumerate_monomials(pk.dim, m + int(pk.degree))
+    a = np.zeros((len(rows), len(cols)), dtype=complex)
+    for j, beta in enumerate(cols):
+        for gamma, c in pk.terms.items():
+            delta = tuple(g + b for g, b in zip(gamma, beta))
+            a[rows.index(delta), j] = complex(c) * math.sqrt(
+                midx_factorial(delta) / midx_factorial(beta))
+    return a
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name in QUADRATICS_3D
+                                     for m in (21, 22, 43)])
+def test_mult_matrix_is_sparse_and_matches_dense_oracle(name, m):
+    pk = QUADRATICS_3D[name]
+    mm = spectral.mult_matrix(pk, m)
+    a = mm.matrix
+    assert isinstance(a, csc_array)
+    assert a.nnz == len(mm.col_basis) * len(pk.terms)
+    oracle = _dense_mult_oracle(pk, m)
+    assert np.array_equal(a.toarray(), oracle)
+    # the eigensolver's input: the same Gram matrix, entry for entry
+    gram = (a.conj().T @ a).tocsc()
+    b = csc_array(oracle)
+    gram_oracle = (b.conj().T @ b).tocsc()
+    assert np.array_equal(gram.indptr, gram_oracle.indptr)
+    assert np.array_equal(gram.indices, gram_oracle.indices)
+    assert np.array_equal(gram.data, gram_oracle.data)
 
 
 def test_sigma_z1_closed_form():
@@ -252,19 +286,6 @@ def test_univariate_monotone_factorial_law():
         assert v == pytest.approx(expected, rel=1e-10)
 
 
-def test_sweep_worker_count_invariance(monkeypatch):
-    x, y = variables(2)
-    # d = 3 at m 20-25: Gram size 231-351, both sides of DENSE_EIG_MAX
-    for pk, degrees in ((x * x + y * y, range(2, 20)),
-                        (QUADRATICS_3D["generic"], range(20, 26)),
-                        (QUADRATICS_3D["sphere"], range(20, 26))):
-        monkeypatch.setenv("FISCHER_LAB_THREADS", "4")
-        threaded = spectral.sweep_sigma(pk, degrees)
-        monkeypatch.setenv("FISCHER_LAB_THREADS", "1")
-        serial = spectral.sweep_sigma(pk, degrees)
-        assert threaded == serial
-
-
 def test_size_rule_straddles_the_oracle_degrees():
     assert count_monomials(3, 21) <= spectral.DENSE_EIG_MAX < count_monomials(3, 22)
 
@@ -274,7 +295,7 @@ def test_size_rule_straddles_the_oracle_degrees():
                          + [("generic", m) for m in (40, 41, 42, 43)])
 def test_sigma_extremes_matches_dense_svd(name, m):
     pk = QUADRATICS_3D[name]
-    sv = np.linalg.svd(spectral.mult_matrix(pk, m).matrix, compute_uv=False)
+    sv = np.linalg.svd(spectral.mult_matrix(pk, m).matrix.toarray(), compute_uv=False)
     lo, hi = spectral.sigma_extremes(pk, m)
     assert lo == pytest.approx(sv[-1], rel=1e-12, abs=0)
     assert hi == pytest.approx(sv[0], rel=1e-12, abs=0)
