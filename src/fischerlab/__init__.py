@@ -20,9 +20,9 @@ from .fischer import (DecompositionResult, FischerMatrix, decompose_direct,
 from .spectral import (MultiplicationMatrix, QuadraticClass, SpectralReport,
                        classify_quadratic_2d, kernel_basis, ks_exponent_fit,
                        mult_matrix, sigma_extremes)
-from .entire import (EntireDecomposition, LambdaSeq, OrderEstimate,
-                     TaylorStream, blambda_norm, check_lambda_condition,
-                     check_main_condition, decompose_entire, load_stream,
-                     order_estimate, stream_from_dict)
+from .entire import (LambdaSeq, OrderEstimate, TaylorStream, blambda_norm,
+                     check_lambda_condition, check_main_condition,
+                     decompose_entire, load_stream, order_estimate,
+                     stream_from_dict)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

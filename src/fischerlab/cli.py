@@ -88,15 +88,17 @@ def _load_poly_arg(path, backend=None) -> Poly:
 
 
 def _load_function_arg(path, backend=None):
-    """A polynomial file or a stream file, whichever parses; a polynomial
-    follows the backend rule of _load_poly_arg."""
+    """A polynomial file or a stream file, whichever parses; a "poly" stream
+    is its polynomial, and polynomials follow _load_poly_arg's backend rule."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: {exc}") from exc
     if isinstance(obj, dict) and "kind" in obj:
-        return entire.stream_from_dict(obj)
+        f = entire.stream_from_dict(obj)  # checks the kind and max_degree
+        if f.poly_degree is None:
+            return f
     return _on_backend(poly_from_dict(obj), path, backend)
 
 
@@ -158,51 +160,39 @@ def _select_method(p: Poly, f, requested: str) -> str:
 def _cmd_decompose(args) -> int:
     p = _load_poly_arg(args.p, args.backend)
     f = _load_function_arg(args.f, args.backend)
+    if args.beta is not None:
+        fischer.validate_gap(p, args.beta)
     method = _select_method(p, f, args.method)
+    if method in ("direct", "series") and not isinstance(f, Poly):
+        raise InvalidInputError(f"{method} method needs polynomial input; "
+                                "use --method entire for streams")
     mcap = args.mcap
     if method == "univariate":
         res = fischer.decompose_univariate(p, f, max_degree=mcap)
     elif method == "linear":
-        if p.degree != 1:
-            raise InvalidInputError("linear method needs deg p = 1")
-        p1 = p.homogeneous_component(1)
-        # stored p = p1 + c; the shift route divides by p1 - p0, so p0 = -c
-        p0 = -p.homogeneous_component(0).coefficient((0,) * p.dim)
-        res = fischer.decompose_linear(p1, p0, f, max_degree=mcap)
+        res = fischer.decompose_linear(p, f, max_degree=mcap)
     elif method == "series":
-        if not isinstance(f, Poly):
-            raise InvalidInputError("series method needs polynomial input; "
-                                    "use --method entire for streams")
-        res = fischer.decompose_series(p, f, beta=args.beta)
+        res = fischer.decompose_series(p, f)
     elif method == "entire":
         if isinstance(f, Poly):
             f = entire.TaylorStream.from_poly(f)
         cap = mcap
         if cap is None:
-            if f.total:
+            if f.poly_degree is not None:
                 # r reaches deg f, and decompose_entire stops r at cap - deg p
                 cap = max(f.poly_degree, 0) + int(p.degree)
             elif not math.isinf(f.max_degree):
                 cap = int(f.max_degree)
             else:
                 raise InvalidInputError("--mcap is required for unbounded streams")
-        dec = entire.decompose_entire(p, f, cap, tol=args.tol, beta=args.beta)
-        q_trunc = dec.q.truncate(cap)
-        r_trunc = dec.r.truncate(cap)
-        pk = p.homogeneous_component(int(p.degree))
-        res = fischer.DecompositionResult(
-            q_trunc, r_trunc, fischer._annihilator_residual(pk, r_trunc), dec.method,
-            {"per_degree": dec.per_degree_diag})
+        res = entire.decompose_entire(p, f, cap, tol=args.tol)
+    elif args.series_check:
+        res, other = fischer._direct_and_series(p, f)
+        res.diagnostics["series_check_agrees"] = (
+            other.q == res.q if p.field == EXACT and f.field == EXACT
+            else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
     else:
-        if not isinstance(f, Poly):
-            raise InvalidInputError("direct method needs polynomial input")
-        if args.series_check:
-            res, other = fischer._direct_and_series(p, f, args.beta)
-            res.diagnostics["series_check_agrees"] = (
-                other.q == res.q if p.field == EXACT and f.field == EXACT
-                else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
-        else:
-            res = fischer.decompose_direct(p, f)
+        res = fischer.decompose_direct(p, f)
     prefix = args.out or "decomposition"
     save_poly(res.q, f"{prefix}.q.json")
     save_poly(res.r, f"{prefix}.r.json")
@@ -265,7 +255,7 @@ def _cmd_order(args) -> int:
         f = entire.TaylorStream.from_poly(f)
     hi = args.max_degree
     if hi is None:
-        if f.total:
+        if f.poly_degree is not None:
             hi = 200  # components beyond the degree are known zeros
         elif math.isinf(f.max_degree):
             raise InvalidInputError("--max-degree required for unbounded streams")

@@ -21,7 +21,8 @@ import numpy as np
 from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT, GaussianRational
-from .fischer import SliceSolver, validate_gap
+from .fischer import (DecompositionResult, SliceSolver, _annihilator_residual,
+                      validate_gap)
 from .polyalg import Poly, poly_from_dict
 
 
@@ -29,19 +30,17 @@ class TaylorStream:
     """Supplier of the homogeneous components f_m of an entire function.
 
     ``max_degree`` is the declared supply limit (math.inf for closed-form
-    generators).  Components are cached; streams backed by an actual
-    polynomial are *total*: every component beyond the degree is known to
-    be exactly zero, which the decomposition uses to avoid spurious
-    truncation flags.
+    generators).  Components are cached.  A stream backed by a polynomial
+    has its degree as ``poly_degree`` (-1 for zero; None for any other
+    stream): every component beyond it is known to be exactly zero, which
+    the decomposition uses to avoid spurious truncation flags.
     """
 
-    def __init__(self, dim, component_fn, max_degree=math.inf,
-                 total=False, poly_degree=None):
+    def __init__(self, dim, component_fn, max_degree=math.inf, poly_degree=None):
         if dim < 1:
             raise InvalidInputError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
         self.max_degree = max_degree
-        self.total = total
         self.poly_degree = poly_degree
         self._fn = component_fn
         self._cache = {}
@@ -73,16 +72,7 @@ class TaylorStream:
         zero = Poly.zero(p.dim, p.field)
         deg = -1 if p.is_zero else int(p.degree)
         return cls(p.dim, lambda m: comps.get(m, zero), max_degree=math.inf,
-                   total=True, poly_degree=deg)
-
-    @classmethod
-    def from_components(cls, dim, components: dict, max_degree, field=EXACT,
-                        total=False) -> "TaylorStream":
-        zero = Poly.zero(dim, field)
-        table = dict(components)
-        deg = max((m for m, c in table.items() if not c.is_zero), default=-1) if total else None
-        return cls(dim, lambda m: table.get(m, zero), max_degree=max_degree,
-                   total=total, poly_degree=deg)
+                   poly_degree=deg)
 
     @classmethod
     def from_exp(cls, inner: Poly, max_degree=math.inf) -> "TaylorStream":
@@ -397,24 +387,18 @@ def check_lambda_condition(lam: LambdaSeq, k: int, tau, beta: int, probe=None):
 # ---------------------------------------------------------------------------
 # truncated decomposition
 
-@dataclass
-class EntireDecomposition:
-    q: TaylorStream
-    r: TaylorStream
-    per_degree_diag: dict
-    method: str = "entire_truncated"
-
-
 def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
-                     beta=None) -> EntireDecomposition:
-    """Degree-wise truncated decomposition f = p q + r.
+                     beta=None) -> DecompositionResult:
+    """Degree-wise truncated decomposition f = p q + r, q and r polynomials
+    of degree <= m_cap - deg p; diagnostics["per_degree"] records how the
+    sum of each output degree stopped.
 
     For each output degree M the blocks of the iterated projection series
     are summed in increasing level j = -1, 0, 1, ...  With k = deg p and
     s_min <= s_max the lowest and highest degrees of the nonzero lower
     components of p, the level-j block at M reads f from degree
-    M + k + (j + 1)(k - s_max) up to M + k + (j + 1)(k - s_min).  A total
-    (polynomial) stream ends the sum after the last level that reads a
+    M + k + (j + 1)(k - s_max) up to M + k + (j + 1)(k - s_min).  A
+    polynomial stream ends the sum after the last level that reads a
     degree <= deg f, which reproduces the direct decomposition exactly.  A
     partial stream cut at ``m_cap`` ends it with ``truncated`` and
     ``stopped_by: "truncation"`` at the first level j it cannot supply,
@@ -439,19 +423,18 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
     out_max = m_cap - k
     if out_max < 0:
         raise InvalidInputError("m_cap must be at least deg p")
-    total_stream = f.total
+    poly_deg = f.poly_degree
     field = f.component(0).field
     zero = Poly.zero(p.dim, field)
 
     # the last level each output degree can use (see the docstring)
     degrees = range(out_max + 1)
     reach = k - min(lower, default=k)
-    truncating = bool(lower) and not total_stream
+    truncating = bool(lower) and poly_deg is None
     mat_max = out_max  # the highest degree n at which level -1 is needed
     if not lower:
         last = dict.fromkeys(degrees, -1)
-    elif total_stream:
-        poly_deg = f.poly_degree if f.poly_degree is not None else -1
+    elif poly_deg is not None:
         gap = k - max(lower)
         last = {M: max(-1, (poly_deg - M - k) // gap - 1) for M in degrees}
         mat_max = max(out_max, poly_deg - k)
@@ -482,7 +465,7 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
         if not active:
             break
         # level j + 1; a partial stream supplies it only up to degree top
-        top = mat_max if total_stream else out_max - (j + 2) * reach
+        top = mat_max if poly_deg is not None else out_max - (j + 2) * reach
         nxt = dict.fromkeys(range(top + 1), zero)
         for n in nxt:
             for s, ps in lower.items():
@@ -490,20 +473,21 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
                 if not prev.is_zero:
                     nxt[n] = nxt[n] + solver.project(ps * prev)[0]
         level = nxt
-    q_components = {M: g for M, g in g_sum.items() if not g.is_zero}
-    q_stream = TaylorStream.from_components(p.dim, q_components, out_max,
-                                            field=field, total=total_stream)
+    # zero parts carry f's field; r_M sums p_s q_{M-s} from the zero
+    # polynomial in ascending s, a fixed order so float r repeats bit for bit
+    q_parts = [zero if g.is_zero else g for g in g_sum.values()]
+    p_parts = p.homogeneous_components()
+    r_parts = [f.component(M) - sum((ps * q_parts[M - s] for s, ps in p_parts.items()
+                                     if s <= M), zero) for M in degrees]
+    q, r = _join(p.dim, q_parts), _join(p.dim, r_parts)
+    return DecompositionResult(q, r, _annihilator_residual(pk, r), "entire_truncated",
+                               {"per_degree": diag})
 
-    def r_component(M):
-        prod_slice = Poly.zero(p.dim, field)
-        for s in range(min(k, M) + 1):
-            ps = p.homogeneous_component(s)
-            if not ps.is_zero:
-                prod_slice = prod_slice + ps * q_stream.component(M - s)
-        return f.component(M) - prod_slice
 
-    r_stream = TaylorStream(p.dim, r_component, max_degree=out_max, total=False)
-    return EntireDecomposition(q_stream, r_stream, diag)
+def _join(dim, parts) -> Poly:
+    """Sum of polynomials of disjoint degrees, float if any part is."""
+    field = FLOAT if any(g.field == FLOAT for g in parts) else EXACT
+    return Poly(dim, [t for g in parts for t in g.terms.items()], field=field)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Fischer decompositions f = P q + r with P_k*(D) r = 0.
 
-Four routes are provided; they reach the slice operator
+Five routes are provided; each takes the divisor first and returns a
+:class:`DecompositionResult`, as ``entire.decompose_entire`` does.  All
+but ``decompose_univariate`` (long division) reach the slice operator
 q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
 
 * ``project_homogeneous`` solves the normal equations of the orthogonal
@@ -262,11 +264,11 @@ def _decompose_series(p: Poly, f: Poly, beta, solver: SliceSolver) -> Decomposit
                                {"levels": levels})
 
 
-def _direct_and_series(p: Poly, f: Poly, beta):
-    """(decompose_direct(p, f), decompose_series(p, f, beta)) on one
+def _direct_and_series(p: Poly, f: Poly):
+    """(decompose_direct(p, f), decompose_series(p, f)) on one
     SliceSolver, so each slice matrix is assembled once for both."""
     solver = _slice_solver(p)
-    return _decompose_direct(p, f, solver), _decompose_series(p, f, beta, solver)
+    return _decompose_direct(p, f, solver), _decompose_series(p, f, None, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +326,19 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 # k = 1: translation trick
 
-def decompose_linear(p1: Poly, p0, f, max_degree=None) -> DecompositionResult:
-    """Decompose against p1 - p0 with p1 homogeneous of degree 1.
+def decompose_linear(p: Poly, f, max_degree=None) -> DecompositionResult:
+    """Decompose against p = p1 - p0 of degree 1, p1 its linear part.
 
     Shifting by any z0 with p1(z0) = p0 turns the divisor into the
     homogeneous p1; the minimal-norm z0 is used for determinism, and by
     uniqueness of the homogeneous decomposition any admissible z0 gives
     the same result.
     """
-    if p1.is_zero:
-        raise InvalidInputError("p1 must be nonzero")
-    if not p1.is_homogeneous(1):
-        raise InvalidInputError("p1 must be homogeneous of degree 1")
-    d = p1.dim
-    if isinstance(p0, Poly):
-        if not p0.is_zero and p0.degree > 0:
-            raise InvalidInputError("p0 must be a constant")
-        p0 = p0.coefficient((0,) * d)
+    if p.is_zero or p.degree != 1:
+        raise InvalidInputError("linear method needs deg p = 1")
+    d = p.dim
+    p1 = p.homogeneous_component(1)
+    p0 = -p.coefficient((0,) * d)
     coeffs = [p1.coefficient(tuple(1 if i == j else 0 for i in range(d)))
               for j in range(d)]
     denom = sum((c * c.conjugate() for c in coeffs),
@@ -356,7 +354,6 @@ def decompose_linear(p1: Poly, p0, f, max_degree=None) -> DecompositionResult:
     neg_z0 = [-v for v in z0]
     q = q_shift.shift(neg_z0)
     r = h_shift.shift(neg_z0)
-    p = p1 - Poly.constant(d, p0)
     diag = {"shift": [str(v) if isinstance(v, GaussianRational) else complex(v) for v in z0],
             "reconstruction_residual": apolar.norm(f - (p * q + r)),
             **diag_extra}

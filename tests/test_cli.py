@@ -140,6 +140,42 @@ def test_decompose_polynomial_stream_keeps_top_degrees_of_r(tmp_path):
         assert p * q + r == f
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_decompose_poly_kind_stream_as_polynomial(tmp_path, dim):
+    # the univariate (d = 1) and linear (deg p = 1) routes read a "poly"
+    # stream file as the polynomial it is, with no --mcap
+    if dim == 1:
+        z, = variables(1)
+        p, f = z * z - 1, z ** 5 + 2 * z
+    else:
+        x, y = variables(2)
+        p, f = x - 1, x ** 3 * y + 2 * y * y
+    save_poly(p, tmp_path / "p.json")
+    save_poly(f, tmp_path / "f.json")
+    with open(tmp_path / "fs.json", "w") as fh:
+        json.dump({"kind": "poly", **poly_to_dict(f)}, fh)
+    out = {}
+    for name in ("f", "fs"):
+        prefix = str(tmp_path / name)
+        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                         "--f", str(tmp_path / f"{name}.json"), "--out", prefix]) == 0
+        out[name] = load_poly(f"{prefix}.q.json"), load_poly(f"{prefix}.r.json")
+    assert out["fs"] == out["f"]
+    q, r = out["fs"]
+    assert p * q + r == f
+
+
+@pytest.mark.parametrize("method", ["auto", "direct", "series", "entire"])
+def test_decompose_beta_checked_on_every_route(tmp_path, method):
+    # the degree-2 component of p lies in the gap above beta = 0
+    x, y = variables(2)
+    save_poly(x ** 3 - x * x - 1, tmp_path / "p.json")
+    save_poly(x ** 4 + y, tmp_path / "f.json")
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                     "--f", str(tmp_path / "f.json"), "--beta", "0",
+                     "--method", method, "--out", str(tmp_path / "out")]) == 3
+
+
 def test_inner_cli(files, tmp_path):
     out = str(tmp_path / "inner.json")
     rc = cli.main(["inner", "--p", files["f"], "--q", files["f"], "--out", out])

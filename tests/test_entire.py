@@ -3,14 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fischerlab import apolar, entire, fischer
 from fischerlab.entire import LambdaSeq, TaylorStream
 from fischerlab.errors import FormatError, InvalidInputError, NumericalError
 from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import Poly, poly_to_dict, variables
-from conftest import exact_polys, rand_homogeneous, rand_poly
+from conftest import (exact_homogeneous, exact_polys, gaussian_rationals,
+                      rand_homogeneous, rand_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def test_exp_stream_rejects_constant_term():
 def test_poly_stream_is_total():
     x, y = variables(2)
     s = TaylorStream.from_poly(x ** 3 + y)
-    assert s.total
+    assert s.poly_degree is not None
     assert s.component(1) == y
     assert s.component(17).is_zero  # beyond the degree, still available
 
@@ -69,7 +70,7 @@ def test_stream_json_round_trip():
     poly_obj = {"kind": "poly", "dim": 2, "terms": [
         {"exp": [2, 0], "re": "1/1", "im": "0/1"}]}
     s2 = entire.stream_from_dict(poly_obj)
-    assert s2.total and s2.component(2) == x * x
+    assert s2.poly_degree is not None and s2.component(2) == x * x
     with pytest.raises(FormatError):
         entire.stream_from_dict({"kind": "mystery"})
 
@@ -144,7 +145,7 @@ def test_exp_stream_float_total_underflow_raises():
 @given(exact_polys())
 def test_stream_from_dict_poly_round_trip(p):
     s = entire.stream_from_dict(json.loads(json.dumps({"kind": "poly", **poly_to_dict(p)})))
-    assert s.total and s.poly_degree == (-1 if p.is_zero else p.degree)
+    assert s.poly_degree == (-1 if p.is_zero else p.degree)
     for m in range(5):
         assert s.component(m) == p.homogeneous_component(m)
 
@@ -157,7 +158,7 @@ def test_stream_from_dict_exp_round_trip(inner, as_float, cap):
     obj = {"kind": "exp_poly", "inner": poly_to_dict(inner), "max_degree": cap}
     s = entire.stream_from_dict(json.loads(json.dumps(obj)))
     direct = TaylorStream.from_exp(inner)
-    assert s.max_degree == cap and not s.total
+    assert s.max_degree == cap and s.poly_degree is None
     for m in range(min(cap, 4) + 1):
         got, want = s.component(m), direct.component(m)
         if as_float:
@@ -222,7 +223,7 @@ def test_order_polynomial_zero_flag(rng):
 
 def test_order_sparse_tail_flag():
     comps = {m: Poly(1, {(m,): 1.0}, field=FLOAT) for m in (150, 160, 170)}
-    s = TaylorStream.from_components(1, comps, 200, field=FLOAT)
+    s = TaylorStream(1, lambda m: comps.get(m, Poly.zero(1, FLOAT)), max_degree=200)
     est = entire.order_estimate(s, range(20, 201))
     assert est.flag == "insufficient-tail"
     assert est.rho == 0.0
@@ -285,7 +286,7 @@ def test_blambda_boundary_sequence():
         weight = m ** (m / 2) * lam(m) ** m if m else 1.0
         coeff = weight / math.sqrt(math.factorial(m))
         comps[m] = Poly(1, {(m,): coeff}, field=FLOAT)
-    s = TaylorStream.from_components(1, comps, 40, field=FLOAT)
+    s = TaylorStream(1, lambda m: comps.get(m, Poly.zero(1, FLOAT)), max_degree=40)
     rep = entire.blambda_norm(s, lam, 40)
     assert rep.norm == pytest.approx(1.0, rel=1e-9)
     assert rep.membership_trend == "not-converging-to-0"
@@ -340,8 +341,8 @@ def test_entire_kernel_stream_gives_zero_q():
     f = TaylorStream.from_exp(y, max_degree=60)
     dec = entire.decompose_entire(x * x - 1, f, 40)
     for m in range(0, 38):
-        assert dec.q.component(m).is_zero
-        assert dec.r.component(m) == f.component(m)
+        assert dec.q.homogeneous_component(m).is_zero
+        assert dec.r.homogeneous_component(m) == f.component(m)
 
 
 def test_entire_polynomial_oracle_exact(rng):
@@ -354,8 +355,8 @@ def test_entire_polynomial_oracle_exact(rng):
         fpoly = rand_poly(rng, 2, 6)
         direct = fischer.decompose_direct(p, fpoly)
         dec = entire.decompose_entire(p, TaylorStream.from_poly(fpoly), 30)
-        assert dec.q.truncate(28) == direct.q
-        assert dec.r.truncate(28) == direct.r
+        assert dec.q == direct.q
+        assert dec.r == direct.r
 
 
 def test_entire_homogeneous_p_per_degree(rng):
@@ -366,7 +367,7 @@ def test_entire_homogeneous_p_per_degree(rng):
     expected = sum((fischer.project_homogeneous(pk, fm).q
                     for fm in fpoly.homogeneous_components().values()),
                    Poly.zero(2))
-    assert dec.q.truncate(18) == expected
+    assert dec.q == expected
 
 
 def test_entire_reconstruction_per_degree_float():
@@ -376,10 +377,10 @@ def test_entire_reconstruction_per_degree_float():
     m_cap = 24
     dec = entire.decompose_entire(p, f, m_cap, tol=1e-14)
     for m in range(m_cap - 2 - 4):
-        diag = dec.per_degree_diag[m]
+        diag = dec.diagnostics["per_degree"][m]
         if diag["truncated"]:
             continue
-        err = apolar.norm(dec.r.component(m) + (p * dec.q.truncate(m_cap - 2)).homogeneous_component(m) - f.component(m))
+        err = apolar.norm(dec.r.homogeneous_component(m) + (p * dec.q).homogeneous_component(m) - f.component(m))
         assert err <= 1e-10 * max(1.0, apolar.norm(f.component(m)))
 
 
@@ -389,7 +390,7 @@ def test_entire_block_decay_diagnostics():
     f = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
     dec = entire.decompose_entire(p, f, 24)
     decayed = 0
-    for m, diag in dec.per_degree_diag.items():
+    for m, diag in dec.diagnostics["per_degree"].items():
         norms = [n for n in diag["block_norms"] if n > 0]
         if len(norms) >= 2 and norms[-1] < norms[0]:
             decayed += 1
@@ -404,14 +405,14 @@ def test_entire_mixed_lower_part_converges():
     p = x * x + y * y - x - 1
     f = TaylorStream.from_exp((x + y) * 0.3, max_degree=60)
     dec = entire.decompose_entire(p, f, 30, tol=1e-14)
-    q_tr = dec.q.truncate(28)
+    q_tr = dec.q
     for m in range(0, 22):
-        if dec.per_degree_diag[m]["truncated"]:
+        if dec.diagnostics["per_degree"][m]["truncated"]:
             continue
         err = apolar.norm(f.component(m)
-                          - ((p * q_tr).homogeneous_component(m) + dec.r.component(m)))
+                          - ((p * q_tr).homogeneous_component(m) + dec.r.homogeneous_component(m)))
         assert err <= 1e-12 * max(1.0, apolar.norm(f.component(m)))
-    diag = dec.per_degree_diag[3]
+    diag = dec.diagnostics["per_degree"][3]
     assert diag["stopped_by"] == "tolerance"
     norms = [n for n in diag["block_norms"] if n > 0]
     assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -425,8 +426,8 @@ def test_entire_total_stream_stops_on_smallest_step():
     f = x ** 6 + x ** 3 * y + y * y
     dec = entire.decompose_entire(p, TaylorStream.from_poly(f), 8)
     direct = fischer.decompose_direct(p, f)
-    assert dec.q.truncate(8) == direct.q
-    assert dec.r.truncate(8) == direct.r
+    assert dec.q == direct.q
+    assert dec.r == direct.r
 
 
 def test_entire_total_stream_of_degree_beyond_m_cap():
@@ -436,10 +437,28 @@ def test_entire_total_stream_of_degree_beyond_m_cap():
     f = x ** 24 + y ** 3
     dec = entire.decompose_entire(p, TaylorStream.from_poly(f), 4)
     direct = fischer.decompose_direct(p, f).q
-    assert dec.q.truncate(2) == sum((direct.homogeneous_component(m) for m in range(3)),
+    assert dec.q == sum((direct.homogeneous_component(m) for m in range(3)),
                                     Poly.zero(2))
-    assert all(d["stopped_by"] == "degree" for d in dec.per_degree_diag.values())
-    assert dec.per_degree_diag[0]["j_stop"] == 21
+    assert all(d["stopped_by"] == "degree" for d in dec.diagnostics["per_degree"].values())
+    assert dec.diagnostics["per_degree"][0]["j_stop"] == 21
+
+
+@settings(max_examples=40)
+@given(exact_homogeneous(2, 2).filter(lambda pk: not pk.is_zero),
+       exact_homogeneous(2, 1), gaussian_rationals(),
+       exact_polys(dims=(2, 2), degrees=(0, 5)))
+def test_entire_polynomial_stream_matches_direct(pk, p1, p0, f):
+    # lower part of degree 0 and/or 1: the polynomial stream ends each
+    # degree's sum by degree alone and reproduces the direct solve
+    p = pk + p1 + Poly.constant(2, p0)
+    assume(not (p - pk).is_zero)
+    dec = entire.decompose_entire(p, TaylorStream.from_poly(f),
+                                  (0 if f.is_zero else f.degree) + 2)
+    direct = fischer.decompose_direct(p, f)
+    assert dec.q == direct.q
+    assert dec.r == direct.r
+    assert dec.annihilator_residual == 0
+    assert all(d["stopped_by"] == "degree" for d in dec.diagnostics["per_degree"].values())
 
 
 def test_entire_partial_stream_truncation_rule():
@@ -449,8 +468,8 @@ def test_entire_partial_stream_truncation_rule():
     p = x * x + y * y - x - 1
     f = TaylorStream.from_exp((x + y) * 0.3, max_degree=60)
     dec = entire.decompose_entire(p, f, 14, tol=0.0)
-    assert sorted(dec.per_degree_diag) == list(range(13))
-    for m, diag in dec.per_degree_diag.items():
+    assert sorted(dec.diagnostics["per_degree"]) == list(range(13))
+    for m, diag in dec.diagnostics["per_degree"].items():
         assert diag["truncated"]
         assert diag["stopped_by"] == "truncation"
         assert diag["j_stop"] == (12 - m) // 2 - 1

@@ -1,8 +1,11 @@
 """Every module-level import in the package is used by its module, no
-module reads the environment, and the CLI does not load the heavy scipy
-subpackages it has no use for."""
+module reads the environment, the CLI does not load the heavy scipy
+subpackages it has no use for, and every name the benchmark's tracer
+patches exists."""
 
 import ast
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -72,3 +75,24 @@ def test_cli_import_skips_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(fischerlab.__file__).parents[1])
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_layers_resolve():
+    # bench/tracing.py patches these names from outside the package and
+    # raises on a missing one; class methods are looked up in the class
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, _ in tracing.LAYERS:
+        module = importlib.import_module(f"fischerlab.{module_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in getattr(getattr(module, cls_name, None), "__dict__", {})
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert tracing.LAYERS
+    assert missing == []
