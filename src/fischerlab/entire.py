@@ -424,7 +424,7 @@ def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
     if out_max < 0:
         raise InvalidInputError("m_cap must be at least deg p")
     poly_deg = f.poly_degree
-    field = f.component(0).field
+    field = FLOAT if p.field == FLOAT else f.component(0).field  # q and r float if p or f is
     zero = Poly.zero(p.dim, field)
 
     # the last level each output degree can use (see the docstring)
@@ -495,7 +495,10 @@ def _join(dim, parts) -> Poly:
 
 def stream_from_dict(obj) -> TaylorStream:
     """Parse {"kind": "poly", ...polynomial...} or
-    {"kind": "exp_poly", "inner": <polynomial>, "max_degree": M}."""
+    {"kind": "exp_poly", "inner": <polynomial>, "max_degree": M}.
+
+    A poly-kind stream supplies every component, so a ``max_degree`` it
+    declares below the polynomial's degree is a FormatError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("stream object needs a 'kind'")
     kind = obj["kind"]
@@ -504,7 +507,10 @@ def stream_from_dict(obj) -> TaylorStream:
         raise FormatError(f"max_degree must be a non-negative integer, got {cap!r}")
     if kind == "poly":
         body = {k: v for k, v in obj.items() if k not in ("kind", "max_degree")}
-        return TaylorStream.from_poly(poly_from_dict(body))
+        poly = poly_from_dict(body)
+        if poly.degree > cap:
+            raise FormatError(f"max_degree {cap} is below the polynomial's degree {poly.degree}")
+        return TaylorStream.from_poly(poly)
     if kind == "exp_poly":
         if "inner" not in obj:
             raise FormatError("exp_poly stream needs 'inner'")

@@ -18,7 +18,15 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
   is the interpolant at the root multiset) and ``decompose_linear`` (k = 1:
   translation trick) also accept truncated Taylor streams.
 
+Every dense slice map is assembled by ``polyalg.op_matrix``, the one
+raw-basis builder of f |-> q(D)(p f): the slice matrix is the case
+(P_k*, P_k), the coupled float system (P_k*, p).  Multiplication by P_k
+and P_k*(D) are adjoint for the apolar product, so in the orthonormal
+basis z^alpha/sqrt(alpha!) the slice matrix is M^H M, M the matrix of
+multiplication by P_k (``spectral.mult_matrix``).
+
 Exact inputs give exact results; float solves carry condition estimates.
+When p or f is float, q and r are float on every route.
 """
 
 from __future__ import annotations
@@ -33,23 +41,22 @@ from .errors import InvalidInputError, NumericalError
 from .exactlinalg import bareiss_solve, float_lstsq_solve
 from .fields import EXACT, FLOAT, GaussianRational
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials,
-                      enumerate_up_to_degree, midx_factorial)
+                      enumerate_up_to_degree, midx_factorial, op_matrix)
 
 
 @dataclass(frozen=True)
 class FischerMatrix:
     """Matrix of q |-> pk*(D)(pk q) on one homogeneous slice.
 
-    Rows and columns are indexed by ``basis`` (graded-lex monomials of
-    degree ``source_degree``) in the raw monomial basis.  The map is
-    self-adjoint and positive definite for the alpha!-weighted inner
-    product, being of the form M*M with M injective.
+    Rows and columns are indexed by ``basis`` (the graded-lex monomials
+    of degree m - deg pk) in the raw monomial basis, with entries in pk's
+    field.  The map is self-adjoint and positive definite for the
+    alpha!-weighted inner product, being of the form M^H M with M
+    injective.
     """
 
-    source_degree: int
     basis: tuple
     rows: tuple
-    field: str
 
 
 @dataclass
@@ -75,19 +82,7 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     if m < k:
         raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
     basis = tuple(enumerate_monomials(pk.dim, m - k))
-    index = {alpha: i for i, alpha in enumerate(basis)}
-    pk_star = pk.star()
-    n = len(basis)
-    zero = GaussianRational(0) if pk.field == EXACT else 0j
-    cols = []
-    for beta in basis:
-        image = apply_diff_op(pk_star, pk * Poly.monomial(pk.dim, beta, 1, field=pk.field))
-        col = [zero] * n
-        for alpha, c in image.terms.items():
-            col[index[alpha]] = c
-        cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return FischerMatrix(m - k, basis, rows, pk.field)
+    return FischerMatrix(basis, tuple(map(tuple, op_matrix(pk.star(), pk, basis, basis))))
 
 
 def _annihilator_residual(pk: Poly, r: Poly) -> float:
@@ -97,12 +92,14 @@ def _annihilator_residual(pk: Poly, r: Poly) -> float:
     return math.sqrt(float(val))
 
 
-def _weighted_solve(dim: int, basis, a: np.ndarray, rhs: Poly):
-    """Float solve of a x = rhs in the raw monomial ``basis``; returns (x, condition).
+def _weighted_solve(dim: int, basis, rows, rhs: Poly):
+    """Float solve of A x = rhs, A given by its ``rows`` in the raw monomial
+    ``basis``; returns (x, condition).
 
     It runs in the well-scaled orthonormal basis z^alpha/sqrt(alpha!).
     """
     weights = np.array([math.sqrt(midx_factorial(alpha)) for alpha in basis])
+    a = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
     a = a * (weights[:, None] / weights[None, :])
     rhs = rhs.to_float()
     b = np.array([complex(rhs.coefficient(alpha)) for alpha in basis]) * weights
@@ -133,8 +130,7 @@ class SliceSolver:
             if x is None:
                 raise NumericalError("projection system unexpectedly singular")
             return Poly(pk.dim, dict(zip(fm.basis, x)), field=EXACT), None
-        a = np.array([[complex(v) for v in row] for row in fm.rows], dtype=complex)
-        return _weighted_solve(pk.dim, fm.basis, a, rhs)
+        return _weighted_solve(pk.dim, fm.basis, fm.rows, rhs)
 
     def project(self, fm: Poly):
         """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous."""
@@ -160,6 +156,11 @@ def _project_components(solver: SliceSolver, g: Poly) -> Poly:
     """Sum of the projection coefficients of each homogeneous component."""
     return sum((solver.project(gm)[0] for gm in g.homogeneous_components().values()),
                Poly.zero(solver.pk.dim, g.field))
+
+
+def _promote(p: Poly, f: Poly) -> Poly:
+    """f in float when p is: mixing the fields promotes q and r to float."""
+    return f.to_float() if p.field == FLOAT else f
 
 
 def _truncate_stream(f, max_degree):
@@ -194,6 +195,7 @@ def _slice_solver(p: Poly) -> SliceSolver:
 
 
 def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionResult:
+    f = _promote(p, f)
     k = p.degree
     pk = solver.pk
     if f.is_zero or f.degree < k:
@@ -212,13 +214,8 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
             q = q + q_n
             rhs = rhs - apply_diff_op(pk_star, lower * q_n)
     else:
-        index = {alpha: i for i, alpha in enumerate(basis)}
-        a = np.zeros((len(basis), len(basis)), dtype=complex)
-        for j, beta in enumerate(basis):
-            image = apply_diff_op(pk_star, p * Poly.monomial(p.dim, beta, 1, field=p.field))
-            for alpha, c in image.to_float().terms.items():
-                a[index[alpha], j] = c
-        q, diag["condition"] = _weighted_solve(p.dim, basis, a, rhs)
+        rows = op_matrix(pk_star, p, basis, basis)
+        q, diag["condition"] = _weighted_solve(p.dim, basis, rows, rhs)
     r = f - p * q
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 
@@ -249,6 +246,7 @@ def decompose_series(p: Poly, f: Poly, beta=None) -> DecompositionResult:
 def _decompose_series(p: Poly, f: Poly, beta, solver: SliceSolver) -> DecompositionResult:
     if beta is not None:
         validate_gap(p, beta)
+    f = _promote(p, f)
     pk = solver.pk
     lower_neg = pk - p  # the series' lower terms: p = pk - lower_neg
     total = Poly.zero(p.dim, f.field)
@@ -275,7 +273,8 @@ def _direct_and_series(p: Poly, f: Poly):
 # d = 1: division with remainder
 
 def _poly_divmod_1d(f: Poly, p: Poly):
-    """Univariate long division: f = p q + rem with deg rem < deg p."""
+    """Univariate long division: f = p q + rem with deg rem < deg p, in f's
+    field (float when p is; see _promote)."""
     k = int(p.degree)
     lead = p.coefficient((k,))
     q_terms = {}
@@ -293,7 +292,7 @@ def _poly_divmod_1d(f: Poly, p: Poly):
                 rem.pop(key, None)
             else:
                 rem[key] = val
-    r = Poly(1, {(d,): c for d, c in rem.items() if d < k}, field=f.field if p.field == EXACT else FLOAT)
+    r = Poly(1, {(d,): c for d, c in rem.items() if d < k}, field=f.field)
     return Poly(1, q_terms, field=r.field), r
 
 
@@ -314,6 +313,7 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
             raise InvalidInputError("stream must be univariate")
         f, diag["truncation_degree"] = _truncate_stream(f, max_degree)
         f, p = f.to_float(), p.to_float()
+    f = _promote(p, f)
     k = int(p.degree)
     if k == 0:
         q = f / p.coefficient((0,))
@@ -348,6 +348,7 @@ def decompose_linear(p: Poly, f, max_degree=None) -> DecompositionResult:
     if not isinstance(f, Poly):
         f, cap = _truncate_stream(f, max_degree)
         diag_extra = {"truncation_degree": cap}
+    f = _promote(p, f)
     shifted = f.shift(z0)
     q_shift = _project_components(SliceSolver(p1), shifted)
     h_shift = shifted - p1 * q_shift

@@ -405,6 +405,36 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
     return Poly(f.dim, acc, field=field)
 
 
+def op_matrix(q: Poly, p: Poly, col_basis, row_basis) -> list:
+    """Dense rows of f |-> q(D)(p f) in the raw monomial basis.
+
+    Column j is the image of z^beta, beta = col_basis[j], and row i the
+    coefficient of z^row_basis[i]; ``row_basis`` must hold every monomial
+    of the image.  Entry (i, j) sums e c delta!/(delta - eta)! over the
+    terms e z^eta of q and c z^gamma of p with delta = gamma + beta and
+    delta - eta = row_basis[i], read straight from the term dicts in the
+    order apply_diff_op(q, p z^beta) takes them.  Entries are
+    GaussianRational when q and p are exact, complex otherwise.
+    """
+    if q.dim != p.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {p.dim}")
+    zero = GaussianRational(0) if q.field == EXACT and p.field == EXACT else 0j
+    row_index = {alpha: i for i, alpha in enumerate(row_basis)}
+    pairs = [(eta, gamma, e * c) for eta, e in q._terms.items()
+             for gamma, c in p._terms.items()]
+    rows = [[zero] * len(col_basis) for _ in row_basis]
+    for j, beta in enumerate(col_basis):
+        for eta, gamma, ec in pairs:
+            delta = midx_add(gamma, beta)
+            alpha = midx_sub(delta, eta)
+            if alpha is None:
+                continue
+            row = rows[row_index[alpha]]
+            w = ec * falling_product(delta, eta)
+            row[j] = w if row[j] is zero else row[j] + w
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # interchange format
 

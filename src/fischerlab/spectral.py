@@ -31,8 +31,7 @@ from scipy.sparse.linalg import eigs
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
-from .polyalg import (Poly, apply_diff_op, count_monomials, enumerate_monomials,
-                      midx_factorial)
+from .polyalg import Poly, count_monomials, enumerate_monomials, midx_factorial, op_matrix
 
 DEFAULT_DIM_CAP = 20000
 
@@ -195,8 +194,14 @@ def ks_exponent_fit(pk: Poly, m_range=(8, 40), dim_cap: int = DEFAULT_DIM_CAP) -
 def kernel_basis(pk: Poly, m: int):
     """Basis of the kernel of pk(D) on the homogeneous degree-m slice.
 
-    Exact coefficients give an exact rational basis via reduced row
-    echelon form; float input falls back to an SVD nullspace.
+    The matrix of pk(D) from slice m to slice m - k comes from
+    ``polyalg.op_matrix(pk, 1, ...)``, the raw-basis builder that also
+    assembles the Fischer slice matrices.  pk(D) is the apolar adjoint of
+    multiplication by pk*, so this kernel is the orthogonal complement of
+    pk* times slice m - k, and the slice matrix of pk*(D)(pk .) is M^H M
+    in the orthonormal basis, M from :func:`mult_matrix`.  Exact
+    coefficients give an exact rational basis via reduced row echelon
+    form; float input falls back to an SVD nullspace.
     """
     if pk.is_zero:
         raise InvalidInputError("pk must be nonzero")
@@ -209,14 +214,8 @@ def kernel_basis(pk: Poly, m: int):
     col_basis = enumerate_monomials(d, m)
     if m < k:
         return [Poly.monomial(d, alpha, 1, field=pk.field) for alpha in col_basis]
-    row_basis = enumerate_monomials(d, m - k)
-    row_index = {alpha: i for i, alpha in enumerate(row_basis)}
-    zero = GaussianRational(0) if pk.field == EXACT else 0j
-    rows = [[zero] * len(col_basis) for _ in row_basis]
-    for j, beta in enumerate(col_basis):
-        image = apply_diff_op(pk, Poly.monomial(d, beta, 1, field=pk.field))
-        for alpha, c in image.terms.items():
-            rows[row_index[alpha]][j] = c
+    rows = op_matrix(pk, Poly.constant(d, 1, field=pk.field), col_basis,
+                     enumerate_monomials(d, m - k))
     if pk.field == EXACT:
         vecs = exact_nullspace(rows, len(col_basis))
         return [Poly(d, dict(zip(col_basis, v)), field=EXACT) for v in vecs]

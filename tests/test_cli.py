@@ -351,6 +351,16 @@ def test_exit_code_bad_stream_max_degree(files, tmp_path):
     assert cli.main(["blambda", "--f", str(bad), "--lam", "inv-log"]) == cli.EXIT_PARSE
 
 
+def test_exit_code_poly_stream_max_degree_below_degree(files, tmp_path):
+    x, y = variables(2)
+    stream = {"kind": "poly", **poly_to_dict(x ** 5 + y)}
+    for cap, code in [(2, cli.EXIT_PARSE), (5, 0)]:
+        path = tmp_path / f"poly_cap{cap}.json"
+        path.write_text(json.dumps({**stream, "max_degree": cap}))
+        assert cli.main(["decompose", "--p", files["pk"], "--f", str(path),
+                         "--method", "entire", "--out", str(tmp_path / f"x{cap}")]) == code
+
+
 def test_exit_code_non_integer_exponent(files, tmp_path):
     bad = tmp_path / "frac_exp.json"
     bad.write_text(json.dumps({"dim": 2, "terms": [
@@ -423,6 +433,18 @@ def test_exit_code_numerical_failure(tmp_path):
                    "--f", str(tmp_path / "illf.json"),
                    "--out", str(tmp_path / "ill")])
     assert rc == cli.EXIT_NUMERICAL
+
+
+def test_exit_code_forced_direct_on_degree_one_float_divisor(tmp_path):
+    # the coupled float system for x - 1000 has condition ~3e16 (exit 4);
+    # auto sends a degree-1 divisor to the translation trick, which answers
+    x, y = variables(2)
+    save_poly((x - 1000).to_float(), tmp_path / "p.json")
+    save_poly(((x + y) ** 6).to_float(), tmp_path / "f.json")
+    for method, code in [("direct", cli.EXIT_NUMERICAL), ("auto", 0)]:
+        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                         "--f", str(tmp_path / "f.json"), "--method", method,
+                         "--out", str(tmp_path / method)]) == code
 
 
 @pytest.mark.parametrize("error", [

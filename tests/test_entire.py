@@ -84,6 +84,20 @@ def test_stream_rejects_bad_max_degree(cap):
         entire.stream_from_dict({"kind": "poly", **inner, "max_degree": cap})
 
 
+def test_poly_stream_max_degree_below_degree_rejected():
+    # a poly-kind stream supplies every component, so a limit below its
+    # degree contradicts the data; a limit at or above it loads
+    body = {"kind": "poly", "dim": 2, "terms": [
+        {"exp": [5, 0], "re": "1/1", "im": "0/1"}, {"exp": [0, 1], "re": "1/1", "im": "0/1"}]}
+    with pytest.raises(FormatError):
+        entire.stream_from_dict({**body, "max_degree": 4})
+    for cap in (5, 9):
+        s = entire.stream_from_dict({**body, "max_degree": cap})
+        assert s.poly_degree == 5 and s.component(5).terms == {(5, 0): 1}
+    assert entire.stream_from_dict({"kind": "poly", "dim": 1, "terms": [],
+                                    "max_degree": 0}).poly_degree == -1
+
+
 @settings(max_examples=25)
 @given(exact_polys(degrees=(1, 3)), st.integers(0, 5))
 def test_exp_stream_exact_matches_truncated_series(inner, m):

@@ -11,7 +11,7 @@ from fischerlab import apolar, entire, fischer, spectral
 from fischerlab.errors import ConditioningError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import FLOAT, GaussianRational
-from fischerlab.polyalg import Poly, apply_diff_op, variables
+from fischerlab.polyalg import Poly, apply_diff_op, midx_factorial, variables
 from fischerlab.entire import TaylorStream
 from conftest import rand_homogeneous, rand_poly
 
@@ -37,17 +37,22 @@ def test_fischer_matrix_univariate():
     assert fm.rows == ((GaussianRational(2),),)
 
 
-def test_fischer_matrix_diagonal_positive():
+def test_fischer_matrix_diagonal_positive(rng):
     x, y = variables(2)
-    fm = fischer.fischer_matrix(x * x, 3)
-    mat = np.array([[complex(v) for v in row] for row in fm.rows])
-    assert mat.shape == (2, 2)
-    # weighted-basis version must be Hermitian positive definite
-    from fischerlab.polyalg import midx_factorial
-    w = np.sqrt([midx_factorial(a) for a in fm.basis])
-    sym = mat * (w[:, None] / w[None, :])
-    assert np.allclose(sym, sym.conj().T)
-    assert np.all(np.linalg.eigvalsh(sym) > 0)
+    cases = [(x * x, 3)] + [(rand_homogeneous(rng, d, 2), m) for d, m in [(2, 8), (3, 6), (4, 5)]]
+    for pk, m in cases:
+        fm = fischer.fischer_matrix(pk, m)
+        mat = np.array([[complex(v) for v in row] for row in fm.rows])
+        # the alpha!-weighted slice matrix is M^H M, M the multiplication
+        # matrix in the orthonormal basis: Hermitian positive definite
+        w = np.sqrt([midx_factorial(a) for a in fm.basis])
+        sym = mat * (w[:, None] / w[None, :])
+        mult = spectral.mult_matrix(pk, m - 2)
+        assert mult.col_basis == fm.basis
+        gram = (mult.matrix.conj().T @ mult.matrix).toarray()
+        assert np.linalg.norm(sym - gram) <= 1e-14 * np.linalg.norm(gram)
+        assert np.allclose(sym, sym.conj().T)
+        assert np.all(np.linalg.eigvalsh(sym) > 0)
 
 
 def test_fischer_matrix_rejects_low_degree():
@@ -251,6 +256,21 @@ def test_series_gap_validation():
     # declaring beta=2 is consistent
     res = fischer.decompose_series(p, x ** 3, beta=2)
     assert p * res.q + res.r == x ** 3
+
+
+@pytest.mark.parametrize("route", ["direct", "series", "entire"])
+def test_float_input_gives_float_q_and_r_on_every_route(route):
+    # mixing the fields promotes to float, also when deg f < deg p
+    x, y = variables(2)
+    p = x * x + y * y - 1
+    f = x ** 3 + 2 * y
+    for pp, ff in [(p.to_float(), x), (p.to_float(), f), (p, x.to_float()), (p, f.to_float())]:
+        if route == "entire":
+            res = entire.decompose_entire(pp, TaylorStream.from_poly(ff), int(ff.degree) + 2)
+        else:
+            res = getattr(fischer, f"decompose_{route}")(pp, ff)
+        assert res.q.field == res.r.field == FLOAT
+        assert apolar.norm(pp * res.q + res.r - ff) < 1e-12
 
 
 def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):

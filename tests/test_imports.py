@@ -1,7 +1,7 @@
 """Every module-level import in the package is used by its module, no
-module reads the environment, the CLI does not load the heavy scipy
-subpackages it has no use for, and every name the benchmark's tracer
-patches exists."""
+module reads the environment, the decomposition modules import nothing
+from scipy, the CLI does not load the heavy scipy subpackages it has no
+use for, and every name the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -66,6 +66,35 @@ def test_environment_read_is_reported():
     source = ("import os\nfrom os import getenv\n\n"
               "n = int(os.environ.get('N', '1')) + int(getenv('M', '0'))\n")
     assert environment_reads(source) == ["environ (line 4)", "getenv (line 2)"]
+
+
+def scipy_imports(source: str) -> list:
+    """Imports of scipy or a scipy subpackage, at any nesting level."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        hits.extend(f"{name} (line {node.lineno})" for name in names
+                    if name == "scipy" or name.startswith("scipy."))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("name", ["polyalg.py", "fischer.py"])
+def test_decompose_path_imports_no_scipy(name):
+    # the decompose path stays free of scipy; spectral loads it for
+    # spectrum and ks-fit only
+    source = (Path(fischerlab.__file__).parent / name).read_text()
+    assert scipy_imports(source) == []
+
+
+def test_scipy_import_is_reported():
+    source = ("import numpy as np\nimport scipy.sparse\n\n"
+              "def f():\n    from scipy.linalg import svd\n    return svd\n")
+    assert scipy_imports(source) == ["scipy.linalg (line 5)", "scipy.sparse (line 2)"]
 
 
 def test_cli_import_skips_heavy_scipy_modules():
