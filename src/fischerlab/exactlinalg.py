@@ -7,7 +7,8 @@ previous pivot is exact.  Back-substitution is scaled by the last pivot,
 the pivot minor's determinant, so only returned entries are rationals.
 :func:`bareiss_solve` and :func:`exact_nullspace` read the reduced form.
 The float path is a rank-revealing least-squares solve that raises
-:class:`ConditioningError` instead of returning garbage.
+:class:`ConditioningError` instead of returning garbage; every float
+solve's condition passes the one gate of :func:`checked_condition`.
 """
 
 from __future__ import annotations
@@ -117,6 +118,23 @@ def exact_nullspace(rows, ncols):
     return basis
 
 
+def checked_condition(sv, rank: int, ncols: int) -> float:
+    """Condition sv[0] / sv[-1] of a system in ``ncols`` unknowns with
+    singular values ``sv`` (descending) and numerical ``rank``.
+
+    Raises ConditioningError when the system is numerically singular or
+    its condition exceeds _COND_LIMIT.
+    """
+    if len(sv) == 0 or sv[0] == 0:
+        raise ConditioningError("zero system", condition=float("inf"))
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    if rank < ncols or cond > _COND_LIMIT:
+        raise ConditioningError(
+            f"system too ill-conditioned (estimated condition {cond:.3e})",
+            condition=cond)
+    return cond
+
+
 def float_lstsq_solve(a: np.ndarray, b: np.ndarray):
     """SVD-backed least-squares solve with a condition estimate.
 
@@ -124,11 +142,4 @@ def float_lstsq_solve(a: np.ndarray, b: np.ndarray):
     numerically singular.
     """
     x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    if len(sv) == 0 or sv[0] == 0:
-        raise ConditioningError("zero system", condition=float("inf"))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if rank < a.shape[1] or cond > _COND_LIMIT:
-        raise ConditioningError(
-            f"system too ill-conditioned (estimated condition {cond:.3e})",
-            condition=cond)
-    return x, cond
+    return x, checked_condition(sv, rank, a.shape[1])

@@ -5,8 +5,9 @@ Five routes are provided; each takes the divisor first and returns a
 but ``decompose_univariate`` (long division) reach the slice operator
 q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
 
-* ``project_homogeneous`` solves the normal equations of the orthogonal
-  projection of a homogeneous f onto P_k times the lower slice.
+* ``project_homogeneous`` projects a homogeneous f orthogonally onto P_k
+  times the lower slice: exact input by the normal equations, float input
+  by the pseudoinverse of the multiplication matrix.
 * ``decompose_direct`` solves q |-> P_k*(D)(P q) on the space of
   polynomials of degree <= deg f - k, which that map sends to itself
   bijectively: exactly slice by slice from the top degree down, or in
@@ -19,11 +20,16 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
   translation trick) also accept truncated Taylor streams.
 
 Every dense slice map is assembled by ``polyalg.op_matrix``, the one
-raw-basis builder of f |-> q(D)(p f): the slice matrix is the case
-(P_k*, P_k), the coupled float system (P_k*, p).  Multiplication by P_k
-and P_k*(D) are adjoint for the apolar product, so in the orthonormal
-basis z^alpha/sqrt(alpha!) the slice matrix is M^H M, M the matrix of
-multiplication by P_k (``spectral.mult_matrix``).
+raw-basis builder of f |-> q(D)(p f): the exact slice matrix is the case
+(P_k*, P_k), the coupled float system (P_k*, p), and the multiplication
+matrix of P_k the case (1, P_k).  Multiplication by P_k and P_k*(D) are
+adjoint for the apolar product, so in the orthonormal basis
+z^alpha/sqrt(alpha!) the slice matrix is M^H M, M the matrix of
+multiplication by P_k (``spectral.mult_matrix``), and the Fischer
+projection of a homogeneous f_m is q = M^+ f_m.  Float projections take
+one SVD of M per slice (``slice_projector``) and then cost one
+matrix-vector product each; Bombieri's sigma_min(M) >= ||P_k|| keeps M^+
+well conditioned.
 
 Exact inputs give exact results; float solves carry condition estimates.
 When p or f is float, q and r are float on every route.
@@ -38,7 +44,7 @@ import numpy as np
 
 from . import apolar
 from .errors import InvalidInputError, NumericalError
-from .exactlinalg import bareiss_solve, float_lstsq_solve
+from .exactlinalg import bareiss_solve, checked_condition, float_lstsq_solve
 from .fields import EXACT, FLOAT, GaussianRational
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials,
                       enumerate_up_to_degree, midx_factorial, op_matrix)
@@ -108,37 +114,110 @@ def _weighted_solve(dim: int, basis, rows, rhs: Poly):
                 field=FLOAT), cond
 
 
+@dataclass(frozen=True)
+class SliceProjector:
+    """Float Fischer projection f_m |-> q on one homogeneous slice.
+
+    ``pinv`` is the pseudoinverse of the matrix M of multiplication by pk
+    from slice m - k to slice m, taken in the orthonormal basis
+    z^alpha/sqrt(alpha!) and mapped back to the raw monomial basis:
+    column ``source[alpha]`` reads the coefficient of z^alpha (degree m),
+    row j gives the coefficient of z^basis[j] (degree m - k) in q.
+    ``condition`` is kappa(M)^2, the condition of the slice matrix M^H M.
+    """
+
+    basis: tuple
+    source: dict
+    pinv: np.ndarray
+    condition: float
+
+
+def slice_projector(pk: Poly, m: int) -> SliceProjector:
+    """The degree-m float projector for homogeneous pk, from one SVD of M."""
+    _require_nonzero_homogeneous(pk)
+    k = pk.degree
+    if m < k:
+        raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
+    pk = pk.to_float()
+    basis = tuple(enumerate_monomials(pk.dim, m - k))
+    source = enumerate_monomials(pk.dim, m)
+    mult = np.array(op_matrix(Poly.constant(pk.dim, 1.0), pk, basis, source), dtype=complex)
+    # entry (alpha, beta) is c sqrt(alpha!/beta!), alpha = beta + gamma:
+    # an exact factorial ratio, then one float square root per nonzero
+    src_fact = [midx_factorial(alpha) for alpha in source]
+    fact = [midx_factorial(beta) for beta in basis]
+    rows, cols = np.nonzero(mult)
+    mult[rows, cols] *= [math.sqrt(src_fact[i] / fact[j]) for i, j in zip(rows, cols)]
+    u, s, vh = np.linalg.svd(mult, full_matrices=False)
+    gram_sv = s * s  # the singular values of M^H M
+    rank = int(np.count_nonzero(gram_sv > len(s) * np.finfo(float).eps * gram_sv[0]))
+    cond = checked_condition(gram_sv, rank, len(basis))
+    # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
+    # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
+    # ratios, so no weight is a lone sqrt(alpha!)
+    top, low = math.factorial(m), math.factorial(m - k)
+    w_src = np.array([math.sqrt(f / top) for f in src_fact])
+    w_low = np.array([math.sqrt(f / low) for f in fact])
+    pinv = ((vh.conj().T / (s * w_low[:, None])) @ (u.conj().T * w_src)) * math.sqrt(top // low)
+    return SliceProjector(basis, {alpha: i for i, alpha in enumerate(source)}, pinv, cond)
+
+
 class SliceSolver:
-    """Solves pk*(D)(pk q) = rhs per slice; each slice matrix is assembled once."""
+    """Fischer projections and exact slice solves for one homogeneous pk.
+
+    Each slice is prepared once and kept: exact slices as the matrix of
+    q |-> pk*(D)(pk q) (``fischer_matrix``), solved by Bareiss; float
+    slices as the pseudoinverse M^+ of the multiplication matrix in the
+    orthonormal basis (``slice_projector``, one SVD per slice), so that a
+    float projection is one matrix-vector product.
+    """
 
     def __init__(self, pk: Poly):
         _require_nonzero_homogeneous(pk)
         self.pk = pk
         self.pk_star = pk.star()
         self._matrices = {}
+        self._projectors = {}
 
-    def solve(self, rhs: Poly, m: int):
-        """q homogeneous of degree m - deg pk; returns (q, condition or None)."""
+    def solve(self, rhs: Poly, m: int) -> Poly:
+        """Exact q, homogeneous of degree m - deg pk, with pk*(D)(pk q) = rhs;
+        pk and rhs must be exact."""
         pk = self.pk
         if rhs.is_zero:
-            return Poly.zero(pk.dim, pk.field), None
+            return Poly.zero(pk.dim, EXACT)
         fm = self._matrices.get(m)
         if fm is None:
             fm = self._matrices[m] = fischer_matrix(pk, m)
-        if pk.field == EXACT and rhs.field == EXACT:
-            x = bareiss_solve(fm.rows, [rhs.coefficient(alpha) for alpha in fm.basis])
-            if x is None:
-                raise NumericalError("projection system unexpectedly singular")
-            return Poly(pk.dim, dict(zip(fm.basis, x)), field=EXACT), None
-        return _weighted_solve(pk.dim, fm.basis, fm.rows, rhs)
+        # one common denominator for b keeps it out of every row of [A | b]
+        b = [rhs.coefficient(alpha) for alpha in fm.basis]
+        den = math.lcm(*(part.denominator for c in b for part in (c.real, c.imag)))
+        x = bareiss_solve(fm.rows, [c * den for c in b])
+        if x is None:
+            raise NumericalError("projection system unexpectedly singular")
+        return Poly(pk.dim, {alpha: v / den for alpha, v in zip(fm.basis, x)}, field=EXACT)
 
     def project(self, fm: Poly):
-        """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous."""
+        """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous.
+
+        The condition is that of the float slice, kappa(M)^2; exact pk and
+        fm give an exact q and None.
+        """
         if not fm.is_homogeneous():
             raise InvalidInputError("fm must be homogeneous")
-        if fm.is_zero or fm.degree < self.pk.degree:
-            return Poly.zero(self.pk.dim, fm.field), None
-        return self.solve(apply_diff_op(self.pk_star, fm), fm.degree)
+        pk = self.pk
+        if fm.is_zero or fm.degree < pk.degree:
+            return Poly.zero(pk.dim, fm.field), None
+        m = fm.degree
+        if pk.field == EXACT and fm.field == EXACT:
+            return self.solve(apply_diff_op(self.pk_star, fm), m), None
+        proj = self._projectors.get(m)
+        if proj is None:
+            proj = self._projectors[m] = slice_projector(pk, m)
+        vec = np.zeros(len(proj.source), dtype=complex)
+        for alpha, c in fm.terms.items():
+            vec[proj.source[alpha]] = complex(c)
+        q = Poly(pk.dim, dict(zip(proj.basis, (proj.pinv @ vec).tolist())), field=FLOAT)
+        return q, proj.condition
 
 
 def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
@@ -210,7 +289,7 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
         lower = p - pk  # the slice map already accounts for pk q_n
         q = Poly.zero(p.dim, EXACT)
         for n in range(n_deg, -1, -1):
-            q_n, _ = solver.solve(rhs.homogeneous_component(n), n + k)
+            q_n = solver.solve(rhs.homogeneous_component(n), n + k)
             q = q + q_n
             rhs = rhs - apply_diff_op(pk_star, lower * q_n)
     else:

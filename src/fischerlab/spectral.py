@@ -23,15 +23,19 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import eigs
 
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
 from .polyalg import Poly, count_monomials, enumerate_monomials, midx_factorial, op_matrix
+
+# scipy.sparse is imported where an operator is built, so that importing
+# this module (and the CLI) does not load it
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 DEFAULT_DIM_CAP = 20000
 
@@ -72,6 +76,8 @@ class MultiplicationMatrix:
 
 
 def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> MultiplicationMatrix:
+    from scipy.sparse import csc_array
+
     if pk.is_zero:
         raise InvalidInputError("pk must be nonzero")
     if not pk.is_homogeneous():
@@ -104,6 +110,8 @@ def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> Multiplicat
 def _arpack_extreme(gram, **mode) -> float:
     """One extreme eigenvalue of a Hermitian sparse matrix by ARPACK,
     started from a fixed-seed vector with fixed-seed restarts."""
+    from scipy.sparse.linalg import eigs
+
     rng = np.random.default_rng(_ARPACK_SEED)
     n = gram.shape[0]
     v0 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)

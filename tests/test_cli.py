@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from fischerlab import cli, fischer, spectral
+from fischerlab import cli, fischer
 from fischerlab.polyalg import Poly, load_poly, poly_to_dict, save_poly, variables
 
 
@@ -455,7 +455,8 @@ def test_exit_code_forced_direct_on_degree_one_float_divisor(tmp_path):
 def test_exit_code_eigensolve_failure(tmp_path, monkeypatch, error):
     def failing_eigs(*args, **kwargs):
         raise error
-    monkeypatch.setattr(spectral, "eigs", failing_eigs)
+    # spectral imports eigs when it runs an eigensolve, so patch it at source
+    monkeypatch.setattr("scipy.sparse.linalg.eigs", failing_eigs)
     pk = Poly(3, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j})
     save_poly(pk, tmp_path / "pk3.json")
     # Gram size 276 at m = 22, above spectral.DENSE_EIG_MAX, so ARPACK runs

@@ -11,7 +11,8 @@ from fischerlab import apolar, entire, fischer, spectral
 from fischerlab.errors import ConditioningError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import FLOAT, GaussianRational
-from fischerlab.polyalg import Poly, apply_diff_op, midx_factorial, variables
+from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_up_to_degree, midx_factorial,
+                               variables)
 from fischerlab.entire import TaylorStream
 from conftest import rand_homogeneous, rand_poly
 
@@ -116,6 +117,43 @@ def test_project_float_matches_exact(rng):
         approx = fischer.project_homogeneous(pk.to_float(), fm.to_float())
         diff = exact.q.to_float() - approx.q
         assert apolar.norm(diff) <= 1e-9 * max(1.0, apolar.norm(exact.q))
+
+
+def _reference_float_projection(pk, fm):
+    """The float projection before slice projectors: the slice system
+    pk*(D)(pk q) = pk*(D) fm on the fischer_matrix rows, solved in the
+    orthonormal basis; returns (q, condition)."""
+    mat = fischer.fischer_matrix(pk, fm.degree)
+    return fischer._weighted_solve(pk.dim, mat.basis, mat.rows, apply_diff_op(pk.star(), fm))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_slice_projector_matches_normal_equations(rng, d):
+    # q = M^+ f_m, M the multiplication matrix in the orthonormal basis,
+    # is the solution of the normal equations; mixed fields project in floats
+    top = {2: 12, 3: 10, 4: 8}[d]
+    for k in (1, 2, 3):
+        pk = rand_homogeneous(rng, d, k)
+        for m in (k, (k + top) // 2, top):
+            fm = rand_homogeneous(rng, d, m)
+            for pp, ff in [(pk.to_float(), fm.to_float()), (pk, fm.to_float()),
+                           (pk.to_float(), fm)]:
+                ref, ref_cond = _reference_float_projection(pp, ff)
+                q, cond = fischer.SliceSolver(pp).project(ff)
+                assert q.field == FLOAT
+                assert apolar.norm(q - ref) <= 1e-12 * apolar.norm(ref)
+                assert cond == pytest.approx(ref_cond, rel=1e-9)
+
+
+def test_float_entire_repeats_bit_for_bit():
+    x, y = variables(2)
+    p = (x * x + y * y).to_float() - 0.8
+    inner = (0.6 * x + 0.9 * y).to_float()
+    first, second = (entire.decompose_entire(p, TaylorStream.from_exp(inner, max_degree=60), 24)
+                     for _ in range(2))
+    assert repr(first.q.sorted_terms()) == repr(second.q.sorted_terms())
+    assert repr(first.r.sorted_terms()) == repr(second.r.sorted_terms())
+    assert first.diagnostics == second.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +312,44 @@ def test_float_input_gives_float_q_and_r_on_every_route(route):
 
 
 def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
+    # exact slices are assembled by fischer_matrix, float ones by slice_projector
     assembled = Counter()
-    original = fischer.fischer_matrix
 
-    def counting(pk, m):
-        assembled[m] += 1
-        return original(pk, m)
+    def count(name):
+        original = getattr(fischer, name)
 
-    monkeypatch.setattr(fischer, "fischer_matrix", counting)
+        def counting(pk, m):
+            assembled[m] += 1
+            return original(pk, m)
+
+        monkeypatch.setattr(fischer, name, counting)
+
     x, y = variables(2)
     p = x * x + y * y - 1
+    count("fischer_matrix")
     # the series projects degree 4 both from f and from its first level
     fischer.decompose_series(p, x ** 4 * y ** 2 + x ** 3 * y + y ** 4)
     assert assembled and max(assembled.values()) == 1
+    monkeypatch.undo()
     assembled.clear()
+    count("slice_projector")
     stream = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
     entire.decompose_entire(p.to_float(), stream, 12)
     assert assembled and max(assembled.values()) == 1
+
+
+def test_exact_direct_equals_series_at_degree_14():
+    # a generic d = 3 divisor and a 30%-dense dividend: exact slice solves
+    # scale each right-hand side by one common denominator
+    x, y, z = variables(3)
+    p = x * x + x * y + 2 * y * y + z * z + x * z - 1
+    rng = random.Random(3)
+    f = Poly(3, {a: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                 for a in enumerate_up_to_degree(3, 14) if rng.random() < 0.3})
+    direct, series = fischer._direct_and_series(p, f)
+    assert direct.q == series.q
+    assert direct.annihilator_residual == series.annihilator_residual == 0
+    assert f == p * direct.q + direct.r
 
 
 # ---------------------------------------------------------------------------

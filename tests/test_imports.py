@@ -98,9 +98,11 @@ def test_scipy_import_is_reported():
 
 
 def test_cli_import_skips_heavy_scipy_modules():
-    # scipy.stats and scipy.optimize took most of the CLI's start-up time
+    # scipy.stats and scipy.optimize took most of the CLI's start-up time,
+    # then scipy.sparse, which only the spectral eigensolves use
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")
     code = ("import sys, fischerlab.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(fischerlab.__file__).parents[1])
     assert out.stdout.strip() == "[]"
