@@ -36,21 +36,35 @@ def inner_product(p: Poly, q: Poly):
         d = q.coefficient(alpha)
         if c == 0 or d == 0:
             continue
-        w = midx_factorial(alpha)
-        total = total + (w if p.field == EXACT else float(w)) * c * d.conjugate()
+        if p.field == EXACT:
+            total = total + midx_factorial(alpha) * c * d.conjugate()
+        else:
+            total = total + _float_term(alpha, c, d)
     return total
+
+
+def _float_term(alpha, c, d) -> complex:
+    """alpha! c conj(d) in floats, alpha! first so that it meets a tiny c;
+    past degree 170, where alpha! leaves the double range, through logs."""
+    try:
+        return float(midx_factorial(alpha)) * c * d.conjugate()
+    except OverflowError:
+        log_w = sum(math.lgamma(a + 1) for a in alpha)
+    try:
+        mod = math.exp(log_w + math.log(abs(c)) + math.log(abs(d)))
+    except OverflowError:
+        raise NumericalError("apolar product exceeds the float range") from None
+    return mod * (c / abs(c)) * (d / abs(d)).conjugate()
 
 
 def norm_sq(p: Poly):
     """<p, p>, exact rational for exact input, float otherwise."""
     total = Fraction(0) if p.field == EXACT else 0.0
     for alpha, c in p.terms.items():
-        w = midx_factorial(alpha)
         if p.field == EXACT:
-            total += w * abs_sq(c)
+            total += midx_factorial(alpha) * abs_sq(c)
         else:
-            # multiply the weight in first so huge alpha! meets tiny |c|^2
-            total += ((w * c) * c.conjugate()).real
+            total += _float_term(alpha, c, c).real
     return total
 
 

@@ -8,10 +8,9 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
 * ``project_homogeneous`` projects a homogeneous f orthogonally onto P_k
   times the lower slice: exact input by the normal equations, float input
   by the pseudoinverse of the multiplication matrix.
-* ``decompose_direct`` solves q |-> P_k*(D)(P q) on the space of
-  polynomials of degree <= deg f - k, which that map sends to itself
-  bijectively: exactly slice by slice from the top degree down, or in
-  floats as one conditioned system.
+* ``decompose_direct`` runs the Fischer recursion from the top degree
+  down: q_n is the projection of the degree n + k part of
+  f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field.
 * ``decompose_series`` runs the iterated projection series; for
   polynomial input it terminates exactly and agrees with the direct
   solve by uniqueness.
@@ -19,17 +18,15 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
   is the interpolant at the root multiset) and ``decompose_linear`` (k = 1:
   translation trick) also accept truncated Taylor streams.
 
-Every dense slice map is assembled by ``polyalg.op_matrix``, the one
-raw-basis builder of f |-> q(D)(p f): the exact slice matrix is the case
-(P_k*, P_k), the coupled float system (P_k*, p), and the multiplication
-matrix of P_k the case (1, P_k).  Multiplication by P_k and P_k*(D) are
-adjoint for the apolar product, so in the orthonormal basis
-z^alpha/sqrt(alpha!) the slice matrix is M^H M, M the matrix of
-multiplication by P_k (``spectral.mult_matrix``), and the Fischer
-projection of a homogeneous f_m is q = M^+ f_m.  Float projections take
-one SVD of M per slice (``slice_projector``) and then cost one
-matrix-vector product each; Bombieri's sigma_min(M) >= ||P_k|| keeps M^+
-well conditioned.
+The exact slice matrix of q |-> P_k*(D)(P_k q) is assembled by
+``polyalg.op_matrix`` in the raw monomial basis.  Multiplication by P_k
+and P_k*(D) are adjoint for the apolar product, so in the orthonormal
+basis z^alpha/sqrt(alpha!) the slice matrix is M^H M, M the matrix of
+multiplication by P_k (``polyalg.mult_entries``, as in
+``spectral.mult_matrix``), and the Fischer projection of a homogeneous
+f_m is q = M^+ f_m.  Float projections take one SVD of M per slice
+(``slice_projector``) and then cost one matrix-vector product each;
+Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.
 
 Exact inputs give exact results; float solves carry condition estimates.
 When p or f is float, q and r are float on every route.
@@ -44,10 +41,10 @@ import numpy as np
 
 from . import apolar
 from .errors import InvalidInputError, NumericalError
-from .exactlinalg import bareiss_solve, checked_condition, float_lstsq_solve
+from .exactlinalg import bareiss_solve, checked_condition
 from .fields import EXACT, FLOAT, GaussianRational
-from .polyalg import (Poly, apply_diff_op, enumerate_monomials,
-                      enumerate_up_to_degree, midx_factorial, op_matrix)
+from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial, mult_entries,
+                      op_matrix)
 
 
 @dataclass(frozen=True)
@@ -98,22 +95,6 @@ def _annihilator_residual(pk: Poly, r: Poly) -> float:
     return math.sqrt(float(val))
 
 
-def _weighted_solve(dim: int, basis, rows, rhs: Poly):
-    """Float solve of A x = rhs, A given by its ``rows`` in the raw monomial
-    ``basis``; returns (x, condition).
-
-    It runs in the well-scaled orthonormal basis z^alpha/sqrt(alpha!).
-    """
-    weights = np.array([math.sqrt(midx_factorial(alpha)) for alpha in basis])
-    a = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
-    a = a * (weights[:, None] / weights[None, :])
-    rhs = rhs.to_float()
-    b = np.array([complex(rhs.coefficient(alpha)) for alpha in basis]) * weights
-    x, cond = float_lstsq_solve(a, b)
-    return Poly(dim, {alpha: complex(x[i] / weights[i]) for i, alpha in enumerate(basis)},
-                field=FLOAT), cond
-
-
 @dataclass(frozen=True)
 class SliceProjector:
     """Float Fischer projection f_m |-> q on one homogeneous slice.
@@ -138,16 +119,11 @@ def slice_projector(pk: Poly, m: int) -> SliceProjector:
     k = pk.degree
     if m < k:
         raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
-    pk = pk.to_float()
     basis = tuple(enumerate_monomials(pk.dim, m - k))
     source = enumerate_monomials(pk.dim, m)
-    mult = np.array(op_matrix(Poly.constant(pk.dim, 1.0), pk, basis, source), dtype=complex)
-    # entry (alpha, beta) is c sqrt(alpha!/beta!), alpha = beta + gamma:
-    # an exact factorial ratio, then one float square root per nonzero
-    src_fact = [midx_factorial(alpha) for alpha in source]
-    fact = [midx_factorial(beta) for beta in basis]
-    rows, cols = np.nonzero(mult)
-    mult[rows, cols] *= [math.sqrt(src_fact[i] / fact[j]) for i, j in zip(rows, cols)]
+    rows, cols, vals = mult_entries(pk, basis, source)
+    mult = np.zeros((len(source), len(basis)), dtype=complex)
+    mult[rows, cols] = vals
     u, s, vh = np.linalg.svd(mult, full_matrices=False)
     gram_sv = s * s  # the singular values of M^H M
     rank = int(np.count_nonzero(gram_sv > len(s) * np.finfo(float).eps * gram_sv[0]))
@@ -156,14 +132,16 @@ def slice_projector(pk: Poly, m: int) -> SliceProjector:
     # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
     # ratios, so no weight is a lone sqrt(alpha!)
     top, low = math.factorial(m), math.factorial(m - k)
-    w_src = np.array([math.sqrt(f / top) for f in src_fact])
-    w_low = np.array([math.sqrt(f / low) for f in fact])
+    w_src = np.array([math.sqrt(midx_factorial(alpha) / top) for alpha in source])
+    w_low = np.array([math.sqrt(midx_factorial(beta) / low) for beta in basis])
     pinv = ((vh.conj().T / (s * w_low[:, None])) @ (u.conj().T * w_src)) * math.sqrt(top // low)
     return SliceProjector(basis, {alpha: i for i, alpha in enumerate(source)}, pinv, cond)
 
 
 class SliceSolver:
-    """Fischer projections and exact slice solves for one homogeneous pk.
+    """Fischer projections for one homogeneous pk, in either field: every
+    route but long division, the top-down ``decompose_direct`` included,
+    reaches the slice operator only through :meth:`project`.
 
     Each slice is prepared once and kept: exact slices as the matrix of
     q |-> pk*(D)(pk q) (``fischer_matrix``), solved by Bareiss; float
@@ -179,23 +157,6 @@ class SliceSolver:
         self._matrices = {}
         self._projectors = {}
 
-    def solve(self, rhs: Poly, m: int) -> Poly:
-        """Exact q, homogeneous of degree m - deg pk, with pk*(D)(pk q) = rhs;
-        pk and rhs must be exact."""
-        pk = self.pk
-        if rhs.is_zero:
-            return Poly.zero(pk.dim, EXACT)
-        fm = self._matrices.get(m)
-        if fm is None:
-            fm = self._matrices[m] = fischer_matrix(pk, m)
-        # one common denominator for b keeps it out of every row of [A | b]
-        b = [rhs.coefficient(alpha) for alpha in fm.basis]
-        den = math.lcm(*(part.denominator for c in b for part in (c.real, c.imag)))
-        x = bareiss_solve(fm.rows, [c * den for c in b])
-        if x is None:
-            raise NumericalError("projection system unexpectedly singular")
-        return Poly(pk.dim, {alpha: v / den for alpha, v in zip(fm.basis, x)}, field=EXACT)
-
     def project(self, fm: Poly):
         """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous.
 
@@ -209,7 +170,20 @@ class SliceSolver:
             return Poly.zero(pk.dim, fm.field), None
         m = fm.degree
         if pk.field == EXACT and fm.field == EXACT:
-            return self.solve(apply_diff_op(self.pk_star, fm), m), None
+            rhs = apply_diff_op(self.pk_star, fm)
+            if rhs.is_zero:
+                return Poly.zero(pk.dim, EXACT), None
+            mat = self._matrices.get(m)
+            if mat is None:
+                mat = self._matrices[m] = fischer_matrix(pk, m)
+            # one common denominator for b keeps it out of every row of [A | b]
+            b = [rhs.coefficient(alpha) for alpha in mat.basis]
+            den = math.lcm(*(part.denominator for c in b for part in (c.real, c.imag)))
+            x = bareiss_solve(mat.rows, [c * den for c in b])
+            if x is None:
+                raise NumericalError("projection system unexpectedly singular")
+            return Poly(pk.dim, {alpha: v / den for alpha, v in zip(mat.basis, x)},
+                        field=EXACT), None
         proj = self._projectors.get(m)
         if proj is None:
             proj = self._projectors[m] = slice_projector(pk, m)
@@ -255,14 +229,15 @@ def _truncate_stream(f, max_degree):
 
 
 def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
-    """Fischer decomposition by solving F(q) = P_k*(D) f.
+    """Fischer decomposition by the top-down recursion over slices.
 
-    F(q) = P_k*(D)(p q) maps the polynomials of degree <= deg f - k onto
-    themselves, so r = f - p q satisfies P_k*(D) r = 0 identically.  F
-    never raises degree and maps the top component q_n to the slice image
-    P_k*(D)(P_k q_n), so exact input is solved by back-substitution from
-    the top slice down.  Float input is one system, so that its condition
-    estimate covers the coupling between degrees.
+    Write p = P_k + L with deg L < k.  P_k*(D) r = 0 holds component by
+    component, and L q_j only reaches degrees below j + k, so the degree
+    n + k component of f - L (q_{n+1} + q_{n+2} + ...) is P_k q_n plus a
+    component of r: q_n is its slice projection (``SliceSolver.project``),
+    taken from n = deg f - k down to 0.  Exact input gives the unique
+    exact q; float input reports the largest slice condition kappa(M)^2
+    as ``condition``.
     """
     return _decompose_direct(p, f, _slice_solver(p))
 
@@ -281,20 +256,19 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
         q = Poly.zero(p.dim, f.field)
         return DecompositionResult(q, f, _annihilator_residual(pk, f), "direct", {})
     n_deg = f.degree - k
-    basis = enumerate_up_to_degree(p.dim, n_deg)
-    pk_star = pk.star()
-    rhs = apply_diff_op(pk_star, f)
-    diag = {"system_size": len(basis)}
-    if p.field == EXACT and f.field == EXACT:
-        lower = p - pk  # the slice map already accounts for pk q_n
-        q = Poly.zero(p.dim, EXACT)
-        for n in range(n_deg, -1, -1):
-            q_n = solver.solve(rhs.homogeneous_component(n), n + k)
-            q = q + q_n
-            rhs = rhs - apply_diff_op(pk_star, lower * q_n)
-    else:
-        rows = op_matrix(pk_star, p, basis, basis)
-        q, diag["condition"] = _weighted_solve(p.dim, basis, rows, rhs)
+    lower = p - pk  # the slice projection already accounts for pk q_n
+    g, terms, conds = f, {}, []
+    for n in range(n_deg, -1, -1):
+        q_n, cond = solver.project(g.homogeneous_component(n + k))
+        terms.update(q_n.terms)
+        if cond is not None:
+            conds.append(cond)
+        g = g - lower * q_n
+    q = Poly(p.dim, terms, field=f.field)
+    # the unknowns: the monomials of degree <= n_deg
+    diag = {"system_size": math.comb(n_deg + p.dim, p.dim)}
+    if conds:
+        diag["condition"] = max(conds)
     r = f - p * q
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 

@@ -435,6 +435,23 @@ def op_matrix(q: Poly, p: Poly, col_basis, row_basis) -> list:
     return rows
 
 
+def mult_entries(pk: Poly, col_basis, row_basis):
+    """(rows, cols, vals): the nonzeros of multiplication by homogeneous pk
+    in the orthonormal basis z^alpha/sqrt(alpha!).  Each term c z^gamma
+    puts c sqrt(delta!/beta!), delta = gamma + beta, in column beta and
+    row delta; one float square root of an exact factorial ratio."""
+    row_index = {alpha: i for i, alpha in enumerate(row_basis)}
+    rows, cols, vals = [], [], []
+    for j, beta in enumerate(col_basis):
+        fact_beta = midx_factorial(beta)
+        for gamma, c in pk._terms.items():
+            delta = midx_add(gamma, beta)
+            rows.append(row_index[delta])
+            cols.append(j)
+            vals.append(complex(c) * math.sqrt(midx_factorial(delta) / fact_beta))
+    return rows, cols, vals
+
+
 # ---------------------------------------------------------------------------
 # interchange format
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
-from .polyalg import Poly, count_monomials, enumerate_monomials, midx_factorial, op_matrix
+from .polyalg import Poly, count_monomials, enumerate_monomials, mult_entries, op_matrix
 
 # scipy.sparse is imported where an operator is built, so that importing
 # this module (and the CLI) does not load it
@@ -93,15 +93,7 @@ def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> Multiplicat
             f"slice dimension exceeds cap {dim_cap}; raise dim_cap to override")
     col_basis = tuple(enumerate_monomials(d, m))
     row_basis = tuple(enumerate_monomials(d, m + k))
-    row_index = {alpha: i for i, alpha in enumerate(row_basis)}
-    rows, cols, vals = [], [], []
-    for j, beta in enumerate(col_basis):
-        fact_beta = midx_factorial(beta)
-        for gamma, c in pk.terms.items():
-            delta = tuple(g + b for g, b in zip(gamma, beta))
-            rows.append(row_index[delta])
-            cols.append(j)
-            vals.append(complex(c) * math.sqrt(midx_factorial(delta) / fact_beta))
+    rows, cols, vals = mult_entries(pk, col_basis, row_basis)
     a = csc_array((np.array(vals, dtype=complex), (rows, cols)),
                   shape=(len(row_basis), len(col_basis)))
     return MultiplicationMatrix(pk, m, a, row_basis, col_basis)

@@ -1,12 +1,13 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from fischerlab import cli, fischer
+from fischerlab import apolar, cli, fischer
 from fischerlab.polyalg import Poly, load_poly, poly_to_dict, save_poly, variables
 
 
@@ -315,6 +316,37 @@ def test_verify_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+@pytest.mark.parametrize("route", ["direct-exact", "direct-float", "series", "entire",
+                                   "linear", "univariate"])
+def test_decompose_reports_deterministic(tmp_path, route):
+    x, y = variables(2)
+    z, = variables(1)
+    p, f = x * x + x * y + 2 * y * y - y - 1, (x + 2 * y) ** 5 + x * y - 3
+    stream = {"kind": "exp_poly", "max_degree": 60,
+              "inner": poly_to_dict((0.6 * x + 0.9 * y).to_float())}
+    f_float = poly_to_dict(f.to_float())
+    p, f, extra = {
+        "direct-exact": (p, poly_to_dict(f), []),
+        "direct-float": (p.to_float(), f_float, []),
+        "series": (p.to_float(), f_float, ["--method", "series"]),
+        "entire": (p.to_float(), stream, ["--mcap", "20"]),
+        "linear": ((x - 2 * y + 3).to_float(), f_float, []),
+        "univariate": (z ** 3 - 2 * z + 1, poly_to_dict((z + 1) ** 9), []),
+    }[route]
+    save_poly(p, tmp_path / "p.json")
+    with open(tmp_path / "f.json", "w") as fh:
+        json.dump(f, fh)
+    prefix = str(tmp_path / "dec")
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
+                         str(tmp_path / "f.json"), "--out", prefix] + extra) == 0
+        outputs.append([open(f"{prefix}.{part}.json", "rb").read()
+                        for part in ("q", "r", "diagnostics")])
+    assert _read_envelope(f"{prefix}.diagnostics.json")["method"].startswith(route.split("-")[0])
+    assert outputs[0] == outputs[1]
+
+
 def test_spectral_outputs_deterministic(files, tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for prefix in (a, b):
@@ -426,25 +458,63 @@ def test_exit_code_series_on_stream(files, tmp_path):
 
 
 def test_exit_code_numerical_failure(tmp_path):
+    # the components of exp(0.001 x + 0.001 y) flush to zero in doubles
+    # from degree 78 on, below the requested truncation degree
     x, y = variables(2)
-    save_poly((x * x + 1e9 * x + 1.0).to_float(), tmp_path / "illp.json")
-    save_poly((x ** 6).to_float(), tmp_path / "illf.json")
-    rc = cli.main(["decompose", "--p", str(tmp_path / "illp.json"),
-                   "--f", str(tmp_path / "illf.json"),
-                   "--out", str(tmp_path / "ill")])
+    save_poly((x * x + y * y - 1).to_float(), tmp_path / "p.json")
+    stream = {"kind": "exp_poly", "max_degree": 200,
+              "inner": poly_to_dict((0.001 * x + 0.001 * y).to_float())}
+    with open(tmp_path / "f.json", "w") as fh:
+        json.dump(stream, fh)
+    rc = cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                   "--f", str(tmp_path / "f.json"), "--method", "entire",
+                   "--mcap", "100", "--out", str(tmp_path / "flush")])
     assert rc == cli.EXIT_NUMERICAL
 
 
 def test_exit_code_forced_direct_on_degree_one_float_divisor(tmp_path):
-    # the coupled float system for x - 1000 has condition ~3e16 (exit 4);
-    # auto sends a degree-1 divisor to the translation trick, which answers
+    # direct projects slice by slice and auto takes the translation trick;
+    # both match the exact decomposition
     x, y = variables(2)
-    save_poly((x - 1000).to_float(), tmp_path / "p.json")
-    save_poly(((x + y) ** 6).to_float(), tmp_path / "f.json")
-    for method, code in [("direct", cli.EXIT_NUMERICAL), ("auto", 0)]:
+    p, f = x - 1000, (x + y) ** 6
+    save_poly(p.to_float(), tmp_path / "p.json")
+    save_poly(f.to_float(), tmp_path / "f.json")
+    want = fischer.decompose_direct(p, f)
+    for method in ("direct", "auto"):
+        prefix = str(tmp_path / method)
         assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
                          "--f", str(tmp_path / "f.json"), "--method", method,
-                         "--out", str(tmp_path / method)]) == code
+                         "--out", prefix]) == 0
+        for part in ("q", "r"):
+            exact = getattr(want, part).to_float()
+            got = load_poly(f"{prefix}.{part}.json")
+            assert apolar.norm(got - exact) <= 1e-12 * apolar.norm(exact)
+
+
+def test_float_apolar_norms_past_degree_170(tmp_path):
+    # 175! exceeds the double range: the residual norm and inner products
+    # are still reported, and only a value beyond that range exits 4
+    x, y = variables(2)
+    save_poly((x * x + y * y - 1).to_float(), tmp_path / "p.json")
+    save_poly((0.5 * x ** 175 + y).to_float(), tmp_path / "f.json")
+    save_poly((1e-10 * x ** 175).to_float(), tmp_path / "small.json")
+    residuals = []
+    for method in ("series", "direct"):
+        prefix = str(tmp_path / method)
+        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                         "--f", str(tmp_path / "f.json"), "--method", method,
+                         "--out", prefix]) == 0
+        residuals.append(_read_envelope(f"{prefix}.diagnostics.json")["annihilator_residual"])
+    # ||f|| is about 5e158
+    assert residuals[0] == pytest.approx(residuals[1], rel=1e-6)
+    assert 0 < residuals[0] < 1e-12 * 5e158
+    out = str(tmp_path / "inner.json")
+    assert cli.main(["inner", "--p", str(tmp_path / "small.json"),
+                     "--q", str(tmp_path / "small.json"), "--out", out]) == 0
+    norm_sq = _read_envelope(out)["norm_sq_p"]["re"]
+    assert norm_sq == pytest.approx(float(math.factorial(175) * Fraction(1e-10) ** 2), rel=1e-12)
+    assert cli.main(["inner", "--p", str(tmp_path / "f.json"),
+                     "--q", str(tmp_path / "f.json")]) == cli.EXIT_NUMERICAL
 
 
 @pytest.mark.parametrize("error", [

@@ -11,8 +11,8 @@ from fischerlab import apolar, entire, fischer, spectral
 from fischerlab.errors import ConditioningError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import FLOAT, GaussianRational
-from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_up_to_degree, midx_factorial,
-                               variables)
+from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials,
+                               enumerate_up_to_degree, midx_factorial, variables)
 from fischerlab.entire import TaylorStream
 from conftest import rand_homogeneous, rand_poly
 
@@ -20,6 +20,21 @@ from conftest import rand_homogeneous, rand_poly
 def _annihilates(p, r):
     pk = p.homogeneous_component(int(p.degree))
     return apply_diff_op(pk.star(), r).is_zero
+
+
+def _exactify(p):
+    """p with its float coefficients read as the Gaussian rationals they are."""
+    return Poly(p.dim, {a: GaussianRational(Fraction(c.real), Fraction(c.imag))
+                        for a, c in p.terms.items()})
+
+
+def _assert_matches_exact(res, p, f, tol):
+    """q and r of a float decomposition within tol of the exact decomposition
+    of the exactified inputs, relative in the apolar norm."""
+    want = fischer.decompose_direct(_exactify(p), _exactify(f))
+    for got, exact in ((res.q, want.q), (res.r, want.r)):
+        exact = exact.to_float()
+        assert apolar.norm(got - exact) <= tol * apolar.norm(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +135,18 @@ def test_project_float_matches_exact(rng):
 
 
 def _reference_float_projection(pk, fm):
-    """The float projection before slice projectors: the slice system
-    pk*(D)(pk q) = pk*(D) fm on the fischer_matrix rows, solved in the
-    orthonormal basis; returns (q, condition)."""
+    """The float projection by the normal equations: the slice system
+    pk*(D)(pk q) = pk*(D) fm on the fischer_matrix rows, solved by least
+    squares in the orthonormal basis; returns (q, condition)."""
     mat = fischer.fischer_matrix(pk, fm.degree)
-    return fischer._weighted_solve(pk.dim, mat.basis, mat.rows, apply_diff_op(pk.star(), fm))
+    weights = np.array([math.sqrt(midx_factorial(alpha)) for alpha in mat.basis])
+    a = np.array([[complex(v) for v in row] for row in mat.rows], dtype=complex)
+    a = a * (weights[:, None] / weights[None, :])
+    rhs = apply_diff_op(pk.star(), fm).to_float()
+    b = np.array([complex(rhs.coefficient(alpha)) for alpha in mat.basis]) * weights
+    x, cond = float_lstsq_solve(a, b)
+    return Poly(pk.dim, {alpha: complex(x[i] / weights[i]) for i, alpha in enumerate(mat.basis)},
+                field=FLOAT), cond
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -214,12 +236,32 @@ def test_direct_float_reconstruction(rng):
         assert apolar.norm(apply_diff_op(pk.star(), res.r)) <= 1e-9 * max(1.0, apolar.norm(f))
 
 
-def test_direct_float_degree_spread_is_diagnosed():
+def test_direct_float_degree_spread_matches_exact():
+    # lower terms 1e9 times the leading one: each slice projection is
+    # conditioned by P_k alone, so the spread between degrees costs nothing
     x, y = variables(2)
-    p = (x * x + 1e9 * x + 1.0).to_float()
-    with pytest.raises(ConditioningError) as exc_info:
-        fischer.decompose_direct(p, (x ** 6).to_float())
-    assert exc_info.value.condition > 1e12
+    p, f = (x * x + 1e9 * x + 1.0).to_float(), (x ** 6).to_float()
+    _assert_matches_exact(fischer.decompose_direct(p, f), p, f, 1e-12)
+
+
+def test_direct_float_matches_exact_battery():
+    rng = random.Random(11)
+
+    def coeff():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    for _ in range(40):
+        d, k = rng.choice([2, 3]), rng.choice([1, 2, 3])
+        pk = Poly(d, {a: coeff() for a in enumerate_monomials(d, k)})
+        scale = 10 ** rng.uniform(-2, 4)
+        lower = Poly(d, {a: scale * coeff() for a in enumerate_up_to_degree(d, k - 1)
+                         if rng.random() < 0.6})
+        n = rng.randint(k, {2: 9, 3: 6}[d])
+        f = Poly(d, {a: coeff() for a in enumerate_up_to_degree(d, n) if rng.random() < 0.5})
+        if f.is_zero:
+            continue
+        p = pk + lower
+        _assert_matches_exact(fischer.decompose_direct(p, f), p, f, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +469,7 @@ def _float_and_exact_division(p, stream, n):
     Gaussian rationals they are."""
     res = fischer.decompose_univariate(p, stream, max_degree=n)
     assert res.q.field == res.r.field == FLOAT
-    p_exact = Poly(1, {a: GaussianRational(Fraction(c.real), Fraction(c.imag))
-                       for a, c in p.terms.items()})
-    want = fischer._poly_divmod_1d(stream.truncate(n), p_exact)
+    want = fischer._poly_divmod_1d(stream.truncate(n), _exactify(p))
     return [(got, w.to_float()) for got, w in zip((res.q, res.r), want)]
 
 
