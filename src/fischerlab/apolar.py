@@ -8,6 +8,7 @@ each other in this product, which is what the residual checkers verify.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from . import sampling
 def inner_product(p: Poly, q: Poly):
     """<p, q> = sum alpha! c_alpha conj(d_alpha); linear in the first slot.
 
-    Exact inputs give an exact Gaussian-rational value.
+    Exact inputs give an exact Gaussian-rational value; a float value
+    beyond the double range raises NumericalError.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {q.dim}")
@@ -40,14 +42,21 @@ def inner_product(p: Poly, q: Poly):
             total = total + midx_factorial(alpha) * c * d.conjugate()
         else:
             total = total + _float_term(alpha, c, d)
-    return total
+    return total if p.field == EXACT else _finite(total)
+
+
+def _finite(value):
+    """value itself, or NumericalError if a float term or total overflowed."""
+    if not cmath.isfinite(value):
+        raise NumericalError("apolar product exceeds the float range")
+    return value
 
 
 def _float_term(alpha, c, d) -> complex:
     """alpha! c conj(d) in floats, alpha! first so that it meets a tiny c;
     past degree 170, where alpha! leaves the double range, through logs."""
     try:
-        return float(midx_factorial(alpha)) * c * d.conjugate()
+        return _finite(float(midx_factorial(alpha)) * c * d.conjugate())
     except OverflowError:
         log_w = sum(math.lgamma(a + 1) for a in alpha)
     try:
@@ -58,14 +67,15 @@ def _float_term(alpha, c, d) -> complex:
 
 
 def norm_sq(p: Poly):
-    """<p, p>, exact rational for exact input, float otherwise."""
+    """<p, p>, exact rational for exact input, float otherwise; a float
+    value beyond the double range raises NumericalError."""
     total = Fraction(0) if p.field == EXACT else 0.0
     for alpha, c in p.terms.items():
         if p.field == EXACT:
             total += midx_factorial(alpha) * abs_sq(c)
         else:
             total += _float_term(alpha, c, c).real
-    return total
+    return total if p.field == EXACT else _finite(total)
 
 
 def norm(p: Poly) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -454,8 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves it unchanged,
+    and in-process callers run main many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.verb == "inner":
             return _cmd_inner(args)

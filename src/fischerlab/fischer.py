@@ -22,9 +22,11 @@ The exact slice matrix of q |-> P_k*(D)(P_k q) is assembled by
 ``polyalg.op_matrix`` in the raw monomial basis.  Multiplication by P_k
 and P_k*(D) are adjoint for the apolar product, so in the orthonormal
 basis z^alpha/sqrt(alpha!) the slice matrix is M^H M, M the matrix of
-multiplication by P_k (``polyalg.mult_entries``, as in
-``spectral.mult_matrix``), and the Fischer projection of a homogeneous
-f_m is q = M^+ f_m.  Float projections take one SVD of M per slice
+multiplication by P_k, and the Fischer projection of a homogeneous f_m
+is q = M^+ f_m.  M comes from ``polyalg.mult_entries``, as in
+``spectral.mult_matrix``: numpy arrays whose weights delta!/beta! are
+exact integer falling products, rounded to float once before one square
+root.  Float projections take one SVD of M per slice
 (``slice_projector``) and then cost one matrix-vector product each;
 Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.
 
@@ -121,7 +123,7 @@ def slice_projector(pk: Poly, m: int) -> SliceProjector:
         raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
     basis = tuple(enumerate_monomials(pk.dim, m - k))
     source = enumerate_monomials(pk.dim, m)
-    rows, cols, vals = mult_entries(pk, basis, source)
+    rows, cols, vals = mult_entries(pk, basis)
     mult = np.zeros((len(source), len(basis)), dtype=complex)
     mult[rows, cols] = vals
     u, s, vh = np.linalg.svd(mult, full_matrices=False)
@@ -256,14 +258,20 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
         q = Poly.zero(p.dim, f.field)
         return DecompositionResult(q, f, _annihilator_residual(pk, f), "direct", {})
     n_deg = f.degree - k
-    lower = p - pk  # the slice projection already accounts for pk q_n
-    g, terms, conds = f, {}, []
+    # g = f - (p - pk)(q_{n+1} + q_{n+2} + ...) kept by degree: the slice
+    # projection accounts for pk q_n, and each lower component L_s of p
+    # moves only degree n + s
+    g = f.homogeneous_components()
+    lower = [(s, ls) for s, ls in p.homogeneous_components().items() if s < k]
+    zero = Poly.zero(p.dim, f.field)
+    terms, conds = {}, []
     for n in range(n_deg, -1, -1):
-        q_n, cond = solver.project(g.homogeneous_component(n + k))
+        q_n, cond = solver.project(g.get(n + k, zero))
         terms.update(q_n.terms)
         if cond is not None:
             conds.append(cond)
-        g = g - lower * q_n
+        for s, ls in lower:
+            g[n + s] = g.get(n + s, zero) - ls * q_n
     q = Poly(p.dim, terms, field=f.field)
     # the unknowns: the monomials of degree <= n_deg
     diag = {"system_size": math.comb(n_deg + p.dim, p.dim)}

@@ -17,7 +17,10 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from itertools import chain, combinations
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, InvalidInputError
 from .fields import EXACT, FLOAT, GaussianRational, is_exact_scalar, to_exact
@@ -81,6 +84,43 @@ def enumerate_monomials(d: int, m: int) -> list:
         for rest in enumerate_monomials(d - 1, m - first):
             out.append((first,) + rest)
     return out
+
+
+def monomial_array(d: int, m: int) -> np.ndarray:
+    """enumerate_monomials(d, m) as an (N, d) int64 array, built without
+    recursion: a monomial of degree m places d - 1 bars among m + d - 1
+    slots (stars and bars), and bar positions in reverse lexicographic
+    order give the exponents in graded-lex order."""
+    if d < 1:
+        raise InvalidInputError(f"dimension must be >= 1, got {d}")
+    if m < 0:
+        raise InvalidInputError(f"degree must be >= 0, got {m}")
+    n, r = m + d - 1, d - 1
+    count = math.comb(n, r)
+    edges = np.empty((count, d + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, d] = n
+    edges[:, 1:d] = np.fromiter(chain.from_iterable(combinations(range(n), r)),
+                                dtype=np.int64, count=count * r).reshape(count, r)[::-1]
+    return np.diff(edges, axis=1) - 1
+
+
+def grlex_rank(alpha: np.ndarray) -> np.ndarray:
+    """Index of each exponent row of ``alpha`` (shape (..., d)) in the
+    graded-lex list of its degree: sum over i < d - 1 of
+    C(tail_{i+1} + d - i - 2, d - i - 1), tail_j = alpha_j + ... + alpha_{d-1},
+    which counts the monomials that lead at position i."""
+    d = alpha.shape[-1]
+    tails = np.cumsum(alpha[..., ::-1], axis=-1)[..., ::-1]
+    rank = np.zeros(alpha.shape[:-1], dtype=np.int64)
+    for i in range(d - 1):
+        r = d - i - 1
+        n = tails[..., i + 1] + r - 1
+        comb = np.ones_like(n)
+        for j in range(r):  # C(n, j + 1) = C(n, j) (n - j) / (j + 1), exactly
+            comb = comb * (n - j) // (j + 1)
+        rank += comb
+    return rank
 
 
 def enumerate_up_to_degree(d: int, n: int) -> list:
@@ -435,21 +475,37 @@ def op_matrix(q: Poly, p: Poly, col_basis, row_basis) -> list:
     return rows
 
 
-def mult_entries(pk: Poly, col_basis, row_basis):
+def mult_entries(pk: Poly, col_basis):
     """(rows, cols, vals): the nonzeros of multiplication by homogeneous pk
-    in the orthonormal basis z^alpha/sqrt(alpha!).  Each term c z^gamma
-    puts c sqrt(delta!/beta!), delta = gamma + beta, in column beta and
-    row delta; one float square root of an exact factorial ratio."""
-    row_index = {alpha: i for i, alpha in enumerate(row_basis)}
-    rows, cols, vals = [], [], []
-    for j, beta in enumerate(col_basis):
-        fact_beta = midx_factorial(beta)
-        for gamma, c in pk._terms.items():
-            delta = midx_add(gamma, beta)
-            rows.append(row_index[delta])
-            cols.append(j)
-            vals.append(complex(c) * math.sqrt(midx_factorial(delta) / fact_beta))
-    return rows, cols, vals
+    in the orthonormal basis z^alpha/sqrt(alpha!), as numpy arrays.
+
+    ``col_basis`` holds the source exponents beta of degree m, as an
+    (N, d) int array or anything ``np.asarray`` reads as one.  Rows index
+    the whole graded-lex slice of degree m + k, k = deg pk, and are read
+    off ``grlex_rank``.  Each term c z^gamma puts c sqrt(delta!/beta!),
+    delta = gamma + beta, in column beta and row delta.  The entries come
+    column by column with pk's terms in graded-lex order, so rows ascend
+    within each column (CSC order).  delta!/beta! is the exact integer
+    falling product prod_i (beta_i + 1) ... (beta_i + gamma_i), in int64
+    while (m + k)^k < 2^63 and in Python ints past that; it is rounded to
+    float once, then one square root is taken per entry.
+    """
+    terms = pk.sorted_terms()
+    k = int(pk.degree)
+    beta = np.asarray(col_basis, dtype=np.int64).reshape(-1, pk.dim)
+    gammas = np.array([gamma for gamma, _ in terms], dtype=np.int64).reshape(-1, pk.dim)
+    n, t = len(beta), len(terms)
+    m = int(beta.sum(axis=1).max()) if n else 0
+    base = beta if (m + k) ** k < 2 ** 63 else beta.astype(object)
+    ratio = np.ones((n, t), dtype=base.dtype)
+    for col, gamma in enumerate(gammas.tolist()):
+        for i, g in enumerate(gamma):
+            for j in range(1, g + 1):
+                ratio[:, col] *= base[:, i] + j
+    coeffs = np.array([complex(c) for _, c in terms], dtype=complex)
+    vals = coeffs * np.sqrt(ratio.astype(float))
+    rows = grlex_rank(beta[:, None, :] + gammas[None, :, :])
+    return rows.ravel(), np.repeat(np.arange(n), t), vals.ravel()
 
 
 # ---------------------------------------------------------------------------

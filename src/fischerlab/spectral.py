@@ -9,6 +9,11 @@ how much the product norm can grow or shrink relative to ||pk|| ||f||.
 The log-log slope of sigma_min against m is the growth exponent reported
 by :func:`ks_exponent_fit`.
 
+M is assembled by ``polyalg.mult_entries`` in one numpy pass over every
+column: row indices from the closed-form graded-lex rank, and each entry
+c sqrt(delta!/beta!) from the exact integer falling product delta!/beta!,
+rounded to float once before its one square root.
+
 The extremes come from the sparse Gram matrix M^H M of the multiplication
 matrix M (each column of M has len(pk.terms) nonzeros), not from an SVD:
 small Gram matrices by a dense Hermitian eigensolve, large ones by ARPACK
@@ -30,7 +35,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
-from .polyalg import Poly, count_monomials, enumerate_monomials, mult_entries, op_matrix
+from .polyalg import (Poly, count_monomials, enumerate_monomials, monomial_array, mult_entries,
+                      op_matrix)
 
 # scipy.sparse is imported where an operator is built, so that importing
 # this module (and the CLI) does not load it
@@ -63,9 +69,10 @@ class MultiplicationMatrix:
 
     Rows are indexed by the degree m+k monomials, columns by the degree m
     monomials, both in graded-lex order and normalized by sqrt(alpha!).
-    ``matrix`` is a CSC array with len(pk.terms) nonzeros per column.
-    Entries are assembled from exact factorial ratios before the single
-    float square root.
+    ``matrix`` is a CSC array with len(pk.terms) nonzeros per column,
+    built straight from ``polyalg.mult_entries``' arrays.  Each entry is
+    exact up to two roundings: the integer falling product delta!/beta!
+    converted to float once, then one square root.
     """
 
     pk: Poly
@@ -91,12 +98,14 @@ def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> Multiplicat
     if count_monomials(d, m + k) > dim_cap:
         raise InvalidInputError(
             f"slice dimension exceeds cap {dim_cap}; raise dim_cap to override")
-    col_basis = tuple(enumerate_monomials(d, m))
-    row_basis = tuple(enumerate_monomials(d, m + k))
-    rows, cols, vals = mult_entries(pk, col_basis, row_basis)
-    a = csc_array((np.array(vals, dtype=complex), (rows, cols)),
-                  shape=(len(row_basis), len(col_basis)))
-    return MultiplicationMatrix(pk, m, a, row_basis, col_basis)
+    col_basis = monomial_array(d, m)
+    row_basis = monomial_array(d, m + k)
+    rows, _, vals = mult_entries(pk, col_basis)
+    # mult_entries lists each column's len(pk.terms) entries with rows ascending
+    indptr = np.arange(0, len(vals) + 1, len(pk.terms))
+    a = csc_array((vals, rows, indptr), shape=(len(row_basis), len(col_basis)))
+    return MultiplicationMatrix(pk, m, a, tuple(map(tuple, row_basis.tolist())),
+                                tuple(map(tuple, col_basis.tolist())))
 
 
 def _arpack_extreme(gram, **mode) -> float:

@@ -294,6 +294,17 @@ def test_log_norm_sq_float_underflow():
         apolar.log_norm_sq(Poly(1, {(1,): 1e-310}, field=FLOAT))
 
 
+@pytest.mark.parametrize("terms", [{(2, 0): 1e200}, {(170, 0): 10.0}, {(171, 0): 1e10},
+                                   {(1, 0): 1.2e154, (0, 1): 1.2e154}])
+def test_float_apolar_overflow_raises(terms):
+    # one term past the double range, or only the total (1.2e154 (x + y))
+    p = Poly(2, {a: complex(c) for a, c in terms.items()})
+    with pytest.raises(NumericalError):
+        apolar.norm_sq(p)
+    with pytest.raises(NumericalError):
+        apolar.inner_product(p, p)
+
+
 def test_sphere_bound_zero():
     assert apolar.sphere_max_bound_check(Poly.zero(2)) == (0.0, 0.0)
 

@@ -1,7 +1,10 @@
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,6 +518,55 @@ def test_float_apolar_norms_past_degree_170(tmp_path):
     assert norm_sq == pytest.approx(float(math.factorial(175) * Fraction(1e-10) ** 2), rel=1e-12)
     assert cli.main(["inner", "--p", str(tmp_path / "f.json"),
                      "--q", str(tmp_path / "f.json")]) == cli.EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("terms,ok", [
+    ({(2,): 1e200}, False),     # 2 (1e200)^2 overflows at degree 2
+    ({(170,): 10.0}, False),    # 170! 100 overflows just below the factorial limit
+    ({(170,): 1.0}, True),      # 170! itself is a double
+    ({(171,): 1e10}, False),    # past degree 170 the product goes through logs
+    ({(171,): 1e-10}, True),
+])
+def test_inner_float_overflow_exits_4_on_both_sides_of_170(tmp_path, terms, ok):
+    save_poly(Poly(1, {a: complex(c) for a, c in terms.items()}), tmp_path / "p.json")
+    out = tmp_path / "inner.json"
+    rc = cli.main(["inner", "--p", str(tmp_path / "p.json"), "--q", str(tmp_path / "p.json"),
+                   "--out", str(out)])
+    if ok:
+        assert rc == 0
+        assert math.isfinite(_read_envelope(out)["norm_sq_p"]["re"])
+    else:
+        assert rc == cli.EXIT_NUMERICAL
+        assert not out.exists()
+
+
+def test_main_in_process_writes_what_fresh_processes_write(files, tmp_path):
+    # the parser is built once per process; consecutive verbs must not see
+    # one another's options
+    runs = [
+        ["inner", "--p", files["f"], "--q", files["pk"], "--out", "{d}/inner.json"],
+        ["decompose", "--p", files["p"], "--f", files["f"], "--out", "{d}/dec"],
+        ["kernel", "--p", files["pk"], "--m", "3", "--out", "{d}/kernel.json"],
+        ["classify2x2", "1", "0", "1", "--out", "{d}/classify.json"],
+        ["order", "--f", files["expz"], "--out", "{d}/order.json"],
+        ["ks-fit", "--p", files["pk"], "--m-min", "4", "--m-max", "8", "--out", "{d}/ks"],
+        ["inner", "--p", files["z1"], "--q", files["z1"], "--backend", "float",
+         "--out", "{d}/inner2.json"],
+    ]
+    in_process, fresh = tmp_path / "in_process", tmp_path / "fresh"
+    in_process.mkdir()
+    fresh.mkdir()
+    for argv in runs:
+        assert cli.main([a.format(d=in_process) for a in argv]) == 0
+        subprocess.run([sys.executable, "-m", "fischerlab.cli",
+                        *(a.format(d=fresh) for a in argv)],
+                       check=True, cwd=Path(cli.__file__).parents[1])
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in in_process.iterdir())
+    for name in names:
+        got = (in_process / name).read_bytes()
+        want = (fresh / name).read_bytes().replace(str(fresh).encode(), str(in_process).encode())
+        assert got == want, name
 
 
 @pytest.mark.parametrize("error", [

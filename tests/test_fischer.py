@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from collections import Counter
@@ -165,6 +166,31 @@ def test_slice_projector_matches_normal_equations(rng, d):
                 assert q.field == FLOAT
                 assert apolar.norm(q - ref) <= 1e-12 * apolar.norm(ref)
                 assert cond == pytest.approx(ref_cond, rel=1e-9)
+
+
+def _projector_digest(pk, m):
+    proj = fischer.slice_projector(pk, m)
+    digest = hashlib.sha256(proj.pinv.tobytes())
+    digest.update(proj.condition.hex().encode())
+    return digest.hexdigest()[:16]
+
+
+def test_slice_projector_bits_unchanged():
+    # digests of pinv and condition recorded before mult_entries was
+    # vectorized (numpy 2.4 with its bundled OpenBLAS 0.3.31, x86-64): the
+    # projectors are bit-identical to the per-entry loop's
+    x, y = variables(2)
+    a, b, c = variables(3)
+    cases = [
+        ((x * x + (0.5 + 0.3j) * x * y + 2 * y * y).to_float(), (2, 5, 9),
+         ["ba14ba060404c56d", "5a3954a16ce00e68", "fe47adfbedfde691"]),
+        (x ** 3 - 2 * x * y * y + Poly(2, {(0, 3): 1 + 1j}), (3, 8),
+         ["647f5ad808a7b00b", "7210b3a48f20d0b7"]),
+        (a * a + a * b + 2 * b * b + c * c + a * c, (2, 4, 6),
+         ["ff70e4e4cf230688", "328669dd1b165452", "7e574dce354a228c"]),
+    ]
+    for pk, ms, want in cases:
+        assert [_projector_digest(pk, m) for m in ms] == want
 
 
 def test_float_entire_repeats_bit_for_bit():

@@ -85,7 +85,8 @@ def scipy_imports(source: str) -> list:
 
 @pytest.mark.parametrize("name", ["polyalg.py", "fischer.py"])
 def test_decompose_path_imports_no_scipy(name):
-    # the decompose path stays free of scipy; spectral loads it for
+    # the decompose path stays free of scipy (numpy is fine: polyalg
+    # assembles multiplication matrices with it); spectral loads scipy for
     # spectrum and ks-fit only
     source = (Path(fischerlab.__file__).parent / name).read_text()
     assert scipy_imports(source) == []

@@ -1,14 +1,18 @@
 import json
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fischerlab.errors import DimensionMismatchError, FormatError, InvalidInputError
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
-                                enumerate_monomials, enumerate_up_to_degree, op_matrix,
-                                poly_from_dict, poly_to_dict, variables)
+                                enumerate_monomials, enumerate_up_to_degree, grlex_rank,
+                                midx_add, midx_factorial, monomial_array, mult_entries,
+                                op_matrix, poly_from_dict, poly_to_dict, variables)
 from conftest import exact_polys, rand_homogeneous, rand_poly
 
 
@@ -30,6 +34,93 @@ def test_enumerate_count_d3():
 def test_enumerate_rejects_dimension_zero():
     with pytest.raises(InvalidInputError):
         enumerate_monomials(0, 3)
+
+
+@pytest.mark.parametrize("d,m", [(1, 0), (1, 7), (2, 0), (2, 5), (3, 0), (3, 4), (3, 11),
+                                 (4, 6), (5, 3)])
+def test_monomial_array_matches_enumeration(d, m):
+    arr = monomial_array(d, m)
+    assert arr.shape == (count_monomials(d, m), d)
+    assert list(map(tuple, arr.tolist())) == enumerate_monomials(d, m)
+    assert grlex_rank(arr).tolist() == list(range(len(arr)))
+
+
+def test_monomial_array_rejects_bad_sizes():
+    with pytest.raises(InvalidInputError):
+        monomial_array(0, 3)
+    with pytest.raises(InvalidInputError):
+        monomial_array(2, -1)
+
+
+def _reference_mult_entries(pk, col_basis, row_basis):
+    """The per-entry loop mult_entries replaced: one tuple, one dict lookup
+    and two factorial products per nonzero."""
+    row_index = {alpha: i for i, alpha in enumerate(row_basis)}
+    rows, cols, vals = [], [], []
+    for j, beta in enumerate(col_basis):
+        fact_beta = midx_factorial(beta)
+        for gamma, c in pk.terms.items():
+            delta = midx_add(gamma, beta)
+            rows.append(row_index[delta])
+            cols.append(j)
+            vals.append(complex(c) * math.sqrt(midx_factorial(delta) / fact_beta))
+    return rows, cols, vals
+
+
+def _shuffled_homogeneous(rng, d, k, exact):
+    """Homogeneous pk of degree k, terms in random order; float coefficients
+    include signed zeros and purely real or imaginary values."""
+    parts = [0.0, -0.0, 1.0, -1.0, 2.5, -0.75]
+    terms = []
+    for alpha in enumerate_monomials(d, k):
+        if rng.random() < 0.3:
+            continue
+        if exact:
+            c = GaussianRational(Fraction(rng.randint(-7, 7), rng.randint(1, 5)),
+                                 Fraction(rng.randint(-7, 7), rng.randint(1, 5)))
+        else:
+            c = complex(rng.choice(parts + [rng.gauss(0, 3)]),
+                        rng.choice(parts + [rng.gauss(0, 3)]))
+        terms.append((alpha, c))
+    rng.shuffle(terms)
+    pk = Poly(d, terms, field=EXACT if exact else FLOAT)
+    return pk if not pk.is_zero else Poly.monomial(d, (k,) + (0,) * (d - 1), 1)
+
+
+def _assert_matches_reference(pk, m):
+    d, k = pk.dim, int(pk.degree)
+    cols = enumerate_monomials(d, m)
+    ref_rows, ref_cols, ref_vals = _reference_mult_entries(pk, cols,
+                                                           enumerate_monomials(d, m + k))
+    # the kernel lists each column's entries with rows ascending (CSC order)
+    order = np.lexsort((ref_rows, ref_cols))
+    rows, cols_out, vals = mult_entries(pk, monomial_array(d, m))
+    assert rows.tolist() == np.array(ref_rows)[order].tolist()
+    assert cols_out.tolist() == np.array(ref_cols)[order].tolist()
+    assert vals.dtype == complex
+    assert vals.tobytes() == np.array(ref_vals, dtype=complex)[order].tobytes()
+
+
+def test_mult_entries_matches_reference_loop():
+    rng = random.Random(14)
+    sizes = {1: (0, 1, 2, 17, 64, 120), 2: (0, 1, 3, 10, 41, 120), 3: (0, 2, 9, 23),
+             4: (0, 3, 8)}
+    for d, ms in sizes.items():
+        for k in range(4):
+            for exact in (True, False):
+                pk = _shuffled_homogeneous(rng, d, k, exact)
+                for m in ms:
+                    _assert_matches_reference(pk, m)
+
+
+def test_mult_entries_past_int64_falling_products():
+    # (m + k)^k passes 2^63, so the weights are Python ints; 26!/6! does too
+    rng = random.Random(63)
+    for exact in (True, False):
+        pk = _shuffled_homogeneous(rng, 2, 20, exact) + Poly.monomial(2, (20, 0), 3)
+        assert pk.coefficient((20, 0)) != 0
+        for m in range(7):
+            _assert_matches_reference(pk, m)
 
 
 def test_difference_of_squares():
