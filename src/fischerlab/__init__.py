@@ -14,9 +14,8 @@ from .apolar import (adjoint_residual, bargmann_mc_estimate, beauzamy_bound,
                      reznick_residual, shapiro_pointwise_residual,
                      sphere_max_bound_check)
 from .fischer import (DecompositionResult, FischerMatrix, decompose_direct,
-                      decompose_linear, decompose_series,
-                      decompose_univariate, fischer_matrix,
-                      project_homogeneous)
+                      decompose_series, decompose_univariate,
+                      fischer_matrix, project_homogeneous)
 from .spectral import (MultiplicationMatrix, QuadraticClass, SpectralReport,
                        classify_quadratic_2d, kernel_basis, ks_exponent_fit,
                        mult_matrix, sigma_extremes)

@@ -149,12 +149,11 @@ def _select_method(p: Poly, f, requested: str) -> str:
         return requested
     if p.dim == 1:
         return "univariate"
-    if p.degree == 1:
-        return "linear"
-    if not isinstance(f, Poly):
+    if not isinstance(f, Poly) and p.degree != 1:
         return "entire"
-    # homogeneous p needs no special casing: the direct system is then
-    # block-diagonal over degrees, i.e. exactly the per-degree projection
+    # neither deg p = 1 nor a homogeneous p needs special casing: the
+    # top-down recursion is then one projection per degree, and a stream
+    # goes in as its truncation
     return "direct"
 
 
@@ -164,14 +163,16 @@ def _cmd_decompose(args) -> int:
     if args.beta is not None:
         fischer.validate_gap(p, args.beta)
     method = _select_method(p, f, args.method)
-    if method in ("direct", "series") and not isinstance(f, Poly):
-        raise InvalidInputError(f"{method} method needs polynomial input; "
+    if method == "series" and not isinstance(f, Poly):
+        raise InvalidInputError("series method needs polynomial input; "
                                 "use --method entire for streams")
+    if args.series_check and method != "direct":
+        raise InvalidInputError(f"--series-check checks the direct route, not {method}")
+    if args.series_check and not isinstance(f, Poly):
+        raise InvalidInputError("--series-check needs polynomial input")
     mcap = args.mcap
     if method == "univariate":
         res = fischer.decompose_univariate(p, f, max_degree=mcap)
-    elif method == "linear":
-        res = fischer.decompose_linear(p, f, max_degree=mcap)
     elif method == "series":
         res = fischer.decompose_series(p, f)
     elif method == "entire":
@@ -193,7 +194,7 @@ def _cmd_decompose(args) -> int:
             other.q == res.q if p.field == EXACT and f.field == EXACT
             else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
     else:
-        res = fischer.decompose_direct(p, f)
+        res = fischer.decompose_direct(p, f, max_degree=mcap)
     prefix = args.out or "decomposition"
     save_poly(res.q, f"{prefix}.q.json")
     save_poly(res.r, f"{prefix}.r.json")
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--method", default="auto",
-                    choices=["auto", "direct", "series", "univariate", "linear", "entire"])
+                    choices=["auto", "direct", "series", "univariate", "entire"])
     sp.add_argument("--backend", choices=["exact", "float"])
     sp.add_argument("--beta", type=int)
     sp.add_argument("--tol", type=float, default=1e-14)

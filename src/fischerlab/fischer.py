@@ -1,6 +1,6 @@
 """Fischer decompositions f = P q + r with P_k*(D) r = 0.
 
-Five routes are provided; each takes the divisor first and returns a
+Four routes are provided; each takes the divisor first and returns a
 :class:`DecompositionResult`, as ``entire.decompose_entire`` does.  All
 but ``decompose_univariate`` (long division) reach the slice operator
 q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
@@ -10,13 +10,17 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
   by the pseudoinverse of the multiplication matrix.
 * ``decompose_direct`` runs the Fischer recursion from the top degree
   down: q_n is the projection of the degree n + k part of
-  f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field.
+  f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field and for every
+  deg p >= 1.
 * ``decompose_series`` runs the iterated projection series; for
   polynomial input it terminates exactly and agrees with the direct
   solve by uniqueness.
-* ``decompose_univariate`` (d = 1: division with remainder, whose remainder
-  is the interpolant at the root multiset) and ``decompose_linear`` (k = 1:
-  translation trick) also accept truncated Taylor streams.
+* ``decompose_univariate`` (d = 1) is division with remainder, whose
+  remainder is the interpolant at the root multiset.
+
+``decompose_direct`` and ``decompose_univariate`` also accept a Taylor
+stream, which they truncate by one rule (``_truncate_stream``) and
+decompose as that polynomial.
 
 The exact slice matrix of q |-> P_k*(D)(P_k q) is assembled by
 ``polyalg.op_matrix`` in the raw monomial basis.  Multiplication by P_k
@@ -44,7 +48,7 @@ import numpy as np
 from . import apolar
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import bareiss_solve, checked_condition
-from .fields import EXACT, FLOAT, GaussianRational
+from .fields import EXACT, FLOAT
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial, mult_entries,
                       op_matrix)
 
@@ -230,7 +234,7 @@ def _truncate_stream(f, max_degree):
     return f.truncate(cap), cap
 
 
-def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
+def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
     """Fischer decomposition by the top-down recursion over slices.
 
     Write p = P_k + L with deg L < k.  P_k*(D) r = 0 holds component by
@@ -239,9 +243,16 @@ def decompose_direct(p: Poly, f: Poly) -> DecompositionResult:
     component of r: q_n is its slice projection (``SliceSolver.project``),
     taken from n = deg f - k down to 0.  Exact input gives the unique
     exact q; float input reports the largest slice condition kappa(M)^2
-    as ``condition``.
+    as ``condition``.  A Taylor stream f is truncated at max_degree (else
+    its declared degree), reported as ``truncation_degree``.
     """
-    return _decompose_direct(p, f, _slice_solver(p))
+    solver = _slice_solver(p)
+    if isinstance(f, Poly):
+        return _decompose_direct(p, f, solver)
+    f, cap = _truncate_stream(f, max_degree)
+    res = _decompose_direct(p, f, solver)
+    res.diagnostics["truncation_degree"] = cap
+    return res
 
 
 def _slice_solver(p: Poly) -> SliceSolver:
@@ -362,7 +373,8 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
 
     P_k*(D) r = 0 means r^(k) = 0, i.e. deg r < deg p, so f = p q + r is
     long division and r is the interpolant of f at the root multiset of p.
-    A Taylor stream is truncated and divided in floats.
+    A Taylor stream is truncated as in ``decompose_direct`` and divided in
+    the field of its coefficients and p's.
     """
     if p.dim != 1:
         raise InvalidInputError("decompose_univariate needs dimension 1")
@@ -373,7 +385,6 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
         if f.dim != 1:
             raise InvalidInputError("stream must be univariate")
         f, diag["truncation_degree"] = _truncate_stream(f, max_degree)
-        f, p = f.to_float(), p.to_float()
     f = _promote(p, f)
     k = int(p.degree)
     if k == 0:
@@ -382,41 +393,3 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
     q, r = (Poly.zero(1, f.field), f) if f.is_zero or f.degree < k else _poly_divmod_1d(f, p)
     pk = p.homogeneous_component(k)
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "univariate", diag)
-
-
-# ---------------------------------------------------------------------------
-# k = 1: translation trick
-
-def decompose_linear(p: Poly, f, max_degree=None) -> DecompositionResult:
-    """Decompose against p = p1 - p0 of degree 1, p1 its linear part.
-
-    Shifting by any z0 with p1(z0) = p0 turns the divisor into the
-    homogeneous p1; the minimal-norm z0 is used for determinism, and by
-    uniqueness of the homogeneous decomposition any admissible z0 gives
-    the same result.
-    """
-    if p.is_zero or p.degree != 1:
-        raise InvalidInputError("linear method needs deg p = 1")
-    d = p.dim
-    p1 = p.homogeneous_component(1)
-    p0 = -p.coefficient((0,) * d)
-    coeffs = [p1.coefficient(tuple(1 if i == j else 0 for i in range(d)))
-              for j in range(d)]
-    denom = sum((c * c.conjugate() for c in coeffs),
-                GaussianRational(0) if p1.field == EXACT else 0j)
-    z0 = [c.conjugate() * p0 / denom for c in coeffs]
-    diag_extra = {}
-    if not isinstance(f, Poly):
-        f, cap = _truncate_stream(f, max_degree)
-        diag_extra = {"truncation_degree": cap}
-    f = _promote(p, f)
-    shifted = f.shift(z0)
-    q_shift = _project_components(SliceSolver(p1), shifted)
-    h_shift = shifted - p1 * q_shift
-    neg_z0 = [-v for v in z0]
-    q = q_shift.shift(neg_z0)
-    r = h_shift.shift(neg_z0)
-    diag = {"shift": [str(v) if isinstance(v, GaussianRational) else complex(v) for v in z0],
-            "reconstruction_residual": apolar.norm(f - (p * q + r)),
-            **diag_extra}
-    return DecompositionResult(q, r, _annihilator_residual(p1, r), "linear_shift", diag)

@@ -379,27 +379,6 @@ class Poly:
 
     __call__ = evaluate
 
-    def shift(self, v) -> "Poly":
-        """Compose with a translation: returns p(z + v)."""
-        v = tuple(v)
-        if len(v) != self.dim:
-            raise DimensionMismatchError(
-                f"shift vector has length {len(v)}, expected {self.dim}")
-        out = Poly.zero(self.dim, self.field)
-        for beta, c in self._terms.items():
-            factor = Poly.constant(self.dim, c, field=self.field)
-            for j, bj in enumerate(beta):
-                if bj == 0:
-                    continue
-                var_terms = {}
-                for i in range(bj + 1):
-                    alpha = tuple(i if jj == j else 0 for jj in range(self.dim))
-                    coeff = math.comb(bj, i) * v[j] ** (bj - i) if i < bj else 1
-                    var_terms[alpha] = coeff
-                factor = factor * Poly(self.dim, var_terms)
-            out = out + factor
-        return out
-
     def to_float(self) -> "Poly":
         if self.field == FLOAT:
             return self

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from fischerlab import apolar, cli, fischer
+from fischerlab import apolar, cli, entire, fischer
 from fischerlab.polyalg import Poly, load_poly, poly_to_dict, save_poly, variables
 
 
@@ -87,6 +87,71 @@ def test_decompose_series_check(files):
     assert payload["diagnostics"]["series_check_agrees"] is True
 
 
+def test_series_check_on_degree_one_divisor(tmp_path):
+    # deg p = 1 takes the direct route, so the cross-check runs there
+    x, y = variables(2)
+    save_poly(x + y - 1, tmp_path / "p.json")
+    save_poly(x ** 3 * y + 2 * y - 1, tmp_path / "f.json")
+    prefix = str(tmp_path / "dec")
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
+                     str(tmp_path / "f.json"), "--series-check", "--out", prefix]) == 0
+    payload = _read_envelope(f"{prefix}.diagnostics.json")
+    assert payload["method"] == "direct"
+    assert payload["diagnostics"]["series_check_agrees"] is True
+
+
+@pytest.mark.parametrize("route", ["univariate", "series", "entire", "direct-stream",
+                                   "auto-stream"])
+def test_series_check_refused_off_the_direct_route(files, tmp_path, route):
+    x, y = variables(2)
+    z, = variables(1)
+    save_poly(z * z - 1, tmp_path / "pz.json")
+    save_poly(z ** 3, tmp_path / "fz.json")
+    save_poly(x - 1, tmp_path / "p1.json")
+    with open(tmp_path / "exp.json", "w") as fh:
+        json.dump({"kind": "exp_poly", "max_degree": 8, "inner": poly_to_dict(x + y)}, fh)
+    p, f, extra = {
+        "univariate": ("pz.json", "fz.json", []),
+        "series": (files["p"], files["f"], ["--method", "series"]),
+        "entire": (files["p"], files["f"], ["--method", "entire"]),
+        "direct-stream": (files["p"], "exp.json", ["--method", "direct"]),
+        "auto-stream": ("p1.json", "exp.json", []),
+    }[route]
+    rc = cli.main(["decompose", "--p", str(tmp_path / p), "--f", str(tmp_path / f),
+                   "--series-check", "--out", str(tmp_path / "x"), *extra])
+    assert rc == cli.EXIT_PRECONDITION
+    assert not (tmp_path / "x.q.json").exists()
+
+
+@pytest.mark.parametrize("method,mcap", [("auto", 9), ("direct", 9), ("auto", None)])
+def test_decompose_degree_one_stream_goes_direct(tmp_path, method, mcap):
+    x, y = variables(2)
+    p = x + y - 1
+    stream = {"kind": "exp_poly", "max_degree": 11, "inner": poly_to_dict(x - 2 * y)}
+    save_poly(p, tmp_path / "p.json")
+    with open(tmp_path / "f.json", "w") as fh:
+        json.dump(stream, fh)
+    prefix = str(tmp_path / "dec")
+    extra = [] if mcap is None else ["--mcap", str(mcap)]
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
+                     str(tmp_path / "f.json"), "--method", method, "--out", prefix,
+                     *extra]) == 0
+    cap = 11 if mcap is None else mcap
+    want = fischer.decompose_direct(p, entire.stream_from_dict(stream).truncate(cap))
+    assert load_poly(f"{prefix}.q.json") == want.q
+    assert load_poly(f"{prefix}.r.json") == want.r
+    payload = _read_envelope(f"{prefix}.diagnostics.json")
+    assert payload["method"] == "direct"
+    assert payload["diagnostics"]["truncation_degree"] == cap
+
+
+def test_method_linear_is_gone(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--p", files["p"], "--f", files["f"], "--method", "linear"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "invalid choice: 'linear'" in capsys.readouterr().err
+
+
 def test_decompose_univariate_auto(files, tmp_path):
     z, = variables(1)
     save_poly(z * z - 1, tmp_path / "p1.json")
@@ -146,8 +211,8 @@ def test_decompose_polynomial_stream_keeps_top_degrees_of_r(tmp_path):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_decompose_poly_kind_stream_as_polynomial(tmp_path, dim):
-    # the univariate (d = 1) and linear (deg p = 1) routes read a "poly"
-    # stream file as the polynomial it is, with no --mcap
+    # the univariate (d = 1) and direct (here deg p = 1) routes read a
+    # "poly" stream file as the polynomial it is, with no --mcap
     if dim == 1:
         z, = variables(1)
         p, f = z * z - 1, z ** 5 + 2 * z
@@ -328,13 +393,14 @@ def test_decompose_reports_deterministic(tmp_path, route):
     stream = {"kind": "exp_poly", "max_degree": 60,
               "inner": poly_to_dict((0.6 * x + 0.9 * y).to_float())}
     f_float = poly_to_dict(f.to_float())
-    p, f, extra = {
-        "direct-exact": (p, poly_to_dict(f), []),
-        "direct-float": (p.to_float(), f_float, []),
-        "series": (p.to_float(), f_float, ["--method", "series"]),
-        "entire": (p.to_float(), stream, ["--mcap", "20"]),
-        "linear": ((x - 2 * y + 3).to_float(), f_float, []),
-        "univariate": (z ** 3 - 2 * z + 1, poly_to_dict((z + 1) ** 9), []),
+    p, f, extra, method = {
+        "direct-exact": (p, poly_to_dict(f), [], "direct"),
+        "direct-float": (p.to_float(), f_float, [], "direct"),
+        "series": (p.to_float(), f_float, ["--method", "series"], "series"),
+        "entire": (p.to_float(), stream, ["--mcap", "20"], "entire_truncated"),
+        # deg p = 1 takes the direct route
+        "linear": ((x - 2 * y + 3).to_float(), f_float, [], "direct"),
+        "univariate": (z ** 3 - 2 * z + 1, poly_to_dict((z + 1) ** 9), [], "univariate"),
     }[route]
     save_poly(p, tmp_path / "p.json")
     with open(tmp_path / "f.json", "w") as fh:
@@ -346,7 +412,7 @@ def test_decompose_reports_deterministic(tmp_path, route):
                          str(tmp_path / "f.json"), "--out", prefix] + extra) == 0
         outputs.append([open(f"{prefix}.{part}.json", "rb").read()
                         for part in ("q", "r", "diagnostics")])
-    assert _read_envelope(f"{prefix}.diagnostics.json")["method"].startswith(route.split("-")[0])
+    assert _read_envelope(f"{prefix}.diagnostics.json")["method"] == method
     assert outputs[0] == outputs[1]
 
 
@@ -476,8 +542,8 @@ def test_exit_code_numerical_failure(tmp_path):
 
 
 def test_exit_code_forced_direct_on_degree_one_float_divisor(tmp_path):
-    # direct projects slice by slice and auto takes the translation trick;
-    # both match the exact decomposition
+    # direct projects slice by slice, under auto too, and matches the
+    # exact decomposition
     x, y = variables(2)
     p, f = x - 1000, (x + y) ** 6
     save_poly(p.to_float(), tmp_path / "p.json")

@@ -453,6 +453,8 @@ def test_univariate_exp_stream():
     z, = variables(1)
     stream = TaylorStream.from_exp(z, max_degree=60)
     res = fischer.decompose_univariate(z - 1, stream, max_degree=30)
+    # exact p and an exact stream divide exactly: r is the Taylor sum at 1
+    assert res.r == Poly.constant(1, sum(Fraction(1, math.factorial(j)) for j in range(31)))
     e_ref = Fraction(
         "2.71828182845904523536028747135266249775724709369995957496696762772407663")
     r_val = complex(res.r.coefficient((0,)))
@@ -564,11 +566,11 @@ def test_univariate_rejects_multivariate():
 
 
 # ---------------------------------------------------------------------------
-# decompose_linear
+# degree-1 divisors: the direct recursion, one projection per degree
 
 def test_linear_oracle():
     x, y = variables(2)
-    res = fischer.decompose_linear(x + y - 1, x + y)
+    res = fischer.decompose_direct(x + y - 1, x + y)
     assert res.q == Poly.constant(2, 1)
     assert res.r == Poly.constant(2, 1)
     assert res.annihilator_residual == 0
@@ -578,7 +580,7 @@ def test_linear_no_shift_matches_projection(rng):
     x, y = variables(2)
     p1 = x - 2 * y
     f = rand_poly(rng, 2, 4)
-    res = fischer.decompose_linear(p1, f)
+    res = fischer.decompose_direct(p1, f)
     expected = sum((fischer.project_homogeneous(p1, fm).q
                     for fm in f.homogeneous_components().values()),
                    Poly.zero(2))
@@ -589,57 +591,37 @@ def test_linear_remainder_kills_z1(rng):
     x, y = variables(2)
     for c in (Fraction(2), GaussianRational(1, 1)):
         f = rand_poly(rng, 2, 4)
-        res = fischer.decompose_linear(x - c, f)
+        res = fischer.decompose_direct(x - c, f)
         assert apply_diff_op(x, res.r).is_zero
         assert (x - Poly.constant(2, c)) * res.q + res.r == f
-
-
-def test_linear_z0_choice_is_immaterial(rng):
-    # uniqueness: shifting with any admissible z0 gives the same (q, r)
-    x, y = variables(2)
-    p1 = x + y
-    f = rand_poly(rng, 2, 4)
-    base = fischer.decompose_linear(p1 - Fraction(3), f)
-    shifted = f.shift((Fraction(3), Fraction(0)))  # alternative z0 = (3, 0)
-    q_alt = fischer._project_components(fischer.SliceSolver(p1), shifted)
-    h_alt = shifted - p1 * q_alt
-    back = (Fraction(-3), Fraction(0))
-    assert q_alt.shift(back) == base.q
-    assert h_alt.shift(back) == base.r
-
-
-def test_linear_rejects_bad_p1():
-    x, y = variables(2)
-    with pytest.raises(InvalidInputError):
-        fischer.decompose_linear(x * y - 1, x)
-    with pytest.raises(InvalidInputError):
-        fischer.decompose_linear(Poly.zero(2) - 1, x)
 
 
 def test_linear_stream_truncated():
     x, y = variables(2)
     stream = TaylorStream.from_exp(y, max_degree=25)
-    res = fischer.decompose_linear(x, stream, max_degree=20)
+    res = fischer.decompose_direct(x, stream, max_degree=20)
     # every component of e^{z2} is killed by d/dz1, so q = 0, r = truncation
     assert res.q.is_zero
-    assert res.r == stream.truncate(20).to_float() or res.r == stream.truncate(20)
+    assert res.r == stream.truncate(20)
+    assert res.diagnostics["truncation_degree"] == 20
 
 
 def test_linear_stream_nonzero_shift_exact_on_truncation():
     x, y = variables(2)
     stream = TaylorStream.from_exp(y, max_degree=25)
     p1, p0 = x + y, Fraction(1)
-    res = fischer.decompose_linear(p1 - p0, stream, max_degree=15)
+    res = fischer.decompose_direct(p1 - p0, stream, max_degree=15)
     f_trunc = stream.truncate(15)
     assert (p1 - 1) * res.q + res.r == f_trunc
     assert res.annihilator_residual == 0
+    assert res.diagnostics["truncation_degree"] == 15
 
 
 def test_stream_routes_reject_unusable_truncation_degree():
     x, y = variables(2)
     z, = variables(1)
     for call in (lambda cap: fischer.decompose_univariate(z - 1, TaylorStream.from_exp(z), cap),
-                 lambda cap: fischer.decompose_linear(x - 1, TaylorStream.from_exp(y), cap)):
+                 lambda cap: fischer.decompose_direct(x - 1, TaylorStream.from_exp(y), cap)):
         for cap in (None, -1):
             with pytest.raises(InvalidInputError):
                 call(cap)

@@ -281,14 +281,6 @@ def test_mixed_field_promotes():
     assert (x + 0.5 * x).field == FLOAT
 
 
-def test_shift_round_trip(rng):
-    for _ in range(10):
-        p = rand_poly(rng, 2, 4)
-        v = (Fraction(1, 2), Fraction(-1, 3))
-        back = p.shift(v).shift(tuple(-c for c in v))
-        assert back == p
-
-
 def test_scale_field_ignores_underflow():
     # exact only when both the polynomial and the scalar are exact, even
     # when every product underflows to zero
