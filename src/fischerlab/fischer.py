@@ -244,7 +244,8 @@ def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
     taken from n = deg f - k down to 0.  Exact input gives the unique
     exact q; float input reports the largest slice condition kappa(M)^2
     as ``condition``.  A Taylor stream f is truncated at max_degree (else
-    its declared degree), reported as ``truncation_degree``.
+    its declared degree), reported as ``truncation_degree``.  Float input
+    with a d = 1 divisor is refused: ``decompose_univariate`` is its route.
     """
     solver = _slice_solver(p)
     if isinstance(f, Poly):
@@ -263,6 +264,11 @@ def _slice_solver(p: Poly) -> SliceSolver:
 
 def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionResult:
     f = _promote(p, f)
+    if p.dim == 1 and f.field == FLOAT:
+        # float slice projections leave round-off terms in r at degrees
+        # >= deg p, where division with remainder leaves none
+        raise InvalidInputError("the direct route needs dimension >= 2 for float input; "
+                                "use the univariate route (long division) for d = 1")
     k = p.degree
     pk = solver.pk
     if f.is_zero or f.degree < k:

@@ -15,11 +15,18 @@ c sqrt(delta!/beta!) from the exact integer falling product delta!/beta!,
 rounded to float once before its one square root.
 
 The extremes come from the sparse Gram matrix M^H M of the multiplication
-matrix M (each column of M has len(pk.terms) nonzeros), not from an SVD:
-small Gram matrices by a dense Hermitian eigensolve, large ones by ARPACK
-with shift-invert at 0 for the minimum (Lehoucq, Sorensen and Yang,
-ARPACK Users' Guide, SIAM 1998).  The results agree with a dense SVD of M
-to a relative 1e-12, and a fixed seed makes them repeat bit for bit.
+matrix M (each column of M has len(pk.terms) nonzeros), not from an SVD.
+A quadratic pk is first brought to its Takagi normal form
+sum sigma_i z_i^2, sigma_i the singular values of its symmetric
+coefficient matrix: the apolar norm is unitarily invariant, so M keeps
+its singular values, and it becomes real.  The Gram matrix is block
+diagonal over the connected components of its sparsity pattern (for the
+normal form, the 2^(d-1) classes of exponent parities), and each block
+is solved on its own: small blocks by a dense Hermitian eigensolve, large
+ones by ARPACK with shift-invert at 0 for the minimum (Lehoucq, Sorensen
+and Yang, ARPACK Users' Guide, SIAM 1998).  The results agree with a
+dense SVD of pk's own M to a relative 1e-12, and a fixed seed makes them
+repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -45,10 +52,13 @@ if TYPE_CHECKING:
 
 DEFAULT_DIM_CAP = 20000
 
-# Gram matrices up to this size go to a dense eigvalsh, larger ones to
-# ARPACK, which also needs size >= 3.  Measured on the generic d=3
-# quadratic with one BLAS thread: size 253, dense 6.6 ms vs ARPACK 7.8 ms;
-# size 276, 10.2 ms vs 7.6 ms.
+# Gram blocks up to this size go to a dense eigvalsh, larger ones to
+# ARPACK, which also needs size >= 3.  Measured with one BLAS thread,
+# best of 7, two runs each.  Real blocks (the generic d=3 quadratic's
+# normal form): size 253, dense 3.7-4.3 ms vs ARPACK 3.9-5.4 ms; size
+# 300, 5.4-6.0 ms vs 4.9-5.1 ms.  Complex blocks (a full d=3 cubic):
+# size 276, 8.8-9.0 ms vs 10.2-11.7 ms; size 325, 12.6-14.2 ms vs
+# 11.9-13.5 ms.
 DENSE_EIG_MAX = 256
 # Seed of the ARPACK start and restart vectors: a fixed generator keeps
 # the extremes bit-identical from run to run.
@@ -61,6 +71,9 @@ _ARPACK_SEED = 20240
 # runs also restart less: at most 35 ms per degree at m 22-31.
 _ARPACK_TOL = 1e-13
 _ARPACK_NCV = 30
+# Dense blocks of one size are stacked into one eigvalsh call holding at
+# most this many entries (16 MiB of complex).
+_DENSE_BATCH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,9 +95,9 @@ class MultiplicationMatrix:
     col_basis: tuple
 
 
-def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> MultiplicationMatrix:
-    from scipy.sparse import csc_array
-
+def _check_operator(pk: Poly, m: int, dim_cap: int) -> None:
+    """Raise InvalidInputError unless multiplication by pk on the degree-m
+    slice is a valid operator under the dimension cap."""
     if pk.is_zero:
         raise InvalidInputError("pk must be nonzero")
     if not pk.is_homogeneous():
@@ -93,19 +106,50 @@ def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> Multiplicat
         raise InvalidInputError("pk must have degree >= 1")
     if m < 0:
         raise InvalidInputError("source degree must be >= 0")
-    d = pk.dim
-    k = pk.degree
-    if count_monomials(d, m + k) > dim_cap:
+    if count_monomials(pk.dim, m + pk.degree) > dim_cap:
         raise InvalidInputError(
             f"slice dimension exceeds cap {dim_cap}; raise dim_cap to override")
-    col_basis = monomial_array(d, m)
-    row_basis = monomial_array(d, m + k)
+
+
+def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> MultiplicationMatrix:
+    from scipy.sparse import csc_array
+
+    _check_operator(pk, m, dim_cap)
+    col_basis = monomial_array(pk.dim, m)
+    row_basis = monomial_array(pk.dim, m + pk.degree)
     rows, _, vals = mult_entries(pk, col_basis)
     # mult_entries lists each column's len(pk.terms) entries with rows ascending
     indptr = np.arange(0, len(vals) + 1, len(pk.terms))
     a = csc_array((vals, rows, indptr), shape=(len(row_basis), len(col_basis)))
     return MultiplicationMatrix(pk, m, a, tuple(map(tuple, row_basis.tolist())),
                                 tuple(map(tuple, col_basis.tolist())))
+
+
+def _takagi_normal_form(pk: Poly) -> Poly:
+    """sigma_1 z1^2 + ... + sigma_d zd^2 for a quadratic form pk = z^T A z.
+
+    A is the complex symmetric coefficient matrix, A_ii = c(2e_i) and
+    A_ij = c(e_i + e_j)/2, and the sigma_i are its singular values.  The
+    Takagi factorization A = U Sigma U^T (Horn and Johnson, Matrix
+    Analysis, Cor. 4.4.4) gives pk = sum sigma_i w_i^2 with w = U^T z, and
+    the apolar norm is unitarily invariant (Beauzamy, Bombieri, Enflo and
+    Montgomery, J. Number Theory 36, 1990), so every multiplication
+    operator of pk has the singular values of the normal form's.  A binary
+    quadratic is a square exactly when sigma_2 = 0.  The SVD is backward
+    stable, so sigma_i at or below numpy's rank tolerance d eps sigma_1 are
+    zero to working precision; they are dropped, which splits the Gram
+    matrix into more blocks.
+    """
+    d = pk.dim
+    a = np.zeros((d, d), dtype=complex)
+    for alpha, c in pk.terms.items():
+        i, j = [v for v, e in enumerate(alpha) for _ in range(e)]
+        a[i, j] += complex(c) / 2
+        a[j, i] += complex(c) / 2
+    sigma = np.linalg.svd(a, compute_uv=False)
+    tol = d * np.finfo(float).eps * sigma[0]
+    return Poly(d, {tuple(2 * (v == i) for v in range(d)): float(s)
+                    for i, s in enumerate(sigma) if s > tol}, field=FLOAT)
 
 
 def _arpack_extreme(gram, **mode) -> float:
@@ -115,9 +159,55 @@ def _arpack_extreme(gram, **mode) -> float:
 
     rng = np.random.default_rng(_ARPACK_SEED)
     n = gram.shape[0]
-    v0 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-    return float(eigs(gram, k=1, v0=v0, rng=rng, ncv=_ARPACK_NCV, tol=_ARPACK_TOL,
+    return float(eigs(gram, k=1, v0=rng.uniform(-1.0, 1.0, n), rng=rng,
+                      ncv=min(_ARPACK_NCV, n), tol=_ARPACK_TOL,
                       return_eigenvectors=False, **mode)[0].real)
+
+
+def _block_eig_extremes(gram) -> tuple:
+    """(lowest, highest) eigenvalue of a sparse Hermitian matrix, taken
+    over the diagonal blocks of its connected components.
+
+    The components come from the sparsity pattern, not from the values,
+    which may be purely imaginary.  Blocks up to DENSE_EIG_MAX go to a
+    dense eigvalsh, stacked by size in batches of at most _DENSE_BATCH
+    entries; larger ones go to ARPACK one by one.
+    """
+    from scipy.sparse import csc_array
+    from scipy.sparse.csgraph import connected_components
+
+    gram = gram.tocoo()
+    r, c, v = gram.row, gram.col, gram.data
+    pattern = csc_array((np.ones(len(v)), (r, c)), shape=gram.shape)
+    _, labels = connected_components(pattern, directed=False)
+    sizes = np.bincount(labels)
+    # position of each index inside its block, keeping the original order
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    entry_label = labels[r]
+    lo, hi = [], []
+    for s in np.unique(sizes).tolist():
+        comps = np.flatnonzero(sizes == s)
+        if s > DENSE_EIG_MAX:
+            for comp in comps:
+                e = entry_label == comp
+                block = csc_array((v[e], (pos[r[e]], pos[c[e]])), shape=(s, s))
+                lo.append(_arpack_extreme(block, sigma=0, which="LM"))
+                hi.append(_arpack_extreme(block, which="LR"))
+            continue
+        per_batch = max(1, _DENSE_BATCH // (s * s))
+        for first in range(0, len(comps), per_batch):
+            batch = comps[first:first + per_batch]
+            slot = np.full(len(sizes), -1)
+            slot[batch] = np.arange(len(batch))
+            e = slot[entry_label] >= 0
+            stack = np.zeros((len(batch), s, s), dtype=v.dtype)
+            stack[slot[entry_label[e]], pos[r[e]], pos[c[e]]] = v[e]
+            ev = np.linalg.eigvalsh(stack)
+            lo.append(float(ev[:, 0].min()))
+            hi.append(float(ev[:, -1].max()))
+    return min(lo), max(hi)
 
 
 def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
@@ -126,21 +216,26 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
     They are the square roots of the extreme eigenvalues of the sparse
     Gram matrix G = M^H M, which is Hermitian positive definite: M is
     injective and sigma_min >= ||pk|| > 0 (Bombieri), so squaring loses
-    at most eps * cond(M)^2.  G of size up to DENSE_EIG_MAX goes to a
-    dense eigvalsh; above it ARPACK (implicitly restarted Arnoldi)
-    finds the minimum by shift-invert at 0 through a sparse LU and the
-    maximum directly.  Both agree with a dense SVD of M to a relative
-    1e-12 and repeat bit for bit.
+    at most eps * cond(M)^2.  A quadratic pk is first replaced by its
+    Takagi normal form sum sigma_i z_i^2, whose M has the same singular
+    values and is real.  G is block diagonal over the connected components
+    of its sparsity pattern: for sum sigma_i z_i^2 the 2^(d-1) classes of
+    exponent parities (finer when some sigma_i vanish), and sparse pk
+    such as sum c_i z_i^3 split too.  Each block of size up to
+    DENSE_EIG_MAX goes to a dense eigvalsh; above it ARPACK (implicitly
+    restarted Arnoldi) finds the minimum by shift-invert at 0 through a
+    sparse LU and the maximum directly.  Both agree with a dense SVD of
+    pk's own M to a relative 1e-12 and repeat bit for bit.
     """
+    _check_operator(pk, m, dim_cap)
+    if pk.degree == 2:
+        pk = _takagi_normal_form(pk)
     a = mult_matrix(pk, m, dim_cap=dim_cap).matrix
-    gram = (a.conj().T @ a).tocsc()
+    if not a.data.imag.any():
+        a = a.real
+    gram = a.conj().T @ a
     try:
-        if gram.shape[0] <= DENSE_EIG_MAX:
-            ev = np.linalg.eigvalsh(gram.toarray())
-            lo, hi = float(ev[0]), float(ev[-1])
-        else:
-            lo = _arpack_extreme(gram, sigma=0, which="LM")
-            hi = _arpack_extreme(gram, which="LR")
+        lo, hi = _block_eig_extremes(gram)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         # RuntimeError: ARPACK's ArpackError / ArpackNoConvergence and
         # SuperLU's exactly singular factor

@@ -11,7 +11,9 @@ import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import apolar, cli, entire, fischer
-from fischerlab.polyalg import Poly, load_poly, poly_to_dict, save_poly, variables
+from fischerlab.errors import InvalidInputError
+from fischerlab.polyalg import (Poly, enumerate_monomials, load_poly, poly_to_dict, save_poly,
+                                variables)
 
 
 @pytest.fixture
@@ -150,6 +152,39 @@ def test_method_linear_is_gone(files, capsys):
         cli.main(["decompose", "--p", files["p"], "--f", files["f"], "--method", "linear"])
     assert exc.value.code == cli.EXIT_PARSE
     assert "invalid choice: 'linear'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p_field,f_kind", [("float", "poly"), ("float", "stream"),
+                                             ("exact", "float-poly")])
+def test_forced_direct_refuses_float_univariate_input(files, tmp_path, capsys, p_field, f_kind):
+    # float slice projections leave round-off terms of degree >= deg p in r,
+    # which the univariate route (long division) does not
+    z, = variables(1)
+    p = z - 1 if p_field == "exact" else (z - 1).to_float()
+    save_poly(p, tmp_path / "p1.json")
+    f_path = files["expz"]
+    if f_kind != "stream":
+        save_poly((z ** 5 + 2 * z).to_float(), tmp_path / "f1.json")
+        f_path = str(tmp_path / "f1.json")
+    rc = cli.main(["decompose", "--p", str(tmp_path / "p1.json"), "--f", f_path,
+                   "--method", "direct", "--mcap", "30", "--out", str(tmp_path / "x")])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "univariate" in capsys.readouterr().err
+    with pytest.raises(InvalidInputError, match="univariate"):
+        fischer.decompose_direct(p, (z ** 3).to_float())
+
+
+def test_forced_direct_on_exact_univariate_input_is_long_division(files, tmp_path):
+    z, = variables(1)
+    save_poly(z * z - 1, tmp_path / "p1.json")
+    for method in ("direct", "univariate"):
+        assert cli.main(["decompose", "--p", str(tmp_path / "p1.json"), "--f", files["expz"],
+                         "--method", method, "--mcap", "30",
+                         "--out", str(tmp_path / method)]) == 0
+    for part in ("q", "r"):
+        assert (load_poly(str(tmp_path / f"direct.{part}.json"))
+                == load_poly(str(tmp_path / f"univariate.{part}.json")))
+    assert load_poly(str(tmp_path / "direct.r.json")).degree < 2
 
 
 def test_decompose_univariate_auto(files, tmp_path):
@@ -645,9 +680,11 @@ def test_exit_code_eigensolve_failure(tmp_path, monkeypatch, error):
         raise error
     # spectral imports eigs when it runs an eigensolve, so patch it at source
     monkeypatch.setattr("scipy.sparse.linalg.eigs", failing_eigs)
-    pk = Poly(3, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j})
+    # a cubic with every coefficient nonzero: its Gram matrix at m = 22 is
+    # one block of size 276, above spectral.DENSE_EIG_MAX, so ARPACK runs
+    pk = Poly(3, {alpha: complex(1 + i, 2 - i) for i, alpha in
+                  enumerate(enumerate_monomials(3, 3))})
     save_poly(pk, tmp_path / "pk3.json")
-    # Gram size 276 at m = 22, above spectral.DENSE_EIG_MAX, so ARPACK runs
     rc = cli.main(["ks-fit", "--p", str(tmp_path / "pk3.json"), "--m-min", "22",
                    "--m-max", "25", "--out", str(tmp_path / "ks")])
     assert rc == cli.EXIT_NUMERICAL

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.csgraph import connected_components
 
 from fischerlab import apolar, spectral
 from fischerlab.errors import InvalidInputError
@@ -11,6 +12,10 @@ from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, count_monomials, enumerate_monomials,
                                 midx_factorial, variables)
 from conftest import rand_homogeneous
+
+# ARPACK gets real blocks for quadratics: a complex start vector cast to
+# real would warn here
+pytestmark = pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 
 # The three dimension-3 quadratic classes: generic, a square in the z1, z2
 # plane plus c z3^2, and the sphere quadratic.  The degree-m Gram matrix has
@@ -23,6 +28,9 @@ QUADRATICS_3D = {
                        (0, 0, 2): 0.9 - 0.5j}),
     "sphere": Poly(3, {(2, 0, 0): 1 + 0j, (0, 2, 0): 1 + 0j, (0, 0, 2): 1 + 0j}),
 }
+# A cubic with every coefficient nonzero: its Gram matrix is one block.
+FULL_CUBIC_3D = Poly(3, {alpha: complex(1 + i, 2 - i)
+                         for i, alpha in enumerate(enumerate_monomials(3, 3))})
 
 
 def test_mult_matrix_z1_shape_and_values():
@@ -83,7 +91,7 @@ def test_mult_matrix_is_sparse_and_matches_dense_oracle(name, m):
     assert a.nnz == len(mm.col_basis) * len(pk.terms)
     oracle = _dense_mult_oracle(pk, m)
     assert np.array_equal(a.toarray(), oracle)
-    # the eigensolver's input: the same Gram matrix, entry for entry
+    # the Gram matrix M^H M, entry for entry
     gram = (a.conj().T @ a).tocsc()
     b = csc_array(oracle)
     gram_oracle = (b.conj().T @ b).tocsc()
@@ -286,8 +294,81 @@ def test_univariate_monotone_factorial_law():
         assert v == pytest.approx(expected, rel=1e-10)
 
 
+def _gram_block_sizes(pk, m):
+    """Sizes of the connected components of the sparsity pattern of the
+    Gram matrix M^H M of pk's own multiplication matrix."""
+    a = spectral.mult_matrix(pk, m).matrix
+    gram = (a.conj().T @ a).tocsr()
+    pattern = csr_array((np.ones(gram.nnz), gram.indices, gram.indptr), shape=gram.shape)
+    return np.bincount(connected_components(pattern, directed=False)[1])
+
+
+def _assert_matches_dense_svd(pk, m):
+    sv = np.linalg.svd(spectral.mult_matrix(pk, m).matrix.toarray(), compute_uv=False)
+    lo, hi = spectral.sigma_extremes(pk, m)
+    assert lo == pytest.approx(sv[-1], rel=1e-12, abs=0)
+    assert hi == pytest.approx(sv[0], rel=1e-12, abs=0)
+
+
 def test_size_rule_straddles_the_oracle_degrees():
+    # the full cubic's Gram matrix is one block of C(m+2, 2): 253 at m = 21
+    # goes to the dense eigvalsh, 276 at m = 22 to ARPACK
+    for m in (21, 22):
+        assert _gram_block_sizes(FULL_CUBIC_3D, m).tolist() == [count_monomials(3, m)]
+        _assert_matches_dense_svd(FULL_CUBIC_3D, m)
     assert count_monomials(3, 21) <= spectral.DENSE_EIG_MAX < count_monomials(3, 22)
+
+
+@pytest.mark.parametrize("field", ["exact", "float"])
+@pytest.mark.parametrize("m", [10, 100, 1000])
+def test_sigma_min_of_a_square_is_its_norm(field, m):
+    # multiplication by P = (a z1 + b z2)^2 keeps the ratio ||P f|| / ||f||
+    # at ||P|| on f = (conj(b) z1 - conj(a) z2)^m, and never goes below it
+    x, y = variables(2)
+    if field == "exact":
+        p = (GaussianRational(2, 1) * x + GaussianRational(-1, 3) * y) ** 2
+    else:
+        p = (_A * x + _B * y) ** 2
+    lo, _ = spectral.sigma_extremes(p, m)
+    assert lo == pytest.approx(apolar.norm(p), rel=1e-12, abs=0)
+
+
+def test_takagi_normal_form_detects_squares():
+    # a binary quadratic is a square exactly when sigma_2 = 0
+    x, y = variables(2)
+    square = spectral._takagi_normal_form(((_A * x + _B * y) ** 2).to_float())
+    assert list(square.terms) == [(2, 0)]
+    assert complex(square.coefficient((2, 0))) == pytest.approx(abs(_A) ** 2 + abs(_B) ** 2)
+    assert len(spectral._takagi_normal_form(x * x + y * y).terms) == 2
+    assert len(spectral._takagi_normal_form(x * y).terms) == 2
+
+
+# Sparse cubics whose Gram matrices split into blocks.  Every off-diagonal
+# Gram entry of z1^2 z2 + i z2^3 is purely imaginary, so components read
+# off the values cast to float would be single indices.
+SPLIT_CUBICS = {
+    "sum-of-cubes": Poly(3, {(3, 0, 0): 1 + 0j, (0, 3, 0): 2 + 0j, (0, 0, 3): 3j}),
+    "imaginary-gram": Poly(2, {(2, 1): 1 + 0j, (0, 3): 1j}),
+}
+
+
+@pytest.mark.parametrize("dense_max", [spectral.DENSE_EIG_MAX, 2])
+@pytest.mark.parametrize("name,m", [(name, m) for name in SPLIT_CUBICS for m in (9, 30)])
+def test_split_sigma_extremes_match_dense_svd(monkeypatch, name, m, dense_max):
+    pk = SPLIT_CUBICS[name]
+    sizes = _gram_block_sizes(pk, m)
+    # several blocks, and at dense_max = 2 some of them go to ARPACK
+    assert len(sizes) > 1 and sizes.max() > 2
+    monkeypatch.setattr(spectral, "DENSE_EIG_MAX", dense_max)
+    _assert_matches_dense_svd(pk, m)
+
+
+def test_imaginary_gram_entries_keep_their_blocks():
+    a = spectral.mult_matrix(SPLIT_CUBICS["imaginary-gram"], 30).matrix
+    gram = (a.conj().T @ a).tocoo()
+    off = gram.row != gram.col
+    assert off.any() and not gram.data[off].real.any()
+    assert _gram_block_sizes(SPLIT_CUBICS["imaginary-gram"], 30).tolist() == [16, 15]
 
 
 @pytest.mark.parametrize("name,m", [(name, m) for name in QUADRATICS_3D
@@ -302,12 +383,14 @@ def test_sigma_extremes_matches_dense_svd(name, m):
 
 
 @pytest.mark.parametrize("pk,m", [(QUADRATICS_3D["sphere"], m) for m in (12, 14, 19, 23)]
-                         + [(Poly(3, {(2, 0, 0): 1 + 0j}), m) for m in (13, 14)])
+                         + [(Poly(3, {(2, 0, 0): 1 + 0j}), m) for m in (13, 14)]
+                         + [(FULL_CUBIC_3D, 12), (SPLIT_CUBICS["sum-of-cubes"], 20)])
 def test_arpack_extremes_repeat_bit_for_bit(monkeypatch, pk, m):
-    # Gram matrices of these symmetric pk have few distinct eigenvalues, so
+    # Gram blocks of these symmetric pk have few distinct eigenvalues, so
     # the Krylov space runs out and ARPACK draws new vectors from rng: they
     # differ between calls unless rng has the fixed seed (eigsh on complex
-    # input drops rng) and the start vector is fixed
+    # input drops rng) and the start vector is fixed.  The cubics' blocks
+    # are complex, the quadratics' real.
     monkeypatch.setattr(spectral, "DENSE_EIG_MAX", 2)
     first = spectral.sigma_extremes(pk, m)
     assert all(spectral.sigma_extremes(pk, m) == first for _ in range(4))
