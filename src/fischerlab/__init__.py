@@ -21,7 +21,6 @@ from .spectral import (MultiplicationMatrix, QuadraticClass, SpectralReport,
                        mult_matrix, sigma_extremes)
 from .entire import (LambdaSeq, OrderEstimate, TaylorStream, blambda_norm,
                      check_lambda_condition, check_main_condition,
-                     decompose_entire, load_stream, order_estimate,
-                     stream_from_dict)
+                     load_stream, order_estimate, stream_from_dict)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -144,57 +144,34 @@ def _scalar_parts(v):
     return {"re": v.real, "im": v.imag}
 
 
-def _select_method(p: Poly, f, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if p.dim == 1:
-        return "univariate"
-    if not isinstance(f, Poly) and p.degree != 1:
-        return "entire"
-    # neither deg p = 1 nor a homogeneous p needs special casing: the
-    # top-down recursion is then one projection per degree, and a stream
-    # goes in as its truncation
-    return "direct"
-
-
 def _cmd_decompose(args) -> int:
     p = _load_poly_arg(args.p, args.backend)
     f = _load_function_arg(args.f, args.backend)
     if args.beta is not None:
         fischer.validate_gap(p, args.beta)
-    method = _select_method(p, f, args.method)
+    method = args.method
+    if method == "auto":
+        # long division in d = 1, else the top-down recursion, which takes
+        # a Taylor stream as its truncation
+        method = "univariate" if p.dim == 1 else "direct"
     if method == "series" and not isinstance(f, Poly):
         raise InvalidInputError("series method needs polynomial input; "
-                                "use --method entire for streams")
+                                "streams take the direct route")
     if args.series_check and method != "direct":
         raise InvalidInputError(f"--series-check checks the direct route, not {method}")
     if args.series_check and not isinstance(f, Poly):
         raise InvalidInputError("--series-check needs polynomial input")
-    mcap = args.mcap
     if method == "univariate":
-        res = fischer.decompose_univariate(p, f, max_degree=mcap)
+        res = fischer.decompose_univariate(p, f, max_degree=args.mcap)
     elif method == "series":
         res = fischer.decompose_series(p, f)
-    elif method == "entire":
-        if isinstance(f, Poly):
-            f = entire.TaylorStream.from_poly(f)
-        cap = mcap
-        if cap is None:
-            if f.poly_degree is not None:
-                # r reaches deg f, and decompose_entire stops r at cap - deg p
-                cap = max(f.poly_degree, 0) + int(p.degree)
-            elif not math.isinf(f.max_degree):
-                cap = int(f.max_degree)
-            else:
-                raise InvalidInputError("--mcap is required for unbounded streams")
-        res = entire.decompose_entire(p, f, cap, tol=args.tol)
     elif args.series_check:
         res, other = fischer._direct_and_series(p, f)
         res.diagnostics["series_check_agrees"] = (
             other.q == res.q if p.field == EXACT and f.field == EXACT
             else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
     else:
-        res = fischer.decompose_direct(p, f, max_degree=mcap)
+        res = fischer.decompose_direct(p, f, max_degree=args.mcap)
     prefix = args.out or "decomposition"
     save_poly(res.q, f"{prefix}.q.json")
     save_poly(res.r, f"{prefix}.r.json")
@@ -404,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--method", default="auto",
-                    choices=["auto", "direct", "series", "univariate", "entire"])
+                    choices=["auto", "direct", "series", "univariate"])
     sp.add_argument("--backend", choices=["exact", "float"])
     sp.add_argument("--beta", type=int)
-    sp.add_argument("--tol", type=float, default=1e-14)
     sp.add_argument("--mcap", type=int)
     sp.add_argument("--series-check", action="store_true")
     sp.add_argument("--out", help="output prefix (default 'decomposition')")

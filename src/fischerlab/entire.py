@@ -4,8 +4,8 @@ Everything here is degree-wise: growth order is fitted to the decay of the
 components' sphere sup norms, read off their exact apolar norms (which
 bracket the sup norm up to a factor polynomial in the degree), weighted
 sup norms classify membership in the lambda-weighted Banach spaces, and
-the truncated decomposition sums the iterated-projection blocks degree by
-degree with explicit per-degree stopping diagnostics.
+a stream's truncation is the polynomial that ``fischer.decompose_direct``
+divides (``decompose_entire`` is that call under its former name).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT, GaussianRational
-from .fischer import (DecompositionResult, SliceSolver, _annihilator_residual,
-                      validate_gap)
+from .fischer import DecompositionResult, decompose_direct
 from .polyalg import Poly, poly_from_dict
 
 
@@ -32,8 +31,7 @@ class TaylorStream:
     ``max_degree`` is the declared supply limit (math.inf for closed-form
     generators).  Components are cached.  A stream backed by a polynomial
     has its degree as ``poly_degree`` (-1 for zero; None for any other
-    stream): every component beyond it is known to be exactly zero, which
-    the decomposition uses to avoid spurious truncation flags.
+    stream): every component beyond it is known to be exactly zero.
     """
 
     def __init__(self, dim, component_fn, max_degree=math.inf, poly_degree=None):
@@ -59,12 +57,9 @@ class TaylorStream:
         return self._cache[m]
 
     def truncate(self, cap: int) -> Poly:
-        """Sum of components up to min(cap, max_degree)."""
+        """Sum of components up to min(cap, max_degree), float if any is."""
         cap = int(min(cap, self.max_degree))
-        total = Poly.zero(self.dim)
-        for m in range(cap + 1):
-            total = total + self.component(m)
-        return total
+        return _join(self.dim, [self.component(m) for m in range(cap + 1)])
 
     @classmethod
     def from_poly(cls, p: Poly) -> "TaylorStream":
@@ -97,6 +92,12 @@ class TaylorStream:
         comp = (_exact_exp_components if inner.field == EXACT
                 else _float_exp_components)(inner)
         return cls(inner.dim, comp, max_degree=max_degree)
+
+
+def _join(dim, parts) -> Poly:
+    """Sum of polynomials of disjoint degrees, float if any part is."""
+    field = FLOAT if any(g.field == FLOAT for g in parts) else EXACT
+    return Poly(dim, [t for g in parts for t in g.terms.items()], field=field)
 
 
 def _merge_into(acc: dict, part: dict, plus, zero) -> None:
@@ -387,107 +388,9 @@ def check_lambda_condition(lam: LambdaSeq, k: int, tau, beta: int, probe=None):
 # ---------------------------------------------------------------------------
 # truncated decomposition
 
-def decompose_entire(p: Poly, f: TaylorStream, m_cap: int, tol: float = 1e-14,
-                     beta=None) -> DecompositionResult:
-    """Degree-wise truncated decomposition f = p q + r, q and r polynomials
-    of degree <= m_cap - deg p; diagnostics["per_degree"] records how the
-    sum of each output degree stopped.
-
-    For each output degree M the blocks of the iterated projection series
-    are summed in increasing level j = -1, 0, 1, ...  With k = deg p and
-    s_min <= s_max the lowest and highest degrees of the nonzero lower
-    components of p, the level-j block at M reads f from degree
-    M + k + (j + 1)(k - s_max) up to M + k + (j + 1)(k - s_min).  A
-    polynomial stream ends the sum after the last level that reads a
-    degree <= deg f, which reproduces the direct decomposition exactly.  A
-    partial stream cut at ``m_cap`` ends it with ``truncated`` and
-    ``stopped_by: "truncation"`` at the first level j it cannot supply,
-    M + (j + 1)(k - s_min) > m_cap - k, or earlier once a nonzero block's
-    norm falls below ``tol`` times the running partial sum.  A homogeneous
-    p needs level -1 only.
-    """
-    if p.is_zero:
-        raise InvalidInputError("p must be nonzero")
-    k = int(p.degree)
-    if k < 1:
-        raise InvalidInputError("p must have degree >= 1")
-    if f.dim != p.dim:
-        raise InvalidInputError("dimension mismatch between p and the stream")
-    if beta is not None:
-        validate_gap(p, beta)
-    pk = p.homogeneous_component(k)
-    solver = SliceSolver(pk)
-    lower = {s: -(p.homogeneous_component(s)) for s in range(k)
-             if not p.homogeneous_component(s).is_zero}
-    m_cap = int(m_cap)
-    out_max = m_cap - k
-    if out_max < 0:
-        raise InvalidInputError("m_cap must be at least deg p")
-    poly_deg = f.poly_degree
-    field = FLOAT if p.field == FLOAT else f.component(0).field  # q and r float if p or f is
-    zero = Poly.zero(p.dim, field)
-
-    # the last level each output degree can use (see the docstring)
-    degrees = range(out_max + 1)
-    reach = k - min(lower, default=k)
-    truncating = bool(lower) and poly_deg is None
-    mat_max = out_max  # the highest degree n at which level -1 is needed
-    if not lower:
-        last = dict.fromkeys(degrees, -1)
-    elif poly_deg is not None:
-        gap = k - max(lower)
-        last = {M: max(-1, (poly_deg - M - k) // gap - 1) for M in degrees}
-        mat_max = max(out_max, poly_deg - k)
-    else:
-        last = {M: (out_max - M) // reach - 1 for M in degrees}
-
-    # level -1: T f_{n+k}
-    level = {n: solver.project(f.component(n + k))[0] for n in range(mat_max + 1)}
-    g_sum = {M: zero for M in degrees}
-    diag = {M: {"j_stop": None, "block_norms": [], "truncated": False,
-                "stopped_by": None} for M in degrees}
-    active = set(degrees)
-    for j in range(-1, max(last.values()) + 1):
-        for M in sorted(active):
-            g_sum[M] = g_sum[M] + level[M]
-            bn = apolar.norm(level[M])
-            diag[M]["j_stop"] = j
-            diag[M]["block_norms"].append(bn)
-            # a zero block cannot end the sum: with sparse components a
-            # later level may still contribute
-            if truncating and 0.0 < bn <= tol * apolar.norm(g_sum[M]):
-                diag[M]["stopped_by"] = "tolerance"
-                active.discard(M)
-            elif j == last[M]:
-                diag[M].update(stopped_by="truncation" if truncating else "degree",
-                               truncated=truncating)
-                active.discard(M)
-        if not active:
-            break
-        # level j + 1; a partial stream supplies it only up to degree top
-        top = mat_max if poly_deg is not None else out_max - (j + 2) * reach
-        nxt = dict.fromkeys(range(top + 1), zero)
-        for n in nxt:
-            for s, ps in lower.items():
-                prev = level.get(n + k - s, zero)
-                if not prev.is_zero:
-                    nxt[n] = nxt[n] + solver.project(ps * prev)[0]
-        level = nxt
-    # zero parts carry f's field; r_M sums p_s q_{M-s} from the zero
-    # polynomial in ascending s, a fixed order so float r repeats bit for bit
-    q_parts = [zero if g.is_zero else g for g in g_sum.values()]
-    p_parts = p.homogeneous_components()
-    r_parts = [f.component(M) - sum((ps * q_parts[M - s] for s, ps in p_parts.items()
-                                     if s <= M), zero) for M in degrees]
-    q, r = _join(p.dim, q_parts), _join(p.dim, r_parts)
-    return DecompositionResult(q, r, _annihilator_residual(pk, r), "entire_truncated",
-                               {"per_degree": diag})
-
-
-def _join(dim, parts) -> Poly:
-    """Sum of polynomials of disjoint degrees, float if any part is."""
-    field = FLOAT if any(g.field == FLOAT for g in parts) else EXACT
-    return Poly(dim, [t for g in parts for t in g.terms.items()], field=field)
+def decompose_entire(p: Poly, f: TaylorStream, m_cap: int) -> DecompositionResult:
+    """``fischer.decompose_direct(p, f, m_cap)``, under its former name."""
+    return decompose_direct(p, f, m_cap)
 
 
 # ---------------------------------------------------------------------------

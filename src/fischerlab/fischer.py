@@ -1,9 +1,9 @@
 """Fischer decompositions f = P q + r with P_k*(D) r = 0.
 
 Four routes are provided; each takes the divisor first and returns a
-:class:`DecompositionResult`, as ``entire.decompose_entire`` does.  All
-but ``decompose_univariate`` (long division) reach the slice operator
-q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
+:class:`DecompositionResult`.  All but ``decompose_univariate`` (long
+division) reach the slice operator q |-> P_k*(D)(P_k q) only through a
+:class:`SliceSolver`.
 
 * ``project_homogeneous`` projects a homogeneous f orthogonally onto P_k
   times the lower slice: exact input by the normal equations, float input
@@ -11,7 +11,7 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
 * ``decompose_direct`` runs the Fischer recursion from the top degree
   down: q_n is the projection of the degree n + k part of
   f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field and for every
-  deg p >= 1.
+  deg p >= 1.  It is the route of every Taylor stream in d >= 2.
 * ``decompose_series`` runs the iterated projection series; for
   polynomial input it terminates exactly and agrees with the direct
   solve by uniqueness.
@@ -20,7 +20,9 @@ q |-> P_k*(D)(P_k q) only through a :class:`SliceSolver`.
 
 ``decompose_direct`` and ``decompose_univariate`` also accept a Taylor
 stream, which they truncate by one rule (``_truncate_stream``) and
-decompose as that polynomial.
+decompose as that polynomial.  ``decompose_direct`` returns q and r up
+to degree cap - deg p, the degrees of f = P q + r that the truncation
+at cap fixes.
 
 The exact slice matrix of q |-> P_k*(D)(P_k q) is assembled by
 ``polyalg.op_matrix`` in the raw monomial basis.  Multiplication by P_k
@@ -244,14 +246,18 @@ def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
     taken from n = deg f - k down to 0.  Exact input gives the unique
     exact q; float input reports the largest slice condition kappa(M)^2
     as ``condition``.  A Taylor stream f is truncated at max_degree (else
-    its declared degree), reported as ``truncation_degree``.  Float input
-    with a d = 1 divisor is refused: ``decompose_univariate`` is its route.
+    its declared degree), reported as ``truncation_degree``; that cap must
+    be at least deg p, and q and r are returned up to degree cap - deg p.
+    Float input with a d = 1 divisor is refused: ``decompose_univariate``
+    is its route.
     """
     solver = _slice_solver(p)
     if isinstance(f, Poly):
         return _decompose_direct(p, f, solver)
     f, cap = _truncate_stream(f, max_degree)
-    res = _decompose_direct(p, f, solver)
+    if cap < p.degree:
+        raise InvalidInputError(f"truncation degree {cap} is below deg p = {p.degree}")
+    res = _decompose_direct(p, f, solver, top=cap - p.degree)
     res.diagnostics["truncation_degree"] = cap
     return res
 
@@ -262,7 +268,8 @@ def _slice_solver(p: Poly) -> SliceSolver:
     return SliceSolver(p.homogeneous_component(p.degree))
 
 
-def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionResult:
+def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver, top=None) -> DecompositionResult:
+    """decompose_direct on a polynomial f, r cut to degree <= top if given."""
     f = _promote(p, f)
     if p.dim == 1 and f.field == FLOAT:
         # float slice projections leave round-off terms in r at degrees
@@ -271,16 +278,13 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
                                 "use the univariate route (long division) for d = 1")
     k = p.degree
     pk = solver.pk
-    if f.is_zero or f.degree < k:
-        q = Poly.zero(p.dim, f.field)
-        return DecompositionResult(q, f, _annihilator_residual(pk, f), "direct", {})
-    n_deg = f.degree - k
     # g = f - (p - pk)(q_{n+1} + q_{n+2} + ...) kept by degree: the slice
     # projection accounts for pk q_n, and each lower component L_s of p
     # moves only degree n + s
     g = f.homogeneous_components()
     lower = [(s, ls) for s, ls in p.homogeneous_components().items() if s < k]
     zero = Poly.zero(p.dim, f.field)
+    n_deg = -1 if f.is_zero else f.degree - k
     terms, conds = {}, []
     for n in range(n_deg, -1, -1):
         q_n, cond = solver.project(g.get(n + k, zero))
@@ -291,10 +295,12 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
             g[n + s] = g.get(n + s, zero) - ls * q_n
     q = Poly(p.dim, terms, field=f.field)
     # the unknowns: the monomials of degree <= n_deg
-    diag = {"system_size": math.comb(n_deg + p.dim, p.dim)}
+    diag = {} if n_deg < 0 else {"system_size": math.comb(n_deg + p.dim, p.dim)}
     if conds:
         diag["condition"] = max(conds)
     r = f - p * q
+    if top is not None:
+        r = Poly(p.dim, {a: c for a, c in r.terms.items() if sum(a) <= top}, field=r.field)
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 
 
@@ -380,7 +386,11 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
     P_k*(D) r = 0 means r^(k) = 0, i.e. deg r < deg p, so f = p q + r is
     long division and r is the interpolant of f at the root multiset of p.
     A Taylor stream is truncated as in ``decompose_direct`` and divided in
-    the field of its coefficients and p's.
+    the field of its coefficients and p's.  Float input reports
+    ``condition`` = (||q'|| + ||r'||) / (||q|| + ||r||) in the apolar norm,
+    q' and r' the same division run on the coefficient moduli with every
+    subtraction an addition: the sizes the division passes through, so
+    the rounding error of q and r is small against ||q'|| + ||r'||.
     """
     if p.dim != 1:
         raise InvalidInputError("decompose_univariate needs dimension 1")
@@ -393,9 +403,26 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
         f, diag["truncation_degree"] = _truncate_stream(f, max_degree)
     f = _promote(p, f)
     k = int(p.degree)
-    if k == 0:
-        q = f / p.coefficient((0,))
-        return DecompositionResult(q, Poly.zero(1, q.field), 0.0, "univariate", diag)
-    q, r = (Poly.zero(1, f.field), f) if f.is_zero or f.degree < k else _poly_divmod_1d(f, p)
+    if f.is_zero or f.degree < k:
+        q, r = Poly.zero(1, f.field), f
+    elif k == 0:
+        q, r = f / p.coefficient((0,)), Poly.zero(1, f.field)
+    else:
+        q, r = _poly_divmod_1d(f, p)
+    if f.field == FLOAT:
+        diag["condition"] = _division_condition(p, f, q, r)
     pk = p.homogeneous_component(k)
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "univariate", diag)
+
+
+def _division_condition(p: Poly, f: Poly, q: Poly, r: Poly) -> float:
+    """(||q'|| + ||r'||) / (||q|| + ||r||) for the long division f = p q + r,
+    q' and r' the division of |f| by p's moduli with every subtraction an
+    addition; 1.0 when the division subtracts nothing."""
+    k = int(p.degree)
+    if k == 0 or f.is_zero or f.degree < k:
+        return 1.0
+    sizes = _poly_divmod_1d(
+        Poly(1, {a: abs(c) for a, c in f.terms.items()}),
+        Poly(1, {a: abs(c) if a == (k,) else -abs(c) for a, c in p.terms.items()}))
+    return sum(map(apolar.norm, sizes)) / (apolar.norm(q) + apolar.norm(r))

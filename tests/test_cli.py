@@ -115,7 +115,8 @@ def test_series_check_refused_off_the_direct_route(files, tmp_path, route):
     p, f, extra = {
         "univariate": ("pz.json", "fz.json", []),
         "series": (files["p"], files["f"], ["--method", "series"]),
-        "entire": (files["p"], files["f"], ["--method", "entire"]),
+        # an entire-function stream against a quadratic p, under auto
+        "entire": (files["p"], "exp.json", []),
         "direct-stream": (files["p"], "exp.json", ["--method", "direct"]),
         "auto-stream": ("p1.json", "exp.json", []),
     }[route]
@@ -139,19 +140,28 @@ def test_decompose_degree_one_stream_goes_direct(tmp_path, method, mcap):
                      str(tmp_path / "f.json"), "--method", method, "--out", prefix,
                      *extra]) == 0
     cap = 11 if mcap is None else mcap
+    # q of the truncation, and r up to degree cap - deg p
     want = fischer.decompose_direct(p, entire.stream_from_dict(stream).truncate(cap))
     assert load_poly(f"{prefix}.q.json") == want.q
-    assert load_poly(f"{prefix}.r.json") == want.r
+    assert load_poly(f"{prefix}.r.json") == sum(
+        (want.r.homogeneous_component(m) for m in range(cap)), Poly.zero(2))
     payload = _read_envelope(f"{prefix}.diagnostics.json")
     assert payload["method"] == "direct"
     assert payload["diagnostics"]["truncation_degree"] == cap
 
 
-def test_method_linear_is_gone(files, capsys):
+@pytest.mark.parametrize("argv,message", [
+    (["--method", "linear"], "invalid choice: 'linear'"),
+    (["--method", "entire"], "invalid choice: 'entire'"),
+    (["--tol", "1e-14"], "unrecognized arguments: --tol"),
+], ids=["linear", "entire", "tol"])
+def test_method_linear_is_gone(files, capsys, argv, message):
+    # the translation trick (--method linear) and the level series
+    # (--method entire, --tol) are deleted
     with pytest.raises(SystemExit) as exc:
-        cli.main(["decompose", "--p", files["p"], "--f", files["f"], "--method", "linear"])
+        cli.main(["decompose", "--p", files["p"], "--f", files["f"], *argv])
     assert exc.value.code == cli.EXIT_PARSE
-    assert "invalid choice: 'linear'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p_field,f_kind", [("float", "poly"), ("float", "stream"),
@@ -212,13 +222,14 @@ def test_decompose_entire_stream(files, tmp_path):
 
 
 def test_decompose_entire_on_polynomial_file(files, tmp_path):
-    # explicit entire method over a finite polynomial defaults its own cap
+    # a polynomial file is decomposed whole: --mcap truncates streams only
     prefix = str(tmp_path / "entpoly")
     rc = cli.main(["decompose", "--p", files["p"], "--f", files["f"],
-                   "--method", "entire", "--out", prefix])
+                   "--mcap", "1", "--out", prefix])
     assert rc == 0
     payload = _read_envelope(f"{prefix}.diagnostics.json")
-    assert payload["method"] == "entire_truncated"
+    assert payload["method"] == "direct"
+    assert "truncation_degree" not in payload["diagnostics"]
     assert load_poly(f"{prefix}.q.json") == Poly.constant(2, 1)
     assert load_poly(f"{prefix}.r.json") == Poly.constant(2, 1)
 
@@ -234,7 +245,7 @@ def test_decompose_polynomial_stream_keeps_top_degrees_of_r(tmp_path):
     direct = fischer.decompose_direct(p, f)
     assert direct.r.degree == 4
     for f_args in (["--f", str(tmp_path / "fs.json")],
-                   ["--f", str(tmp_path / "f.json"), "--method", "entire"]):
+                   ["--f", str(tmp_path / "fs.json"), "--method", "direct"]):
         prefix = str(tmp_path / "out")
         assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), *f_args,
                          "--out", prefix]) == 0
@@ -271,13 +282,17 @@ def test_decompose_poly_kind_stream_as_polynomial(tmp_path, dim):
 
 @pytest.mark.parametrize("method", ["auto", "direct", "series", "entire"])
 def test_decompose_beta_checked_on_every_route(tmp_path, method):
-    # the degree-2 component of p lies in the gap above beta = 0
+    # the degree-2 component of p lies in the gap above beta = 0; "entire"
+    # is an entire-function stream under auto
     x, y = variables(2)
     save_poly(x ** 3 - x * x - 1, tmp_path / "p.json")
     save_poly(x ** 4 + y, tmp_path / "f.json")
-    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
-                     "--f", str(tmp_path / "f.json"), "--beta", "0",
-                     "--method", method, "--out", str(tmp_path / "out")]) == 3
+    with open(tmp_path / "exp.json", "w") as fh:
+        json.dump({"kind": "exp_poly", "max_degree": 10, "inner": poly_to_dict(x + y)}, fh)
+    f_args = (["--f", str(tmp_path / "exp.json")] if method == "entire"
+              else ["--f", str(tmp_path / "f.json"), "--method", method])
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), *f_args, "--beta", "0",
+                     "--out", str(tmp_path / "out")]) == 3
 
 
 def test_inner_cli(files, tmp_path):
@@ -432,7 +447,7 @@ def test_decompose_reports_deterministic(tmp_path, route):
         "direct-exact": (p, poly_to_dict(f), [], "direct"),
         "direct-float": (p.to_float(), f_float, [], "direct"),
         "series": (p.to_float(), f_float, ["--method", "series"], "series"),
-        "entire": (p.to_float(), stream, ["--mcap", "20"], "entire_truncated"),
+        "entire": (p.to_float(), stream, ["--mcap", "20"], "direct"),
         # deg p = 1 takes the direct route
         "linear": ((x - 2 * y + 3).to_float(), f_float, [], "direct"),
         "univariate": (z ** 3 - 2 * z + 1, poly_to_dict((z + 1) ** 9), [], "univariate"),
@@ -494,7 +509,7 @@ def test_exit_code_poly_stream_max_degree_below_degree(files, tmp_path):
         path = tmp_path / f"poly_cap{cap}.json"
         path.write_text(json.dumps({**stream, "max_degree": cap}))
         assert cli.main(["decompose", "--p", files["pk"], "--f", str(path),
-                         "--method", "entire", "--out", str(tmp_path / f"x{cap}")]) == code
+                         "--out", str(tmp_path / f"x{cap}")]) == code
 
 
 def test_exit_code_non_integer_exponent(files, tmp_path):
@@ -571,7 +586,7 @@ def test_exit_code_numerical_failure(tmp_path):
     with open(tmp_path / "f.json", "w") as fh:
         json.dump(stream, fh)
     rc = cli.main(["decompose", "--p", str(tmp_path / "p.json"),
-                   "--f", str(tmp_path / "f.json"), "--method", "entire",
+                   "--f", str(tmp_path / "f.json"),
                    "--mcap", "100", "--out", str(tmp_path / "flush")])
     assert rc == cli.EXIT_NUMERICAL
 

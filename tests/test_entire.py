@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from fischerlab import apolar, entire, fischer
 from fischerlab.entire import LambdaSeq, TaylorStream
 from fischerlab.errors import FormatError, InvalidInputError, NumericalError
 from fischerlab.fields import FLOAT, GaussianRational
-from fischerlab.polyalg import Poly, poly_to_dict, variables
+from fischerlab.polyalg import Poly, apply_diff_op, poly_to_dict, variables
 from conftest import (exact_homogeneous, exact_polys, gaussian_rationals,
                       rand_homogeneous, rand_poly)
 
@@ -348,15 +349,29 @@ def test_lambda_condition_probe_validation():
 
 
 # ---------------------------------------------------------------------------
-# truncated decomposition
+# truncated decomposition: decompose_direct on the truncation, q and r up
+# to degree cap - deg p
+
+def _cut(g, top):
+    """The components of g of degree <= top."""
+    return sum((g.homogeneous_component(m) for m in range(top + 1)), Poly.zero(g.dim, g.field))
+
+
+def _assert_reconstructs(dec, p, f, top, tol):
+    """f_M = (p q)_M + r_M for M <= top, within tol relative."""
+    pq = p * dec.q
+    for m in range(top + 1):
+        err = apolar.norm(f.component(m) - pq.homogeneous_component(m)
+                          - dec.r.homogeneous_component(m))
+        assert err <= tol * max(1.0, apolar.norm(f.component(m))), m
+
 
 def test_entire_kernel_stream_gives_zero_q():
     x, y = variables(2)
     f = TaylorStream.from_exp(y, max_degree=60)
-    dec = entire.decompose_entire(x * x - 1, f, 40)
-    for m in range(0, 38):
-        assert dec.q.homogeneous_component(m).is_zero
-        assert dec.r.homogeneous_component(m) == f.component(m)
+    dec = fischer.decompose_direct(x * x - 1, f, 40)
+    assert dec.q.is_zero
+    assert dec.r == _cut(f.truncate(40), 38)
 
 
 def test_entire_polynomial_oracle_exact(rng):
@@ -368,7 +383,7 @@ def test_entire_polynomial_oracle_exact(rng):
         p = pk - low
         fpoly = rand_poly(rng, 2, 6)
         direct = fischer.decompose_direct(p, fpoly)
-        dec = entire.decompose_entire(p, TaylorStream.from_poly(fpoly), 30)
+        dec = fischer.decompose_direct(p, TaylorStream.from_poly(fpoly), 30)
         assert dec.q == direct.q
         assert dec.r == direct.r
 
@@ -377,7 +392,7 @@ def test_entire_homogeneous_p_per_degree(rng):
     x, y = variables(2)
     pk = x * x + y * y
     fpoly = rand_poly(rng, 2, 5)
-    dec = entire.decompose_entire(pk, TaylorStream.from_poly(fpoly), 20)
+    dec = fischer.decompose_direct(pk, TaylorStream.from_poly(fpoly), 20)
     expected = sum((fischer.project_homogeneous(pk, fm).q
                     for fm in fpoly.homogeneous_components().values()),
                    Poly.zero(2))
@@ -388,73 +403,59 @@ def test_entire_reconstruction_per_degree_float():
     x, y = variables(2)
     p = x * x + y * y - 1
     f = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
-    m_cap = 24
-    dec = entire.decompose_entire(p, f, m_cap, tol=1e-14)
-    for m in range(m_cap - 2 - 4):
-        diag = dec.diagnostics["per_degree"][m]
-        if diag["truncated"]:
-            continue
-        err = apolar.norm(dec.r.homogeneous_component(m) + (p * dec.q).homogeneous_component(m) - f.component(m))
-        assert err <= 1e-10 * max(1.0, apolar.norm(f.component(m)))
+    dec = fischer.decompose_direct(p, f, 24)
+    _assert_reconstructs(dec, p, f, 22, 1e-12)
 
 
 def test_entire_block_decay_diagnostics():
+    # the degree blocks q_M of an order-1 stream's q decay, and the
+    # diagnostics are the direct route's plus the truncation degree
     x, y = variables(2)
     p = x * x + y * y - 1
     f = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
-    dec = entire.decompose_entire(p, f, 24)
-    decayed = 0
-    for m, diag in dec.diagnostics["per_degree"].items():
-        norms = [n for n in diag["block_norms"] if n > 0]
-        if len(norms) >= 2 and norms[-1] < norms[0]:
-            decayed += 1
-    assert decayed >= 5
+    dec = fischer.decompose_direct(p, f, 24)
+    assert set(dec.diagnostics) == {"system_size", "condition", "truncation_degree"}
+    assert dec.diagnostics["system_size"] == math.comb(22 + 2, 2)
+    assert dec.diagnostics["condition"] >= 1.0
+    norms = [apolar.norm(dec.q.homogeneous_component(m)) for m in range(0, 23, 2)]
+    assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
 def test_entire_mixed_lower_part_converges():
     # divisor with both degree-0 and degree-1 lower terms against an
-    # order-1 stream; blocks must decay geometrically and every computed
-    # degree must reconstruct
+    # order-1 stream: q's degree blocks decay and every degree up to
+    # cap - deg p reconstructs
     x, y = variables(2)
     p = x * x + y * y - x - 1
     f = TaylorStream.from_exp((x + y) * 0.3, max_degree=60)
-    dec = entire.decompose_entire(p, f, 30, tol=1e-14)
-    q_tr = dec.q
-    for m in range(0, 22):
-        if dec.diagnostics["per_degree"][m]["truncated"]:
-            continue
-        err = apolar.norm(f.component(m)
-                          - ((p * q_tr).homogeneous_component(m) + dec.r.homogeneous_component(m)))
-        assert err <= 1e-12 * max(1.0, apolar.norm(f.component(m)))
-    diag = dec.diagnostics["per_degree"][3]
-    assert diag["stopped_by"] == "tolerance"
-    norms = [n for n in diag["block_norms"] if n > 0]
+    dec = fischer.decompose_direct(p, f, 30)
+    _assert_reconstructs(dec, p, f, 28, 1e-12)
+    norms = [apolar.norm(dec.q.homogeneous_component(m)) for m in range(4, 29)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
 def test_entire_total_stream_stops_on_smallest_step():
-    # lower degrees 0 and 1: each level reads f at least k - 1 = 1 degree
-    # further, so the series must run until that step passes deg f
+    # lower degrees 0 and 1: the truncation at 8 holds all of f
     x, y = variables(2)
     p = x * x + y * y + x - 1
     f = x ** 6 + x ** 3 * y + y * y
-    dec = entire.decompose_entire(p, TaylorStream.from_poly(f), 8)
+    dec = fischer.decompose_direct(p, TaylorStream.from_poly(f), 8)
     direct = fischer.decompose_direct(p, f)
     assert dec.q == direct.q
     assert dec.r == direct.r
 
 
 def test_entire_total_stream_of_degree_beyond_m_cap():
-    # deg f far above m_cap: the low output degrees need ~20 levels
+    # deg f far above m_cap: the truncation drops x^24, so q and r are
+    # those of y^3, r cut at m_cap - deg p
     x, y = variables(2)
     p = x * x + y * y + x
     f = x ** 24 + y ** 3
-    dec = entire.decompose_entire(p, TaylorStream.from_poly(f), 4)
-    direct = fischer.decompose_direct(p, f).q
-    assert dec.q == sum((direct.homogeneous_component(m) for m in range(3)),
-                                    Poly.zero(2))
-    assert all(d["stopped_by"] == "degree" for d in dec.diagnostics["per_degree"].values())
-    assert dec.diagnostics["per_degree"][0]["j_stop"] == 21
+    dec = fischer.decompose_direct(p, TaylorStream.from_poly(f), 4)
+    want = fischer.decompose_direct(p, y ** 3)
+    assert dec.q == want.q
+    assert dec.r == _cut(want.r, 2)
+    assert dec.annihilator_residual == 0
 
 
 @settings(max_examples=40)
@@ -462,43 +463,119 @@ def test_entire_total_stream_of_degree_beyond_m_cap():
        exact_homogeneous(2, 1), gaussian_rationals(),
        exact_polys(dims=(2, 2), degrees=(0, 5)))
 def test_entire_polynomial_stream_matches_direct(pk, p1, p0, f):
-    # lower part of degree 0 and/or 1: the polynomial stream ends each
-    # degree's sum by degree alone and reproduces the direct solve
+    # lower part of degree 0 and/or 1: a polynomial stream truncated at
+    # deg f + deg p reproduces the direct solve of the polynomial
     p = pk + p1 + Poly.constant(2, p0)
     assume(not (p - pk).is_zero)
-    dec = entire.decompose_entire(p, TaylorStream.from_poly(f),
-                                  (0 if f.is_zero else f.degree) + 2)
+    dec = fischer.decompose_direct(p, TaylorStream.from_poly(f),
+                                   (0 if f.is_zero else f.degree) + 2)
     direct = fischer.decompose_direct(p, f)
     assert dec.q == direct.q
     assert dec.r == direct.r
     assert dec.annihilator_residual == 0
-    assert all(d["stopped_by"] == "degree" for d in dec.diagnostics["per_degree"].values())
 
 
 def test_entire_partial_stream_truncation_rule():
-    # k = 2, lowest lower degree 0, m_cap 14: degree M can use the levels j
-    # with M + 2 (j + 1) <= 12; tol = 0 rules out a tolerance stop
+    # k = 2, m_cap 14: q is the exact q of the truncation at 14, r its
+    # remainder up to degree 12
     x, y = variables(2)
     p = x * x + y * y - x - 1
-    f = TaylorStream.from_exp((x + y) * 0.3, max_degree=60)
-    dec = entire.decompose_entire(p, f, 14, tol=0.0)
-    assert sorted(dec.diagnostics["per_degree"]) == list(range(13))
-    for m, diag in dec.diagnostics["per_degree"].items():
-        assert diag["truncated"]
-        assert diag["stopped_by"] == "truncation"
-        assert diag["j_stop"] == (12 - m) // 2 - 1
-        assert len(diag["block_norms"]) == diag["j_stop"] + 2
+    f = TaylorStream.from_exp((x + y) * Fraction(3, 10), max_degree=60)
+    dec = fischer.decompose_direct(p, f, 14)
+    want = fischer.decompose_direct(p, f.truncate(14))
+    assert dec.q == want.q
+    assert dec.r == _cut(want.r, 12)
+    assert dec.diagnostics == {"system_size": math.comb(12 + 2, 2), "truncation_degree": 14}
 
 
 def test_entire_gap_validation():
+    # p's degree-2 component lies in the gap above beta = 0
     x, y = variables(2)
     p = x ** 3 - x * x - 1
-    f = TaylorStream.from_poly(x ** 4)
     with pytest.raises(InvalidInputError):
-        entire.decompose_entire(p, f, 20, beta=0)
+        fischer.validate_gap(p, 0)
+    fischer.validate_gap(p, 2)
 
 
 def test_entire_requires_room():
     x, y = variables(2)
     with pytest.raises(InvalidInputError):
-        entire.decompose_entire(x * x, TaylorStream.from_poly(x), 1)
+        fischer.decompose_direct(x * x, TaylorStream.from_poly(x), 1)
+
+
+def _stream_battery(d, exact):
+    """(p, exp stream, cap) for k in {1, 2, 3} and every lower part {0},
+    {1}, {0, 1}, {0, 2} that lies below k; seeded per dimension."""
+    rng = random.Random(1717 + d)
+    cap = {(2, True): 10, (3, True): 7, (2, False): 20, (3, False): 12}[d, exact]
+    for k in (1, 2, 3):
+        for lower in ((0,), (1,), (0, 1), (0, 2)):
+            if max(lower) >= k:
+                continue
+            p = rand_homogeneous(rng, d, k) + sum(
+                (rand_homogeneous(rng, d, s) for s in lower), Poly.zero(d))
+            inner = Poly(d, {tuple(int(i == j) for i in range(d)): GaussianRational(
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 4), Fraction(rng.randint(-2, 2), 4))
+                for j in range(d)})
+            if not exact:
+                p, inner = p.to_float(), inner.to_float()
+            yield p, TaylorStream.from_exp(inner, max_degree=200), cap, (k, lower)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_stream_contract_battery(d, exact):
+    # the stream contract the benchmark's check_decompose_stream reads: q and
+    # r of degree <= cap - k, f_M = (p q)_M + r_M for every M <= cap - k
+    # (== for exact input, 1e-12 relative in the apolar norm for float), and
+    # pk*(D) r = 0
+    for p, f, cap, case in _stream_battery(d, exact):
+        k = int(p.degree)
+        top = cap - k
+        dec = fischer.decompose_direct(p, f, cap)
+        assert dec.diagnostics["truncation_degree"] == cap, case
+        assert dec.q.degree <= top and dec.r.degree <= top, case
+        pq = p * dec.q
+        for m in range(top + 1):
+            resid = f.component(m) - pq.homogeneous_component(m) - dec.r.homogeneous_component(m)
+            if exact:
+                assert resid.is_zero, (case, m)
+            else:
+                assert apolar.norm(resid) <= 1e-12 * apolar.norm(f.component(m)), (case, m)
+        pk = p.homogeneous_component(k)
+        if exact:
+            assert dec.annihilator_residual == 0, case
+            assert apply_diff_op(pk.star(), dec.r).is_zero, case
+        else:
+            assert dec.annihilator_residual <= 1e-12 * apolar.norm(pk) * apolar.norm(dec.r), case
+
+
+def _chained_truncation(stream, cap):
+    """Components 0..cap added one at a time to the exact zero, as
+    TaylorStream.truncate summed them before it joined them once."""
+    total = Poly.zero(stream.dim)
+    for m in range(int(min(cap, stream.max_degree)) + 1):
+        total = total + stream.component(m)
+    return total
+
+
+@pytest.mark.parametrize("make, cap", [
+    (lambda x, y: TaylorStream.from_exp(x + y * Fraction(1, 2)), 15),
+    (lambda x, y: TaylorStream.from_exp(x * y + x, max_degree=9), 20),
+    (lambda x, y: TaylorStream.from_poly(x ** 3 - y), 6),
+    (lambda x, y: TaylorStream.from_exp((0.6 * x - 0.3j * y).to_float()), 30),
+    # odd components of exp(x^2 + y^2) are empty float polynomials
+    (lambda x, y: TaylorStream.from_exp((x * x + y * y).to_float()), 9),
+    (lambda x, y: TaylorStream.from_poly(Poly.zero(2, FLOAT)), 3),
+    (lambda x, y: TaylorStream.from_exp((0.5 * x).to_float()), 0),
+], ids=["exact-exp", "exact-exp-clipped", "exact-poly", "float-exp", "float-exp-sparse",
+        "float-zero", "float-cap0"])
+def test_truncate_matches_chained_sum(make, cap):
+    stream = make(*variables(2))
+    got, want = stream.truncate(cap), _chained_truncation(stream, cap)
+    assert got.field == want.field
+    assert list(got.terms) == list(want.terms)
+    if got.field == FLOAT:
+        assert _bits(got) == _bits(want)
+    else:
+        assert list(got.terms.values()) == list(want.terms.values())

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -8,12 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fischerlab import apolar, entire, fischer, spectral
+from fischerlab import apolar, cli, fischer, spectral
 from fischerlab.errors import ConditioningError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials,
-                               enumerate_up_to_degree, midx_factorial, variables)
+                               enumerate_up_to_degree, midx_factorial, poly_to_dict,
+                               save_poly, variables)
 from fischerlab.entire import TaylorStream
 from conftest import rand_homogeneous, rand_poly
 
@@ -197,7 +199,7 @@ def test_float_entire_repeats_bit_for_bit():
     x, y = variables(2)
     p = (x * x + y * y).to_float() - 0.8
     inner = (0.6 * x + 0.9 * y).to_float()
-    first, second = (entire.decompose_entire(p, TaylorStream.from_exp(inner, max_degree=60), 24)
+    first, second = (fischer.decompose_direct(p, TaylorStream.from_exp(inner, max_degree=60), 24)
                      for _ in range(2))
     assert repr(first.q.sorted_terms()) == repr(second.q.sorted_terms())
     assert repr(first.r.sorted_terms()) == repr(second.r.sorted_terms())
@@ -372,7 +374,7 @@ def test_float_input_gives_float_q_and_r_on_every_route(route):
     f = x ** 3 + 2 * y
     for pp, ff in [(p.to_float(), x), (p.to_float(), f), (p, x.to_float()), (p, f.to_float())]:
         if route == "entire":
-            res = entire.decompose_entire(pp, TaylorStream.from_poly(ff), int(ff.degree) + 2)
+            res = fischer.decompose_direct(pp, TaylorStream.from_poly(ff), int(ff.degree) + 2)
         else:
             res = getattr(fischer, f"decompose_{route}")(pp, ff)
         assert res.q.field == res.r.field == FLOAT
@@ -402,7 +404,7 @@ def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
     assembled.clear()
     count("slice_projector")
     stream = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
-    entire.decompose_entire(p.to_float(), stream, 12)
+    fischer.decompose_direct(p.to_float(), stream, 12)
     assert assembled and max(assembled.values()) == 1
 
 
@@ -514,7 +516,28 @@ def test_univariate_stream_below_divisor_degree():
                                        max_degree=10)
     assert res.q == Poly.zero(1, FLOAT)
     assert res.r == Poly.constant(1, 1.0)
-    assert res.diagnostics == {"truncation_degree": 10}
+    assert res.diagnostics == {"truncation_degree": 10, "condition": 1.0}
+
+
+def test_univariate_float_condition():
+    # dividing e^z's truncation at 40 by z + 20 cancels: the division on the
+    # coefficient moduli passes through sizes 1.09e5 times those of q and r,
+    # and the error of q and r stays within n eps of those sizes; by z - 20
+    # nothing cancels.  Exact input reports no condition.
+    z, = variables(1)
+    stream = TaylorStream.from_exp(z.to_float(), max_degree=60)
+    exact_stream = TaylorStream.from_exp(z, max_degree=60)
+    cond = {}
+    for c in (20, -20):
+        res = fischer.decompose_univariate((z + c).to_float(), stream, 40)
+        want = fischer.decompose_univariate(z + c, exact_stream, 40)
+        assert "condition" not in want.diagnostics
+        cond[c] = res.diagnostics["condition"]
+        err = apolar.norm(res.q - want.q.to_float()) + apolar.norm(res.r - want.r.to_float())
+        size = apolar.norm(want.q.to_float()) + apolar.norm(want.r.to_float())
+        assert err <= 40 * 2.0 ** -52 * cond[c] * size
+    assert cond[20] == pytest.approx(1.092e5, rel=1e-3)
+    assert cond[-20] == 1.0
 
 
 def _battery_roots(rng, root_class):
@@ -600,9 +623,10 @@ def test_linear_stream_truncated():
     x, y = variables(2)
     stream = TaylorStream.from_exp(y, max_degree=25)
     res = fischer.decompose_direct(x, stream, max_degree=20)
-    # every component of e^{z2} is killed by d/dz1, so q = 0, r = truncation
+    # every component of e^{z2} is killed by d/dz1, so q = 0 and r is the
+    # truncation, up to degree 20 - deg p
     assert res.q.is_zero
-    assert res.r == stream.truncate(20)
+    assert res.r == stream.truncate(19)
     assert res.diagnostics["truncation_degree"] == 20
 
 
@@ -611,13 +635,16 @@ def test_linear_stream_nonzero_shift_exact_on_truncation():
     stream = TaylorStream.from_exp(y, max_degree=25)
     p1, p0 = x + y, Fraction(1)
     res = fischer.decompose_direct(p1 - p0, stream, max_degree=15)
-    f_trunc = stream.truncate(15)
-    assert (p1 - 1) * res.q + res.r == f_trunc
+    # f = p q + r holds exactly in every degree up to 15 - deg p
+    pq = (p1 - 1) * res.q
+    for m in range(15):
+        assert pq.homogeneous_component(m) + res.r.homogeneous_component(m) == stream.component(m)
+    assert res.q.degree <= 14 and res.r.degree <= 14
     assert res.annihilator_residual == 0
     assert res.diagnostics["truncation_degree"] == 15
 
 
-def test_stream_routes_reject_unusable_truncation_degree():
+def test_stream_routes_reject_unusable_truncation_degree(tmp_path):
     x, y = variables(2)
     z, = variables(1)
     for call in (lambda cap: fischer.decompose_univariate(z - 1, TaylorStream.from_exp(z), cap),
@@ -625,6 +652,22 @@ def test_stream_routes_reject_unusable_truncation_degree():
         for cap in (None, -1):
             with pytest.raises(InvalidInputError):
                 call(cap)
+    # the direct route also needs a cap of at least deg p, on the CLI too
+    # (exit 3); the stream's declared degree counts as its cap
+    p = x * x * y - x - 1
+    for cap in (0, 2):
+        with pytest.raises(InvalidInputError, match="below deg p"):
+            fischer.decompose_direct(p, TaylorStream.from_exp(y, max_degree=40), cap)
+    with pytest.raises(InvalidInputError, match="below deg p"):
+        fischer.decompose_direct(p, TaylorStream.from_exp(y, max_degree=2))
+    assert fischer.decompose_direct(p, TaylorStream.from_exp(y), 3).r == Poly.constant(2, 1)
+    save_poly(p, tmp_path / "p.json")
+    with open(tmp_path / "f.json", "w") as fh:
+        json.dump({"kind": "exp_poly", "max_degree": 40, "inner": poly_to_dict(y)}, fh)
+    for mcap, code in ((2, cli.EXIT_PRECONDITION), (3, cli.EXIT_OK)):
+        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
+                         str(tmp_path / "f.json"), "--mcap", str(mcap),
+                         "--out", str(tmp_path / "x")]) == code
 
 
 # ---------------------------------------------------------------------------
