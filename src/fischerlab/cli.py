@@ -26,8 +26,8 @@ from . import __version__, apolar, entire, fischer, spectral
 from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
 from .fields import EXACT, GaussianRational
-from .polyalg import (Poly, enumerate_monomials, load_poly, poly_from_dict, poly_to_dict,
-                      save_poly)
+from .polyalg import (Poly, enumerate_monomials, load_json, load_poly, poly_from_dict,
+                      poly_to_dict, save_poly)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -91,11 +91,7 @@ def _load_poly_arg(path, backend=None) -> Poly:
 def _load_function_arg(path, backend=None):
     """A polynomial file or a stream file, whichever parses; a "poly" stream
     is its polynomial, and polynomials follow _load_poly_arg's backend rule."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    obj = load_json(path)
     if isinstance(obj, dict) and "kind" in obj:
         f = entire.stream_from_dict(obj)  # checks the kind and max_degree
         if f.poly_degree is None:

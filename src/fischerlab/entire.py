@@ -10,7 +10,6 @@ divides (``decompose_entire`` is that call under its former name).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT, GaussianRational
 from .fischer import DecompositionResult, decompose_direct
-from .polyalg import Poly, poly_from_dict
+from .polyalg import Poly, load_json, poly_from_dict
 
 
 class TaylorStream:
@@ -423,10 +422,5 @@ def stream_from_dict(obj) -> TaylorStream:
 
 
 def load_stream(path) -> TaylorStream:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    return stream_from_dict(obj)
+    return stream_from_dict(load_json(path))
 

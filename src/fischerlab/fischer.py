@@ -24,16 +24,15 @@ decompose as that polynomial.  ``decompose_direct`` returns q and r up
 to degree cap - deg p, the degrees of f = P q + r that the truncation
 at cap fixes.
 
-The exact slice matrix of q |-> P_k*(D)(P_k q) is assembled by
-``polyalg.op_matrix`` in the raw monomial basis.  Multiplication by P_k
-and P_k*(D) are adjoint for the apolar product, so in the orthonormal
-basis z^alpha/sqrt(alpha!) the slice matrix is M^H M, M the matrix of
-multiplication by P_k, and the Fischer projection of a homogeneous f_m
-is q = M^+ f_m.  M comes from ``polyalg.mult_entries``, as in
-``spectral.mult_matrix``: numpy arrays whose weights delta!/beta! are
-exact integer falling products, rounded to float once before one square
-root.  Float projections take one SVD of M per slice
-(``slice_projector``) and then cost one matrix-vector product each;
+Every slice map of P_k reads one pattern, ``polyalg.mult_pattern``: the
+row of each term of P_k z^beta and its exact weight delta!/beta!.
+Multiplication by P_k and P_k*(D) are apolar adjoints, so in the
+orthonormal basis z^alpha/sqrt(alpha!) the slice matrix of
+q |-> P_k*(D)(P_k q) is M^H M, M the multiplication matrix, and the
+projection of a homogeneous f_m is q = M^+ f_m.  Exact slices solve the
+raw-basis slice matrix (``fischer_matrix``), weights kept exact.  Float
+slices take one SVD of M (``polyalg.mult_entries``, weights rounded once
+before one square root) into a cached pseudoinverse (``slice_projector``);
 Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.
 
 Exact inputs give exact results; float solves carry condition estimates.
@@ -52,7 +51,7 @@ from .errors import InvalidInputError, NumericalError
 from .exactlinalg import bareiss_solve, checked_condition
 from .fields import EXACT, FLOAT
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial, mult_entries,
-                      op_matrix)
+                      mult_pattern, require_nonzero_homogeneous)
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,34 @@ class DecompositionResult:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _require_nonzero_homogeneous(pk: Poly, name="pk"):
-    if pk.is_zero:
-        raise InvalidInputError(f"{name} must be nonzero")
-    if not pk.is_homogeneous():
-        raise InvalidInputError(f"{name} must be homogeneous")
-
-
 def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
-    """Assemble the degree-m normal-equations matrix for homogeneous pk."""
-    _require_nonzero_homogeneous(pk)
+    """Assemble the degree-m normal-equations matrix for homogeneous pk.
+
+    Entry (i, j) is the coefficient of z^beta_i in pk*(D)(pk z^beta_j):
+    the sum of conj(c) c' delta!/beta_i! over the terms c z^gamma,
+    c' z^gamma' of pk with beta_i + gamma = delta = beta_j + gamma', read
+    from ``mult_pattern`` by grouping its entries by their row delta.
+    """
+    require_nonzero_homogeneous(pk)
     k = pk.degree
     if m < k:
         raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
     basis = tuple(enumerate_monomials(pk.dim, m - k))
-    return FischerMatrix(basis, tuple(map(tuple, op_matrix(pk.star(), pk, basis, basis))))
+    coeffs = [c for _, c in pk.sorted_terms()]
+    products = [[c.conjugate() * c2 for c2 in coeffs] for c in coeffs]
+    rows, weights = mult_pattern(pk, basis)
+    by_row = {}
+    for j, (row_j, weight_j) in enumerate(zip(rows.tolist(), weights.tolist())):
+        for a, (delta, w) in enumerate(zip(row_j, weight_j)):
+            by_row.setdefault(delta, []).append((j, a, w))
+    zero = coeffs[0] - coeffs[0]  # 0 in pk's field
+    mat = [[zero] * len(basis) for _ in basis]
+    for entries in by_row.values():
+        for i, a, w in entries:
+            row, prod = mat[i], products[a]
+            for j, a2, _ in entries:
+                row[j] += prod[a2] * w
+    return FischerMatrix(basis, tuple(map(tuple, mat)))
 
 
 def _annihilator_residual(pk: Poly, r: Poly) -> float:
@@ -123,7 +135,7 @@ class SliceProjector:
 
 def slice_projector(pk: Poly, m: int) -> SliceProjector:
     """The degree-m float projector for homogeneous pk, from one SVD of M."""
-    _require_nonzero_homogeneous(pk)
+    require_nonzero_homogeneous(pk)
     k = pk.degree
     if m < k:
         raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
@@ -159,7 +171,7 @@ class SliceSolver:
     """
 
     def __init__(self, pk: Poly):
-        _require_nonzero_homogeneous(pk)
+        require_nonzero_homogeneous(pk)
         self.pk = pk
         self.pk_star = pk.star()
         self._matrices = {}

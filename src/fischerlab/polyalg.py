@@ -123,14 +123,6 @@ def grlex_rank(alpha: np.ndarray) -> np.ndarray:
     return rank
 
 
-def enumerate_up_to_degree(d: int, n: int) -> list:
-    """All exponent tuples with |alpha| <= n, degrees ascending."""
-    out = []
-    for m in range(n + 1):
-        out.extend(enumerate_monomials(d, m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomial values
 
@@ -395,6 +387,15 @@ class Poly:
         return " + ".join(bits)
 
 
+def require_nonzero_homogeneous(pk: Poly) -> None:
+    """Raise InvalidInputError unless pk is a nonzero homogeneous polynomial,
+    the leading form every slice map of the package is built from."""
+    if pk.is_zero:
+        raise InvalidInputError("pk must be nonzero")
+    if not pk.is_homogeneous():
+        raise InvalidInputError("pk must be homogeneous")
+
+
 def variables(d: int, field=EXACT):
     """Convenience tuple (z1, ..., zd) of coordinate polynomials."""
     return tuple(Poly.variable(d, j, field=field) for j in range(d))
@@ -424,67 +425,51 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
     return Poly(f.dim, acc, field=field)
 
 
-def op_matrix(q: Poly, p: Poly, col_basis, row_basis) -> list:
-    """Dense rows of f |-> q(D)(p f) in the raw monomial basis.
+def mult_pattern(pk: Poly, col_basis):
+    """(rows, weights): where multiplication by homogeneous pk sends each
+    column monomial, and with what exact weight.
 
-    Column j is the image of z^beta, beta = col_basis[j], and row i the
-    coefficient of z^row_basis[i]; ``row_basis`` must hold every monomial
-    of the image.  Entry (i, j) sums e c delta!/(delta - eta)! over the
-    terms e z^eta of q and c z^gamma of p with delta = gamma + beta and
-    delta - eta = row_basis[i], read straight from the term dicts in the
-    order apply_diff_op(q, p z^beta) takes them.  Entries are
-    GaussianRational when q and p are exact, complex otherwise.
+    ``col_basis`` holds the source exponents beta of degree m, as an
+    (N, d) int array or anything ``np.asarray`` reads as one.  Both
+    results have shape (N, t), one column per term c z^gamma of pk in
+    ``pk.sorted_terms()`` order.  ``rows[j, a]`` is the graded-lex rank
+    (``grlex_rank``) of delta = beta_j + gamma_a in the slice of degree
+    m + k, k = deg pk, so rows ascend along each row of the array.
+    ``weights[j, a]`` is delta!/beta_j!, the exact integer falling product
+    prod_i (beta_i + 1) ... (beta_i + gamma_i): int64 while
+    (m + k)^k < 2^63, Python ints (object dtype) past that.  Every slice
+    map of pk reads it: ``mult_entries``, ``fischer.fischer_matrix`` and
+    ``spectral.kernel_basis``.
     """
-    if q.dim != p.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {p.dim}")
-    zero = GaussianRational(0) if q.field == EXACT and p.field == EXACT else 0j
-    row_index = {alpha: i for i, alpha in enumerate(row_basis)}
-    pairs = [(eta, gamma, e * c) for eta, e in q._terms.items()
-             for gamma, c in p._terms.items()]
-    rows = [[zero] * len(col_basis) for _ in row_basis]
-    for j, beta in enumerate(col_basis):
-        for eta, gamma, ec in pairs:
-            delta = midx_add(gamma, beta)
-            alpha = midx_sub(delta, eta)
-            if alpha is None:
-                continue
-            row = rows[row_index[alpha]]
-            w = ec * falling_product(delta, eta)
-            row[j] = w if row[j] is zero else row[j] + w
-    return rows
+    k = int(pk.degree)
+    beta = np.asarray(col_basis, dtype=np.int64).reshape(-1, pk.dim)
+    gammas = np.array([gamma for gamma, _ in pk.sorted_terms()],
+                      dtype=np.int64).reshape(-1, pk.dim)
+    m = int(beta.sum(axis=1).max()) if len(beta) else 0
+    base = beta if (m + k) ** k < 2 ** 63 else beta.astype(object)
+    weights = np.ones((len(beta), len(gammas)), dtype=base.dtype)
+    for col, gamma in enumerate(gammas.tolist()):
+        for i, g in enumerate(gamma):
+            for j in range(1, g + 1):
+                weights[:, col] *= base[:, i] + j
+    return grlex_rank(beta[:, None, :] + gammas[None, :, :]), weights
 
 
 def mult_entries(pk: Poly, col_basis):
     """(rows, cols, vals): the nonzeros of multiplication by homogeneous pk
     in the orthonormal basis z^alpha/sqrt(alpha!), as numpy arrays.
 
-    ``col_basis`` holds the source exponents beta of degree m, as an
-    (N, d) int array or anything ``np.asarray`` reads as one.  Rows index
-    the whole graded-lex slice of degree m + k, k = deg pk, and are read
-    off ``grlex_rank``.  Each term c z^gamma puts c sqrt(delta!/beta!),
-    delta = gamma + beta, in column beta and row delta.  The entries come
-    column by column with pk's terms in graded-lex order, so rows ascend
-    within each column (CSC order).  delta!/beta! is the exact integer
-    falling product prod_i (beta_i + 1) ... (beta_i + gamma_i), in int64
-    while (m + k)^k < 2^63 and in Python ints past that; it is rounded to
-    float once, then one square root is taken per entry.
+    The pattern comes from ``mult_pattern``: each term c z^gamma puts
+    c sqrt(delta!/beta!), delta = gamma + beta, in column beta and row
+    delta.  The entries come column by column with pk's terms in
+    graded-lex order, so rows ascend within each column (CSC order).  The
+    exact weight delta!/beta! is rounded to float once, then one square
+    root is taken per entry.
     """
-    terms = pk.sorted_terms()
-    k = int(pk.degree)
-    beta = np.asarray(col_basis, dtype=np.int64).reshape(-1, pk.dim)
-    gammas = np.array([gamma for gamma, _ in terms], dtype=np.int64).reshape(-1, pk.dim)
-    n, t = len(beta), len(terms)
-    m = int(beta.sum(axis=1).max()) if n else 0
-    base = beta if (m + k) ** k < 2 ** 63 else beta.astype(object)
-    ratio = np.ones((n, t), dtype=base.dtype)
-    for col, gamma in enumerate(gammas.tolist()):
-        for i, g in enumerate(gamma):
-            for j in range(1, g + 1):
-                ratio[:, col] *= base[:, i] + j
-    coeffs = np.array([complex(c) for _, c in terms], dtype=complex)
-    vals = coeffs * np.sqrt(ratio.astype(float))
-    rows = grlex_rank(beta[:, None, :] + gammas[None, :, :])
-    return rows.ravel(), np.repeat(np.arange(n), t), vals.ravel()
+    rows, weights = mult_pattern(pk, col_basis)
+    coeffs = np.array([complex(c) for _, c in pk.sorted_terms()], dtype=complex)
+    vals = coeffs * np.sqrt(weights.astype(float))
+    return rows.ravel(), np.repeat(np.arange(len(rows)), rows.shape[1]), vals.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +546,15 @@ def save_poly(p: Poly, path) -> None:
         fh.write("\n")
 
 
-def load_poly(path) -> Poly:
+def load_json(path):
+    """The JSON value in the file at path; a parse error is a FormatError
+    that names the file."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-    return poly_from_dict(obj)
+
+
+def load_poly(path) -> Poly:
+    return poly_from_dict(load_json(path))

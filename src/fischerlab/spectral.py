@@ -10,7 +10,8 @@ The log-log slope of sigma_min against m is the growth exponent reported
 by :func:`ks_exponent_fit`.
 
 M is assembled by ``polyalg.mult_entries`` in one numpy pass over every
-column: row indices from the closed-form graded-lex rank, and each entry
+column, from the pattern of ``polyalg.mult_pattern``: row indices from
+the closed-form graded-lex rank, and each entry
 c sqrt(delta!/beta!) from the exact integer falling product delta!/beta!,
 rounded to float once before its one square root.
 
@@ -43,7 +44,7 @@ from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
 from .polyalg import (Poly, count_monomials, enumerate_monomials, monomial_array, mult_entries,
-                      op_matrix)
+                      mult_pattern, require_nonzero_homogeneous)
 
 # scipy.sparse is imported where an operator is built, so that importing
 # this module (and the CLI) does not load it
@@ -98,10 +99,7 @@ class MultiplicationMatrix:
 def _check_operator(pk: Poly, m: int, dim_cap: int) -> None:
     """Raise InvalidInputError unless multiplication by pk on the degree-m
     slice is a valid operator under the dimension cap."""
-    if pk.is_zero:
-        raise InvalidInputError("pk must be nonzero")
-    if not pk.is_homogeneous():
-        raise InvalidInputError("pk must be homogeneous")
+    require_nonzero_homogeneous(pk)
     if pk.degree < 1:
         raise InvalidInputError("pk must have degree >= 1")
     if m < 0:
@@ -298,19 +296,17 @@ def ks_exponent_fit(pk: Poly, m_range=(8, 40), dim_cap: int = DEFAULT_DIM_CAP) -
 def kernel_basis(pk: Poly, m: int):
     """Basis of the kernel of pk(D) on the homogeneous degree-m slice.
 
-    The matrix of pk(D) from slice m to slice m - k comes from
-    ``polyalg.op_matrix(pk, 1, ...)``, the raw-basis builder that also
-    assembles the Fischer slice matrices.  pk(D) is the apolar adjoint of
-    multiplication by pk*, so this kernel is the orthogonal complement of
-    pk* times slice m - k, and the slice matrix of pk*(D)(pk .) is M^H M
-    in the orthonormal basis, M from :func:`mult_matrix`.  Exact
-    coefficients give an exact rational basis via reduced row echelon
-    form; float input falls back to an SVD nullspace.
+    The matrix of pk(D) from slice m to slice m - k is the transposed
+    pattern of ``polyalg.mult_pattern`` on slice m - k: pk(D) sends
+    z^delta, delta = beta + gamma, to c delta!/beta! z^beta for each term
+    c z^gamma.  pk(D) is the apolar adjoint of multiplication by pk*, so
+    this kernel is the orthogonal complement of pk* times slice m - k,
+    and the slice matrix of pk*(D)(pk .) is M^H M in the orthonormal
+    basis, M from :func:`mult_matrix`.  Exact coefficients give an exact
+    rational basis via reduced row echelon form; float input falls back
+    to an SVD nullspace.
     """
-    if pk.is_zero:
-        raise InvalidInputError("pk must be nonzero")
-    if not pk.is_homogeneous():
-        raise InvalidInputError("pk must be homogeneous")
+    require_nonzero_homogeneous(pk)
     if m < 0:
         raise InvalidInputError("degree must be >= 0")
     d = pk.dim
@@ -318,8 +314,13 @@ def kernel_basis(pk: Poly, m: int):
     col_basis = enumerate_monomials(d, m)
     if m < k:
         return [Poly.monomial(d, alpha, 1, field=pk.field) for alpha in col_basis]
-    rows = op_matrix(pk, Poly.constant(d, 1, field=pk.field), col_basis,
-                     enumerate_monomials(d, m - k))
+    coeffs = [c for _, c in pk.sorted_terms()]
+    zero = coeffs[0] - coeffs[0]  # 0 in pk's field
+    ranks, weights = mult_pattern(pk, enumerate_monomials(d, m - k))
+    rows = [[zero] * len(col_basis) for _ in ranks]
+    for row, ranks_j, weights_j in zip(rows, ranks.tolist(), weights.tolist()):
+        for c, delta, w in zip(coeffs, ranks_j, weights_j):
+            row[delta] = c * w
     if pk.field == EXACT:
         vecs = exact_nullspace(rows, len(col_basis))
         return [Poly(d, dict(zip(col_basis, v)), field=EXACT) for v in vecs]

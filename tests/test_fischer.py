@@ -12,10 +12,9 @@ import pytest
 from fischerlab import apolar, cli, fischer, spectral
 from fischerlab.errors import ConditioningError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
-from fischerlab.fields import FLOAT, GaussianRational
-from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials,
-                               enumerate_up_to_degree, midx_factorial, poly_to_dict,
-                               save_poly, variables)
+from fischerlab.fields import EXACT, FLOAT, GaussianRational
+from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial,
+                               poly_to_dict, save_poly, variables)
 from fischerlab.entire import TaylorStream
 from conftest import rand_homogeneous, rand_poly
 
@@ -23,6 +22,11 @@ from conftest import rand_homogeneous, rand_poly
 def _annihilates(p, r):
     pk = p.homogeneous_component(int(p.degree))
     return apply_diff_op(pk.star(), r).is_zero
+
+
+def _monomials_up_to(d, n):
+    """All exponent tuples of degree <= n, degrees ascending."""
+    return [a for m in range(n + 1) for a in enumerate_monomials(d, m)]
 
 
 def _exactify(p):
@@ -80,6 +84,44 @@ def test_fischer_matrix_rejects_low_degree():
         fischer.fischer_matrix(x * x, 1)
     with pytest.raises(InvalidInputError):
         fischer.fischer_matrix(Poly.zero(2), 3)
+
+
+def _assert_columns_are_images(pk, m):
+    """Column j of fischer_matrix(pk, m) is pk*(D)(pk z^beta_j): equal for
+    exact pk, within 1e-14 of the largest coefficient for float pk."""
+    fm = fischer.fischer_matrix(pk, m)
+    entry = GaussianRational if pk.field == EXACT else complex
+    assert all(type(v) is entry for row in fm.rows for v in row)
+    for j, beta in enumerate(fm.basis):
+        column = Poly(pk.dim, {alpha: row[j] for alpha, row in zip(fm.basis, fm.rows)},
+                      field=pk.field)
+        image = apply_diff_op(pk.star(), pk * Poly.monomial(pk.dim, beta, 1, field=pk.field))
+        if pk.field == EXACT:
+            assert column == image
+        else:
+            scale = max(abs(c) for c in image.terms.values())
+            assert all(abs(column.coefficient(a) - image.coefficient(a)) <= 1e-14 * scale
+                       for a in fm.basis)
+
+
+def test_fischer_matrix_columns_are_diff_op_images():
+    rng = random.Random(18)
+    for d in range(1, 5):
+        for k in range(4):
+            pk = rand_homogeneous(rng, d, k)
+            for m in range(k, k + (4 if d < 4 else 3)):
+                _assert_columns_are_images(pk, m)
+                _assert_columns_are_images(pk.to_float(), m)
+
+
+def test_fischer_matrix_past_int64_weights():
+    # from m = 80, (m + k)^k passes 2^63 and mult_pattern's weights are
+    # Python ints; at m = 90 the z1^10 term's weight 90!/80! ~ 2.1e19 would
+    # wrap in int64
+    pk = rand_homogeneous(random.Random(80), 2, 10) + Poly.monomial(2, (10, 0), 3)
+    assert pk.coefficient((10, 0)) != 0
+    for m in (80, 90):
+        _assert_columns_are_images(pk, m)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +324,10 @@ def test_direct_float_matches_exact_battery():
         d, k = rng.choice([2, 3]), rng.choice([1, 2, 3])
         pk = Poly(d, {a: coeff() for a in enumerate_monomials(d, k)})
         scale = 10 ** rng.uniform(-2, 4)
-        lower = Poly(d, {a: scale * coeff() for a in enumerate_up_to_degree(d, k - 1)
+        lower = Poly(d, {a: scale * coeff() for a in _monomials_up_to(d, k - 1)
                          if rng.random() < 0.6})
         n = rng.randint(k, {2: 9, 3: 6}[d])
-        f = Poly(d, {a: coeff() for a in enumerate_up_to_degree(d, n) if rng.random() < 0.5})
+        f = Poly(d, {a: coeff() for a in _monomials_up_to(d, n) if rng.random() < 0.5})
         if f.is_zero:
             continue
         p = pk + lower
@@ -415,7 +457,7 @@ def test_exact_direct_equals_series_at_degree_14():
     p = x * x + x * y + 2 * y * y + z * z + x * z - 1
     rng = random.Random(3)
     f = Poly(3, {a: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                 for a in enumerate_up_to_degree(3, 14) if rng.random() < 0.3})
+                 for a in _monomials_up_to(3, 14) if rng.random() < 0.3})
     direct, series = fischer._direct_and_series(p, f)
     assert direct.q == series.q
     assert direct.annihilator_residual == series.annihilator_residual == 0

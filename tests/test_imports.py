@@ -1,7 +1,9 @@
-"""Every module-level import in the package is used by its module, no
-module reads the environment, the decomposition modules import nothing
-from scipy, the CLI does not load the heavy scipy subpackages it has no
-use for, and every name the benchmark's tracer patches exists."""
+"""Every module-level import in the package is used by its module, every
+top-level function and class is used somewhere in the package (or is
+patched by the benchmark's tracer), no module reads the environment, the
+decomposition modules import nothing from scipy, the CLI does not load
+the heavy scipy subpackages it has no use for, and every name the
+benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -109,15 +111,60 @@ def test_cli_import_skips_heavy_scipy_modules():
     assert out.stdout.strip() == "[]"
 
 
-def test_traced_layers_resolve():
-    # bench/tracing.py patches these names from outside the package and
-    # raises on a missing one; class methods are looked up in the class
+def traced_layers() -> list:
+    """bench/tracing.py's LAYERS: (module, attribute, span name) triples."""
     path = Path(__file__).parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """module.name of each top-level function or class that no other
+    top-level statement of ``sources`` (module name -> source) names, as a
+    name, an attribute or an import; a function calling itself does not
+    count."""
+    defined, refs = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            name = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, name))
+            names = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    names.add(n.name)
+            refs.append((module, name, names))
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if not any(name in names and (m, n) != (module, name)
+                             for m, n, names in refs))
+
+
+def test_package_definitions_are_used():
+    # a public name re-exported by __init__ counts as used; a name the
+    # benchmark's tracer patches may have no caller left in the package
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    patched = {f"{module}.{attr.split('.')[0]}" for module, attr, _ in traced_layers()}
+    assert [name for name in unreferenced_definitions(sources) if name not in patched] == []
+
+
+def test_unused_definition_is_reported():
+    sources = {"a": "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h()\n",
+               "b": "from .a import g\n\nclass C:\n    pass\n\ndef h():\n    return C\n"}
+    assert unreferenced_definitions(sources) == ["a.f"]
+
+
+def test_traced_layers_resolve():
+    # bench/tracing.py patches these names from outside the package and
+    # raises on a missing one; class methods are looked up in the class
+    layers = traced_layers()
     missing = []
-    for module_name, attr, _ in tracing.LAYERS:
+    for module_name, attr, _ in layers:
         module = importlib.import_module(f"fischerlab.{module_name}")
         if "." in attr:
             cls_name, meth = attr.split(".")
@@ -126,5 +173,5 @@ def test_traced_layers_resolve():
             found = hasattr(module, attr)
         if not found:
             missing.append(f"{module_name}.{attr}")
-    assert tracing.LAYERS
+    assert layers
     assert missing == []

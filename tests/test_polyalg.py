@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from fischerlab.errors import DimensionMismatchError, FormatError, InvalidInputError
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
-                                enumerate_monomials, enumerate_up_to_degree, grlex_rank,
-                                midx_add, midx_factorial, monomial_array, mult_entries,
-                                op_matrix, poly_from_dict, poly_to_dict, variables)
-from conftest import exact_polys, rand_homogeneous, rand_poly
+                                enumerate_monomials, grlex_rank, midx_add, midx_factorial,
+                                monomial_array, mult_entries, poly_from_dict, poly_to_dict,
+                                variables)
+from conftest import exact_polys, rand_poly
 
 
 def test_enumerate_single_variable():
@@ -189,37 +189,6 @@ def test_diff_op_composition(rng):
         lhs = apply_diff_op(q1, apply_diff_op(q2, f))
         rhs = apply_diff_op(q1 * q2, f)
         assert lhs == rhs
-
-
-def _op_matrix_columns_match(q, p, col_basis, row_basis):
-    rows = op_matrix(q, p, col_basis, row_basis)
-    assert len(rows) == len(row_basis)
-    entry = GaussianRational if q.field == p.field == EXACT else complex
-    assert all(type(v) is entry for row in rows for v in row)
-    for j, beta in enumerate(col_basis):
-        column = Poly(q.dim, {alpha: row[j] for alpha, row in zip(row_basis, rows)},
-                      field=q.field)
-        assert column == apply_diff_op(q, p * Poly.monomial(q.dim, beta, 1, field=p.field))
-
-
-def test_op_matrix_slice_columns_are_diff_op_images(rng):
-    for _ in range(10):
-        d, kq, kp = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3)
-        m = rng.randint(kq, kq + 3)
-        q, p = rand_homogeneous(rng, d, kq), rand_homogeneous(rng, d, kp)
-        _op_matrix_columns_match(q, p, enumerate_monomials(d, m),
-                                 enumerate_monomials(d, m + kp - kq))
-
-
-def test_op_matrix_graded_columns_are_diff_op_images(rng):
-    for _ in range(10):
-        d, n = rng.randint(1, 3), rng.randint(0, 4)
-        q, p = rand_poly(rng, d, 3), rand_poly(rng, d, 3)
-        cols = enumerate_up_to_degree(d, n)
-        rows = enumerate_up_to_degree(d, n + 3)
-        _op_matrix_columns_match(q, p, cols, rows)
-        # float entries repeat apply_diff_op's arithmetic bit for bit
-        _op_matrix_columns_match(q.to_float(), p.to_float(), cols, rows)
 
 
 def test_homogeneous_components():
