@@ -1,11 +1,15 @@
 """fischer-lab command line front end.
 
 Verbs: inner, decompose, spectrum, ks-fit, kernel, classify2x2, order,
-blambda, verify.  Reports are JSON envelopes (CSV for spectral sweeps)
-written atomically; identical command plus seed gives byte-identical
-output.  Exit codes: 0 ok, 1 verify violations, 2 parse errors, 3
-precondition violations, 4 numerical failures, 5 internal errors (any
-other exception; a bug, reported with its traceback).
+blambda, verify.  Each verb maps its flags to one library call:
+``decompose`` lets the input pick the route (``fischer.decompose_direct``,
+long division in d = 1) unless ``--method series`` asks for the series.
+Reports are JSON envelopes (CSV for spectral sweeps), and every file is
+written atomically by ``polyalg.write_atomic``; identical command plus
+seed gives byte-identical output.  Exit codes: 0 ok, 1 verify
+violations, 2 parse errors, 3 precondition violations, 4 numerical
+failures, 5 internal errors (any other exception; a bug, reported with
+its traceback).
 """
 
 from __future__ import annotations
@@ -15,10 +19,8 @@ import cmath
 import functools
 import json
 import math
-import os
 import random
 import sys
-import tempfile
 import traceback
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
 from .fields import EXACT, GaussianRational
 from .polyalg import (Poly, enumerate_monomials, load_json, load_poly, poly_from_dict,
-                      poly_to_dict, save_poly)
+                      poly_to_dict, save_poly, write_atomic)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -39,20 +41,12 @@ EXIT_INTERNAL = 5
 
 def _jsonable(value):
     """Make module outputs JSON-ready with a deterministic field order."""
-    if hasattr(value, "item") and not isinstance(value, (dict, list, tuple)):
-        value = value.item()  # numpy scalars
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, GaussianRational):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
     if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
+        return repr(value)  # order can report inf
     return value
 
 
@@ -63,17 +57,8 @@ def emit_report(verb: str, payload, path=None) -> None:
     text = json.dumps(envelope, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fischer-lab-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    else:
+        write_atomic(path, text)
 
 
 def _on_backend(p: Poly, path, backend) -> Poly:
@@ -145,26 +130,15 @@ def _cmd_decompose(args) -> int:
     f = _load_function_arg(args.f, args.backend)
     if args.beta is not None:
         fischer.validate_gap(p, args.beta)
-    method = args.method
-    if method == "auto":
-        # long division in d = 1, else the top-down recursion, which takes
-        # a Taylor stream as its truncation
-        method = "univariate" if p.dim == 1 else "direct"
-    if method == "series" and not isinstance(f, Poly):
-        raise InvalidInputError("series method needs polynomial input; "
-                                "streams take the direct route")
-    if args.series_check and method != "direct":
-        raise InvalidInputError(f"--series-check checks the direct route, not {method}")
-    if args.series_check and not isinstance(f, Poly):
-        raise InvalidInputError("--series-check needs polynomial input")
-    if method == "univariate":
-        res = fischer.decompose_univariate(p, f, max_degree=args.mcap)
-    elif method == "series":
+    if args.method == "series":
+        if args.series_check:
+            raise InvalidInputError("--series-check checks the auto route against the "
+                                    "series route; drop --method series")
         res = fischer.decompose_series(p, f)
     elif args.series_check:
         res, other = fischer._direct_and_series(p, f)
         res.diagnostics["series_check_agrees"] = (
-            other.q == res.q if p.field == EXACT and f.field == EXACT
+            other.q == res.q if res.q.field == EXACT
             else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
     else:
         res = fischer.decompose_direct(p, f, max_degree=args.mcap)
@@ -376,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="Fischer decomposition f = P q + r")
     sp.add_argument("--p", required=True)
     sp.add_argument("--f", required=True)
-    sp.add_argument("--method", default="auto",
-                    choices=["auto", "direct", "series", "univariate"])
+    sp.add_argument("--method", default="auto", choices=["auto", "series"])
     sp.add_argument("--backend", choices=["exact", "float"])
     sp.add_argument("--beta", type=int)
     sp.add_argument("--mcap", type=int)

@@ -1,28 +1,27 @@
 """Fischer decompositions f = P q + r with P_k*(D) r = 0.
 
-Four routes are provided; each takes the divisor first and returns a
-:class:`DecompositionResult`.  All but ``decompose_univariate`` (long
-division) reach the slice operator q |-> P_k*(D)(P_k q) only through a
-:class:`SliceSolver`.
+Three routes are provided; each takes the divisor first and returns a
+:class:`DecompositionResult`.  The split is unique, so the input alone
+picks how to compute it: ``decompose_direct`` answers every divisor.
 
-* ``project_homogeneous`` projects a homogeneous f orthogonally onto P_k
-  times the lower slice: exact input by the normal equations, float input
-  by the pseudoinverse of the multiplication matrix.
-* ``decompose_direct`` runs the Fischer recursion from the top degree
-  down: q_n is the projection of the degree n + k part of
-  f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field and for every
-  deg p >= 1.  It is the route of every Taylor stream in d >= 2.
-* ``decompose_series`` runs the iterated projection series; for
-  polynomial input it terminates exactly and agrees with the direct
-  solve by uniqueness.
 * ``decompose_univariate`` (d = 1) is division with remainder, whose
   remainder is the interpolant at the root multiset.
+* ``decompose_direct`` is ``decompose_univariate`` for a d = 1 divisor.
+  Otherwise it runs the Fischer recursion from the top degree down: q_n
+  is the projection (``SliceSolver.project``) of the degree n + k part
+  of f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field and for
+  every deg p >= 1.  ``project_homogeneous`` is its one-slice case:
+  exact input by the normal equations, float input by the pseudoinverse
+  of the multiplication matrix.
+* ``decompose_series`` runs the iterated projection series on a
+  polynomial; it terminates exactly and agrees with the direct solve by
+  uniqueness.  It refuses float input with a d = 1 divisor, whose float
+  slice projections leave round-off terms that long division does not.
 
-``decompose_direct`` and ``decompose_univariate`` also accept a Taylor
-stream, which they truncate by one rule (``_truncate_stream``) and
-decompose as that polynomial.  ``decompose_direct`` returns q and r up
-to degree cap - deg p, the degrees of f = P q + r that the truncation
-at cap fixes.
+``decompose_direct`` also accepts a Taylor stream, which it truncates by
+one rule (``_truncate_stream``) and decomposes as that polynomial.  For
+d >= 2 it returns q and r up to degree cap - deg p, the degrees of
+f = P q + r that the truncation at cap fixes.
 
 Every slice map of P_k reads one pattern, ``polyalg.mult_pattern``: the
 row of each term of P_k z^beta and its exact weight delta!/beta!.
@@ -249,9 +248,11 @@ def _truncate_stream(f, max_degree):
 
 
 def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
-    """Fischer decomposition by the top-down recursion over slices.
+    """Fischer decomposition of f by p, whatever p and f are.
 
-    Write p = P_k + L with deg L < k.  P_k*(D) r = 0 holds component by
+    A d = 1 divisor is ``decompose_univariate(p, f, max_degree)``: long
+    division, result and diagnostics included.  Otherwise, write
+    p = P_k + L with deg L < k.  P_k*(D) r = 0 holds component by
     component, and L q_j only reaches degrees below j + k, so the degree
     n + k component of f - L (q_{n+1} + q_{n+2} + ...) is P_k q_n plus a
     component of r: q_n is its slice projection (``SliceSolver.project``),
@@ -260,18 +261,8 @@ def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
     as ``condition``.  A Taylor stream f is truncated at max_degree (else
     its declared degree), reported as ``truncation_degree``; that cap must
     be at least deg p, and q and r are returned up to degree cap - deg p.
-    Float input with a d = 1 divisor is refused: ``decompose_univariate``
-    is its route.
     """
-    solver = _slice_solver(p)
-    if isinstance(f, Poly):
-        return _decompose_direct(p, f, solver)
-    f, cap = _truncate_stream(f, max_degree)
-    if cap < p.degree:
-        raise InvalidInputError(f"truncation degree {cap} is below deg p = {p.degree}")
-    res = _decompose_direct(p, f, solver, top=cap - p.degree)
-    res.diagnostics["truncation_degree"] = cap
-    return res
+    return _decompose_direct(p, f, _slice_solver(p), max_degree)
 
 
 def _slice_solver(p: Poly) -> SliceSolver:
@@ -280,15 +271,17 @@ def _slice_solver(p: Poly) -> SliceSolver:
     return SliceSolver(p.homogeneous_component(p.degree))
 
 
-def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver, top=None) -> DecompositionResult:
-    """decompose_direct on a polynomial f, r cut to degree <= top if given."""
-    f = _promote(p, f)
-    if p.dim == 1 and f.field == FLOAT:
-        # float slice projections leave round-off terms in r at degrees
-        # >= deg p, where division with remainder leaves none
-        raise InvalidInputError("the direct route needs dimension >= 2 for float input; "
-                                "use the univariate route (long division) for d = 1")
+def _decompose_direct(p: Poly, f, solver: SliceSolver, max_degree=None) -> DecompositionResult:
+    """decompose_direct on the given SliceSolver of p's top component."""
+    if p.dim == 1:
+        return decompose_univariate(p, f, max_degree)
     k = p.degree
+    cap = None
+    if not isinstance(f, Poly):
+        f, cap = _truncate_stream(f, max_degree)
+        if cap < k:
+            raise InvalidInputError(f"truncation degree {cap} is below deg p = {k}")
+    f = _promote(p, f)
     pk = solver.pk
     # g = f - (p - pk)(q_{n+1} + q_{n+2} + ...) kept by degree: the slice
     # projection accounts for pk q_n, and each lower component L_s of p
@@ -311,8 +304,9 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver, top=None) -> Decomp
     if conds:
         diag["condition"] = max(conds)
     r = f - p * q
-    if top is not None:
-        r = Poly(p.dim, {a: c for a, c in r.terms.items() if sum(a) <= top}, field=r.field)
+    if cap is not None:
+        r = Poly(p.dim, {a: c for a, c in r.terms.items() if sum(a) <= cap - k}, field=r.field)
+        diag["truncation_degree"] = cap
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 
 
@@ -335,8 +329,24 @@ def decompose_series(p: Poly, f: Poly, beta=None) -> DecompositionResult:
     each homogeneous component onto the image of multiplication by P_k.
     Every level drops total degree by at least deg p - beta, so the sum
     is finite for polynomial input and equals the direct solve exactly.
+    A Taylor stream, and float input with a d = 1 divisor, are refused
+    (``_check_series_input``).
     """
+    _check_series_input(p, f)
     return _decompose_series(p, f, beta, _slice_solver(p))
+
+
+def _check_series_input(p: Poly, f) -> None:
+    """Refuse what the series route cannot split: a Taylor stream, whose
+    route is decompose_direct, and float input with a d = 1 divisor, whose
+    float slice projections leave round-off terms in r at degrees >= deg p
+    where division with remainder leaves none."""
+    if not isinstance(f, Poly):
+        raise InvalidInputError("the series route needs polynomial input; "
+                                "streams take the direct route")
+    if p.dim == 1 and FLOAT in (p.field, f.field):
+        raise InvalidInputError("the series route needs dimension >= 2 for float input; "
+                                "d = 1 goes by long division")
 
 
 def _decompose_series(p: Poly, f: Poly, beta, solver: SliceSolver) -> DecompositionResult:
@@ -361,6 +371,7 @@ def _decompose_series(p: Poly, f: Poly, beta, solver: SliceSolver) -> Decomposit
 def _direct_and_series(p: Poly, f: Poly):
     """(decompose_direct(p, f), decompose_series(p, f)) on one
     SliceSolver, so each slice matrix is assembled once for both."""
+    _check_series_input(p, f)
     solver = _slice_solver(p)
     return _decompose_direct(p, f, solver), _decompose_series(p, f, None, solver)
 

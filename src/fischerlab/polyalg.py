@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import chain, combinations
 from types import MappingProxyType
@@ -541,9 +542,25 @@ def poly_from_dict(obj) -> Poly:
 
 
 def save_poly(p: Poly, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(poly_to_dict(p), fh, indent=1)
-        fh.write("\n")
+    write_atomic(path, json.dumps(poly_to_dict(p), indent=1) + "\n")
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory
+    and one rename: readers see the old file or the whole new one, and a
+    failed write leaves no partial file.  The temporary file is opened
+    like any new file, so the umask sets its mode.  The package's only
+    file writer."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".fischer-lab-{os.urandom(8).hex()}")
+    fh = open(tmp, "x")  # exclusive: never another writer's file
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_json(path):

@@ -44,7 +44,7 @@ from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
 from .polyalg import (Poly, count_monomials, enumerate_monomials, monomial_array, mult_entries,
-                      mult_pattern, require_nonzero_homogeneous)
+                      mult_pattern, require_nonzero_homogeneous, write_atomic)
 
 # scipy.sparse is imported where an operator is built, so that importing
 # this module (and the CLI) does not load it
@@ -92,7 +92,6 @@ class MultiplicationMatrix:
     pk: Poly
     m: int
     matrix: csc_array
-    row_basis: tuple
     col_basis: tuple
 
 
@@ -114,13 +113,12 @@ def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> Multiplicat
 
     _check_operator(pk, m, dim_cap)
     col_basis = monomial_array(pk.dim, m)
-    row_basis = monomial_array(pk.dim, m + pk.degree)
     rows, _, vals = mult_entries(pk, col_basis)
     # mult_entries lists each column's len(pk.terms) entries with rows ascending
     indptr = np.arange(0, len(vals) + 1, len(pk.terms))
-    a = csc_array((vals, rows, indptr), shape=(len(row_basis), len(col_basis)))
-    return MultiplicationMatrix(pk, m, a, tuple(map(tuple, row_basis.tolist())),
-                                tuple(map(tuple, col_basis.tolist())))
+    a = csc_array((vals, rows, indptr),
+                  shape=(count_monomials(pk.dim, m + pk.degree), len(col_basis)))
+    return MultiplicationMatrix(pk, m, a, tuple(map(tuple, col_basis.tolist())))
 
 
 def _takagi_normal_form(pk: Poly) -> Poly:
@@ -407,8 +405,5 @@ def report_header(report: SpectralReport) -> dict:
 
 
 def save_report(report: SpectralReport, csv_path, json_path) -> None:
-    with open(csv_path, "w") as fh:
-        fh.write(report_to_csv(report))
-    with open(json_path, "w") as fh:
-        json.dump(report_header(report), fh, indent=1)
-        fh.write("\n")
+    write_atomic(csv_path, report_to_csv(report))
+    write_atomic(json_path, json.dumps(report_header(report), indent=1) + "\n")

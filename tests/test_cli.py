@@ -11,7 +11,7 @@ import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import apolar, cli, entire, fischer
-from fischerlab.errors import InvalidInputError
+from fischerlab.fields import FLOAT
 from fischerlab.polyalg import (Poly, enumerate_monomials, load_poly, poly_to_dict, save_poly,
                                 variables)
 
@@ -105,19 +105,24 @@ def test_series_check_on_degree_one_divisor(tmp_path):
 @pytest.mark.parametrize("route", ["univariate", "series", "entire", "direct-stream",
                                    "auto-stream"])
 def test_series_check_refused_off_the_direct_route(files, tmp_path, route):
+    # the cross-check needs input the series route can split: a polynomial,
+    # and exact input when d = 1
     x, y = variables(2)
     z, = variables(1)
-    save_poly(z * z - 1, tmp_path / "pz.json")
+    save_poly((z * z - 1).to_float(), tmp_path / "pz.json")
     save_poly(z ** 3, tmp_path / "fz.json")
+    save_poly(z * z - 1, tmp_path / "pz_exact.json")
     save_poly(x - 1, tmp_path / "p1.json")
     with open(tmp_path / "exp.json", "w") as fh:
         json.dump({"kind": "exp_poly", "max_degree": 8, "inner": poly_to_dict(x + y)}, fh)
     p, f, extra = {
+        # float input with a d = 1 divisor
         "univariate": ("pz.json", "fz.json", []),
         "series": (files["p"], files["f"], ["--method", "series"]),
         # an entire-function stream against a quadratic p, under auto
         "entire": (files["p"], "exp.json", []),
-        "direct-stream": (files["p"], "exp.json", ["--method", "direct"]),
+        # a d = 1 stream, which decompose_direct divides
+        "direct-stream": ("pz_exact.json", files["expz"], []),
         "auto-stream": ("p1.json", "exp.json", []),
     }[route]
     rc = cli.main(["decompose", "--p", str(tmp_path / p), "--f", str(tmp_path / f),
@@ -126,7 +131,27 @@ def test_series_check_refused_off_the_direct_route(files, tmp_path, route):
     assert not (tmp_path / "x.q.json").exists()
 
 
-@pytest.mark.parametrize("method,mcap", [("auto", 9), ("direct", 9), ("auto", None)])
+def test_series_check_on_exact_univariate_input_agrees(tmp_path):
+    # exact d = 1 input: long division, checked against the series
+    z, = variables(1)
+    p, f = z ** 3 - 2 * z + 1, (z + 1) ** 9 - z * z
+    save_poly(p, tmp_path / "p.json")
+    save_poly(f, tmp_path / "f.json")
+    outputs = {}
+    for name, extra in (("auto", []), ("check", ["--series-check"])):
+        prefix = str(tmp_path / name)
+        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
+                         str(tmp_path / "f.json"), "--out", prefix, *extra]) == 0
+        outputs[name] = [load_poly(f"{prefix}.{part}.json") for part in ("q", "r")]
+    payload = _read_envelope(str(tmp_path / "check.diagnostics.json"))
+    assert payload["method"] == "univariate"
+    assert payload["diagnostics"] == {"series_check_agrees": True}
+    assert outputs["check"] == outputs["auto"]
+    q, r = outputs["auto"]
+    assert p * q + r == f and r.degree < 3
+
+
+@pytest.mark.parametrize("method,mcap", [("auto", 9), ("auto", None)])
 def test_decompose_degree_one_stream_goes_direct(tmp_path, method, mcap):
     x, y = variables(2)
     p = x + y - 1
@@ -154,10 +179,13 @@ def test_decompose_degree_one_stream_goes_direct(tmp_path, method, mcap):
     (["--method", "linear"], "invalid choice: 'linear'"),
     (["--method", "entire"], "invalid choice: 'entire'"),
     (["--tol", "1e-14"], "unrecognized arguments: --tol"),
-], ids=["linear", "entire", "tol"])
+    (["--method", "direct"], "invalid choice: 'direct'"),
+    (["--method", "univariate"], "invalid choice: 'univariate'"),
+], ids=["linear", "entire", "tol", "direct", "univariate"])
 def test_method_linear_is_gone(files, capsys, argv, message):
     # the translation trick (--method linear) and the level series
-    # (--method entire, --tol) are deleted
+    # (--method entire, --tol) are deleted; the input picks between long
+    # division and the direct recursion, so neither can be forced
     with pytest.raises(SystemExit) as exc:
         cli.main(["decompose", "--p", files["p"], "--f", files["f"], *argv])
     assert exc.value.code == cli.EXIT_PARSE
@@ -167,34 +195,44 @@ def test_method_linear_is_gone(files, capsys, argv, message):
 @pytest.mark.parametrize("p_field,f_kind", [("float", "poly"), ("float", "stream"),
                                              ("exact", "float-poly")])
 def test_forced_direct_refuses_float_univariate_input(files, tmp_path, capsys, p_field, f_kind):
-    # float slice projections leave round-off terms of degree >= deg p in r,
-    # which the univariate route (long division) does not
+    # no route can be forced: d = 1 float input goes by long division,
+    # whose q and r the CLI writes bit for bit
     z, = variables(1)
     p = z - 1 if p_field == "exact" else (z - 1).to_float()
     save_poly(p, tmp_path / "p1.json")
-    f_path = files["expz"]
+    f_path, f = files["expz"], entire.TaylorStream.from_exp(z, max_degree=220)
     if f_kind != "stream":
-        save_poly((z ** 5 + 2 * z).to_float(), tmp_path / "f1.json")
+        f = (z ** 5 + 2 * z).to_float()
+        save_poly(f, tmp_path / "f1.json")
         f_path = str(tmp_path / "f1.json")
-    rc = cli.main(["decompose", "--p", str(tmp_path / "p1.json"), "--f", f_path,
-                   "--method", "direct", "--mcap", "30", "--out", str(tmp_path / "x")])
-    assert rc == cli.EXIT_PRECONDITION
-    assert "univariate" in capsys.readouterr().err
-    with pytest.raises(InvalidInputError, match="univariate"):
-        fischer.decompose_direct(p, (z ** 3).to_float())
+    argv = ["decompose", "--p", str(tmp_path / "p1.json"), "--f", f_path, "--mcap", "30",
+            "--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--method", "direct"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "invalid choice: 'direct'" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    want = fischer.decompose_univariate(p, f, 30)
+    assert want.q.field == FLOAT
+    for part in ("q", "r"):
+        assert load_poly(str(tmp_path / f"x.{part}.json")) == getattr(want, part)
+    assert _read_envelope(str(tmp_path / "x.diagnostics.json"))["method"] == "univariate"
 
 
 def test_forced_direct_on_exact_univariate_input_is_long_division(files, tmp_path):
+    # decompose_direct on a d = 1 divisor is decompose_univariate, and the
+    # CLI writes its exact q and r
     z, = variables(1)
-    save_poly(z * z - 1, tmp_path / "p1.json")
-    for method in ("direct", "univariate"):
-        assert cli.main(["decompose", "--p", str(tmp_path / "p1.json"), "--f", files["expz"],
-                         "--method", method, "--mcap", "30",
-                         "--out", str(tmp_path / method)]) == 0
+    p, stream = z * z - 1, entire.TaylorStream.from_exp(z, max_degree=220)
+    save_poly(p, tmp_path / "p1.json")
+    assert cli.main(["decompose", "--p", str(tmp_path / "p1.json"), "--f", files["expz"],
+                     "--mcap", "30", "--out", str(tmp_path / "auto")]) == 0
+    direct = fischer.decompose_direct(p, stream, 30)
+    assert direct == fischer.decompose_univariate(p, stream, 30)
+    assert direct.method == "univariate"
     for part in ("q", "r"):
-        assert (load_poly(str(tmp_path / f"direct.{part}.json"))
-                == load_poly(str(tmp_path / f"univariate.{part}.json")))
-    assert load_poly(str(tmp_path / "direct.r.json")).degree < 2
+        assert load_poly(str(tmp_path / f"auto.{part}.json")) == getattr(direct, part)
+    assert direct.r.degree < 2
 
 
 def test_decompose_univariate_auto(files, tmp_path):
@@ -244,15 +282,13 @@ def test_decompose_polynomial_stream_keeps_top_degrees_of_r(tmp_path):
         json.dump({"kind": "poly", **poly_to_dict(f)}, fh)
     direct = fischer.decompose_direct(p, f)
     assert direct.r.degree == 4
-    for f_args in (["--f", str(tmp_path / "fs.json")],
-                   ["--f", str(tmp_path / "fs.json"), "--method", "direct"]):
-        prefix = str(tmp_path / "out")
-        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), *f_args,
-                         "--out", prefix]) == 0
-        q, r = load_poly(f"{prefix}.q.json"), load_poly(f"{prefix}.r.json")
-        assert r == direct.r
-        assert q == direct.q
-        assert p * q + r == f
+    prefix = str(tmp_path / "out")
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                     "--f", str(tmp_path / "fs.json"), "--out", prefix]) == 0
+    q, r = load_poly(f"{prefix}.q.json"), load_poly(f"{prefix}.r.json")
+    assert r == direct.r
+    assert q == direct.q
+    assert p * q + r == f
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -280,7 +316,7 @@ def test_decompose_poly_kind_stream_as_polynomial(tmp_path, dim):
     assert p * q + r == f
 
 
-@pytest.mark.parametrize("method", ["auto", "direct", "series", "entire"])
+@pytest.mark.parametrize("method", ["auto", "series", "entire"])
 def test_decompose_beta_checked_on_every_route(tmp_path, method):
     # the degree-2 component of p lies in the gap above beta = 0; "entire"
     # is an entire-function stream under auto
@@ -576,6 +612,21 @@ def test_exit_code_series_on_stream(files, tmp_path):
     assert rc == cli.EXIT_PRECONDITION
 
 
+def test_exit_code_series_on_float_univariate_input(tmp_path, capsys):
+    # float slice projections would leave round-off terms of degree >= deg p
+    # in r, where long division (auto) leaves none
+    p = Poly(1, {(2,): 3.0 + 0j, (1,): 0.7 + 0j, (0,): 1.1 + 0j})
+    f = Poly(1, {(9,): 1.3 + 0j, (4,): 0.2 + 0j, (0,): 1.0 + 0j})
+    save_poly(p, tmp_path / "p.json")
+    save_poly(f, tmp_path / "f.json")
+    argv = ["decompose", "--p", str(tmp_path / "p.json"), "--f", str(tmp_path / "f.json")]
+    assert cli.main(argv + ["--method", "series", "--out", str(tmp_path / "x")]) == 3
+    assert "long division" in capsys.readouterr().err
+    assert not (tmp_path / "x.q.json").exists()
+    assert cli.main(argv + ["--out", str(tmp_path / "auto")]) == 0
+    assert load_poly(str(tmp_path / "auto.r.json")).degree <= 1
+
+
 def test_exit_code_numerical_failure(tmp_path):
     # the components of exp(0.001 x + 0.001 y) flush to zero in doubles
     # from degree 78 on, below the requested truncation degree
@@ -592,22 +643,21 @@ def test_exit_code_numerical_failure(tmp_path):
 
 
 def test_exit_code_forced_direct_on_degree_one_float_divisor(tmp_path):
-    # direct projects slice by slice, under auto too, and matches the
-    # exact decomposition
+    # a float deg p = 1 divisor in d = 2 is projected slice by slice and
+    # matches the exact decomposition
     x, y = variables(2)
     p, f = x - 1000, (x + y) ** 6
     save_poly(p.to_float(), tmp_path / "p.json")
     save_poly(f.to_float(), tmp_path / "f.json")
     want = fischer.decompose_direct(p, f)
-    for method in ("direct", "auto"):
-        prefix = str(tmp_path / method)
-        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
-                         "--f", str(tmp_path / "f.json"), "--method", method,
-                         "--out", prefix]) == 0
-        for part in ("q", "r"):
-            exact = getattr(want, part).to_float()
-            got = load_poly(f"{prefix}.{part}.json")
-            assert apolar.norm(got - exact) <= 1e-12 * apolar.norm(exact)
+    prefix = str(tmp_path / "auto")
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                     "--f", str(tmp_path / "f.json"), "--out", prefix]) == 0
+    assert _read_envelope(f"{prefix}.diagnostics.json")["method"] == "direct"
+    for part in ("q", "r"):
+        exact = getattr(want, part).to_float()
+        got = load_poly(f"{prefix}.{part}.json")
+        assert apolar.norm(got - exact) <= 1e-12 * apolar.norm(exact)
 
 
 def test_float_apolar_norms_past_degree_170(tmp_path):
@@ -618,7 +668,7 @@ def test_float_apolar_norms_past_degree_170(tmp_path):
     save_poly((0.5 * x ** 175 + y).to_float(), tmp_path / "f.json")
     save_poly((1e-10 * x ** 175).to_float(), tmp_path / "small.json")
     residuals = []
-    for method in ("series", "direct"):
+    for method in ("series", "auto"):
         prefix = str(tmp_path / method)
         assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
                          "--f", str(tmp_path / "f.json"), "--method", method,

@@ -16,7 +16,7 @@ from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial,
                                poly_to_dict, save_poly, variables)
 from fischerlab.entire import TaylorStream
-from conftest import rand_homogeneous, rand_poly
+from conftest import rand_gaussian, rand_homogeneous, rand_poly
 
 
 def _annihilates(p, r):
@@ -628,6 +628,52 @@ def test_univariate_rejects_multivariate():
     x, y = variables(2)
     with pytest.raises(InvalidInputError):
         fischer.decompose_univariate(x, x * y)
+
+
+@pytest.mark.parametrize("field", ["exact", "float"])
+@pytest.mark.parametrize("f_kind", ["poly", "stream"])
+def test_direct_is_long_division_in_dimension_one(field, f_kind):
+    # decompose_direct answers a d = 1 divisor with decompose_univariate:
+    # the same q, r, method and diagnostics; exact results ==, float ones
+    # bit for bit (Poly equality compares the coefficients exactly)
+    rng = random.Random(19)
+    z, = variables(1)
+    for _ in range(12):
+        p = rand_homogeneous(rng, 1, rng.randint(1, 4)) + rand_poly(rng, 1, 3)
+        if p.degree < 1:
+            continue
+        if field == "float":
+            p = p.to_float()
+        if f_kind == "poly":
+            f = rand_poly(rng, 1, rng.randint(0, 12), n_terms=6)
+        else:
+            f = TaylorStream.from_exp(z * rand_gaussian(rng), max_degree=rng.randint(4, 30))
+        for cap in (None, rng.randint(0, 20)):
+            want = fischer.decompose_univariate(p, f, cap)
+            got = fischer.decompose_direct(p, f, cap)
+            assert got == want
+            assert got.method == "univariate"
+            assert got.q.field == (FLOAT if field == "float" else EXACT)
+
+
+def test_series_refuses_streams_and_float_univariate_input():
+    # the series route splits polynomials only, and in d = 1 exact ones:
+    # float slice projections would leave r terms of degree >= deg p
+    z, = variables(1)
+    x, y = variables(2)
+    p = Poly(1, {(2,): 3.0 + 0j, (1,): 0.7 + 0j, (0,): 1.1 + 0j})
+    f = Poly(1, {(9,): 1.3 + 0j, (4,): 0.2 + 0j, (0,): 1.0 + 0j})
+    with pytest.raises(InvalidInputError, match="long division"):
+        fischer.decompose_series(p, f)
+    with pytest.raises(InvalidInputError, match="long division"):
+        fischer.decompose_series(3 * z * z + 1, f)
+    with pytest.raises(InvalidInputError, match="polynomial input"):
+        fischer.decompose_series(x * x - 1, TaylorStream.from_exp(x + y, max_degree=8))
+    with pytest.raises(InvalidInputError, match="polynomial input"):
+        fischer._direct_and_series(x * x - 1, TaylorStream.from_exp(x + y, max_degree=8))
+    assert fischer.decompose_direct(p, f).r.degree <= 1
+    exact = fischer.decompose_series(z * z - 1, z ** 5 + 2 * z)
+    assert exact.q == fischer.decompose_univariate(z * z - 1, z ** 5 + 2 * z).q
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 top-level function and class is used somewhere in the package (or is
 patched by the benchmark's tracer), no module reads the environment, the
 decomposition modules import nothing from scipy, the CLI does not load
-the heavy scipy subpackages it has no use for, and every name the
-benchmark's tracer patches exists."""
+the heavy scipy subpackages it has no use for, every name the
+benchmark's tracer patches exists, and no file is opened for writing
+outside ``polyalg.write_atomic``."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ import fischerlab
 SOURCES = sorted(Path(fischerlab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports are re-exports
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+WRITER = "write_atomic"
 
 
 def unused_imports(source: str) -> list:
@@ -175,3 +177,55 @@ def test_traced_layers_resolve():
             missing.append(f"{module_name}.{attr}")
     assert layers
     assert missing == []
+
+
+def file_writes(source: str) -> list:
+    """Calls that open a file for writing outside the function WRITER:
+    open, os.fdopen or a path's open method with a mode holding w, a, x or
+    + (or a mode that is not a string literal), and write_text/write_bytes."""
+    tree = ast.parse(source)
+    allowed = {id(n) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == WRITER for n in ast.walk(fn)}
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            hits.append(f"{name} (line {node.lineno})")
+        if name not in ("open", "fdopen"):
+            continue
+        # the mode follows the path or descriptor, except in a path's method
+        method = isinstance(func, ast.Attribute) and not (
+            isinstance(func.value, ast.Name) and func.value.id in ("os", "io", "codecs"))
+        pos = 0 if method else 1
+        mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                    node.args[pos] if len(node.args) > pos else None)
+        if mode is None:
+            continue  # read mode
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                or set(mode.value) & set("wax+"):
+            hits.append(f"{name} (line {node.lineno})")
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_files_are_written_by_one_writer(path):
+    # every output goes through polyalg.write_atomic: a temporary file and
+    # one rename, so no reader sees a partial report
+    assert file_writes(path.read_text()) == []
+
+
+def test_file_write_is_reported():
+    source = ("import os\n\n"
+              "def write_atomic(path, text):\n"
+              "    with os.fdopen(3, 'w') as fh:\n"
+              "        fh.write(text)\n\n"
+              "def save(path, mode):\n"
+              "    with open(path, 'w') as fh:\n"
+              "        fh.write(open(path).read())\n"
+              "    path.open(mode='a'), path.open('rb'), os.fdopen(4, mode)\n"
+              "    path.write_text('x')\n")
+    assert file_writes(source) == ["fdopen (line 10)", "open (line 10)", "open (line 8)",
+                                   "write_text (line 11)"]

@@ -12,7 +12,7 @@ from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
                                 monomial_array, mult_entries, poly_from_dict, poly_to_dict,
-                                variables)
+                                variables, write_atomic)
 from conftest import exact_polys, rand_poly
 
 
@@ -273,6 +273,23 @@ def test_json_round_trip_exact(rng):
         obj = poly_to_dict(p)
         text = json.dumps(obj)
         assert poly_from_dict(json.loads(text)) == p
+
+
+def test_write_atomic_replaces_whole_files_with_the_default_mode(tmp_path):
+    # the file gets the mode a plain open(path, "w") gives it, and neither a
+    # finished nor a failed write leaves its temporary file behind
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w") as fh:
+        fh.write("x")
+    target = tmp_path / "out.json"
+    for text in ("first\n", "second\n"):
+        write_atomic(target, text)
+        assert target.read_text() == text
+    assert target.stat().st_mode == plain.stat().st_mode
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        write_atomic(tmp_path / "dir", "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.json", "plain.txt"]
 
 
 def test_json_round_trip_float():
