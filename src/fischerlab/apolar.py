@@ -69,13 +69,16 @@ def _float_term(alpha, c, d) -> complex:
 def norm_sq(p: Poly):
     """<p, p>, exact rational for exact input, float otherwise; a float
     value beyond the double range raises NumericalError."""
-    total = Fraction(0) if p.field == EXACT else 0.0
+    if p.field == EXACT:
+        # sum alpha! |re + i im|^2 / den^2 over one common denominator
+        terms = [(midx_factorial(alpha), *c.parts()) for alpha, c in p.terms.items()]
+        den = math.lcm(*(d for *_, d in terms)) ** 2
+        return Fraction(sum(w * (re * re + im * im) * (den // (d * d))
+                            for w, re, im, d in terms), den)
+    total = 0.0
     for alpha, c in p.terms.items():
-        if p.field == EXACT:
-            total += midx_factorial(alpha) * abs_sq(c)
-        else:
-            total += _float_term(alpha, c, c).real
-    return total if p.field == EXACT else _finite(total)
+        total += _float_term(alpha, c, c).real
+    return _finite(total)
 
 
 def norm(p: Poly) -> float:

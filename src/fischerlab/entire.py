@@ -120,10 +120,8 @@ def _pair_add(u, v):
 def _exact_exp_components(inner: Poly):
     """component(m) of exp(inner) for exact inner, on Z[i] numerators."""
     dim = inner.dim
-    scale = math.lcm(*(x.denominator for c in inner.terms.values()
-                       for x in (c.real, c.imag)))
-    parts = [(j, [(a, (int(c.real * scale), int(c.imag * scale)))
-                  for a, c in gj.terms.items()])
+    scale = math.lcm(*(c.parts()[2] for c in inner.terms.values()))
+    parts = [(j, [(a, (c * scale).parts()[:2]) for a, c in gj.terms.items()])
              for j, gj in inner.homogeneous_components().items()]
     nums = [{(0,) * dim: (1, 0)}]  # f_n = nums[n] / dens[n]
     dens = [1]
@@ -154,7 +152,7 @@ def _exact_exp_components(inner: Poly):
         for n in range(len(nums), m + 1):
             step(n)
         den = dens[m]
-        return Poly(dim, {a: GaussianRational(Fraction(re, den), Fraction(im, den))
+        return Poly(dim, {a: GaussianRational.from_parts(re, im, den)
                           for a, (re, im) in nums[m].items()}, field=EXACT)
 
     return comp

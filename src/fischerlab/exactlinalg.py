@@ -14,7 +14,6 @@ solve's condition passes the one gate of :func:`checked_condition`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,9 +51,9 @@ def exact_rref(rows, ncols):
     """
     mat = []
     for row in rows:
-        scale = math.lcm(*(part.denominator for c in row for part in (c.real, c.imag)))
-        mat.append([(c.real.numerator * (scale // c.real.denominator),
-                     c.imag.numerator * (scale // c.imag.denominator)) for c in row])
+        parts = [c.parts() for c in row]
+        scale = math.lcm(*(den for _, _, den in parts))
+        mat.append([(re * (scale // den), im * (scale // den)) for re, im, den in parts])
     pivots = []
     qr, qi, qn = 1, 0, 1  # divisor of the previous pivot
     for col in range(ncols):
@@ -95,8 +94,7 @@ def exact_rref(rows, ncols):
             ur, ui, un = _divisor(*mat[i][pivots[i]])
             xr, xi = x[i] = ((sr * ur - si * ui) // un, (sr * ui + si * ur) // un)
             if xr or xi:
-                out[i][j] = GaussianRational(Fraction(xr * dr + xi * di, dn),
-                                             Fraction(xi * dr - xr * di, dn))
+                out[i][j] = GaussianRational.from_parts(xr * dr + xi * di, xi * dr - xr * di, dn)
     return out, pivots
 
 

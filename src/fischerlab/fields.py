@@ -1,10 +1,11 @@
 """Coefficient backends.
 
 Two fields are supported throughout the package: exact Gaussian rationals
-(pairs of arbitrary-precision rationals) and double-precision complex
-numbers.  The exact field keeps every ring operation and division
-error-free, so algebraic identities can be asserted with ``==``; the float
-field is what the numerical layers (SVD sweeps, Monte Carlo) consume.
+(a Gaussian-integer numerator over one positive denominator, all three
+arbitrary-precision ints) and double-precision complex numbers.  The exact
+field keeps every ring operation and division error-free, so algebraic
+identities can be asserted with ``==``; the float field is what the
+numerical layers (SVD sweeps, Monte Carlo) consume.
 
 Both coefficient kinds expose ``.real``, ``.imag`` and ``.conjugate()``,
 so generic code can treat them uniformly.
@@ -22,97 +23,109 @@ FLOAT = "float"
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    Arithmetic with ``int`` and ``Fraction`` stays exact; mixing with
-    ``float`` or ``complex`` promotes the result to ``complex``.
+    Stored as (re + i im) / den over three ints in canonical form, den > 0
+    and gcd(re, im, den) == 1, so equal values have equal parts and ``==``
+    compares ints.  Arithmetic with ``int`` and ``Fraction`` stays exact;
+    mixing with ``float`` or ``complex`` promotes the result to ``complex``.
     """
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re=0, im=0):
-        self._re = re if isinstance(re, Fraction) else Fraction(re)
-        self._im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._re, self._im, self._den = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # the lcm of two reduced denominators leaves no common factor
+        den = math.lcm(re.denominator, im.denominator)
+        self._re = re.numerator * (den // re.denominator)
+        self._im = im.numerator * (den // im.denominator)
+        self._den = den
+
+    @staticmethod
+    def from_parts(re: int, im: int, den: int) -> "GaussianRational":
+        """(re + i im) / den, reduced; ZeroDivisionError when den is 0."""
+        if not den:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        g = math.gcd(re, im, den)
+        if den < 0:
+            g = -g
+        return _canonical(re // g, im // g, den // g)
+
+    def parts(self) -> tuple:
+        """(re, im, den) with self == (re + i im) / den, in canonical form."""
+        return self._re, self._im, self._den
 
     @property
     def real(self) -> Fraction:
-        return self._re
+        return Fraction(self._re, self._den)
 
     @property
     def imag(self) -> Fraction:
-        return self._im
+        return Fraction(self._im, self._den)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self._re, -self._im)
+        return _canonical(self._re, -self._im, self._den)
 
     def __bool__(self):
-        return bool(self._re) or bool(self._im)
+        return bool(self._re or self._im)
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self._re + other._re, self._im + other._im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self._re + other, self._im)
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
-        return NotImplemented
+        o = _exact_parts(other)
+        if o is None:
+            return complex(self) + other if isinstance(other, (float, complex)) else NotImplemented
+        br, bi, e = o
+        d = self._den
+        if d == e:
+            return _from_parts(self._re + br, self._im + bi, d)
+        return _from_parts(self._re * e + br * d, self._im * e + bi * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self._re, -self._im)
+        return _canonical(-self._re, -self._im, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self + (-other if isinstance(other, GaussianRational) else GaussianRational(-other))
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
-        return NotImplemented
+        o = _exact_parts(other)
+        if o is None:
+            return complex(self) - other if isinstance(other, (float, complex)) else NotImplemented
+        return self + _canonical(-o[0], -o[1], o[2])
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self._re, -self._im)
-        if isinstance(other, (float, complex)):
-            return other - complex(self)
-        return NotImplemented
+        o = _exact_parts(other)
+        if o is None:
+            return other - complex(self) if isinstance(other, (float, complex)) else NotImplemented
+        return -self + _canonical(*o)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self._re * other._re - self._im * other._im,
-                self._re * other._im + self._im * other._re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self._re * other, self._im * other)
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
-        return NotImplemented
+        o = _exact_parts(other)
+        if o is None:
+            return complex(self) * other if isinstance(other, (float, complex)) else NotImplemented
+        br, bi, e = o
+        ar, ai = self._re, self._im
+        return _from_parts(ar * br - ai * bi, ar * bi + ai * br, self._den * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self._re / other, self._im / other)
-        if isinstance(other, GaussianRational):
-            d = other._re * other._re + other._im * other._im
-            if not d:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return (self * other.conjugate()) / d
-        if isinstance(other, (float, complex)):
-            return complex(self) / other
-        return NotImplemented
+        o = _exact_parts(other)
+        if o is None:
+            return complex(self) / other if isinstance(other, (float, complex)) else NotImplemented
+        return _quotient(self._re, self._im, self._den, *o)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other) / self
-        if isinstance(other, (float, complex)):
-            return other / complex(self)
-        return NotImplemented
+        o = _exact_parts(other)
+        if o is None:
+            return other / complex(self) if isinstance(other, (float, complex)) else NotImplemented
+        return _quotient(*o, self._re, self._im, self._den)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
+            return _ONE / self ** (-n)
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -123,31 +136,61 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self._re == other._re and self._im == other._im
-        if isinstance(other, (int, Fraction)):
-            return self._im == 0 and self._re == other
-        return NotImplemented
+        if other.__class__ is int:  # the common test c == 0
+            return self._re == other and not self._im and self._den == 1
+        o = _exact_parts(other)
+        if o is None:
+            return NotImplemented
+        return self._re == o[0] and self._im == o[1] and self._den == o[2]
 
     def __hash__(self):
-        if self._im == 0:
-            return hash(self._re)
-        return hash((self._re, self._im))
+        if not self._im:
+            return hash(self.real)
+        return hash((self.real, self.imag))
 
     def __abs__(self) -> float:
-        return math.hypot(float(self._re), float(self._im))
+        # int / int rounds correctly, as float(Fraction) does
+        return math.hypot(self._re / self._den, self._im / self._den)
 
     def __complex__(self) -> complex:
-        return complex(float(self._re), float(self._im))
+        return complex(self._re / self._den, self._im / self._den)
 
     def __repr__(self):
-        return f"GaussianRational({self._re!s}, {self._im!s})"
+        return f"GaussianRational({self.real!s}, {self.imag!s})"
 
     def __str__(self):
-        if self._im == 0:
-            return str(self._re)
+        if not self._im:
+            return str(self.real)
         sign = "+" if self._im >= 0 else "-"
-        return f"({self._re}{sign}{abs(self._im)}i)"
+        return f"({self.real}{sign}{abs(self.imag)}i)"
+
+
+def _canonical(re, im, den):
+    """A GaussianRational from parts already in canonical form."""
+    z = object.__new__(GaussianRational)
+    z._re, z._im, z._den = re, im, den
+    return z
+
+
+_from_parts = GaussianRational.from_parts
+_ONE = GaussianRational(1)
+
+
+def _exact_parts(x):
+    """(re, im, den) of an int, Fraction or GaussianRational; None otherwise."""
+    if isinstance(x, GaussianRational):
+        return x._re, x._im, x._den
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _quotient(ar, ai, d, br, bi, e):
+    """((ar + i ai) / d) / ((br + i bi) / e): times the conjugate, over the norm."""
+    return _from_parts((ar * br + ai * bi) * e, (ai * br - ar * bi) * e,
+                       d * (br * br + bi * bi))
 
 
 def is_exact_scalar(c) -> bool:
@@ -165,7 +208,7 @@ def to_exact(c) -> GaussianRational:
 def abs_sq(c):
     """|c|^2, exact (Fraction) for exact scalars, float otherwise."""
     if isinstance(c, GaussianRational):
-        return c.real * c.real + c.imag * c.imag
+        return Fraction(c._re * c._re + c._im * c._im, c._den * c._den)
     if isinstance(c, (int, Fraction)):
         return c * c
     return c.real * c.real + c.imag * c.imag

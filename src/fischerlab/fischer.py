@@ -197,7 +197,7 @@ class SliceSolver:
                 mat = self._matrices[m] = fischer_matrix(pk, m)
             # one common denominator for b keeps it out of every row of [A | b]
             b = [rhs.coefficient(alpha) for alpha in mat.basis]
-            den = math.lcm(*(part.denominator for c in b for part in (c.real, c.imag)))
+            den = math.lcm(*(c.parts()[2] for c in b))
             x = bareiss_solve(mat.rows, [c * den for c in b])
             if x is None:
                 raise NumericalError("projection system unexpectedly singular")

@@ -151,7 +151,7 @@ class Poly:
                 # exact type check: bool is an int subclass
                 if len(alpha) != dim or any(type(a) is not int or a < 0 for a in alpha):
                     raise InvalidInputError(f"bad exponent {alpha} for dimension {dim}")
-                if c == 0 or (isinstance(c, GaussianRational) and not c):
+                if c == 0:
                     continue
                 items.append((alpha, c))
         if field is None:
@@ -164,7 +164,7 @@ class Poly:
                 raise InvalidInputError(f"coefficient {c!r} is not in the {field} field") from exc
             if alpha in store:
                 c = store[alpha] + c
-            if c == 0 or (isinstance(c, GaussianRational) and not c):
+            if c == 0:
                 store.pop(alpha, None)
             else:
                 store[alpha] = c

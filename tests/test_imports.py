@@ -3,8 +3,9 @@ top-level function and class is used somewhere in the package (or is
 patched by the benchmark's tracer), no module reads the environment, the
 decomposition modules import nothing from scipy, the CLI does not load
 the heavy scipy subpackages it has no use for, every name the
-benchmark's tracer patches exists, and no file is opened for writing
-outside ``polyalg.write_atomic``."""
+benchmark's tracer patches exists, no file is opened for writing
+outside ``polyalg.write_atomic``, and only ``fields`` reads the parts of a
+``GaussianRational`` by attribute."""
 
 import ast
 import importlib
@@ -21,6 +22,7 @@ SOURCES = sorted(Path(fischerlab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports are re-exports
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 WRITER = "write_atomic"
+GAUSSIAN_PARTS = {"_re", "_im", "_den"}
 
 
 def unused_imports(source: str) -> list:
@@ -229,3 +231,25 @@ def test_file_write_is_reported():
               "    path.write_text('x')\n")
     assert file_writes(source) == ["fdopen (line 10)", "open (line 10)", "open (line 8)",
                                    "write_text (line 11)"]
+
+
+def gaussian_part_reads(source: str) -> list:
+    """Attribute accesses to GaussianRational's private parts."""
+    return sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in GAUSSIAN_PARTS)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_gaussian_parts_stay_inside_fields(path):
+    # the canonical form (den > 0, gcd(re, im, den) == 1) is what makes
+    # == sound; outside fields, parts() reads it and from_parts builds it
+    assert gaussian_part_reads(path.read_text()) == []
+
+
+def test_gaussian_part_read_is_reported():
+    source = ("def scale(c, k):\n"
+              "    re, im, den = c.parts()\n"
+              "    c._den = den * k\n"
+              "    return c._re * k + c.other._im, getattr(c, '_re')\n")
+    assert gaussian_part_reads(source) == ["_den (line 3)", "_im (line 4)", "_re (line 4)"]
