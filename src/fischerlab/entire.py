@@ -21,7 +21,7 @@ from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT, GaussianRational
 from .fischer import DecompositionResult, decompose_direct
-from .polyalg import Poly, load_json, poly_from_dict
+from .polyalg import Poly, _merge_into, load_json, poly_from_dict
 
 
 class TaylorStream:
@@ -95,22 +95,11 @@ class TaylorStream:
 
 def _join(dim, parts) -> Poly:
     """Sum of polynomials of disjoint degrees, float if any part is."""
-    field = FLOAT if any(g.field == FLOAT for g in parts) else EXACT
-    return Poly(dim, [t for g in parts for t in g.terms.items()], field=field)
-
-
-def _merge_into(acc: dict, part: dict, plus, zero) -> None:
-    """acc += part termwise, dropping sums that cancel (Poly addition's
-    rule, which also fixes the key order that later sums run in)."""
-    for key, v in part.items():
-        if key in acc:
-            s = plus(acc[key], v)
-            if s == zero:
-                del acc[key]
-            else:
-                acc[key] = s
-        else:
-            acc[key] = v
+    fields = {g.field for g in parts}
+    terms = {a: c for g in parts for a, c in g.terms.items()}
+    if len(fields) == 1:
+        return Poly._canonical(dim, terms, fields.pop())
+    return Poly(dim, terms, field=FLOAT if FLOAT in fields else EXACT)
 
 
 def _pair_add(u, v):
@@ -152,8 +141,8 @@ def _exact_exp_components(inner: Poly):
         for n in range(len(nums), m + 1):
             step(n)
         den = dens[m]
-        return Poly(dim, {a: GaussianRational.from_parts(re, im, den)
-                          for a, (re, im) in nums[m].items()}, field=EXACT)
+        return Poly._canonical(dim, {a: GaussianRational.from_parts(re, im, den)
+                                     for a, (re, im) in nums[m].items()}, EXACT)
 
     return comp
 
@@ -180,7 +169,7 @@ def _float_exp_components(inner: Poly):
                         prod[key] = prod[key] + ca * cb
                     else:
                         prod[key] = ca * cb
-            _merge_into(acc, {k: v * j for k, v in prod.items() if v != 0}, add, 0)
+            _merge_into(acc, {k: v * j for k, v in prod.items() if v != 0})
         inv = 1.0 / n
         out = {k: s for k, v in acc.items() if (s := v * inv) != 0}
         if not out and (acc or _product_underflows(parts, comps, n)):
@@ -191,7 +180,7 @@ def _float_exp_components(inner: Poly):
     def comp(m):
         for n in range(len(comps), m + 1):
             step(n)
-        return Poly(dim, comps[m], field=FLOAT)
+        return Poly._canonical(dim, comps[m], FLOAT)
 
     return comp
 

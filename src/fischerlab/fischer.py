@@ -209,7 +209,8 @@ class SliceSolver:
         vec = np.zeros(len(proj.source), dtype=complex)
         for alpha, c in fm.terms.items():
             vec[proj.source[alpha]] = complex(c)
-        q = Poly(pk.dim, dict(zip(proj.basis, (proj.pinv @ vec).tolist())), field=FLOAT)
+        q = Poly._canonical(pk.dim, {a: c for a, c in zip(proj.basis, (proj.pinv @ vec).tolist())
+                                     if c}, FLOAT)
         return q, proj.condition
 
 
@@ -298,14 +299,15 @@ def _decompose_direct(p: Poly, f, solver: SliceSolver, max_degree=None) -> Decom
             conds.append(cond)
         for s, ls in lower:
             g[n + s] = g.get(n + s, zero) - ls * q_n
-    q = Poly(p.dim, terms, field=f.field)
+    q = Poly._canonical(p.dim, terms, f.field)
     # the unknowns: the monomials of degree <= n_deg
     diag = {} if n_deg < 0 else {"system_size": math.comb(n_deg + p.dim, p.dim)}
     if conds:
         diag["condition"] = max(conds)
     r = f - p * q
     if cap is not None:
-        r = Poly(p.dim, {a: c for a, c in r.terms.items() if sum(a) <= cap - k}, field=r.field)
+        r = Poly._canonical(p.dim, {a: c for a, c in r.terms.items() if sum(a) <= cap - k},
+                            r.field)
         diag["truncation_degree"] = cap
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 

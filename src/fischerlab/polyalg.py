@@ -19,6 +19,7 @@ import math
 import os
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -131,12 +132,28 @@ def _coerce_exact(c):
     return c if isinstance(c, GaussianRational) else to_exact(c)
 
 
+def _merge_into(acc: dict, part, plus=add, zero=0) -> None:
+    """acc += part termwise, dropping sums that cancel: Poly addition's
+    rule, which also fixes the key order that later sums run in."""
+    for key, v in part.items():
+        if key in acc:
+            s = plus(acc[key], v)
+            if s == zero:
+                del acc[key]
+            else:
+                acc[key] = s
+        else:
+            acc[key] = v
+
+
 class Poly:
     """Immutable sparse polynomial over one of the two coefficient fields.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  The field is
     inferred from the coefficients unless forced; mixing exact and float
-    operands promotes to float.
+    operands promotes to float.  ``Poly(...)`` validates its input; results
+    the package builds from its own polynomials in one field are wrapped
+    by ``_canonical`` instead.
     """
 
     __slots__ = ("dim", "_terms", "field")
@@ -174,6 +191,18 @@ class Poly:
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _canonical(cls, dim: int, store: dict, field) -> "Poly":
+        """Wrap ``store`` unchecked, taking it over.  The caller guarantees
+        what ``__init__`` would have built: exponent tuples of length dim,
+        nonzero coefficients of the field's type (GaussianRational or
+        complex), in the order ``__init__`` would have inserted them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "_terms", store)
+        object.__setattr__(p, "field", field)
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -232,15 +261,15 @@ class Poly:
         return j is None or degs == {j}
 
     def homogeneous_component(self, j: int) -> "Poly":
-        return Poly(self.dim, {a: c for a, c in self._terms.items() if sum(a) == j},
-                    field=self.field)
+        return Poly._canonical(self.dim, {a: c for a, c in self._terms.items() if sum(a) == j},
+                               self.field)
 
     def homogeneous_components(self) -> dict:
         """Nonzero components keyed by degree, ascending."""
         buckets = {}
         for a, c in self._terms.items():
             buckets.setdefault(sum(a), {})[a] = c
-        return {m: Poly(self.dim, t, field=self.field)
+        return {m: Poly._canonical(self.dim, t, self.field)
                 for m, t in sorted(buckets.items())}
 
     def sorted_terms(self):
@@ -261,14 +290,17 @@ class Poly:
             else:
                 return NotImplemented
         self._check_dim(other)
-        field = EXACT if self.field == EXACT and other.field == EXACT else FLOAT
-        merged = list(self._terms.items()) + list(other._terms.items())
-        return Poly(self.dim, merged, field=field)
+        if self.field != other.field:
+            merged = list(self._terms.items()) + list(other._terms.items())
+            return Poly(self.dim, merged, field=FLOAT)
+        store = dict(self._terms)
+        _merge_into(store, other._terms)
+        return Poly._canonical(self.dim, store, self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.dim, {a: -c for a, c in self._terms.items()}, field=self.field)
+        return Poly._canonical(self.dim, {a: -c for a, c in self._terms.items()}, self.field)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else -Poly.constant(self.dim, other))
@@ -294,7 +326,7 @@ class Poly:
                     acc[key] = acc[key] + prod
                 else:
                     acc[key] = prod
-        return Poly(self.dim, acc, field=field)
+        return _from_sums(self.dim, acc, self.field, other.field)
 
     __rmul__ = __mul__
 
@@ -335,8 +367,8 @@ class Poly:
 
     def star(self) -> "Poly":
         """Polynomial with conjugated coefficients (an involution)."""
-        return Poly(self.dim, {a: c.conjugate() for a, c in self._terms.items()},
-                    field=self.field)
+        return Poly._canonical(self.dim, {a: c.conjugate() for a, c in self._terms.items()},
+                               self.field)
 
     def derivative(self, alpha) -> "Poly":
         """Mixed partial derivative d^alpha applied to this polynomial."""
@@ -411,7 +443,6 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
     """
     if q.dim != f.dim:
         raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {f.dim}")
-    field = EXACT if q.field == EXACT and f.field == EXACT else FLOAT
     acc = {}
     for alpha, c in q._terms.items():
         for beta, v in f._terms.items():
@@ -423,7 +454,16 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
                 acc[rest] = acc[rest] + w
             else:
                 acc[rest] = w
-    return Poly(f.dim, acc, field=field)
+    return _from_sums(f.dim, acc, q.field, f.field)
+
+
+def _from_sums(dim: int, acc: dict, field_a, field_b) -> Poly:
+    """The Poly of the term sums ``acc`` (one entry per exponent) of two
+    operands: its nonzero entries in order when both share one field,
+    else the validating constructor, which coerces mixed sums to float."""
+    if field_a == field_b:
+        return Poly._canonical(dim, {a: c for a, c in acc.items() if c}, field_a)
+    return Poly(dim, acc, field=FLOAT)
 
 
 def mult_pattern(pk: Poly, col_basis):
@@ -476,8 +516,11 @@ def mult_entries(pk: Poly, col_basis):
 # ---------------------------------------------------------------------------
 # interchange format
 
-def _format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _rational_strings(c: GaussianRational):
+    """The "num/den" strings of c's real and imaginary parts, each reduced."""
+    re, im, den = c.parts()
+    g, h = math.gcd(re, den), math.gcd(im, den)
+    return f"{re // g}/{den // g}", f"{im // h}/{den // h}"
 
 
 def poly_to_dict(p: Poly) -> dict:
@@ -488,10 +531,7 @@ def poly_to_dict(p: Poly) -> dict:
     """
     terms = []
     for alpha, c in p.sorted_terms():
-        if p.field == EXACT:
-            re, im = _format_fraction(c.real), _format_fraction(c.imag)
-        else:
-            re, im = c.real, c.imag
+        re, im = _rational_strings(c) if p.field == EXACT else (c.real, c.imag)
         terms.append({"exp": list(alpha), "re": re, "im": im})
     return {"dim": p.dim, "terms": terms}
 
@@ -541,8 +581,31 @@ def poly_from_dict(obj) -> Poly:
         raise FormatError(str(exc)) from exc
 
 
+def _json_float(x: float) -> str:
+    """x as json spells it: float.__repr__, or NaN / Infinity / -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def save_poly(p: Poly, path) -> None:
-    write_atomic(path, json.dumps(poly_to_dict(p), indent=1) + "\n")
+    """Write ``json.dumps(poly_to_dict(p), indent=1) + "\n"`` to path, byte
+    for byte, built for this one schema without json's pure-Python
+    indenting encoder: terms in ``sorted_terms()`` order."""
+    items = []
+    for alpha, c in p.sorted_terms():
+        if p.field == EXACT:
+            re, im = (f'"{s}"' for s in _rational_strings(c))
+        else:
+            re, im = _json_float(c.real), _json_float(c.imag)
+        exp = ",\n    ".join(map(str, alpha))
+        items.append(f'  {{\n   "exp": [\n    {exp}\n   ],\n   "re": {re},\n   "im": {im}\n  }}')
+    terms = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+    write_atomic(path, f'{{\n "dim": {p.dim},\n "terms": {terms}\n}}\n')
 
 
 def write_atomic(path, text: str) -> None:

@@ -4,8 +4,10 @@ patched by the benchmark's tracer), no module reads the environment, the
 decomposition modules import nothing from scipy, the CLI does not load
 the heavy scipy subpackages it has no use for, every name the
 benchmark's tracer patches exists, no file is opened for writing
-outside ``polyalg.write_atomic``, and only ``fields`` reads the parts of a
-``GaussianRational`` by attribute."""
+outside ``polyalg.write_atomic``, only ``fields`` reads the parts of a
+``GaussianRational`` by attribute, and the unchecked ``Poly._canonical``
+builds only results of ``polyalg``, ``fischer`` and ``entire``, never
+what a file or the command line supplies."""
 
 import ast
 import importlib
@@ -23,6 +25,9 @@ MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports ar
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 WRITER = "write_atomic"
 GAUSSIAN_PARTS = {"_re", "_im", "_den"}
+TRUSTED = "_canonical"
+TRUSTED_MODULES = {"polyalg", "fischer", "entire"}
+PARSERS = {"poly_from_dict", "stream_from_dict"}  # and every load_* function
 
 
 def unused_imports(source: str) -> list:
@@ -253,3 +258,37 @@ def test_gaussian_part_read_is_reported():
               "    c._den = den * k\n"
               "    return c._re * k + c.other._im, getattr(c, '_re')\n")
     assert gaussian_part_reads(source) == ["_den (line 3)", "_im (line 4)", "_re (line 4)"]
+
+
+def untrusted_constructions(source: str, module: str) -> list:
+    """Uses of Poly._canonical where input must be validated: anywhere in
+    a module outside TRUSTED_MODULES, and inside the functions that read
+    input (PARSERS and load_*) of any module."""
+    tree = ast.parse(source)
+    parsing = {id(n) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               and (fn.name in PARSERS or fn.name.startswith("load_"))
+               for n in ast.walk(fn)}
+    return sorted(f"{TRUSTED} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == TRUSTED
+                  and (module not in TRUSTED_MODULES or id(node) in parsing))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_unchecked_polys_are_built_only_from_package_results(path):
+    # files and the public Poly(...) are validated; Poly._canonical wraps
+    # terms the package built itself, so input never reaches it
+    assert untrusted_constructions(path.read_text(), path.stem) == []
+
+
+def test_untrusted_construction_is_reported():
+    source = ("def poly_from_dict(obj):\n"
+              "    return Poly._canonical(obj['dim'], obj['terms'], 'exact')\n\n"
+              "def load_stream(path):\n"
+              "    wrap = Poly._canonical\n\n"
+              "def negate(p):\n"
+              "    return p._canonical(p.dim, {}, p.field)\n")
+    assert untrusted_constructions(source, "entire") == ["_canonical (line 2)",
+                                                         "_canonical (line 5)"]
+    assert untrusted_constructions(source, "cli") == [
+        "_canonical (line 2)", "_canonical (line 5)", "_canonical (line 8)"]

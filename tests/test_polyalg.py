@@ -1,18 +1,22 @@
 import json
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fischerlab.entire import TaylorStream
 from fischerlab.errors import DimensionMismatchError, FormatError, InvalidInputError
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
+from fischerlab.fischer import decompose_direct
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
                                 monomial_array, mult_entries, poly_from_dict, poly_to_dict,
-                                variables, write_atomic)
+                                save_poly, variables, write_atomic)
 from conftest import exact_polys, rand_poly
 
 
@@ -360,3 +364,122 @@ def test_poly_rejects_bool_exponent():
 def test_poly_rejects_float_coefficient_on_exact_field():
     with pytest.raises(InvalidInputError):
         Poly(1, {(1,): 1.5}, field=EXACT)
+
+
+# ---------------------------------------------------------------------------
+# results the package builds are canonical: what Poly(...) would have built
+
+def assert_canonical(r: Poly):
+    """r's terms are exactly what the validating constructor builds from
+    them, key order included: nonzero coefficients of the field's type."""
+    items = list(r.terms.items())
+    assert items == list(Poly(r.dim, items, field=r.field).terms.items())
+    kind = GaussianRational if r.field == EXACT else complex
+    assert all(type(c) is kind and c != 0 and len(a) == r.dim for a, c in items)
+
+
+def _in_field(p: Poly, field) -> Poly:
+    return p.to_float() if field == FLOAT else p
+
+
+@st.composite
+def _poly_pairs(draw):
+    """Two polynomials in one dimension, in each combination of fields;
+    half the time the second is b - a, so sums cancel whole terms."""
+    d = draw(st.integers(1, 3))
+    a, b = (draw(exact_polys(dims=(d, d), max_terms=6)) for _ in range(2))
+    if draw(st.booleans()):
+        b = b - a
+    fa, fb = draw(st.sampled_from([(EXACT, EXACT), (FLOAT, FLOAT), (EXACT, FLOAT),
+                                   (FLOAT, EXACT)]))
+    return _in_field(a, fa), _in_field(b, fb)
+
+
+@settings(max_examples=120)
+@given(_poly_pairs(), st.integers(0, 4))
+def test_operation_results_are_canonical(pair, j):
+    a, b = pair
+    results = [a + b, a - b, b - a, a * b, (a + b) * (a - b), -a, a.star(),
+               a.homogeneous_component(j),
+               apply_diff_op(a, b), apply_diff_op(b.star(), a),
+               *a.homogeneous_components().values()]
+    for r in results:
+        assert_canonical(r)
+    # sums keep the order the validating constructor gives the merged terms,
+    # which later float sums run in
+    field = EXACT if a.field == b.field == EXACT else FLOAT
+    for x, y in [(a, b), (a, -b)]:
+        merged = list(x.terms.items()) + list(y.terms.items())
+        assert list((x + y).terms.items()) == list(Poly(a.dim, merged, field=field).terms.items())
+
+
+@pytest.mark.parametrize("fields", [(EXACT, EXACT), (FLOAT, FLOAT), (EXACT, FLOAT)])
+def test_cancelling_sums_in_products_are_dropped(fields):
+    x, y = variables(2)
+    s, t = _in_field(x + y, fields[0]), _in_field(x - y, fields[1])
+    # the xy terms of s t cancel, and so do terms of (D_x - D_y)((x + y)^3 x)
+    for r in (s * t, apply_diff_op(t, s ** 3 * x)):
+        assert_canonical(r)
+    assert (s * t).terms.keys() == {(2, 0), (0, 2)}
+    field = FLOAT if FLOAT in fields else EXACT
+    assert apply_diff_op(t, s ** 3 * x) == _in_field((x + y) ** 3, field)
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stream_and_decomposition_results_are_canonical(d, field):
+    rng = random.Random(2100 + d)
+    for _ in range(3):
+        inner = rand_poly(rng, d, 2, n_terms=5)
+        inner = _in_field(inner - inner.homogeneous_component(0), field)
+        stream = TaylorStream.from_exp(inner)
+        p = _in_field(rand_poly(rng, d, 2, n_terms=5) + Poly.variable(d, 0) ** 2, field)
+        f = _in_field(rand_poly(rng, d, 6, n_terms=8), field)
+        results = [stream.component(m) for m in range(9)] + [stream.truncate(8)]
+        for res in (decompose_direct(p, stream, 8), decompose_direct(p, f)):
+            results += [res.q, res.r]
+        for r in results:
+            assert r.field == field
+            assert_canonical(r)
+
+
+# ---------------------------------------------------------------------------
+# save_poly writes what json.dumps(poly_to_dict(p), indent=1) writes
+
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+                                math.inf, -math.inf, math.nan])
+_big = st.integers(-10 ** 40, 10 ** 40)
+
+
+@st.composite
+def _polys_to_save(draw):
+    """Exact or float polynomials in 1-4 variables, zero included: exact
+    parts large and negative, floats with signed zeros, subnormals, huge
+    values, inf and nan (which only Poly(...) builds; files never hold them)."""
+    d = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 12), min_size=d, max_size=d).map(tuple)
+    if draw(st.booleans()):
+        part = st.builds(Fraction, _big, st.integers(1, 10 ** 30))
+        coeff = st.builds(GaussianRational, part, part)
+    else:
+        part = st.one_of(st.floats(), _edge_floats)
+        coeff = st.builds(complex, part, part)
+    return Poly(d, draw(st.dictionaries(exps, coeff, max_size=8)))
+
+
+@settings(max_examples=150)
+@given(_polys_to_save())
+def test_save_poly_writes_the_json_dumps_bytes(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        save_poly(p, path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == (json.dumps(poly_to_dict(p), indent=1) + "\n").encode()
+
+
+def test_save_poly_writes_the_zero_polynomial(tmp_path):
+    for d in range(1, 5):
+        for field in (EXACT, FLOAT):
+            save_poly(Poly.zero(d, field), tmp_path / "z.json")
+            assert (tmp_path / "z.json").read_text() == f'{{\n "dim": {d},\n "terms": []\n}}\n'
