@@ -27,9 +27,9 @@ from fractions import Fraction
 from . import __version__, apolar, entire, fischer, spectral
 from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
-from .fields import EXACT, GaussianRational
-from .polyalg import (Poly, enumerate_monomials, load_json, load_poly, poly_from_dict,
-                      poly_to_dict, save_poly, write_atomic)
+from .fields import EXACT, GaussianRational, to_exact
+from .polyalg import (Poly, _rational_strings, enumerate_monomials, load_json, load_poly,
+                      poly_from_dict, poly_to_dict, save_poly, write_atomic)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -75,13 +75,23 @@ def _load_poly_arg(path, backend=None) -> Poly:
 
 def _load_function_arg(path, backend=None):
     """A polynomial file or a stream file, whichever parses; a "poly" stream
-    is its polynomial, and polynomials follow _load_poly_arg's backend rule."""
+    is its polynomial, and polynomials follow _load_poly_arg's backend rule.
+    An exp stream, whose field is its constant term's, follows the rule's
+    exact half; a float backend reaches it through the divisor's promotion."""
     obj = load_json(path)
     if isinstance(obj, dict) and "kind" in obj:
         f = entire.stream_from_dict(obj)  # checks the kind and max_degree
         if f.poly_degree is None:
+            if backend == "exact":
+                _on_backend(f.component(0), path, backend)
             return f
     return _on_backend(poly_from_dict(obj), path, backend)
+
+
+def _load_stream_arg(path) -> entire.TaylorStream:
+    """_load_function_arg's result as a Taylor stream."""
+    f = _load_function_arg(path)
+    return entire.TaylorStream.from_poly(f) if isinstance(f, Poly) else f
 
 
 def _parse_scalar(text: str):
@@ -116,11 +126,9 @@ def _cmd_inner(args) -> int:
 
 
 def _scalar_parts(v):
-    if isinstance(v, GaussianRational):
-        return {"re": f"{v.real.numerator}/{v.real.denominator}",
-                "im": f"{v.imag.numerator}/{v.imag.denominator}"}
-    if isinstance(v, Fraction):
-        return {"re": f"{v.numerator}/{v.denominator}", "im": "0/1"}
+    if isinstance(v, (GaussianRational, Fraction)):
+        re, im = _rational_strings(to_exact(v))
+        return {"re": re, "im": im}
     v = complex(v)
     return {"re": v.real, "im": v.imag}
 
@@ -156,12 +164,12 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(args, fit_required: bool) -> int:
+def _cmd_spectrum(args) -> int:
     pk = _load_poly_arg(args.p)
     m_min, m_max = args.m_min, args.m_max
     if m_max < m_min:
         raise InvalidInputError(f"need m_max >= m_min, got window [{m_min}, {m_max}]")
-    if fit_required or m_max - m_min + 1 >= 4:
+    if args.verb == "ks-fit" or m_max - m_min + 1 >= 4:
         report = spectral.ks_exponent_fit(pk, (m_min, m_max), dim_cap=args.dim_cap)
     else:
         degrees = list(range(m_min, m_max + 1))
@@ -199,9 +207,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    f = _load_function_arg(args.f)
-    if isinstance(f, Poly):
-        f = entire.TaylorStream.from_poly(f)
+    f = _load_stream_arg(args.f)
     hi = args.max_degree
     if hi is None:
         if f.poly_degree is not None:
@@ -218,9 +224,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_blambda(args) -> int:
-    f = _load_function_arg(args.f)
-    if isinstance(f, Poly):
-        f = entire.TaylorStream.from_poly(f)
+    f = _load_stream_arg(args.f)
     lam = entire.lambda_from_spec(args.lam)
     rep = entire.blambda_norm(f, lam, args.mcap)
     payload = {"norm": rep.norm, "argmax_m": rep.argmax_m,
@@ -232,15 +236,18 @@ def _cmd_blambda(args) -> int:
 # ---------------------------------------------------------------------------
 # verify: the randomized identity suite
 
+def _random_gaussian(rng) -> GaussianRational:
+    """Real part, then imaginary part: each a/b, a in [-4, 4], b in [1, 3]."""
+    return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                            Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
 def _random_exact_poly(rng, d, max_degree, terms=4):
     out = {}
     for _ in range(rng.randint(1, terms)):
         alpha = tuple(rng.randint(0, max_degree) for _ in range(d))
-        if sum(alpha) > max_degree:
-            continue
-        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        out[alpha] = GaussianRational(re, im)
+        if sum(alpha) <= max_degree:
+            out[alpha] = _random_gaussian(rng)
     return Poly(d, out, field=EXACT)
 
 
@@ -248,8 +255,7 @@ def _random_exact_homogeneous(rng, d, m):
     out = {}
     for alpha in enumerate_monomials(d, m):
         if rng.random() < 0.6:
-            out[alpha] = GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                                          Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            out[alpha] = _random_gaussian(rng)
     poly = Poly(d, out, field=EXACT)
     if poly.is_zero:
         poly = Poly.monomial(d, enumerate_monomials(d, m)[0], 1)
@@ -297,6 +303,8 @@ def _cmd_verify(args) -> int:
         if not (args.p and args.f):
             raise InvalidInputError("verify needs both --p and --f, or neither")
         p = _load_poly_arg(args.p, "exact")
+        if p.is_zero:
+            raise InvalidInputError("--p must be a nonzero polynomial")
         fpoly = _load_poly_arg(args.f, "exact")
         pk = p.homogeneous_component(int(p.degree))
         components = list(fpoly.homogeneous_components().values()) or [fpoly]
@@ -345,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--backend", choices=["exact", "float"])
-    sp.add_argument("--out")
 
     sp = sub.add_parser("decompose", help="Fischer decomposition f = P q + r")
     sp.add_argument("--p", required=True)
@@ -355,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=int)
     sp.add_argument("--mcap", type=int)
     sp.add_argument("--series-check", action="store_true")
-    sp.add_argument("--out", help="output prefix (default 'decomposition')")
 
     for name, help_text in (("spectrum", "singular value sweep"),
                             ("ks-fit", "growth-exponent fit of sigma_min")):
@@ -364,32 +370,27 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m-min", type=int, default=8)
         sp.add_argument("--m-max", type=int, default=40)
         sp.add_argument("--dim-cap", type=int, default=spectral.DEFAULT_DIM_CAP)
-        sp.add_argument("--out", help="output prefix (default 'spectrum')")
 
     sp = sub.add_parser("kernel", help="kernel basis of pk(D) on one slice")
     sp.add_argument("--p", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--backend", choices=["exact", "float"])
-    sp.add_argument("--out")
 
     sp = sub.add_parser("classify2x2", help="classify a z1^2 + b z1 z2 + c z2^2")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("c")
-    sp.add_argument("--out")
 
     sp = sub.add_parser("order", help="growth order from component decay")
     sp.add_argument("--f", required=True)
     sp.add_argument("--min-degree", type=int, default=10)
     sp.add_argument("--max-degree", type=int)
-    sp.add_argument("--out")
 
     sp = sub.add_parser("blambda", help="weighted component sup norm")
     sp.add_argument("--f", required=True)
     sp.add_argument("--lam", required=True,
                     help="'inv-log', 'inv-linear', or 'power:<p>'")
     sp.add_argument("--mcap", type=int, default=100)
-    sp.add_argument("--out")
 
     sp = sub.add_parser("verify", help="identity suite on random or given inputs")
     sp.add_argument("--seed", type=int, default=0)
@@ -397,7 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mc-samples", type=int, default=200_000)
     sp.add_argument("--p", help="optional divisor polynomial to check instead of random data")
     sp.add_argument("--f", help="optional dividend polynomial, used with --p")
-    sp.add_argument("--out")
+
+    prefixes = {"decompose": "decomposition", "spectrum": "spectrum", "ks-fit": "spectrum"}
+    for name, sp in sub.choices.items():  # the last flag of every verb
+        default = prefixes.get(name)
+        sp.add_argument("--out", help=default and f"output prefix (default '{default}')")
     return ap
 
 
@@ -408,28 +413,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _handlers() -> dict:
+    """verb -> handler, built per call so that patched handlers take effect."""
+    return {"inner": _cmd_inner, "decompose": _cmd_decompose, "spectrum": _cmd_spectrum,
+            "ks-fit": _cmd_spectrum, "kernel": _cmd_kernel, "classify2x2": _cmd_classify,
+            "order": _cmd_order, "blambda": _cmd_blambda, "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.verb == "inner":
-            return _cmd_inner(args)
-        if args.verb == "decompose":
-            return _cmd_decompose(args)
-        if args.verb == "spectrum":
-            return _cmd_spectrum(args, fit_required=False)
-        if args.verb == "ks-fit":
-            return _cmd_spectrum(args, fit_required=True)
-        if args.verb == "kernel":
-            return _cmd_kernel(args)
-        if args.verb == "classify2x2":
-            return _cmd_classify(args)
-        if args.verb == "order":
-            return _cmd_order(args)
-        if args.verb == "blambda":
-            return _cmd_blambda(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        raise InvalidInputError(f"unknown verb {args.verb}")
+        return _handlers()[args.verb](args)
     except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"fischer-lab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -77,6 +77,16 @@ class DecompositionResult:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
+def _slice_basis(pk: Poly, m: int) -> tuple:
+    """The graded-lex monomials of degree m - deg pk, the unknowns of slice
+    m, once pk is nonzero homogeneous and m >= deg pk."""
+    require_nonzero_homogeneous(pk)
+    k = pk.degree
+    if m < k:
+        raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
+    return tuple(enumerate_monomials(pk.dim, m - k))
+
+
 def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     """Assemble the degree-m normal-equations matrix for homogeneous pk.
 
@@ -85,11 +95,7 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     c' z^gamma' of pk with beta_i + gamma = delta = beta_j + gamma', read
     from ``mult_pattern`` by grouping its entries by their row delta.
     """
-    require_nonzero_homogeneous(pk)
-    k = pk.degree
-    if m < k:
-        raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
-    basis = tuple(enumerate_monomials(pk.dim, m - k))
+    basis = _slice_basis(pk, m)
     coeffs = [c for _, c in pk.sorted_terms()]
     products = [[c.conjugate() * c2 for c2 in coeffs] for c in coeffs]
     rows, weights = mult_pattern(pk, basis)
@@ -134,11 +140,7 @@ class SliceProjector:
 
 def slice_projector(pk: Poly, m: int) -> SliceProjector:
     """The degree-m float projector for homogeneous pk, from one SVD of M."""
-    require_nonzero_homogeneous(pk)
-    k = pk.degree
-    if m < k:
-        raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
-    basis = tuple(enumerate_monomials(pk.dim, m - k))
+    basis = _slice_basis(pk, m)
     source = enumerate_monomials(pk.dim, m)
     rows, cols, vals = mult_entries(pk, basis)
     mult = np.zeros((len(source), len(basis)), dtype=complex)
@@ -150,7 +152,7 @@ def slice_projector(pk: Poly, m: int) -> SliceProjector:
     # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
     # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
     # ratios, so no weight is a lone sqrt(alpha!)
-    top, low = math.factorial(m), math.factorial(m - k)
+    top, low = math.factorial(m), math.factorial(m - pk.degree)
     w_src = np.array([math.sqrt(midx_factorial(alpha) / top) for alpha in source])
     w_low = np.array([math.sqrt(midx_factorial(beta) / low) for beta in basis])
     pinv = ((vh.conj().T / (s * w_low[:, None])) @ (u.conj().T * w_src)) * math.sqrt(top // low)
@@ -201,8 +203,8 @@ class SliceSolver:
             x = bareiss_solve(mat.rows, [c * den for c in b])
             if x is None:
                 raise NumericalError("projection system unexpectedly singular")
-            return Poly(pk.dim, {alpha: v / den for alpha, v in zip(mat.basis, x)},
-                        field=EXACT), None
+            return Poly._canonical(pk.dim, {alpha: v / den for alpha, v in zip(mat.basis, x)
+                                            if v}, EXACT), None
         proj = self._projectors.get(m)
         if proj is None:
             proj = self._projectors[m] = slice_projector(pk, m)

@@ -128,10 +128,6 @@ def grlex_rank(alpha: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # polynomial values
 
-def _coerce_exact(c):
-    return c if isinstance(c, GaussianRational) else to_exact(c)
-
-
 def _merge_into(acc: dict, part, plus=add, zero=0) -> None:
     """acc += part termwise, dropping sums that cancel: Poly addition's
     rule, which also fixes the key order that later sums run in."""
@@ -176,7 +172,7 @@ class Poly:
         store = {}
         for alpha, c in items:
             try:
-                c = _coerce_exact(c) if field == EXACT else complex(c)
+                c = to_exact(c) if field == EXACT else complex(c)
             except TypeError as exc:
                 raise InvalidInputError(f"coefficient {c!r} is not in the {field} field") from exc
             if alpha in store:
@@ -373,13 +369,14 @@ class Poly:
     def derivative(self, alpha) -> "Poly":
         """Mixed partial derivative d^alpha applied to this polynomial."""
         alpha = tuple(alpha)
+        if len(alpha) != self.dim:
+            raise InvalidInputError(f"bad exponent {alpha} for dimension {self.dim}")
         out = {}
         for beta, c in self._terms.items():
             rest = midx_sub(beta, alpha)
-            if rest is None:
-                continue
-            out[rest] = c * falling_product(beta, alpha)
-        return Poly(self.dim, out, field=self.field)
+            if rest is not None:  # c times a positive integer: nonzero
+                out[rest] = c * falling_product(beta, alpha)
+        return Poly._canonical(self.dim, out, self.field)
 
     def evaluate(self, z) -> complex:
         """Evaluate at a point, term by term.
@@ -407,8 +404,9 @@ class Poly:
     def to_float(self) -> "Poly":
         if self.field == FLOAT:
             return self
-        return Poly(self.dim, {a: complex(c) for a, c in self._terms.items()},
-                    field=FLOAT)
+        # a GaussianRational can round to 0j
+        return Poly._canonical(self.dim, {a: z for a, c in self._terms.items()
+                                          if (z := complex(c))}, FLOAT)
 
     def __repr__(self):
         if self.is_zero:

@@ -50,18 +50,18 @@ def sphere_max(p, samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0) -> float
     return best
 
 
-def gaussian_point_chunks(d: int, total: int, seed: int, chunk: int = MC_CHUNK):
+def gaussian_point_chunks(d: int, total: int, seed: int):
     """Yield (n_i, d) complex arrays with density exp(-|x|^2-|y|^2)/pi^d.
 
     Real and imaginary parts are independent normals with variance 1/2.
-    Each chunk uses Philox keyed by (seed, chunk index), so the stream is
-    reproducible.
+    Each chunk of MC_CHUNK points uses Philox keyed by (seed, chunk
+    index), so the stream is reproducible.
     """
     done = 0
     idx = 0
     key_base = int(seed) & (2 ** 64 - 1)
     while done < total:
-        n = min(chunk, total - done)
+        n = min(MC_CHUNK, total - done)
         rng = np.random.Generator(np.random.Philox(key=[key_base, idx]))
         block = rng.standard_normal((n, 2 * d)) / math.sqrt(2.0)
         yield block[:, :d] + 1j * block[:, d:]

@@ -342,7 +342,12 @@ class QuadraticClass:
     witness_direction: tuple = None
 
 
-def classify_quadratic_2d(a, b, c, tol: float = 1e-12) -> QuadraticClass:
+# Float coefficients count as zero below this fraction of the largest
+# modulus, and the discriminant below its square.
+_CLASSIFY_TOL = 1e-12
+
+
+def classify_quadratic_2d(a, b, c) -> QuadraticClass:
     """Classify P = a z1^2 + b z1 z2 + c z2^2.
 
     Degenerate means 4ac = b^2, equivalently P = (r z1 + s z2)^2; then
@@ -363,8 +368,8 @@ def classify_quadratic_2d(a, b, c, tol: float = 1e-12) -> QuadraticClass:
         scale = max(abs(a), abs(b), abs(c))
         if scale == 0:
             raise InvalidInputError("coefficients must not all vanish")
-        degenerate = abs(4 * a * c - b * b) <= tol * scale * scale
-        is_zero = lambda v: abs(v) <= tol * scale
+        degenerate = abs(4 * a * c - b * b) <= _CLASSIFY_TOL * scale * scale
+        is_zero = lambda v: abs(v) <= _CLASSIFY_TOL * scale
     amenable = (not is_zero(a) and not is_zero(c) and is_zero(b)) or \
                (is_zero(a) and is_zero(c) and not is_zero(b))
     square_root = None

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -82,11 +83,12 @@ def test_series_check_assembles_each_slice_once(files, monkeypatch):
 
 def test_decompose_series_check(files):
     prefix = str(files["tmp"] / "dec2")
-    rc = cli.main(["decompose", "--p", files["p"], "--f", files["f"],
-                   "--series-check", "--out", prefix])
-    assert rc == 0
-    payload = _read_envelope(f"{prefix}.diagnostics.json")
-    assert payload["diagnostics"]["series_check_agrees"] is True
+    for backend in ([], ["--backend", "float"]):  # exact ==, float within 1e-9
+        rc = cli.main(["decompose", "--p", files["p"], "--f", files["f"],
+                       "--series-check", "--out", prefix, *backend])
+        assert rc == 0
+        payload = _read_envelope(f"{prefix}.diagnostics.json")
+        assert payload["diagnostics"]["series_check_agrees"] is True
 
 
 def test_series_check_on_degree_one_divisor(tmp_path):
@@ -563,7 +565,10 @@ def test_exit_code_non_integer_exponent(files, tmp_path):
     '[{"exp": [1, 0], "re": [1], "im": 0}]',
     '[{"exp": [1, 0], "re": 1e400, "im": 0}]',
     '5',
-], ids=["bool", "null", "list", "overflow", "terms-not-list"])
+    '[{"exp": [1, 0], "re": "1/1", "im": "0/1"}, {"exp": [1, 0], "re": "2/1", "im": "0/1"}]',
+    '[{"re": "1/1", "im": "0/1"}]',
+], ids=["bool", "null", "list", "overflow", "terms-not-list", "duplicate-exponent",
+        "term-without-exp"])
 def test_exit_code_bad_coefficient(files, tmp_path, terms):
     bad = tmp_path / "bad_coeff.json"
     bad.write_text('{"dim": 2, "terms": %s}' % terms)
@@ -591,9 +596,23 @@ def test_exit_code_negative_verify_cases(tmp_path):
     assert not out.exists()
 
 
-def test_exit_code_precondition(files):
+def test_exit_code_precondition(files, tmp_path):
     # ks-fit needs homogeneous pk; p.json is not homogeneous
     assert cli.main(["ks-fit", "--p", files["p"]]) == cli.EXIT_PRECONDITION
+    # an exp stream without max_degree has no last degree to stop at
+    unbounded = tmp_path / "unbounded.json"
+    unbounded.write_text(json.dumps({"kind": "exp_poly", "inner": _FLOAT_EXP_INNER}))
+    assert cli.main(["order", "--f", str(unbounded)]) == cli.EXIT_PRECONDITION
+    assert cli.main(["verify", "--p", files["pk"]]) == cli.EXIT_PRECONDITION
+
+
+def test_exit_code_verify_zero_divisor(files, tmp_path):
+    save_poly(Poly.zero(2), tmp_path / "zero.json")
+    out = tmp_path / "verify.json"
+    rc = cli.main(["verify", "--p", str(tmp_path / "zero.json"), "--f", files["f"],
+                   "--mc-samples", "100", "--out", str(out)])
+    assert rc == cli.EXIT_PRECONDITION
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["spectrum", "ks-fit"])
@@ -761,6 +780,14 @@ def test_exit_code_float_on_exact_backend(files, tmp_path):
     rc = cli.main(["inner", "--p", str(tmp_path / "float.json"),
                    "--q", str(tmp_path / "float.json"), "--backend", "exact"])
     assert rc == cli.EXIT_PARSE
+    # an exp stream follows the same rule, by the field of its coefficients
+    for name, inner in [("float", _FLOAT_EXP_INNER), ("exact", poly_to_dict(x + y))]:
+        (tmp_path / f"{name}_exp.json").write_text(json.dumps(
+            {"kind": "exp_poly", "max_degree": 8, "inner": inner}))
+        rc = cli.main(["decompose", "--p", files["pk"], "--f", str(tmp_path / f"{name}_exp.json"),
+                       "--backend", "exact", "--out", str(tmp_path / name)])
+        assert rc == (cli.EXIT_PARSE if name == "float" else cli.EXIT_OK)
+        assert (tmp_path / f"{name}.q.json").exists() == (name == "exact")
 
 
 def test_exit_code_internal_error(files, monkeypatch, capsys):
@@ -770,3 +797,9 @@ def test_exit_code_internal_error(files, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_order", broken)
     assert cli.main(["order", "--f", files["expz"]]) == cli.EXIT_INTERNAL == 5
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_every_verb_has_a_handler():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert cli._handlers().keys() == subparsers.choices.keys()

@@ -72,8 +72,10 @@ def test_stream_json_round_trip():
         {"exp": [2, 0], "re": "1/1", "im": "0/1"}]}
     s2 = entire.stream_from_dict(poly_obj)
     assert s2.poly_degree is not None and s2.component(2) == x * x
-    with pytest.raises(FormatError):
-        entire.stream_from_dict({"kind": "mystery"})
+    for bad in ({"kind": "mystery"}, {"dim": 1, "terms": []},
+                {"kind": "exp_poly", "max_degree": 5}):
+        with pytest.raises(FormatError):
+            entire.stream_from_dict(bad)
 
 
 @pytest.mark.parametrize("cap", ["oops", -1, 2.5, True, None])

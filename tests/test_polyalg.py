@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fischerlab.entire import TaylorStream
 from fischerlab.errors import DimensionMismatchError, FormatError, InvalidInputError
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
-from fischerlab.fischer import decompose_direct
+from fischerlab.fischer import SliceSolver, decompose_direct
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
                                 monomial_array, mult_entries, poly_from_dict, poly_to_dict,
@@ -400,7 +400,8 @@ def _poly_pairs(draw):
 def test_operation_results_are_canonical(pair, j):
     a, b = pair
     results = [a + b, a - b, b - a, a * b, (a + b) * (a - b), -a, a.star(),
-               a.homogeneous_component(j),
+               a.homogeneous_component(j), a.to_float(),
+               a.derivative((j,) + (0,) * (a.dim - 1)), a.derivative((1,) * a.dim),
                apply_diff_op(a, b), apply_diff_op(b.star(), a),
                *a.homogeneous_components().values()]
     for r in results:
@@ -411,6 +412,11 @@ def test_operation_results_are_canonical(pair, j):
     for x, y in [(a, b), (a, -b)]:
         merged = list(x.terms.items()) + list(y.terms.items())
         assert list((x + y).terms.items()) == list(Poly(a.dim, merged, field=field).terms.items())
+
+
+def test_to_float_drops_coefficients_that_round_to_zero():
+    p = Poly(2, {(1, 0): GaussianRational(Fraction(1, 10 ** 400)), (0, 1): 3})
+    assert list(p.to_float().terms.items()) == [((0, 1), 3 + 0j)]
 
 
 @pytest.mark.parametrize("fields", [(EXACT, EXACT), (FLOAT, FLOAT), (EXACT, FLOAT)])
@@ -438,6 +444,8 @@ def test_stream_and_decomposition_results_are_canonical(d, field):
         results = [stream.component(m) for m in range(9)] + [stream.truncate(8)]
         for res in (decompose_direct(p, stream, 8), decompose_direct(p, f)):
             results += [res.q, res.r]
+        solver = SliceSolver(p.homogeneous_component(int(p.degree)))
+        results += [solver.project(fm)[0] for fm in f.homogeneous_components().values()]
         for r in results:
             assert r.field == field
             assert_canonical(r)

@@ -168,6 +168,21 @@ def test_ks_fit_cubics_stay_under_provable_ceiling():
         assert rep.flags == []
 
 
+def test_ks_fit_flags_a_slope_above_the_provable_ceiling():
+    # bench/jobs.py's tripping quadratic, normal form about
+    # 1.311 z1^2 + 1.102 z2^2 + 0.177 z3^2: its local slope at these degrees
+    # exceeds k - 1 = 1 by more than the 0.05 margin, which the current rule flags
+    pk = Poly(3, {(2, 0, 0): 0.656884285987 - 0.382856551242j,
+                  (1, 1, 0): 0.410317029051 - 1.185709953029j,
+                  (1, 0, 1): -0.539924242883 + 0.094322976574j,
+                  (0, 2, 0): 0.250390929418 - 0.483525322068j,
+                  (0, 1, 1): 0.508809740752 + 0.228026094627j,
+                  (0, 0, 2): 0.815295743342 + 0.577637784758j})
+    rep = spectral.ks_exponent_fit(pk, (24, 27))
+    assert rep.fitted_tau == pytest.approx(1.0686, abs=1e-4)
+    assert rep.flags == ["tau-above-provable-ceiling"]
+
+
 def test_ks_fit_window_validation():
     x, y = variables(2)
     with pytest.raises(InvalidInputError):
