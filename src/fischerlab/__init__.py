@@ -11,8 +11,7 @@ from .polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                       poly_to_dict, save_poly, variables)
 from .apolar import (adjoint_residual, bargmann_mc_estimate, beauzamy_bound,
                      c_alpha_m, inner_product, norm, norm_sq,
-                     reznick_residual, shapiro_pointwise_residual,
-                     sphere_max_bound_check)
+                     reznick_residual, shapiro_pointwise_residual)
 from .fischer import (DecompositionResult, FischerMatrix, decompose_direct,
                       decompose_series, decompose_univariate,
                       fischer_matrix, project_homogeneous)

@@ -226,26 +226,3 @@ def bargmann_mc_estimate(p: Poly, q: Poly, samples: int, seed: int) -> MonteCarl
     mean = complex(total / samples)
     var = max(float(total_abs2) / samples - abs(mean) ** 2, 0.0)
     return MonteCarloEstimate(mean, math.sqrt(var / samples), samples)
-
-
-# Proof sketch for the constant below: integrating |f_m|^2 exp(-|z|^2)/pi^d
-# in polar coordinates gives norm^2 = (Gamma(m+d)/(2 pi^d)) * integral over
-# S^{2d-1} of |f_m|^2 <= (Gamma(m+d)/(2 pi^d)) * sigma(S^{2d-1}) * max^2,
-# and sigma(S^{2d-1}) = 2 pi^d / (d-1)!, so C_d = sqrt(1/(d-1)!).
-def sphere_max_bound_check(fm: Poly, samples=None, seed: int = 0):
-    """(||fm||, C_d sqrt((m+d-1)!) max_sphere |fm|) with lhs <= rhs.
-
-    The sphere maximum is a sampled lower bound, which is the conservative
-    direction for checking the inequality.
-    """
-    if not fm.is_homogeneous():
-        raise InvalidInputError("fm must be homogeneous")
-    if fm.is_zero:
-        return (0.0, 0.0)
-    m = fm.degree
-    d = fm.dim
-    kwargs = {} if samples is None else {"samples": samples}
-    mx = sampling.sphere_max(fm, seed=seed, **kwargs)
-    c_d = 1.0 / math.sqrt(math.factorial(d - 1))
-    rhs = c_d * math.sqrt(math.factorial(m + d - 1)) * mx
-    return (norm(fm), rhs)

@@ -3,7 +3,7 @@
 Verbs: inner, decompose, spectrum, ks-fit, kernel, classify2x2, order,
 blambda, verify.  Each verb maps its flags to one library call:
 ``decompose`` lets the input pick the route (``fischer.decompose_direct``,
-long division in d = 1) unless ``--method series`` asks for the series.
+long division in d = 1); ``--series-check`` also runs the series.
 Reports are JSON envelopes (CSV for spectral sweeps), and every file is
 written atomically by ``polyalg.write_atomic``; identical command plus
 seed gives byte-identical output.  Exit codes: 0 ok, 1 verify
@@ -136,14 +136,7 @@ def _scalar_parts(v):
 def _cmd_decompose(args) -> int:
     p = _load_poly_arg(args.p, args.backend)
     f = _load_function_arg(args.f, args.backend)
-    if args.beta is not None:
-        fischer.validate_gap(p, args.beta)
-    if args.method == "series":
-        if args.series_check:
-            raise InvalidInputError("--series-check checks the auto route against the "
-                                    "series route; drop --method series")
-        res = fischer.decompose_series(p, f)
-    elif args.series_check:
+    if args.series_check:
         res, other = fischer._direct_and_series(p, f)
         res.diagnostics["series_check_agrees"] = (
             other.q == res.q if res.q.field == EXACT
@@ -196,7 +189,6 @@ def _cmd_classify(args) -> int:
     cls = spectral.classify_quadratic_2d(a, b, c)
     payload = {
         "degenerate": cls.degenerate,
-        "amenable": cls.amenable,
         "square_root": None if cls.square_root is None else
             [_scalar_parts(v) for v in cls.square_root],
         "witness_direction": None if cls.witness_direction is None else
@@ -357,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="Fischer decomposition f = P q + r")
     sp.add_argument("--p", required=True)
     sp.add_argument("--f", required=True)
-    sp.add_argument("--method", default="auto", choices=["auto", "series"])
     sp.add_argument("--backend", choices=["exact", "float"])
-    sp.add_argument("--beta", type=int)
     sp.add_argument("--mcap", type=int)
     sp.add_argument("--series-check", action="store_true")
 
@@ -402,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     prefixes = {"decompose": "decomposition", "spectrum": "spectrum", "ks-fit": "spectrum"}
     for name, sp in sub.choices.items():  # the last flag of every verb
         default = prefixes.get(name)
-        sp.add_argument("--out", help=default and f"output prefix (default '{default}')")
+        sp.add_argument("--out", type=lambda text: text or None,  # "" is "not given"
+                        help=default and f"output prefix (default '{default}')")
     return ap
 
 

@@ -250,8 +250,8 @@ def order_estimate(f: TaylorStream, degrees) -> OrderEstimate:
 
     For homogeneous f_m in d variables the apolar norm brackets the sup
     norm over the unit sphere: sqrt((d-1)!/(m+d-1)!) ||f_m|| <= max_S |f_m|
-    <= ||f_m|| / sqrt(m!) (sphere_max_bound_check's inequality, and
-    Cauchy-Schwarz against the reproducing kernel (z.conj(w))^m / m!).  So
+    <= ||f_m|| / sqrt(m!) (||f_m||^2 as a Gaussian integral in polar
+    coordinates, and Cauchy-Schwarz against the kernel (z.conj(w))^m/m!).  So
     each sample is the exact, seed-free (lgamma(m+d) - log ||f_m||^2) / 2,
     which is -log max_S |f_m| up to a factor polynomial in m (exactly so
     for d = 1).  If the sup norm decays like m^(-m/rho) C^m m^s, the

@@ -314,30 +314,19 @@ def _decompose_direct(p: Poly, f, solver: SliceSolver, max_degree=None) -> Decom
     return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
 
 
-def validate_gap(p: Poly, beta: int) -> None:
-    """Check p has no homogeneous component strictly between beta and deg p."""
-    k = p.degree
-    if not 0 <= beta < k:
-        raise InvalidInputError(f"beta must lie in [0, {k}), got {beta}")
-    for j in range(beta + 1, int(k)):
-        if not p.homogeneous_component(j).is_zero:
-            raise InvalidInputError(
-                f"gap hypothesis violated: component of degree {j} is nonzero")
-
-
-def decompose_series(p: Poly, f: Poly, beta=None) -> DecompositionResult:
+def decompose_series(p: Poly, f: Poly) -> DecompositionResult:
     """Fischer decomposition by the iterated projection series.
 
     Writing p = P_k - L with L the (negated) lower part, the coefficient
     series is q = T f + T(L T f) + T(L T(L T f)) + ..., where T projects
     each homogeneous component onto the image of multiplication by P_k.
-    Every level drops total degree by at least deg p - beta, so the sum
+    Every level drops total degree by at least deg p - deg L, so the sum
     is finite for polynomial input and equals the direct solve exactly.
     A Taylor stream, and float input with a d = 1 divisor, are refused
     (``_check_series_input``).
     """
     _check_series_input(p, f)
-    return _decompose_series(p, f, beta, _slice_solver(p))
+    return _decompose_series(p, f, _slice_solver(p))
 
 
 def _check_series_input(p: Poly, f) -> None:
@@ -353,9 +342,7 @@ def _check_series_input(p: Poly, f) -> None:
                                 "d = 1 goes by long division")
 
 
-def _decompose_series(p: Poly, f: Poly, beta, solver: SliceSolver) -> DecompositionResult:
-    if beta is not None:
-        validate_gap(p, beta)
+def _decompose_series(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionResult:
     f = _promote(p, f)
     pk = solver.pk
     lower_neg = pk - p  # the series' lower terms: p = pk - lower_neg
@@ -377,7 +364,7 @@ def _direct_and_series(p: Poly, f: Poly):
     SliceSolver, so each slice matrix is assembled once for both."""
     _check_series_input(p, f)
     solver = _slice_solver(p)
-    return _decompose_direct(p, f, solver), _decompose_series(p, f, None, solver)
+    return _decompose_direct(p, f, solver), _decompose_series(p, f, solver)
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,6 @@ class QuadraticClass:
     """Classification of a z1^2 / z1 z2 / z2^2 combination in 2 variables."""
 
     degenerate: bool
-    amenable: bool
     square_root: tuple = None
     witness_direction: tuple = None
 
@@ -353,7 +352,6 @@ def classify_quadratic_2d(a, b, c) -> QuadraticClass:
     Degenerate means 4ac = b^2, equivalently P = (r z1 + s z2)^2; then
     multiplication by P preserves the norm ratio along (s z1 - r z2)^m
     exactly, so no uniform norm growth in the degree is possible.
-    Amenable covers a z1^2 + c z2^2 (a, c nonzero) and b z1 z2.
     """
     exact = all(is_exact_scalar(v) for v in (a, b, c))
     if exact:
@@ -370,8 +368,6 @@ def classify_quadratic_2d(a, b, c) -> QuadraticClass:
             raise InvalidInputError("coefficients must not all vanish")
         degenerate = abs(4 * a * c - b * b) <= _CLASSIFY_TOL * scale * scale
         is_zero = lambda v: abs(v) <= _CLASSIFY_TOL * scale
-    amenable = (not is_zero(a) and not is_zero(c) and is_zero(b)) or \
-               (is_zero(a) and is_zero(c) and not is_zero(b))
     square_root = None
     witness = None
     if degenerate:
@@ -384,7 +380,7 @@ def classify_quadratic_2d(a, b, c) -> QuadraticClass:
             s = (gaussian_sqrt(c) if exact else None) or complex(c) ** 0.5
         square_root = (r, s)
         witness = (s, -r)
-    return QuadraticClass(degenerate, amenable, square_root, witness)
+    return QuadraticClass(degenerate, square_root, witness)
 
 
 # ---------------------------------------------------------------------------

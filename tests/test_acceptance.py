@@ -116,7 +116,7 @@ def test_series_direct_equivalence():
         p = pk - low
         f = rand_poly(rng, 2, 8, n_terms=6)
         direct = fischer.decompose_direct(p, f)
-        series = fischer.decompose_series(p, f, beta=beta)
+        series = fischer.decompose_series(p, f)
         assert direct.q == series.q and direct.r == series.r
         assert p * direct.q + direct.r == f
         assert apply_diff_op(pk.star(), direct.r).is_zero

@@ -104,8 +104,7 @@ def test_series_check_on_degree_one_divisor(tmp_path):
     assert payload["diagnostics"]["series_check_agrees"] is True
 
 
-@pytest.mark.parametrize("route", ["univariate", "series", "entire", "direct-stream",
-                                   "auto-stream"])
+@pytest.mark.parametrize("route", ["univariate", "entire", "direct-stream", "auto-stream"])
 def test_series_check_refused_off_the_direct_route(files, tmp_path, route):
     # the cross-check needs input the series route can split: a polynomial,
     # and exact input when d = 1
@@ -117,18 +116,17 @@ def test_series_check_refused_off_the_direct_route(files, tmp_path, route):
     save_poly(x - 1, tmp_path / "p1.json")
     with open(tmp_path / "exp.json", "w") as fh:
         json.dump({"kind": "exp_poly", "max_degree": 8, "inner": poly_to_dict(x + y)}, fh)
-    p, f, extra = {
+    p, f = {
         # float input with a d = 1 divisor
-        "univariate": ("pz.json", "fz.json", []),
-        "series": (files["p"], files["f"], ["--method", "series"]),
+        "univariate": ("pz.json", "fz.json"),
         # an entire-function stream against a quadratic p, under auto
-        "entire": (files["p"], "exp.json", []),
+        "entire": (files["p"], "exp.json"),
         # a d = 1 stream, which decompose_direct divides
-        "direct-stream": ("pz_exact.json", files["expz"], []),
-        "auto-stream": ("p1.json", "exp.json", []),
+        "direct-stream": ("pz_exact.json", files["expz"]),
+        "auto-stream": ("p1.json", "exp.json"),
     }[route]
     rc = cli.main(["decompose", "--p", str(tmp_path / p), "--f", str(tmp_path / f),
-                   "--series-check", "--out", str(tmp_path / "x"), *extra])
+                   "--series-check", "--out", str(tmp_path / "x")])
     assert rc == cli.EXIT_PRECONDITION
     assert not (tmp_path / "x.q.json").exists()
 
@@ -153,8 +151,8 @@ def test_series_check_on_exact_univariate_input_agrees(tmp_path):
     assert p * q + r == f and r.degree < 3
 
 
-@pytest.mark.parametrize("method,mcap", [("auto", 9), ("auto", None)])
-def test_decompose_degree_one_stream_goes_direct(tmp_path, method, mcap):
+@pytest.mark.parametrize("mcap", [9, None], ids=["auto-9", "auto-None"])
+def test_decompose_degree_one_stream_goes_direct(tmp_path, mcap):
     x, y = variables(2)
     p = x + y - 1
     stream = {"kind": "exp_poly", "max_degree": 11, "inner": poly_to_dict(x - 2 * y)}
@@ -164,8 +162,7 @@ def test_decompose_degree_one_stream_goes_direct(tmp_path, method, mcap):
     prefix = str(tmp_path / "dec")
     extra = [] if mcap is None else ["--mcap", str(mcap)]
     assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
-                     str(tmp_path / "f.json"), "--method", method, "--out", prefix,
-                     *extra]) == 0
+                     str(tmp_path / "f.json"), "--out", prefix, *extra]) == 0
     cap = 11 if mcap is None else mcap
     # q of the truncation, and r up to degree cap - deg p
     want = fischer.decompose_direct(p, entire.stream_from_dict(stream).truncate(cap))
@@ -177,21 +174,19 @@ def test_decompose_degree_one_stream_goes_direct(tmp_path, method, mcap):
     assert payload["diagnostics"]["truncation_degree"] == cap
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["--method", "linear"], "invalid choice: 'linear'"),
-    (["--method", "entire"], "invalid choice: 'entire'"),
-    (["--tol", "1e-14"], "unrecognized arguments: --tol"),
-    (["--method", "direct"], "invalid choice: 'direct'"),
-    (["--method", "univariate"], "invalid choice: 'univariate'"),
-], ids=["linear", "entire", "tol", "direct", "univariate"])
-def test_method_linear_is_gone(files, capsys, argv, message):
-    # the translation trick (--method linear) and the level series
-    # (--method entire, --tol) are deleted; the input picks between long
-    # division and the direct recursion, so neither can be forced
+@pytest.mark.parametrize("argv", [
+    ["--method", "linear"], ["--method", "entire"], ["--tol", "1e-14"],
+    ["--method", "direct"], ["--method", "univariate"], ["--method", "series"],
+    ["--method", "auto"], ["--beta", "0"],
+], ids=["linear", "entire", "tol", "direct", "univariate", "series", "auto", "beta"])
+def test_method_linear_is_gone(files, capsys, argv):
+    # the split is unique, so decompose takes no route knobs: the input
+    # picks between long division and the direct recursion (--series-check
+    # also runs the series), and nothing reads a declared gap degree
     with pytest.raises(SystemExit) as exc:
         cli.main(["decompose", "--p", files["p"], "--f", files["f"], *argv])
     assert exc.value.code == cli.EXIT_PARSE
-    assert message in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p_field,f_kind", [("float", "poly"), ("float", "stream"),
@@ -212,7 +207,7 @@ def test_forced_direct_refuses_float_univariate_input(files, tmp_path, capsys, p
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--method", "direct"])
     assert exc.value.code == cli.EXIT_PARSE
-    assert "invalid choice: 'direct'" in capsys.readouterr().err
+    assert "unrecognized arguments: --method direct" in capsys.readouterr().err
     assert cli.main(argv) == 0
     want = fischer.decompose_univariate(p, f, 30)
     assert want.q.field == FLOAT
@@ -318,21 +313,6 @@ def test_decompose_poly_kind_stream_as_polynomial(tmp_path, dim):
     assert p * q + r == f
 
 
-@pytest.mark.parametrize("method", ["auto", "series", "entire"])
-def test_decompose_beta_checked_on_every_route(tmp_path, method):
-    # the degree-2 component of p lies in the gap above beta = 0; "entire"
-    # is an entire-function stream under auto
-    x, y = variables(2)
-    save_poly(x ** 3 - x * x - 1, tmp_path / "p.json")
-    save_poly(x ** 4 + y, tmp_path / "f.json")
-    with open(tmp_path / "exp.json", "w") as fh:
-        json.dump({"kind": "exp_poly", "max_degree": 10, "inner": poly_to_dict(x + y)}, fh)
-    f_args = (["--f", str(tmp_path / "exp.json")] if method == "entire"
-              else ["--f", str(tmp_path / "f.json"), "--method", method])
-    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), *f_args, "--beta", "0",
-                     "--out", str(tmp_path / "out")]) == 3
-
-
 def test_inner_cli(files, tmp_path):
     out = str(tmp_path / "inner.json")
     rc = cli.main(["inner", "--p", files["f"], "--q", files["f"], "--out", out])
@@ -341,10 +321,37 @@ def test_inner_cli(files, tmp_path):
     assert payload["inner_product"]["re"] == "2/1"
 
 
+@pytest.mark.parametrize("verb", ["inner", "decompose", "spectrum", "ks-fit", "kernel",
+                                  "classify2x2", "order", "blambda", "verify"])
+def test_empty_out_is_the_default_destination(files, monkeypatch, capsys, verb):
+    # --out "" means "not given" on every verb: stdout, or the default prefix
+    argv, written = {
+        "inner": (["--p", "f", "--q", "f"], None),
+        "decompose": (["--p", "p", "--f", "f"], "decomposition.diagnostics.json"),
+        "spectrum": (["--p", "pk", "--m-min", "2", "--m-max", "3"], "spectrum.csv"),
+        "ks-fit": (["--p", "pk", "--m-min", "8", "--m-max", "11"], "spectrum.json"),
+        "kernel": (["--p", "pk", "--m", "2"], None),
+        "classify2x2": (["1", "2", "1"], None),
+        "order": (["--f", "expz", "--min-degree", "20", "--max-degree", "40"], None),
+        "blambda": (["--f", "expz", "--lam", "inv-log", "--mcap", "20"], None),
+        "verify": (["--cases", "2", "--mc-samples", "100"], None),
+    }[verb]
+    monkeypatch.chdir(files["tmp"])
+    argv = [files.get(a, a) for a in argv]
+    assert cli.main([verb, *argv, "--out", ""]) == 0
+    out = capsys.readouterr().out
+    if written is None:
+        assert json.loads(out)["verb"] == verb
+    else:
+        assert out == ""
+        assert (files["tmp"] / written).exists()
+
+
 def test_classify_cli(tmp_path, capsys):
     rc = cli.main(["classify2x2", "1", "2", "1"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
+    assert set(payload) == {"degenerate", "square_root", "witness_direction"}
     assert payload["degenerate"] is True
     assert payload["witness_direction"] == [
         {"re": "1/1", "im": "0/1"}, {"re": "-1/1", "im": "0/1"}]
@@ -484,7 +491,7 @@ def test_decompose_reports_deterministic(tmp_path, route):
     p, f, extra, method = {
         "direct-exact": (p, poly_to_dict(f), [], "direct"),
         "direct-float": (p.to_float(), f_float, [], "direct"),
-        "series": (p.to_float(), f_float, ["--method", "series"], "series"),
+        "series": (p.to_float(), f_float, ["--series-check"], "direct"),
         "entire": (p.to_float(), stream, ["--mcap", "20"], "direct"),
         # deg p = 1 takes the direct route
         "linear": ((x - 2 * y + 3).to_float(), f_float, [], "direct"),
@@ -627,7 +634,7 @@ def test_exit_code_inverted_spectrum_window(files, tmp_path, verb):
 
 def test_exit_code_series_on_stream(files, tmp_path):
     rc = cli.main(["decompose", "--p", files["p"], "--f", files["expz"],
-                   "--method", "series", "--out", str(tmp_path / "x")])
+                   "--series-check", "--out", str(tmp_path / "x")])
     assert rc == cli.EXIT_PRECONDITION
 
 
@@ -639,7 +646,7 @@ def test_exit_code_series_on_float_univariate_input(tmp_path, capsys):
     save_poly(p, tmp_path / "p.json")
     save_poly(f, tmp_path / "f.json")
     argv = ["decompose", "--p", str(tmp_path / "p.json"), "--f", str(tmp_path / "f.json")]
-    assert cli.main(argv + ["--method", "series", "--out", str(tmp_path / "x")]) == 3
+    assert cli.main(argv + ["--series-check", "--out", str(tmp_path / "x")]) == 3
     assert "long division" in capsys.readouterr().err
     assert not (tmp_path / "x.q.json").exists()
     assert cli.main(argv + ["--out", str(tmp_path / "auto")]) == 0
@@ -686,16 +693,15 @@ def test_float_apolar_norms_past_degree_170(tmp_path):
     save_poly((x * x + y * y - 1).to_float(), tmp_path / "p.json")
     save_poly((0.5 * x ** 175 + y).to_float(), tmp_path / "f.json")
     save_poly((1e-10 * x ** 175).to_float(), tmp_path / "small.json")
-    residuals = []
-    for method in ("series", "auto"):
-        prefix = str(tmp_path / method)
-        assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
-                         "--f", str(tmp_path / "f.json"), "--method", method,
-                         "--out", prefix]) == 0
-        residuals.append(_read_envelope(f"{prefix}.diagnostics.json")["annihilator_residual"])
+    prefix = str(tmp_path / "dec")
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"),
+                     "--f", str(tmp_path / "f.json"), "--out", prefix]) == 0
+    residual = _read_envelope(f"{prefix}.diagnostics.json")["annihilator_residual"]
+    series = fischer.decompose_series(load_poly(str(tmp_path / "p.json")),
+                                      load_poly(str(tmp_path / "f.json")))
     # ||f|| is about 5e158
-    assert residuals[0] == pytest.approx(residuals[1], rel=1e-6)
-    assert 0 < residuals[0] < 1e-12 * 5e158
+    assert residual == pytest.approx(series.annihilator_residual, rel=1e-6)
+    assert 0 < residual < 1e-12 * 5e158
     out = str(tmp_path / "inner.json")
     assert cli.main(["inner", "--p", str(tmp_path / "small.json"),
                      "--q", str(tmp_path / "small.json"), "--out", out]) == 0

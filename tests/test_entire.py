@@ -490,15 +490,6 @@ def test_entire_partial_stream_truncation_rule():
     assert dec.diagnostics == {"system_size": math.comb(12 + 2, 2), "truncation_degree": 14}
 
 
-def test_entire_gap_validation():
-    # p's degree-2 component lies in the gap above beta = 0
-    x, y = variables(2)
-    p = x ** 3 - x * x - 1
-    with pytest.raises(InvalidInputError):
-        fischer.validate_gap(p, 0)
-    fischer.validate_gap(p, 2)
-
-
 def test_entire_requires_room():
     x, y = variables(2)
     with pytest.raises(InvalidInputError):

@@ -362,7 +362,7 @@ def test_series_matches_direct_sweep(rng):
         p = pk - low
         f = rand_poly(rng, 2, 6)
         direct = fischer.decompose_direct(p, f)
-        series = fischer.decompose_series(p, f, beta=beta)
+        series = fischer.decompose_series(p, f)
         assert direct.q == series.q
         assert direct.r == series.r
         assert p * series.q + series.r == f
@@ -396,16 +396,6 @@ def test_series_float_matches_direct(rng):
         scale = max(1.0, apolar.norm(direct.q))
         assert apolar.norm(direct.q - series.q) <= 1e-9 * scale
         assert apolar.norm(f - (p * series.q + series.r)) <= 1e-9 * max(1.0, apolar.norm(f))
-
-
-def test_series_gap_validation():
-    x, y = variables(2)
-    p = x ** 3 - x * x - 1  # degree-2 component occupies the gap above beta=0
-    with pytest.raises(InvalidInputError):
-        fischer.decompose_series(p, x ** 3, beta=0)
-    # declaring beta=2 is consistent
-    res = fischer.decompose_series(p, x ** 3, beta=2)
-    assert p * res.q + res.r == x ** 3
 
 
 @pytest.mark.parametrize("route", ["direct", "series", "entire"])

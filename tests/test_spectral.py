@@ -246,7 +246,7 @@ def test_kernel_float_backend():
 
 def test_classify_degenerate_121():
     cls = spectral.classify_quadratic_2d(1, 2, 1)
-    assert cls.degenerate and not cls.amenable
+    assert cls.degenerate
     r, s = cls.square_root
     assert (r, s) == (GaussianRational(1), GaussianRational(1))
     assert cls.witness_direction == (GaussianRational(1), GaussianRational(-1))
@@ -254,18 +254,20 @@ def test_classify_degenerate_121():
 
 def test_classify_amenable_diagonal():
     cls = spectral.classify_quadratic_2d(1, 0, 1)
-    assert not cls.degenerate and cls.amenable
-    assert cls.square_root is None
+    assert not cls.degenerate
+    assert cls.square_root is None and cls.witness_direction is None
 
 
 def test_classify_symmetric_neither():
+    # z1^2 + z1 z2 + z2^2 is unitarily equivalent to a diagonal quadratic
+    # (1.5 z1^2 + 0.5 z2^2), and non-degenerate like it
     cls = spectral.classify_quadratic_2d(1, 1, 1)
-    assert not cls.degenerate and not cls.amenable
+    assert not cls.degenerate and cls.square_root is None
 
 
 def test_classify_mixed_term_amenable():
     cls = spectral.classify_quadratic_2d(0, 3, 0)
-    assert cls.amenable and not cls.degenerate
+    assert not cls.degenerate and cls.square_root is None
 
 
 def test_classify_all_zero_rejected():
