@@ -85,9 +85,17 @@ def norm(p: Poly) -> float:
     return math.sqrt(float(norm_sq(p)))
 
 
+# log a! = lgamma(a + 1) at index a, grown on demand by log_norm_sq
+_LOG_FACTORIALS = []
+
+
 def log_norm_sq(p: Poly) -> float:
     """log <p, p>, overflow-safe for extreme degrees; -inf for p = 0.
 
+    log alpha! is the left-to-right sum of lgamma(a_i + 1), read from a
+    module-level table grown to the largest exponent seen.  An exact |c|^2
+    is the reduced integer ratio (re^2 + im^2) / den^2 of c's parts, the
+    one ``fields.abs_sq`` returns as a Fraction, whose two logs are taken.
     Float coefficients enter through log|c|, since |c|^2 underflows long
     before |c| does.  A subnormal coefficient whose term is not negligible
     next to the largest one raises NumericalError: the coefficient has lost
@@ -95,23 +103,30 @@ def log_norm_sq(p: Poly) -> float:
     """
     if p.is_zero:
         return float("-inf")
-    logs = []
+    terms = p.terms
+    table = _LOG_FACTORIALS
+    for a in range(len(table), max(map(max, terms)) + 1):
+        table.append(math.lgamma(a + 1))
+    log_fact = table.__getitem__
+    log = math.log
     log_subnormal = float("-inf")
-    for alpha, c in p.terms.items():
-        la = sum(math.lgamma(a + 1) for a in alpha)
-        if p.field == EXACT:
-            a2 = abs_sq(c)
-            lc = math.log(a2.numerator) - math.log(a2.denominator)
-        else:
-            lc = 2.0 * math.log(abs(c))
-            if abs(c) < sys.float_info.min:
-                log_subnormal = max(log_subnormal, la + lc)
-        logs.append(la + lc)
+    if p.field == EXACT:
+        logs = []
+        for alpha, c in terms.items():
+            re, im, den = c.parts()
+            num, den = re * re + im * im, den * den
+            g = math.gcd(num, den)
+            logs.append(sum(map(log_fact, alpha)) + (log(num // g) - log(den // g)))
+    else:
+        mods = list(map(abs, terms.values()))
+        logs = [sum(map(log_fact, alpha)) + 2.0 * log(mod) for alpha, mod in zip(terms, mods)]
+        log_subnormal = max((l for l, mod in zip(logs, mods) if mod < sys.float_info.min),
+                            default=log_subnormal)
     top = max(logs)
-    if log_subnormal > top + math.log(sys.float_info.epsilon):
+    if log_subnormal > top + log(sys.float_info.epsilon):
         raise NumericalError("float coefficients underflow: the apolar norm has lost "
                              "precision")
-    return top + math.log(sum(math.exp(l - top) for l in logs))
+    return top + log(sum(map(math.exp, [l - top for l in logs])))
 
 
 def adjoint_residual(q: Poly, f: Poly, g: Poly) -> float:

@@ -10,6 +10,7 @@ divides (``decompose_entire`` is that call under its former name).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,7 +85,9 @@ class TaylorStream:
         times j, sum over j, times 1/n), so components repeat bit for bit.
         A float component that underflow has emptied raises NumericalError:
         a product of nonzero doubles is zero only by underflow, and an
-        all-zero component would read as a polynomial's tail.
+        all-zero component would read as a polynomial's tail.  So does the
+        first float component with an infinite or NaN coefficient, which
+        overflow has left without a meaningful norm.
         """
         if not inner.homogeneous_component(0).is_zero:
             raise InvalidInputError("exp generator needs vanishing constant term")
@@ -130,8 +133,11 @@ def _exact_exp_components(inner: Poly):
                     pr, pi = gr * fr - gi * fi, gr * fi + gi * fr
                     old = prod.get(key)
                     prod[key] = (pr, pi) if old is None else (old[0] + pr, old[1] + pi)
-            _merge_into(acc, {k: v for k, v in prod.items() if v != (0, 0)},
-                        _pair_add, (0, 0))
+            part = {k: v for k, v in prod.items() if v != (0, 0)}
+            if acc:
+                _merge_into(acc, part, _pair_add, (0, 0))
+            else:
+                acc = part
         den = n * scale * lcm
         g = math.gcd(den, *(x for v in acc.values() for x in v))
         nums.append({k: (re // g, im // g) for k, (re, im) in acc.items()})
@@ -169,12 +175,18 @@ def _float_exp_components(inner: Poly):
                         prod[key] = prod[key] + ca * cb
                     else:
                         prod[key] = ca * cb
-            _merge_into(acc, {k: v * j for k, v in prod.items() if v != 0})
+            part = {k: v * j for k, v in prod.items() if v != 0}
+            if acc:
+                _merge_into(acc, part)
+            else:
+                acc = part
         inv = 1.0 / n
         out = {k: s for k, v in acc.items() if (s := v * inv) != 0}
         if not out and (acc or _product_underflows(parts, comps, n)):
             raise NumericalError(f"exp stream component {n} underflowed to zero "
                                  "in double precision")
+        if not all(map(cmath.isfinite, out.values())):
+            raise NumericalError(f"exp stream component {n} overflowed the double range")
         comps.append(out)
 
     def comp(m):

@@ -32,7 +32,10 @@ projection of a homogeneous f_m is q = M^+ f_m.  Exact slices solve the
 raw-basis slice matrix (``fischer_matrix``), weights kept exact.  Float
 slices take one SVD of M (``polyalg.mult_entries``, weights rounded once
 before one square root) into a cached pseudoinverse (``slice_projector``);
-Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.
+Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.  Each
+degree's monomials, their index and the weights sqrt(alpha!/m!) form one
+``DegreeTable``, built once per ``SliceSolver`` (one decomposition) and
+read both as slice m's source and as slice m + k's basis.
 
 Exact inputs give exact results; float solves carry condition estimates.
 When p or f is float, q and r are float on every route.
@@ -77,14 +80,14 @@ class DecompositionResult:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _slice_basis(pk: Poly, m: int) -> tuple:
-    """The graded-lex monomials of degree m - deg pk, the unknowns of slice
-    m, once pk is nonzero homogeneous and m >= deg pk."""
+def _slice_degree(pk: Poly, m: int) -> int:
+    """m - deg pk, the degree of the unknowns of slice m, once pk is
+    nonzero homogeneous and m >= deg pk."""
     require_nonzero_homogeneous(pk)
     k = pk.degree
     if m < k:
         raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
-    return tuple(enumerate_monomials(pk.dim, m - k))
+    return m - k
 
 
 def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
@@ -95,7 +98,7 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     c' z^gamma' of pk with beta_i + gamma = delta = beta_j + gamma', read
     from ``mult_pattern`` by grouping its entries by their row delta.
     """
-    basis = _slice_basis(pk, m)
+    basis = tuple(enumerate_monomials(pk.dim, _slice_degree(pk, m)))
     coeffs = [c for _, c in pk.sorted_terms()]
     products = [[c.conjugate() * c2 for c2 in coeffs] for c in coeffs]
     rows, weights = mult_pattern(pk, basis)
@@ -121,6 +124,25 @@ def _annihilator_residual(pk: Poly, r: Poly) -> float:
 
 
 @dataclass(frozen=True)
+class DegreeTable:
+    """One degree m's graded-lex monomials, the position of each, and the
+    weights sqrt(alpha!/m!) that take the raw monomial basis to the
+    orthonormal one up to the common factor sqrt(m!)."""
+
+    monomials: tuple
+    index: dict
+    weights: np.ndarray
+
+
+def degree_table(d: int, m: int) -> DegreeTable:
+    """The ``DegreeTable`` of degree m in d variables."""
+    monomials = tuple(enumerate_monomials(d, m))
+    top = math.factorial(m)
+    return DegreeTable(monomials, {alpha: i for i, alpha in enumerate(monomials)},
+                       np.array([math.sqrt(midx_factorial(alpha) / top) for alpha in monomials]))
+
+
+@dataclass(frozen=True)
 class SliceProjector:
     """Float Fischer projection f_m |-> q on one homogeneous slice.
 
@@ -138,25 +160,33 @@ class SliceProjector:
     condition: float
 
 
-def slice_projector(pk: Poly, m: int) -> SliceProjector:
-    """The degree-m float projector for homogeneous pk, from one SVD of M."""
-    basis = _slice_basis(pk, m)
-    source = enumerate_monomials(pk.dim, m)
-    rows, cols, vals = mult_entries(pk, basis)
-    mult = np.zeros((len(source), len(basis)), dtype=complex)
+def slice_projector(pk: Poly, m: int, tables=None) -> SliceProjector:
+    """The degree-m float projector for homogeneous pk, from one SVD of M.
+
+    ``tables`` maps degrees to their ``DegreeTable``; the two this slice
+    reads, m and m - k, are taken from it or built into it.  Slice m's
+    source table is slice m + k's basis table, so the slices of one
+    decomposition that share a dict build each degree once.
+    """
+    low_deg = _slice_degree(pk, m)
+    tables = {} if tables is None else tables
+    for n in (m, low_deg):
+        if n not in tables:
+            tables[n] = degree_table(pk.dim, n)
+    src, low = tables[m], tables[low_deg]
+    rows, cols, vals = mult_entries(pk, low.monomials)
+    mult = np.zeros((len(src.monomials), len(low.monomials)), dtype=complex)
     mult[rows, cols] = vals
     u, s, vh = np.linalg.svd(mult, full_matrices=False)
     gram_sv = s * s  # the singular values of M^H M
     rank = int(np.count_nonzero(gram_sv > len(s) * np.finfo(float).eps * gram_sv[0]))
-    cond = checked_condition(gram_sv, rank, len(basis))
+    cond = checked_condition(gram_sv, rank, len(low.monomials))
     # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
     # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
-    # ratios, so no weight is a lone sqrt(alpha!)
-    top, low = math.factorial(m), math.factorial(m - pk.degree)
-    w_src = np.array([math.sqrt(midx_factorial(alpha) / top) for alpha in source])
-    w_low = np.array([math.sqrt(midx_factorial(beta) / low) for beta in basis])
-    pinv = ((vh.conj().T / (s * w_low[:, None])) @ (u.conj().T * w_src)) * math.sqrt(top // low)
-    return SliceProjector(basis, {alpha: i for i, alpha in enumerate(source)}, pinv, cond)
+    # ratios of the two tables, so no weight is a lone sqrt(alpha!)
+    pinv = (((vh.conj().T / (s * low.weights[:, None])) @ (u.conj().T * src.weights))
+            * math.sqrt(math.factorial(m) // math.factorial(low_deg)))
+    return SliceProjector(low.monomials, src.index, pinv, cond)
 
 
 class SliceSolver:
@@ -168,7 +198,11 @@ class SliceSolver:
     q |-> pk*(D)(pk q) (``fischer_matrix``), solved by Bareiss; float
     slices as the pseudoinverse M^+ of the multiplication matrix in the
     orthonormal basis (``slice_projector``, one SVD per slice), so that a
-    float projection is one matrix-vector product.
+    float projection is one matrix-vector product.  The float slices share
+    one dict of per-degree tables (``degree_table``: monomials, index,
+    weights), so each degree is enumerated and weighted once, as the
+    source of one slice and the basis of the slice k below it.  The tables
+    live as long as the solver, that is for one decomposition.
     """
 
     def __init__(self, pk: Poly):
@@ -177,6 +211,7 @@ class SliceSolver:
         self.pk_star = pk.star()
         self._matrices = {}
         self._projectors = {}
+        self._tables = {}
 
     def project(self, fm: Poly):
         """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous.
@@ -207,7 +242,7 @@ class SliceSolver:
                                             if v}, EXACT), None
         proj = self._projectors.get(m)
         if proj is None:
-            proj = self._projectors[m] = slice_projector(pk, m)
+            proj = self._projectors[m] = slice_projector(pk, m, self._tables)
         vec = np.zeros(len(proj.source), dtype=complex)
         for alpha, c in fm.terms.items():
             vec[proj.source[alpha]] = complex(c)

@@ -5,7 +5,11 @@ either the exact Gaussian-rational field or complex doubles (see
 :mod:`fischerlab.fields`).  The monomial order used for every basis and
 matrix in the package is graded lexicographic: degree first, then
 lexicographic with the first variable most significant, so for d = 2 and
-degree 3 the order is (3,0), (2,1), (1,2), (0,3).
+degree 3 the order is (3,0), (2,1), (1,2), (0,3).  No sort key stands
+for it: ``enumerate_monomials`` and ``monomial_array`` list one degree
+in it, ``grlex_rank`` ranks exponents within their degree, and
+``Poly.sorted_terms`` orders terms by two stable sorts, exponent tuples
+descending, then degree ascending.
 
 The zero polynomial has degree ``NEG_INF`` and counts as homogeneous of
 every degree.
@@ -61,11 +65,6 @@ def falling_product(beta, alpha) -> int:
         for i in range(b - a + 1, b + 1):
             out *= i
     return out
-
-
-def grlex_key(alpha):
-    """Sort key realizing the package-wide graded-lex order."""
-    return (sum(alpha), tuple(-a for a in alpha))
 
 
 def count_monomials(d: int, m: int) -> int:
@@ -204,7 +203,9 @@ class Poly:
 
     @classmethod
     def zero(cls, dim: int, field=EXACT) -> "Poly":
-        return cls(dim, {}, field=field)
+        if dim < 1:
+            raise InvalidInputError(f"dimension must be >= 1, got {dim}")
+        return cls._canonical(dim, {}, field)
 
     @classmethod
     def constant(cls, dim: int, c, field=None) -> "Poly":
@@ -269,8 +270,11 @@ class Poly:
                 for m, t in sorted(buckets.items())}
 
     def sorted_terms(self):
-        """Terms in graded-lex order (degree ascending)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        """Terms in graded-lex order (degree ascending): two stable sorts,
+        exponents descending, then degree ascending."""
+        keys = sorted(self._terms, reverse=True)
+        keys.sort(key=sum)
+        return list(zip(keys, map(self._terms.__getitem__, keys)))
 
     # -- ring operations ----------------------------------------------------
 
@@ -316,7 +320,7 @@ class Poly:
         acc = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
-                key = midx_add(a, b)
+                key = tuple(map(add, a, b))
                 prod = ca * cb
                 if key in acc:
                     acc[key] = acc[key] + prod
@@ -594,16 +598,18 @@ def save_poly(p: Poly, path) -> None:
     """Write ``json.dumps(poly_to_dict(p), indent=1) + "\n"`` to path, byte
     for byte, built for this one schema without json's pure-Python
     indenting encoder: terms in ``sorted_terms()`` order."""
-    items = []
-    for alpha, c in p.sorted_terms():
-        if p.field == EXACT:
-            re, im = (f'"{s}"' for s in _rational_strings(c))
-        else:
-            re, im = _json_float(c.real), _json_float(c.imag)
-        exp = ",\n    ".join(map(str, alpha))
-        items.append(f'  {{\n   "exp": [\n    {exp}\n   ],\n   "re": {re},\n   "im": {im}\n  }}')
-    terms = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-    write_atomic(path, f'{{\n "dim": {p.dim},\n "terms": {terms}\n}}\n')
+    terms = p.sorted_terms()
+    if p.field == EXACT:
+        parts = [[f'"{s}"' for s in _rational_strings(c)] for _, c in terms]
+    else:
+        # json spells only the non-finite floats differently from repr
+        num = repr if all(map(cmath.isfinite, p._terms.values())) else _json_float
+        parts = [(num(c.real), num(c.imag)) for _, c in terms]
+    sep = ",\n    "  # between exponents
+    items = [f'  {{\n   "exp": [\n    {sep.join(map(str, alpha))}\n   ],\n   "re": {re},\n'
+             f'   "im": {im}\n  }}' for (alpha, _), (re, im) in zip(terms, parts)]
+    body = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+    write_atomic(path, f'{{\n "dim": {p.dim},\n "terms": {body}\n}}\n')
 
 
 def write_atomic(path, text: str) -> None:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from fischerlab import apolar, fischer, sampling
 from fischerlab.errors import DimensionMismatchError, InvalidInputError, NumericalError
-from fischerlab.fields import FLOAT, GaussianRational
+from fischerlab.fields import FLOAT, GaussianRational, abs_sq
 from fischerlab.polyalg import Poly, enumerate_monomials, midx_factorial, variables
-from conftest import exact_homogeneous, exact_polys, rand_homogeneous, rand_poly
+from conftest import (exact_homogeneous, exact_polys, gaussian_rationals,
+                      rand_homogeneous, rand_poly)
 
 
 def test_inner_product_monomial():
@@ -300,6 +302,88 @@ def test_log_norm_sq_float_underflow():
     assert apolar.log_norm_sq(Poly(1, {(0,): 1.0, (1,): 1e-310}, field=FLOAT)) == 0.0
     with pytest.raises(NumericalError):
         apolar.log_norm_sq(Poly(1, {(1,): 1e-310}, field=FLOAT))
+
+
+def _reference_log_norm_sq(p):
+    """log <p, p> as log_norm_sq first computed it: lgamma summed per
+    exponent, an exact |c|^2 from abs_sq's Fraction, log-sum-exp in storage
+    order."""
+    if p.is_zero:
+        return float("-inf")
+    logs = []
+    log_subnormal = float("-inf")
+    for alpha, c in p.terms.items():
+        la = sum(math.lgamma(a + 1) for a in alpha)
+        if p.field == FLOAT:
+            lc = 2.0 * math.log(abs(c))
+            if abs(c) < sys.float_info.min:
+                log_subnormal = max(log_subnormal, la + lc)
+        else:
+            a2 = abs_sq(c)
+            lc = math.log(a2.numerator) - math.log(a2.denominator)
+        logs.append(la + lc)
+    top = max(logs)
+    if log_subnormal > top + math.log(sys.float_info.epsilon):
+        raise NumericalError("underflow")
+    return top + math.log(sum(math.exp(l - top) for l in logs))
+
+
+def _big_gaussian_rationals():
+    # parts far past the double range, so that their logs see big ints
+    part = st.integers(-10 ** 40, 10 ** 40)
+    return st.builds(GaussianRational, st.builds(Fraction, part, st.integers(1, 10 ** 30)),
+                     st.builds(Fraction, part, st.integers(1, 10 ** 30)))
+
+
+def _reducing_gaussian_rationals():
+    # z / (k |z|^2): re^2 + im^2 and den^2 share a large factor, so |c|^2
+    # must be reduced before its logs are taken
+    def build(re, im, k):
+        den = k * (re * re + im * im) or 1
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+    part = st.integers(-10 ** 12, 10 ** 12)
+    return st.builds(build, part, part, st.integers(1, 10 ** 6)).filter(bool)
+
+
+_FLOAT_PARTS = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_log_norm_sq_matches_per_term_reference(data):
+    # the table of log a! is read past its current length in every third
+    # example, and the terms mix degrees and exponents up to 3 or 400
+    d = data.draw(st.integers(1, 4))
+    exact = data.draw(st.booleans())
+    coeffs = (st.one_of(gaussian_rationals(), _big_gaussian_rationals(),
+                        _reducing_gaussian_rationals()) if exact
+              else st.builds(complex, _FLOAT_PARTS, _FLOAT_PARTS))
+    # small exponents leave the last bits of log |c|^2 visible in the sum
+    top = data.draw(st.sampled_from([3, 400]))
+    exps = st.lists(st.integers(0, top), min_size=d, max_size=d).map(tuple)
+    terms = data.draw(st.dictionaries(exps, coeffs, max_size=8))
+    if data.draw(st.integers(0, 2)) == 0:
+        past = len(apolar._LOG_FACTORIALS) + data.draw(st.integers(0, 20))
+        terms[(past,) + (0,) * (d - 1)] = data.draw(coeffs)
+    p = Poly(d, terms, field=None if exact else FLOAT)
+    try:
+        want = _reference_log_norm_sq(p)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            apolar.log_norm_sq(p)
+        return
+    assert apolar.log_norm_sq(p) == want
+
+
+def test_log_norm_sq_sums_in_storage_order():
+    # 1 + 1e-16 + 1e-16 rounds to 1 left to right; the two small terms
+    # first add up to 2.2e-16 past it
+    small = {(1,): 1e-8, (2,): math.sqrt(5e-17)}  # alpha! |c|^2 = 1e-16 each
+    first = Poly(1, {(0,): 1.0, **small}, field=FLOAT)
+    last = Poly(1, {**small, (0,): 1.0}, field=FLOAT)
+    assert apolar.log_norm_sq(first) == _reference_log_norm_sq(first) == 0.0
+    assert apolar.log_norm_sq(last) == _reference_log_norm_sq(last) > 0.0
 
 
 @pytest.mark.parametrize("terms", [{(2, 0): 1e200}, {(170, 0): 10.0}, {(171, 0): 1e10},

@@ -434,6 +434,28 @@ def test_order_cli_float_stream_total_underflow_is_numerical(files):
     assert rc == cli.EXIT_NUMERICAL
 
 
+# exp(1e200 z1 + 0.5 z2) in floats: component 2 holds 1e400 / 2, past the
+# double range, and every later one inf or nan
+_FLOAT_EXP_OVERFLOW = {"kind": "exp_poly", "inner": {"dim": 2, "terms": [
+    {"exp": [1, 0], "re": 1e200, "im": 0.0}, {"exp": [0, 1], "re": 0.5, "im": 0.0}]}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["blambda", "--lam", "inv-log", "--mcap", "10"],
+    ["order", "--min-degree", "0", "--max-degree", "39"],
+    ["decompose", "--p", "p", "--mcap", "6"],
+], ids=lambda argv: argv[0])
+def test_float_stream_overflow_is_numerical(files, capsys, argv):
+    # past component 1 the norms are nan: blambda would report the
+    # degree-1 norm 1.1e200 and order "nan", both with exit 0
+    path = files["tmp"] / "float_overflow.json"
+    path.write_text(json.dumps(_FLOAT_EXP_OVERFLOW))
+    argv = [files.get(a, a) for a in argv] + ["--f", str(path)]
+    rc = cli.main(argv + ["--out", str(files["tmp"] / "overflow")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "component 2 overflowed" in capsys.readouterr().err
+
+
 def test_order_cli_polynomial_defaults(files, capsys):
     rc = cli.main(["order", "--f", files["f"], "--min-degree", "20"])
     assert rc == 0

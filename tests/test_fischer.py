@@ -414,15 +414,16 @@ def test_float_input_gives_float_q_and_r_on_every_route(route):
 
 
 def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
-    # exact slices are assembled by fischer_matrix, float ones by slice_projector
+    # exact slices are assembled by fischer_matrix, float ones by
+    # slice_projector from per-degree tables (degree_table)
     assembled = Counter()
 
     def count(name):
         original = getattr(fischer, name)
 
-        def counting(pk, m):
+        def counting(first, m, *rest):
             assembled[m] += 1
-            return original(pk, m)
+            return original(first, m, *rest)
 
         monkeypatch.setattr(fischer, name, counting)
 
@@ -438,6 +439,13 @@ def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
     stream = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
     fischer.decompose_direct(p.to_float(), stream, 12)
     assert assembled and max(assembled.values()) == 1
+    monkeypatch.undo()
+    assembled.clear()
+    # slice m reads degree m as its source and degree m - 2 as its basis:
+    # every degree from 0 to the cap is tabled, each exactly once
+    count("degree_table")
+    fischer.decompose_direct(p.to_float(), stream, 12)
+    assert assembled == Counter(range(13))
 
 
 def test_exact_direct_equals_series_at_degree_14():

@@ -35,6 +35,14 @@ def test_enumerate_count_d3():
     assert all(sum(a) == 2 for a in monos)
 
 
+@settings(max_examples=100)
+@given(exact_polys(dims=(1, 4), degrees=(0, 9), max_terms=12))
+def test_sorted_terms_is_graded_lex(p):
+    # the reference key: degree ascending, then exponents descending
+    want = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-a for a in kv[0])))
+    assert p.sorted_terms() == want
+
+
 def test_enumerate_rejects_dimension_zero():
     with pytest.raises(InvalidInputError):
         enumerate_monomials(0, 3)
@@ -211,6 +219,11 @@ def test_zero_polynomial_conventions():
     for j in range(5):
         assert z.homogeneous_component(j).is_zero
         assert z.is_homogeneous(j)
+    # Poly.zero skips validation but keeps the dimension check
+    for field in (EXACT, FLOAT):
+        assert Poly.zero(3, field) == Poly(3, {}, field=field)
+    with pytest.raises(InvalidInputError):
+        Poly.zero(0)
 
 
 def test_evaluate():
