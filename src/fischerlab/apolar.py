@@ -229,8 +229,8 @@ def bargmann_mc_estimate(p: Poly, q: Poly, samples: int, seed: int) -> MonteCarl
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
+    if samples < 2:  # one sample has no spread: a standard error of 0
+        raise InvalidInputError(f"samples must be >= 2, got {samples}")
     pf, qf = p.to_float(), q.to_float()
     total = 0.0 + 0.0j
     total_abs2 = 0.0

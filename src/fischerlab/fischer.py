@@ -18,10 +18,12 @@ picks how to compute it: ``decompose_direct`` answers every divisor.
   uniqueness.  It refuses float input with a d = 1 divisor, whose float
   slice projections leave round-off terms that long division does not.
 
-``decompose_direct`` also accepts a Taylor stream, which it truncates by
-one rule (``_truncate_stream``) and decomposes as that polynomial.  For
-d >= 2 it returns q and r up to degree cap - deg p, the degrees of
-f = P q + r that the truncation at cap fixes.
+Every public entry, ``project_homogeneous`` included, first passes
+(p, f) through one front door, ``_admit``: p nonzero, f of p's
+dimension, a Taylor stream truncated by one rule, f promoted to float
+when p is float.  ``decompose_direct`` decomposes a stream as its
+truncation; for d >= 2 it returns q and r up to degree cap - deg p, the
+degrees of f = P q + r that the truncation at cap fixes.
 
 Every slice map of P_k reads one pattern, ``polyalg.mult_pattern``: the
 row of each term of P_k z^beta and its exact weight delta!/beta!.
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import apolar
-from .errors import InvalidInputError, NumericalError
+from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .exactlinalg import bareiss_solve, checked_condition
 from .fields import EXACT, FLOAT
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial, mult_entries,
@@ -216,11 +218,11 @@ class SliceSolver:
     def project(self, fm: Poly):
         """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous.
 
+        fm is not checked: the routes project the components they split
+        off themselves, and ``project_homogeneous`` checks its caller's.
         The condition is that of the float slice, kappa(M)^2; exact pk and
         fm give an exact q and None.
         """
-        if not fm.is_homogeneous():
-            raise InvalidInputError("fm must be homogeneous")
         pk = self.pk
         if fm.is_zero or fm.degree < pk.degree:
             return Poly.zero(pk.dim, fm.field), None
@@ -256,6 +258,9 @@ def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
 
     Pythagoras holds: ||fm||^2 = ||pk q||^2 + ||r||^2.
     """
+    fm, _ = _admit(pk, fm)
+    if not fm.is_homogeneous():
+        raise InvalidInputError("fm must be homogeneous")
     q, cond = SliceSolver(pk).project(fm)
     r = fm - pk * q if fm.degree >= pk.degree else fm
     diag = {} if cond is None else {"condition": cond}
@@ -268,21 +273,39 @@ def _project_components(solver: SliceSolver, g: Poly) -> Poly:
                Poly.zero(solver.pk.dim, g.field))
 
 
-def _promote(p: Poly, f: Poly) -> Poly:
-    """f in float when p is: mixing the fields promotes q and r to float."""
-    return f.to_float() if p.field == FLOAT else f
+def _admit(p: Poly, f, max_degree=None, series=False):
+    """(f, cap): the one front door of every route, f made ready for its body.
 
-
-def _truncate_stream(f, max_degree):
-    """(f.truncate(cap), cap): cap is max_degree, else the stream's declared
-    degree; it must be finite and non-negative, and is clipped to the latter."""
-    cap = max_degree if max_degree is not None else f.max_degree
-    if cap is None or math.isinf(cap):
-        raise InvalidInputError("a finite truncation degree is required")
-    if cap < 0:
-        raise InvalidInputError(f"truncation degree must be >= 0, got {cap}")
-    cap = int(min(cap, f.max_degree))
-    return f.truncate(cap), cap
+    p must be nonzero, and f, a polynomial or a Taylor stream, must have
+    p's dimension.  A stream is truncated at cap: max_degree, else its
+    declared degree, finite and >= 0, clipped to the latter and, past
+    d = 1, at least deg p.  cap is None for a polynomial.  f is promoted
+    to float when p is float.  ``series`` refuses a stream, and float
+    input with a d = 1 divisor, whose slice projections leave round-off
+    in r at degrees >= deg p where long division leaves none.
+    """
+    if p.is_zero:
+        raise InvalidInputError("p must be nonzero")
+    if f.dim != p.dim:
+        raise DimensionMismatchError(f"p has dimension {p.dim} but f has {f.dim}")
+    cap = None
+    if not isinstance(f, Poly):
+        if series:
+            raise InvalidInputError("the series route needs polynomial input; "
+                                    "streams take the direct route")
+        cap = max_degree if max_degree is not None else f.max_degree
+        if cap is None or math.isinf(cap):
+            raise InvalidInputError("a finite truncation degree is required")
+        if cap < 0:
+            raise InvalidInputError(f"truncation degree must be >= 0, got {cap}")
+        cap = int(min(cap, f.max_degree))
+        f = f.truncate(cap)
+        if p.dim > 1 and cap < p.degree:
+            raise InvalidInputError(f"truncation degree {cap} is below deg p = {p.degree}")
+    elif series and p.dim == 1 and FLOAT in (p.field, f.field):
+        raise InvalidInputError("the series route needs dimension >= 2 for float input; "
+                                "d = 1 goes by long division")
+    return (f.to_float() if p.field == FLOAT else f), cap
 
 
 def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
@@ -300,26 +323,16 @@ def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
     its declared degree), reported as ``truncation_degree``; that cap must
     be at least deg p, and q and r are returned up to degree cap - deg p.
     """
-    return _decompose_direct(p, f, _slice_solver(p), max_degree)
-
-
-def _slice_solver(p: Poly) -> SliceSolver:
-    if p.is_zero:
-        raise InvalidInputError("p must be nonzero")
-    return SliceSolver(p.homogeneous_component(p.degree))
-
-
-def _decompose_direct(p: Poly, f, solver: SliceSolver, max_degree=None) -> DecompositionResult:
-    """decompose_direct on the given SliceSolver of p's top component."""
+    f, cap = _admit(p, f, max_degree)
     if p.dim == 1:
-        return decompose_univariate(p, f, max_degree)
+        return _divide(p, f, cap)
+    return _decompose_direct(p, f, SliceSolver(p.homogeneous_component(p.degree)), cap)
+
+
+def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver, cap=None) -> DecompositionResult:
+    """decompose_direct on admitted input with d >= 2, on the SliceSolver
+    of p's top component; cap is the stream's cap."""
     k = p.degree
-    cap = None
-    if not isinstance(f, Poly):
-        f, cap = _truncate_stream(f, max_degree)
-        if cap < k:
-            raise InvalidInputError(f"truncation degree {cap} is below deg p = {k}")
-    f = _promote(p, f)
     pk = solver.pk
     # g = f - (p - pk)(q_{n+1} + q_{n+2} + ...) kept by degree: the slice
     # projection accounts for pk q_n, and each lower component L_s of p
@@ -358,27 +371,14 @@ def decompose_series(p: Poly, f: Poly) -> DecompositionResult:
     Every level drops total degree by at least deg p - deg L, so the sum
     is finite for polynomial input and equals the direct solve exactly.
     A Taylor stream, and float input with a d = 1 divisor, are refused
-    (``_check_series_input``).
+    (``_admit``).
     """
-    _check_series_input(p, f)
-    return _decompose_series(p, f, _slice_solver(p))
-
-
-def _check_series_input(p: Poly, f) -> None:
-    """Refuse what the series route cannot split: a Taylor stream, whose
-    route is decompose_direct, and float input with a d = 1 divisor, whose
-    float slice projections leave round-off terms in r at degrees >= deg p
-    where division with remainder leaves none."""
-    if not isinstance(f, Poly):
-        raise InvalidInputError("the series route needs polynomial input; "
-                                "streams take the direct route")
-    if p.dim == 1 and FLOAT in (p.field, f.field):
-        raise InvalidInputError("the series route needs dimension >= 2 for float input; "
-                                "d = 1 goes by long division")
+    f, _ = _admit(p, f, series=True)
+    return _decompose_series(p, f, SliceSolver(p.homogeneous_component(p.degree)))
 
 
 def _decompose_series(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionResult:
-    f = _promote(p, f)
+    """decompose_series on admitted input, on the given SliceSolver."""
     pk = solver.pk
     lower_neg = pk - p  # the series' lower terms: p = pk - lower_neg
     total = Poly.zero(p.dim, f.field)
@@ -397,9 +397,10 @@ def _decompose_series(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
 def _direct_and_series(p: Poly, f: Poly):
     """(decompose_direct(p, f), decompose_series(p, f)) on one
     SliceSolver, so each slice matrix is assembled once for both."""
-    _check_series_input(p, f)
-    solver = _slice_solver(p)
-    return _decompose_direct(p, f, solver), _decompose_series(p, f, solver)
+    f, _ = _admit(p, f, series=True)
+    solver = SliceSolver(p.homogeneous_component(p.degree))
+    direct = _divide(p, f) if p.dim == 1 else _decompose_direct(p, f, solver)
+    return direct, _decompose_series(p, f, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +408,7 @@ def _direct_and_series(p: Poly, f: Poly):
 
 def _poly_divmod_1d(f: Poly, p: Poly):
     """Univariate long division: f = p q + rem with deg rem < deg p, in f's
-    field (float when p is; see _promote)."""
+    field (float when p is; see _admit)."""
     k = int(p.degree)
     lead = p.coefficient((k,))
     q_terms = {}
@@ -441,16 +442,15 @@ def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
     subtraction an addition: the sizes the division passes through, so
     the rounding error of q and r is small against ||q'|| + ||r'||.
     """
+    f, cap = _admit(p, f, max_degree)
     if p.dim != 1:
         raise InvalidInputError("decompose_univariate needs dimension 1")
-    if p.is_zero:
-        raise InvalidInputError("p must be nonzero")
-    diag = {}
-    if not isinstance(f, Poly):
-        if f.dim != 1:
-            raise InvalidInputError("stream must be univariate")
-        f, diag["truncation_degree"] = _truncate_stream(f, max_degree)
-    f = _promote(p, f)
+    return _divide(p, f, cap)
+
+
+def _divide(p: Poly, f: Poly, cap=None) -> DecompositionResult:
+    """decompose_univariate on admitted input; cap is the stream's cap."""
+    diag = {} if cap is None else {"truncation_degree": cap}
     k = int(p.degree)
     if f.is_zero or f.degree < k:
         q, r = Poly.zero(1, f.field), f

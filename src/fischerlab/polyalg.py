@@ -6,8 +6,8 @@ either the exact Gaussian-rational field or complex doubles (see
 matrix in the package is graded lexicographic: degree first, then
 lexicographic with the first variable most significant, so for d = 2 and
 degree 3 the order is (3,0), (2,1), (1,2), (0,3).  No sort key stands
-for it: ``enumerate_monomials`` and ``monomial_array`` list one degree
-in it, ``grlex_rank`` ranks exponents within their degree, and
+for it: ``enumerate_monomials`` lists one degree in it, ``grlex_rank``
+ranks exponents within their degree (its inverse), and
 ``Poly.sorted_terms`` orders terms by two stable sorts, exponent tuples
 descending, then degree ascending.
 
@@ -22,7 +22,7 @@ import json
 import math
 import os
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from operator import add
 from types import MappingProxyType
 
@@ -73,37 +73,29 @@ def count_monomials(d: int, m: int) -> int:
 
 
 def enumerate_monomials(d: int, m: int) -> list:
-    """All exponent tuples with |alpha| = m in graded-lex order."""
+    """All exponent tuples with |alpha| = m in graded-lex order.
+
+    Stars and bars: a monomial of degree m places d - 1 bars among
+    m + d - 1 slots, its exponents are the runs of stars between them, and
+    bar positions in reverse lexicographic order give graded-lex order.
+    """
     if d < 1:
         raise InvalidInputError(f"dimension must be >= 1, got {d}")
     if m < 0:
         raise InvalidInputError(f"degree must be >= 0, got {m}")
     if d == 1:
         return [(m,)]
+    n = m + d - 1
     out = []
-    for first in range(m, -1, -1):
-        for rest in enumerate_monomials(d - 1, m - first):
-            out.append((first,) + rest)
+    for bars in combinations(range(n), d - 1):
+        prev, alpha = -1, []
+        for b in bars:
+            alpha.append(b - prev - 1)
+            prev = b
+        alpha.append(n - prev - 1)
+        out.append(tuple(alpha))
+    out.reverse()
     return out
-
-
-def monomial_array(d: int, m: int) -> np.ndarray:
-    """enumerate_monomials(d, m) as an (N, d) int64 array, built without
-    recursion: a monomial of degree m places d - 1 bars among m + d - 1
-    slots (stars and bars), and bar positions in reverse lexicographic
-    order give the exponents in graded-lex order."""
-    if d < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {d}")
-    if m < 0:
-        raise InvalidInputError(f"degree must be >= 0, got {m}")
-    n, r = m + d - 1, d - 1
-    count = math.comb(n, r)
-    edges = np.empty((count, d + 1), dtype=np.int64)
-    edges[:, 0] = -1
-    edges[:, d] = n
-    edges[:, 1:d] = np.fromiter(chain.from_iterable(combinations(range(n), r)),
-                                dtype=np.int64, count=count * r).reshape(count, r)[::-1]
-    return np.diff(edges, axis=1) - 1
 
 
 def grlex_rank(alpha: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
-from .polyalg import (Poly, count_monomials, enumerate_monomials, monomial_array, mult_entries,
+from .polyalg import (Poly, count_monomials, enumerate_monomials, mult_entries,
                       mult_pattern, require_nonzero_homogeneous, write_atomic)
 
 # scipy.sparse is imported where an operator is built, so that importing
@@ -112,13 +112,13 @@ def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> Multiplicat
     from scipy.sparse import csc_array
 
     _check_operator(pk, m, dim_cap)
-    col_basis = monomial_array(pk.dim, m)
+    col_basis = enumerate_monomials(pk.dim, m)
     rows, _, vals = mult_entries(pk, col_basis)
     # mult_entries lists each column's len(pk.terms) entries with rows ascending
     indptr = np.arange(0, len(vals) + 1, len(pk.terms))
     a = csc_array((vals, rows, indptr),
                   shape=(count_monomials(pk.dim, m + pk.degree), len(col_basis)))
-    return MultiplicationMatrix(pk, m, a, tuple(map(tuple, col_basis.tolist())))
+    return MultiplicationMatrix(pk, m, a, tuple(col_basis))
 
 
 def _takagi_normal_form(pk: Poly) -> Poly:

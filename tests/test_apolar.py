@@ -270,6 +270,14 @@ def test_bargmann_rejects_zero_samples():
         apolar.bargmann_mc_estimate(one, one, 0, seed=0)
 
 
+def test_bargmann_rejects_a_single_sample():
+    # one sample has no spread, so its standard error would read 0
+    one = Poly.constant(1, 1)
+    with pytest.raises(InvalidInputError, match=">= 2"):
+        apolar.bargmann_mc_estimate(one, one, 1, seed=0)
+    assert apolar.bargmann_mc_estimate(one, one, 2, seed=0).samples == 2
+
+
 def _sphere_bound(fm, samples=4096):
     """sqrt((m+d-1)!/(d-1)!) max_S |f_m|, sampled: the upper bound on ||f_m||
     that order_estimate's bracket reads as its lower side."""

@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import apolar, cli, entire, fischer
-from fischerlab.fields import FLOAT
+from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, enumerate_monomials, load_poly, poly_to_dict, save_poly,
                                 variables)
 
@@ -623,6 +623,34 @@ def test_exit_code_negative_verify_cases(tmp_path):
     rc = cli.main(["verify", "--cases", "-3", "--mc-samples", "100", "--out", str(out)])
     assert rc == cli.EXIT_PRECONDITION
     assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_exit_code_too_few_mc_samples(tmp_path, samples):
+    # one sample has a standard error of 0, so its check could only fail:
+    # a precondition, not a violation (exit 1)
+    out = tmp_path / "verify.json"
+    rc = cli.main(["verify", "--cases", "0", "--mc-samples", samples, "--out", str(out)])
+    assert rc == cli.EXIT_PRECONDITION
+    assert not out.exists()
+
+
+def test_decompose_exit_code_dimension_mismatch(tmp_path):
+    # p and f must share a dimension, on every route: an exact d = 1 p
+    # against a d = 2 f, and a float d = 2 p against a d = 1 f
+    z, = variables(1)
+    x, y = variables(2)
+    cases = {"exact": (z * z - 1, GaussianRational(Fraction(1, 2), 1) * x ** 3 * y + y * y),
+             "float": ((x * x + y * y - 1).to_float(), (0.5 * z ** 4 + z).to_float())}
+    for name, (p, f) in cases.items():
+        save_poly(p, tmp_path / f"{name}.p.json")
+        save_poly(f, tmp_path / f"{name}.f.json")
+        for extra in ([], ["--series-check"]):
+            rc = cli.main(["decompose", "--p", str(tmp_path / f"{name}.p.json"),
+                           "--f", str(tmp_path / f"{name}.f.json"),
+                           "--out", str(tmp_path / "x")] + extra)
+            assert rc == cli.EXIT_PRECONDITION, (name, extra)
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_exit_code_precondition(files, tmp_path):

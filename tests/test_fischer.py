@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fischerlab import apolar, cli, fischer, spectral
-from fischerlab.errors import ConditioningError, InvalidInputError
+from fischerlab.errors import ConditioningError, DimensionMismatchError, InvalidInputError
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial,
@@ -754,6 +754,70 @@ def test_stream_routes_reject_unusable_truncation_degree(tmp_path):
         assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
                          str(tmp_path / "f.json"), "--mcap", str(mcap),
                          "--out", str(tmp_path / "x")]) == code
+
+
+# ---------------------------------------------------------------------------
+# the front door: one set of preconditions for every route
+
+_ROUTES = {
+    "direct": fischer.decompose_direct,
+    "univariate": fischer.decompose_univariate,
+    "series": fischer.decompose_series,
+    "direct-and-series": fischer._direct_and_series,
+    # the one-slice split takes the leading form and a homogeneous fm
+    "project": lambda p, f: fischer.project_homogeneous(
+        p.homogeneous_component(p.degree),
+        f.homogeneous_component(f.degree) if isinstance(f, Poly) else f),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("field", ["exact", "float"])
+@pytest.mark.parametrize("f_kind", ["poly", "stream"])
+@pytest.mark.parametrize("p_dim,f_dim", [(2, 1), (1, 2), (2, 3)],
+                         ids=["lower", "higher", "higher-d3"])
+def test_every_route_rejects_f_of_another_dimension(route, field, f_kind, p_dim, f_dim):
+    # f and p must live on the same C^d: long division reads only f's first
+    # exponent, and the recursion looks f's monomials up in p's slices
+    p = sum(variables(p_dim), Poly.zero(p_dim)) ** 2 - 1
+    zs = variables(f_dim)
+    f = GaussianRational(Fraction(1, 2), 1) * zs[0] ** 3 * zs[-1] + zs[-1] ** 2
+    if field == "float":
+        p, f = p.to_float(), f.to_float()
+    if f_kind == "stream":
+        f = TaylorStream.from_exp(f, max_degree=8)
+    with pytest.raises(DimensionMismatchError):
+        _ROUTES[route](p, f)
+
+
+def test_project_homogeneous_rejects_inhomogeneous_fm():
+    x, y = variables(2)
+    for pk, fm in ((x * x + y * y, x ** 3 + y), ((x * y).to_float(), (x ** 2 - 1).to_float())):
+        with pytest.raises(InvalidInputError, match="homogeneous"):
+            fischer.project_homogeneous(pk, fm)
+
+
+@pytest.mark.parametrize("field", ["exact", "float"])
+def test_stream_truncated_below_deg_p(field, tmp_path):
+    # d = 1: the truncation is already the remainder of long division;
+    # d >= 2: the recursion needs a cap of at least deg p (exit 3)
+    z, = variables(1)
+    x, _ = variables(2)
+    promote = (lambda p: p.to_float()) if field == "float" else (lambda p: p)
+    stream = TaylorStream.from_exp(promote(z), max_degree=2)
+    res = fischer.decompose_direct(promote(z ** 3 - 1), stream)
+    assert res.q == Poly.zero(1, FLOAT if field == "float" else EXACT)
+    assert res.r == stream.truncate(2)
+    assert res.diagnostics["truncation_degree"] == 2
+    p = promote(x ** 3 - 1)
+    with pytest.raises(InvalidInputError, match="below deg p"):
+        fischer.decompose_direct(p, TaylorStream.from_exp(promote(x), max_degree=2))
+    save_poly(p, tmp_path / "p.json")
+    (tmp_path / "f.json").write_text(json.dumps(
+        {"kind": "exp_poly", "max_degree": 2, "inner": poly_to_dict(promote(x))}))
+    assert cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f",
+                     str(tmp_path / "f.json"), "--out", str(tmp_path / "x")]) == 3
+    assert not list(tmp_path.glob("x.*"))
 
 
 # ---------------------------------------------------------------------------

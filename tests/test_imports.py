@@ -7,7 +7,8 @@ benchmark's tracer patches exists, no file is opened for writing
 outside ``polyalg.write_atomic``, only ``fields`` reads the parts of a
 ``GaussianRational`` by attribute, and the unchecked ``Poly._canonical``
 builds only results of ``polyalg``, ``fischer`` and ``entire``, never
-what a file or the command line supplies."""
+what a file or the command line supplies, and inside ``fischer`` only
+the front door ``_admit`` truncates a stream or promotes f to float."""
 
 import ast
 import importlib
@@ -28,6 +29,8 @@ GAUSSIAN_PARTS = {"_re", "_im", "_den"}
 TRUSTED = "_canonical"
 TRUSTED_MODULES = {"polyalg", "fischer", "entire"}
 PARSERS = {"poly_from_dict", "stream_from_dict"}  # and every load_* function
+FRONT_DOOR = "_admit"
+PREPARATIONS = {"truncate", "to_float"}
 
 
 def unused_imports(source: str) -> list:
@@ -292,3 +295,30 @@ def test_untrusted_construction_is_reported():
                                                          "_canonical (line 5)"]
     assert untrusted_constructions(source, "cli") == [
         "_canonical (line 2)", "_canonical (line 5)", "_canonical (line 8)"]
+
+
+def stray_preparations(source: str) -> list:
+    """Uses of .truncate or .to_float outside the function FRONT_DOOR."""
+    tree = ast.parse(source)
+    allowed = {id(n) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == FRONT_DOOR for n in ast.walk(fn)}
+    return sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in PREPARATIONS
+                  and id(node) not in allowed)
+
+
+def test_fischer_prepares_input_only_at_its_front_door():
+    # every route takes (p, f) through fischer._admit, which truncates a
+    # stream and promotes f by one rule; a route with its own copy would
+    # drift from it
+    path = Path(fischerlab.__file__).parent / "fischer.py"
+    assert stray_preparations(path.read_text()) == []
+
+
+def test_stray_preparation_is_reported():
+    source = ("def _admit(p, f):\n"
+              "    return f.truncate(3).to_float()\n\n"
+              "def route(p, f):\n"
+              "    f = f.to_float() if p.field == 'float' else f\n"
+              "    cut = f.truncate\n")
+    assert stray_preparations(source) == ["to_float (line 5)", "truncate (line 6)"]

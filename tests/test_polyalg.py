@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -15,8 +16,8 @@ from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.fischer import SliceSolver, decompose_direct
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
-                                monomial_array, mult_entries, poly_from_dict, poly_to_dict,
-                                save_poly, variables, write_atomic)
+                                mult_entries, poly_from_dict, poly_to_dict, save_poly,
+                                variables, write_atomic)
 from conftest import exact_polys, rand_poly
 
 
@@ -51,17 +52,23 @@ def test_enumerate_rejects_dimension_zero():
 @pytest.mark.parametrize("d,m", [(1, 0), (1, 7), (2, 0), (2, 5), (3, 0), (3, 4), (3, 11),
                                  (4, 6), (5, 3)])
 def test_monomial_array_matches_enumeration(d, m):
-    arr = monomial_array(d, m)
-    assert arr.shape == (count_monomials(d, m), d)
-    assert list(map(tuple, arr.tolist())) == enumerate_monomials(d, m)
-    assert grlex_rank(arr).tolist() == list(range(len(arr)))
+    # brute force: every tuple in [0, m]^d of degree m, sorted by the
+    # graded-lex rule (first variable most significant, descending); the
+    # array of enumerate_monomials is what grlex_rank inverts
+    want = sorted((a for a in itertools.product(range(m + 1), repeat=d) if sum(a) == m),
+                  reverse=True)
+    monos = enumerate_monomials(d, m)
+    assert monos == want
+    assert len(monos) == count_monomials(d, m)
+    arr = np.array(monos, dtype=np.int64).reshape(-1, d)
+    assert grlex_rank(arr).tolist() == list(range(len(monos)))
 
 
 def test_monomial_array_rejects_bad_sizes():
     with pytest.raises(InvalidInputError):
-        monomial_array(0, 3)
+        enumerate_monomials(0, 3)
     with pytest.raises(InvalidInputError):
-        monomial_array(2, -1)
+        enumerate_monomials(2, -1)
 
 
 def _reference_mult_entries(pk, col_basis, row_basis):
@@ -106,7 +113,7 @@ def _assert_matches_reference(pk, m):
                                                            enumerate_monomials(d, m + k))
     # the kernel lists each column's entries with rows ascending (CSC order)
     order = np.lexsort((ref_rows, ref_cols))
-    rows, cols_out, vals = mult_entries(pk, monomial_array(d, m))
+    rows, cols_out, vals = mult_entries(pk, cols)
     assert rows.tolist() == np.array(ref_rows)[order].tolist()
     assert cols_out.tolist() == np.array(ref_cols)[order].tolist()
     assert vals.dtype == complex
