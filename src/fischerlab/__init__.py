@@ -13,13 +13,12 @@ from .apolar import (adjoint_residual, bargmann_mc_estimate, beauzamy_bound,
                      c_alpha_m, inner_product, norm, norm_sq,
                      reznick_residual, shapiro_pointwise_residual)
 from .fischer import (DecompositionResult, FischerMatrix, decompose_direct,
-                      decompose_series, decompose_univariate,
-                      fischer_matrix, project_homogeneous)
+                      decompose_series, fischer_matrix, project_homogeneous)
 from .spectral import (MultiplicationMatrix, QuadraticClass, SpectralReport,
                        classify_quadratic_2d, kernel_basis, ks_exponent_fit,
                        mult_matrix, sigma_extremes)
 from .entire import (LambdaSeq, OrderEstimate, TaylorStream, blambda_norm,
                      check_lambda_condition, check_main_condition,
-                     load_stream, order_estimate, stream_from_dict)
+                     order_estimate, stream_from_dict)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -158,7 +158,7 @@ def reznick_residual(pk: Poly, fm: Poly) -> float:
     rhs = Fraction(0) if lhs.__class__ is Fraction else 0.0
     for deg in range(int(k) + 1):
         for alpha in enumerate_monomials(pk.dim, deg):
-            d_op = pk_star.derivative(alpha)
+            d_op = apply_diff_op(Poly.monomial(pk.dim, alpha, 1, field=pk.field), pk_star)
             if d_op.is_zero:
                 continue
             term = norm_sq(apply_diff_op(d_op, fm))

@@ -143,6 +143,9 @@ def _cmd_decompose(args) -> int:
             else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
     else:
         res = fischer.decompose_direct(p, f, max_degree=args.mcap)
+    if res.r.field == EXACT:  # r's digits too, before q is written: a refusal writes neither
+        for c in res.r.terms.values():
+            _rational_strings(c)
     prefix = args.out or "decomposition"
     save_poly(res.q, f"{prefix}.q.json")
     save_poly(res.r, f"{prefix}.r.json")
@@ -259,6 +262,8 @@ def _cmd_verify(args) -> int:
     cases = args.cases
     if cases < 0:
         raise InvalidInputError(f"--cases must be >= 0, got {cases}")
+    if args.mc_samples < 2:  # one sample has no spread: a standard error of 0
+        raise InvalidInputError(f"--mc-samples must be >= 2, got {args.mc_samples}")
     names = ["adjoint", "reznick", "bombieri", "pythagoras", "beauzamy",
              "shapiro-pointwise"]
     ran = {n: 0 for n in names}

@@ -22,7 +22,7 @@ from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT, GaussianRational
 from .fischer import DecompositionResult, decompose_direct
-from .polyalg import Poly, _merge_into, load_json, poly_from_dict
+from .polyalg import Poly, _merge_into, poly_from_dict
 
 
 class TaylorStream:
@@ -418,8 +418,4 @@ def stream_from_dict(obj) -> TaylorStream:
         inner = poly_from_dict(obj["inner"])
         return TaylorStream.from_exp(inner, max_degree=cap)
     raise FormatError(f"unknown stream kind {kind!r}")
-
-
-def load_stream(path) -> TaylorStream:
-    return stream_from_dict(load_json(path))
 

@@ -1,18 +1,17 @@
 """Fischer decompositions f = P q + r with P_k*(D) r = 0.
 
-Three routes are provided; each takes the divisor first and returns a
+Two routes are provided; each takes the divisor first and returns a
 :class:`DecompositionResult`.  The split is unique, so the input alone
 picks how to compute it: ``decompose_direct`` answers every divisor.
 
-* ``decompose_univariate`` (d = 1) is division with remainder, whose
-  remainder is the interpolant at the root multiset.
-* ``decompose_direct`` is ``decompose_univariate`` for a d = 1 divisor.
-  Otherwise it runs the Fischer recursion from the top degree down: q_n
-  is the projection (``SliceSolver.project``) of the degree n + k part
-  of f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field and for
-  every deg p >= 1.  ``project_homogeneous`` is its one-slice case:
-  exact input by the normal equations, float input by the pseudoinverse
-  of the multiplication matrix.
+* ``decompose_direct`` divides by a d = 1 divisor with remainder (method
+  ``"univariate"``), the remainder being the interpolant at the root
+  multiset.  Otherwise it runs the Fischer recursion from the top degree
+  down: q_n is the projection (``SliceSolver.project``) of the degree
+  n + k part of f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field
+  and for every deg p >= 1.  ``project_homogeneous`` is its one-slice
+  case: exact input by the normal equations, float input by the
+  pseudoinverse of the multiplication matrix.
 * ``decompose_series`` runs the iterated projection series on a
   polynomial; it terminates exactly and agrees with the direct solve by
   uniqueness.  It refuses float input with a d = 1 divisor, whose float
@@ -116,13 +115,6 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
             for j, a2, _ in entries:
                 row[j] += prod[a2] * w
     return FischerMatrix(basis, tuple(map(tuple, mat)))
-
-
-def _annihilator_residual(pk: Poly, r: Poly) -> float:
-    val = apolar.norm_sq(apply_diff_op(pk.star(), r))
-    if val == 0:
-        return 0.0
-    return math.sqrt(float(val))
 
 
 @dataclass(frozen=True)
@@ -261,10 +253,12 @@ def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
     fm, _ = _admit(pk, fm)
     if not fm.is_homogeneous():
         raise InvalidInputError("fm must be homogeneous")
-    q, cond = SliceSolver(pk).project(fm)
+    solver = SliceSolver(pk)
+    q, cond = solver.project(fm)
     r = fm - pk * q if fm.degree >= pk.degree else fm
     diag = {} if cond is None else {"condition": cond}
-    return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
+    return DecompositionResult(q, r, apolar.norm(apply_diff_op(solver.pk_star, r)), "direct",
+                               diag)
 
 
 def _project_components(solver: SliceSolver, g: Poly) -> Poly:
@@ -311,29 +305,28 @@ def _admit(p: Poly, f, max_degree=None, series=False):
 def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
     """Fischer decomposition of f by p, whatever p and f are.
 
-    A d = 1 divisor is ``decompose_univariate(p, f, max_degree)``: long
-    division, result and diagnostics included.  Otherwise, write
-    p = P_k + L with deg L < k.  P_k*(D) r = 0 holds component by
-    component, and L q_j only reaches degrees below j + k, so the degree
-    n + k component of f - L (q_{n+1} + q_{n+2} + ...) is P_k q_n plus a
-    component of r: q_n is its slice projection (``SliceSolver.project``),
-    taken from n = deg f - k down to 0.  Exact input gives the unique
+    A d = 1 divisor divides with remainder (``_divide``, method
+    ``"univariate"``).  Otherwise, write p = P_k + L with deg L < k.
+    P_k*(D) r = 0 holds component by component, and L q_j only reaches
+    degrees below j + k, so the degree n + k component of
+    f - L (q_{n+1} + q_{n+2} + ...) is P_k q_n plus a component of r: q_n
+    is its slice projection (``SliceSolver.project``), taken from
+    n = deg f - k down to 0.  Exact input gives the unique
     exact q; float input reports the largest slice condition kappa(M)^2
     as ``condition``.  A Taylor stream f is truncated at max_degree (else
     its declared degree), reported as ``truncation_degree``; that cap must
     be at least deg p, and q and r are returned up to degree cap - deg p.
     """
     f, cap = _admit(p, f, max_degree)
-    if p.dim == 1:
-        return _divide(p, f, cap)
     return _decompose_direct(p, f, SliceSolver(p.homogeneous_component(p.degree)), cap)
 
 
 def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver, cap=None) -> DecompositionResult:
-    """decompose_direct on admitted input with d >= 2, on the SliceSolver
-    of p's top component; cap is the stream's cap."""
+    """decompose_direct on admitted input, on the SliceSolver of p's top
+    component; cap is the stream's cap."""
+    if p.dim == 1:
+        return _divide(p, f, solver.pk_star, cap)
     k = p.degree
-    pk = solver.pk
     # g = f - (p - pk)(q_{n+1} + q_{n+2} + ...) kept by degree: the slice
     # projection accounts for pk q_n, and each lower component L_s of p
     # moves only degree n + s
@@ -359,7 +352,8 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver, cap=None) -> Decomp
         r = Poly._canonical(p.dim, {a: c for a, c in r.terms.items() if sum(a) <= cap - k},
                             r.field)
         diag["truncation_degree"] = cap
-    return DecompositionResult(q, r, _annihilator_residual(pk, r), "direct", diag)
+    return DecompositionResult(q, r, apolar.norm(apply_diff_op(solver.pk_star, r)), "direct",
+                               diag)
 
 
 def decompose_series(p: Poly, f: Poly) -> DecompositionResult:
@@ -390,7 +384,7 @@ def _decompose_series(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
         levels += 1
     q = total
     r = f - p * q
-    return DecompositionResult(q, r, _annihilator_residual(pk, r), "series",
+    return DecompositionResult(q, r, apolar.norm(apply_diff_op(solver.pk_star, r)), "series",
                                {"levels": levels})
 
 
@@ -399,8 +393,7 @@ def _direct_and_series(p: Poly, f: Poly):
     SliceSolver, so each slice matrix is assembled once for both."""
     f, _ = _admit(p, f, series=True)
     solver = SliceSolver(p.homogeneous_component(p.degree))
-    direct = _divide(p, f) if p.dim == 1 else _decompose_direct(p, f, solver)
-    return direct, _decompose_series(p, f, solver)
+    return _decompose_direct(p, f, solver), _decompose_series(p, f, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +423,19 @@ def _poly_divmod_1d(f: Poly, p: Poly):
     return Poly(1, q_terms, field=r.field), r
 
 
-def decompose_univariate(p: Poly, f, max_degree=None) -> DecompositionResult:
-    """d = 1 decomposition by division with remainder.
+def _divide(p: Poly, f: Poly, pk_star: Poly, cap=None) -> DecompositionResult:
+    """decompose_direct on admitted input with a d = 1 divisor, pk_star
+    the conjugate of its top component and cap the stream's cap.
 
     P_k*(D) r = 0 means r^(k) = 0, i.e. deg r < deg p, so f = p q + r is
     long division and r is the interpolant of f at the root multiset of p.
-    A Taylor stream is truncated as in ``decompose_direct`` and divided in
-    the field of its coefficients and p's.  Float input reports
+    A Taylor stream is divided as its truncation, in the field of its
+    coefficients and p's.  Float input reports
     ``condition`` = (||q'|| + ||r'||) / (||q|| + ||r||) in the apolar norm,
     q' and r' the same division run on the coefficient moduli with every
     subtraction an addition: the sizes the division passes through, so
     the rounding error of q and r is small against ||q'|| + ||r'||.
     """
-    f, cap = _admit(p, f, max_degree)
-    if p.dim != 1:
-        raise InvalidInputError("decompose_univariate needs dimension 1")
-    return _divide(p, f, cap)
-
-
-def _divide(p: Poly, f: Poly, cap=None) -> DecompositionResult:
-    """decompose_univariate on admitted input; cap is the stream's cap."""
     diag = {} if cap is None else {"truncation_degree": cap}
     k = int(p.degree)
     if f.is_zero or f.degree < k:
@@ -460,8 +446,7 @@ def _divide(p: Poly, f: Poly, cap=None) -> DecompositionResult:
         q, r = _poly_divmod_1d(f, p)
     if f.field == FLOAT:
         diag["condition"] = _division_condition(p, f, q, r)
-    pk = p.homogeneous_component(k)
-    return DecompositionResult(q, r, _annihilator_residual(pk, r), "univariate", diag)
+    return DecompositionResult(q, r, apolar.norm(apply_diff_op(pk_star, r)), "univariate", diag)
 
 
 def _division_condition(p: Poly, f: Poly, q: Poly, r: Poly) -> float:

@@ -21,6 +21,7 @@ import cmath
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -28,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, InvalidInputError
+from .errors import DimensionMismatchError, FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT, GaussianRational, is_exact_scalar, to_exact
 
 NEG_INF = float("-inf")
@@ -362,18 +363,6 @@ class Poly:
         return Poly._canonical(self.dim, {a: c.conjugate() for a, c in self._terms.items()},
                                self.field)
 
-    def derivative(self, alpha) -> "Poly":
-        """Mixed partial derivative d^alpha applied to this polynomial."""
-        alpha = tuple(alpha)
-        if len(alpha) != self.dim:
-            raise InvalidInputError(f"bad exponent {alpha} for dimension {self.dim}")
-        out = {}
-        for beta, c in self._terms.items():
-            rest = midx_sub(beta, alpha)
-            if rest is not None:  # c times a positive integer: nonzero
-                out[rest] = c * falling_product(beta, alpha)
-        return Poly._canonical(self.dim, out, self.field)
-
     def evaluate(self, z) -> complex:
         """Evaluate at a point, term by term.
 
@@ -511,10 +500,19 @@ def mult_entries(pk: Poly, col_basis):
 # interchange format
 
 def _rational_strings(c: GaussianRational):
-    """The "num/den" strings of c's real and imaginary parts, each reduced."""
+    """The "num/den" strings of c's real and imaginary parts, each reduced.
+
+    A number past Python's int-to-str limit (``sys.get_int_max_str_digits()``,
+    4,300 digits by default) raises NumericalError: the readers refuse
+    such digits, so nothing the package writes may hold them.
+    """
     re, im, den = c.parts()
     g, h = math.gcd(re, den), math.gcd(im, den)
-    return f"{re // g}/{den // g}", f"{im // h}/{den // h}"
+    try:
+        return f"{re // g}/{den // g}", f"{im // h}/{den // h}"
+    except ValueError:
+        raise NumericalError(f"an exact value has more than {sys.get_int_max_str_digits()} "
+                             "digits, past the limit that files are read with") from None
 
 
 def poly_to_dict(p: Poly) -> dict:

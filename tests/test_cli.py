@@ -209,7 +209,7 @@ def test_forced_direct_refuses_float_univariate_input(files, tmp_path, capsys, p
     assert exc.value.code == cli.EXIT_PARSE
     assert "unrecognized arguments: --method direct" in capsys.readouterr().err
     assert cli.main(argv) == 0
-    want = fischer.decompose_univariate(p, f, 30)
+    want = fischer.decompose_direct(p, f, 30)
     assert want.q.field == FLOAT
     for part in ("q", "r"):
         assert load_poly(str(tmp_path / f"x.{part}.json")) == getattr(want, part)
@@ -217,19 +217,19 @@ def test_forced_direct_refuses_float_univariate_input(files, tmp_path, capsys, p
 
 
 def test_forced_direct_on_exact_univariate_input_is_long_division(files, tmp_path):
-    # decompose_direct on a d = 1 divisor is decompose_univariate, and the
-    # CLI writes its exact q and r
+    # a d = 1 divisor divides with remainder: the CLI writes the exact q and
+    # r of f = p q + r with deg r < deg p, f the stream's truncation
     z, = variables(1)
     p, stream = z * z - 1, entire.TaylorStream.from_exp(z, max_degree=220)
     save_poly(p, tmp_path / "p1.json")
     assert cli.main(["decompose", "--p", str(tmp_path / "p1.json"), "--f", files["expz"],
                      "--mcap", "30", "--out", str(tmp_path / "auto")]) == 0
-    direct = fischer.decompose_direct(p, stream, 30)
-    assert direct == fischer.decompose_univariate(p, stream, 30)
-    assert direct.method == "univariate"
-    for part in ("q", "r"):
-        assert load_poly(str(tmp_path / f"auto.{part}.json")) == getattr(direct, part)
-    assert direct.r.degree < 2
+    q, r = (load_poly(str(tmp_path / f"auto.{part}.json")) for part in ("q", "r"))
+    assert p * q + r == stream.truncate(30)
+    assert r.degree < 2
+    payload = _read_envelope(str(tmp_path / "auto.diagnostics.json"))
+    assert payload["method"] == "univariate"
+    assert payload["diagnostics"] == {"truncation_degree": 30}
 
 
 def test_decompose_univariate_auto(files, tmp_path):
@@ -626,11 +626,15 @@ def test_exit_code_negative_verify_cases(tmp_path):
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])
-def test_exit_code_too_few_mc_samples(tmp_path, samples):
+def test_exit_code_too_few_mc_samples(tmp_path, monkeypatch, samples):
     # one sample has a standard error of 0, so its check could only fail:
-    # a precondition, not a violation (exit 1)
+    # a precondition, not a violation (exit 1), refused before any case runs
+    def battery_ran(*args):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(apolar, "reznick_residual", battery_ran)
     out = tmp_path / "verify.json"
-    rc = cli.main(["verify", "--cases", "0", "--mc-samples", samples, "--out", str(out)])
+    rc = cli.main(["verify", "--cases", "5", "--mc-samples", samples, "--out", str(out)])
     assert rc == cli.EXIT_PRECONDITION
     assert not out.exists()
 
@@ -716,6 +720,32 @@ def test_exit_code_numerical_failure(tmp_path):
                    "--f", str(tmp_path / "f.json"),
                    "--mcap", "100", "--out", str(tmp_path / "flush")])
     assert rc == cli.EXIT_NUMERICAL
+
+
+def test_exit_code_inner_past_the_digit_limit(tmp_path):
+    # <z1^2000, z1^2000> = 2000!, which has more digits than a file may hold
+    z, = variables(1)
+    save_poly(z ** 2000, tmp_path / "p.json")
+    out = tmp_path / "inner.json"
+    rc = cli.main(["inner", "--p", str(tmp_path / "p.json"), "--q", str(tmp_path / "p.json"),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f_name", ["q-and-r", "r-only"])
+def test_exit_code_decompose_past_the_digit_limit(tmp_path, f_name):
+    # dividing by z1 - 1/7 gives q and r denominators 7^j: z1^6000 puts
+    # both q and r past the limit; for z1^3000 + c, c's denominator of
+    # 3,914 digits, q fits and r does not.  Neither file is written.
+    z, = variables(1)
+    f = {"q-and-r": z ** 6000, "r-only": z ** 3000 + Fraction(1, 2 ** 13000)}[f_name]
+    save_poly(z - Fraction(1, 7), tmp_path / "p.json")
+    save_poly(f, tmp_path / "f.json")
+    rc = cli.main(["decompose", "--p", str(tmp_path / "p.json"), "--f", str(tmp_path / "f.json"),
+                   "--out", str(tmp_path / "x")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_exit_code_forced_direct_on_degree_one_float_divisor(tmp_path):

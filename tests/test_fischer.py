@@ -463,11 +463,11 @@ def test_exact_direct_equals_series_at_degree_14():
 
 
 # ---------------------------------------------------------------------------
-# decompose_univariate
+# d = 1 divisors: decompose_direct divides with remainder
 
 def test_univariate_oracle():
     z, = variables(1)
-    res = fischer.decompose_univariate(z * z - 1, z ** 3)
+    res = fischer.decompose_direct(z * z - 1, z ** 3)
     assert res.q == z
     assert res.r == z
 
@@ -475,7 +475,7 @@ def test_univariate_oracle():
 def test_univariate_taylor_at_multiple_root():
     z, = variables(1)
     f = 1 + z + z * z * Fraction(1, 2) + z ** 3 * Fraction(1, 6)
-    res = fischer.decompose_univariate(z ** 2, f)
+    res = fischer.decompose_direct(z ** 2, f)
     assert res.r == 1 + z
     assert res.q == Fraction(1, 2) + z * Fraction(1, 6)
 
@@ -486,7 +486,7 @@ def test_univariate_exact_random(rng):
         while p.is_zero:
             p = rand_poly(rng, 1, 4)
         f = rand_poly(rng, 1, 9)
-        res = fischer.decompose_univariate(p, f)
+        res = fischer.decompose_direct(p, f)
         assert p * res.q + res.r == f
         assert res.r.is_zero or res.r.degree < p.degree
 
@@ -494,7 +494,7 @@ def test_univariate_exact_random(rng):
 def test_univariate_exp_stream():
     z, = variables(1)
     stream = TaylorStream.from_exp(z, max_degree=60)
-    res = fischer.decompose_univariate(z - 1, stream, max_degree=30)
+    res = fischer.decompose_direct(z - 1, stream, max_degree=30)
     # exact p and an exact stream divide exactly: r is the Taylor sum at 1
     assert res.r == Poly.constant(1, sum(Fraction(1, math.factorial(j)) for j in range(31)))
     e_ref = Fraction(
@@ -509,7 +509,7 @@ def test_univariate_exp_stream():
 def test_univariate_stream_multiple_roots():
     z, = variables(1)
     stream = TaylorStream.from_exp(z, max_degree=40)
-    res = fischer.decompose_univariate(z ** 3, stream, max_degree=25)
+    res = fischer.decompose_direct(z ** 3, stream, max_degree=25)
     # remainder = Taylor polynomial of e^z of degree 2
     assert complex(res.r.coefficient((0,))) == pytest.approx(1.0, abs=1e-9)
     assert complex(res.r.coefficient((1,))) == pytest.approx(1.0, abs=1e-9)
@@ -521,14 +521,15 @@ def test_univariate_stream_conjugate_and_double_roots():
     # (z - 1)^2 (z^2 + 4): double root at 1, simple roots at +-2i
     p = ((z - 1) ** 2 * (z * z + 4)).to_float()
     stream = TaylorStream.from_exp(z * Fraction(1, 2), max_degree=60)
-    res = fischer.decompose_univariate(p, stream, max_degree=45)
+    res = fischer.decompose_direct(p, stream, max_degree=45)
     f_trunc = stream.truncate(45).to_float()
     for point in (1.0 + 0j, 2j, -2j):
         fv = complex(f_trunc.evaluate([point]))
         rv = complex(res.r.evaluate([point]))
         assert abs(fv - rv) <= 1e-8 * max(1.0, abs(fv))
-    dr = res.r.derivative((1,))
-    df = f_trunc.derivative((1,))
+    dz = z.to_float()  # d/dz as an operator
+    dr = apply_diff_op(dz, res.r)
+    df = apply_diff_op(dz, f_trunc)
     assert abs(complex(df.evaluate([1.0])) - complex(dr.evaluate([1.0]))) <= 1e-6
     assert res.r.degree <= 3
 
@@ -537,7 +538,7 @@ def _float_and_exact_division(p, stream, n):
     """[(q, exact q), (r, exact r)]: the float stream route against exact
     division of the exact truncation by p's float coefficients, read as the
     Gaussian rationals they are."""
-    res = fischer.decompose_univariate(p, stream, max_degree=n)
+    res = fischer.decompose_direct(p, stream, max_degree=n)
     assert res.q.field == res.r.field == FLOAT
     want = fischer._poly_divmod_1d(stream.truncate(n), _exactify(p))
     return [(got, w.to_float()) for got, w in zip((res.q, res.r), want)]
@@ -552,8 +553,8 @@ def test_univariate_stream_triple_root_matches_exact_division():
 
 def test_univariate_stream_below_divisor_degree():
     z, = variables(1)
-    res = fischer.decompose_univariate((z * z - 1).to_float(), TaylorStream.from_exp(z * 0),
-                                       max_degree=10)
+    res = fischer.decompose_direct((z * z - 1).to_float(), TaylorStream.from_exp(z * 0),
+                                   max_degree=10)
     assert res.q == Poly.zero(1, FLOAT)
     assert res.r == Poly.constant(1, 1.0)
     assert res.diagnostics == {"truncation_degree": 10, "condition": 1.0}
@@ -569,8 +570,8 @@ def test_univariate_float_condition():
     exact_stream = TaylorStream.from_exp(z, max_degree=60)
     cond = {}
     for c in (20, -20):
-        res = fischer.decompose_univariate((z + c).to_float(), stream, 40)
-        want = fischer.decompose_univariate(z + c, exact_stream, 40)
+        res = fischer.decompose_direct((z + c).to_float(), stream, 40)
+        want = fischer.decompose_direct(z + c, exact_stream, 40)
         assert "condition" not in want.diagnostics
         cond[c] = res.diagnostics["condition"]
         err = apolar.norm(res.q - want.q.to_float()) + apolar.norm(res.r - want.r.to_float())
@@ -622,18 +623,13 @@ def test_univariate_stream_division_battery(seed, root_class):
             assert apolar.norm(got - want) <= n * 2.0 ** -52 * apolar.norm(size)
 
 
-def test_univariate_rejects_multivariate():
-    x, y = variables(2)
-    with pytest.raises(InvalidInputError):
-        fischer.decompose_univariate(x, x * y)
-
-
 @pytest.mark.parametrize("field", ["exact", "float"])
 @pytest.mark.parametrize("f_kind", ["poly", "stream"])
 def test_direct_is_long_division_in_dimension_one(field, f_kind):
-    # decompose_direct answers a d = 1 divisor with decompose_univariate:
-    # the same q, r, method and diagnostics; exact results ==, float ones
-    # bit for bit (Poly equality compares the coefficients exactly)
+    # decompose_direct divides by a d = 1 divisor with remainder: f = p q + r
+    # with deg r < deg p, exactly on exact input; float input reports the
+    # condition of the division, within which q and r meet the exact
+    # division of the same float coefficients
     rng = random.Random(19)
     z, = variables(1)
     for _ in range(12):
@@ -647,11 +643,30 @@ def test_direct_is_long_division_in_dimension_one(field, f_kind):
         else:
             f = TaylorStream.from_exp(z * rand_gaussian(rng), max_degree=rng.randint(4, 30))
         for cap in (None, rng.randint(0, 20)):
-            want = fischer.decompose_univariate(p, f, cap)
             got = fischer.decompose_direct(p, f, cap)
-            assert got == want
             assert got.method == "univariate"
-            assert got.q.field == (FLOAT if field == "float" else EXACT)
+            assert got.r.is_zero or got.r.degree < p.degree
+            want_diag = set()
+            g = f
+            if f_kind == "stream":
+                trunc = f.max_degree if cap is None else min(cap, f.max_degree)
+                g = f.truncate(trunc)
+                assert got.diagnostics["truncation_degree"] == trunc
+                want_diag.add("truncation_degree")
+            if field == "exact":
+                assert got.q.field == got.r.field == EXACT
+                assert p * got.q + got.r == g
+            else:
+                want_diag.add("condition")
+                g = g.to_float()
+                cond = got.diagnostics["condition"]
+                assert cond == fischer._division_condition(p, g, got.q, got.r)
+                assert got.q.field == got.r.field == FLOAT
+                want = fischer._poly_divmod_1d(_exactify(g), _exactify(p))
+                err = sum(apolar.norm(a - b.to_float()) for a, b in zip((got.q, got.r), want))
+                size = apolar.norm(got.q) + apolar.norm(got.r)
+                assert err <= (g.degree + 1) * 2.0 ** -52 * cond * size
+            assert set(got.diagnostics) == want_diag
 
 
 def test_series_refuses_streams_and_float_univariate_input():
@@ -671,7 +686,7 @@ def test_series_refuses_streams_and_float_univariate_input():
         fischer._direct_and_series(x * x - 1, TaylorStream.from_exp(x + y, max_degree=8))
     assert fischer.decompose_direct(p, f).r.degree <= 1
     exact = fischer.decompose_series(z * z - 1, z ** 5 + 2 * z)
-    assert exact.q == fischer.decompose_univariate(z * z - 1, z ** 5 + 2 * z).q
+    assert exact.q == fischer.decompose_direct(z * z - 1, z ** 5 + 2 * z).q
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +748,7 @@ def test_linear_stream_nonzero_shift_exact_on_truncation():
 def test_stream_routes_reject_unusable_truncation_degree(tmp_path):
     x, y = variables(2)
     z, = variables(1)
-    for call in (lambda cap: fischer.decompose_univariate(z - 1, TaylorStream.from_exp(z), cap),
+    for call in (lambda cap: fischer.decompose_direct(z - 1, TaylorStream.from_exp(z), cap),
                  lambda cap: fischer.decompose_direct(x - 1, TaylorStream.from_exp(y), cap)):
         for cap in (None, -1):
             with pytest.raises(InvalidInputError):
@@ -761,7 +776,8 @@ def test_stream_routes_reject_unusable_truncation_degree(tmp_path):
 
 _ROUTES = {
     "direct": fischer.decompose_direct,
-    "univariate": fischer.decompose_univariate,
+    # a d = 1 divisor divides with remainder inside decompose_direct
+    "univariate": fischer.decompose_direct,
     "series": fischer.decompose_series,
     "direct-and-series": fischer._direct_and_series,
     # the one-slice split takes the leading form and a homogeneous fm

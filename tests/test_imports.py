@@ -1,18 +1,21 @@
 """Every module-level import in the package is used by its module, every
 top-level function and class is used somewhere in the package (or is
-patched by the benchmark's tracer), no module reads the environment, the
-decomposition modules import nothing from scipy, the CLI does not load
-the heavy scipy subpackages it has no use for, every name the
-benchmark's tracer patches exists, no file is opened for writing
-outside ``polyalg.write_atomic``, only ``fields`` reads the parts of a
-``GaussianRational`` by attribute, and the unchecked ``Poly._canonical``
-builds only results of ``polyalg``, ``fischer`` and ``entire``, never
-what a file or the command line supplies, and inside ``fischer`` only
-the front door ``_admit`` truncates a stream or promotes f to float."""
+named by README.md or the acceptance tests, or is patched by the
+benchmark's tracer; a re-export by ``__init__`` is no use), no module
+reads the environment, the decomposition modules import nothing from
+scipy, the CLI does not load the heavy scipy subpackages it has no use
+for, every name the benchmark's tracer patches exists, no file is
+opened for writing outside ``polyalg.write_atomic``, only ``fields``
+reads the parts of a ``GaussianRational`` by attribute, and the
+unchecked ``Poly._canonical`` builds only results of ``polyalg``,
+``fischer`` and ``entire``, never what a file or the command line
+supplies, and inside ``fischer`` only the front door ``_admit``
+truncates a stream or promotes f to float."""
 
 import ast
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,43 +135,64 @@ def traced_layers() -> list:
     return tracing.LAYERS
 
 
-def unreferenced_definitions(sources: dict) -> list:
+def _names(node) -> set:
+    """Every name, attribute and imported name inside node."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def unreferenced_definitions(sources: dict, named=frozenset()) -> list:
     """module.name of each top-level function or class that no other
     top-level statement of ``sources`` (module name -> source) names, as a
-    name, an attribute or an import; a function calling itself does not
-    count."""
+    name, an attribute or an import, and that is not in ``named``; a
+    function calling itself does not count, nor does a re-export by
+    ``__init__``."""
     defined, refs = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
             name = getattr(node, "name", None)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, name))
-            names = set()
-            for n in ast.walk(node):
-                if isinstance(n, ast.Name):
-                    names.add(n.id)
-                elif isinstance(n, ast.Attribute):
-                    names.add(n.attr)
-                elif isinstance(n, ast.alias):
-                    names.add(n.name)
-            refs.append((module, name, names))
+            if module != "__init__":
+                refs.append((module, name, _names(node)))
     return sorted(f"{module}.{name}" for module, name in defined
-                  if not any(name in names and (m, n) != (module, name)
-                             for m, n, names in refs))
+                  if name not in named and not any(name in names and (m, n) != (module, name)
+                                                   for m, n, names in refs))
+
+
+def documented_names() -> set:
+    """The words of README.md's code spans and blocks, and the names that
+    tests/test_acceptance.py uses: the surface a user is shown."""
+    root = Path(__file__).parents[1]
+    spans = re.findall(r"`([^`]+)`", (root / "README.md").read_text())
+    return ({word for span in spans for word in re.findall(r"\w+", span)}
+            | _names(ast.parse((root / "tests" / "test_acceptance.py").read_text())))
 
 
 def test_package_definitions_are_used():
-    # a public name re-exported by __init__ counts as used; a name the
-    # benchmark's tracer patches may have no caller left in the package
+    # a name only __init__ re-exports counts as used when README or the
+    # acceptance tests name it; a name the benchmark's tracer patches may
+    # have no caller left in the package
     sources = {p.stem: p.read_text() for p in SOURCES}
     patched = {f"{module}.{attr.split('.')[0]}" for module, attr, _ in traced_layers()}
-    assert [name for name in unreferenced_definitions(sources) if name not in patched] == []
+    assert [name for name in unreferenced_definitions(sources, documented_names())
+            if name not in patched] == []
 
 
 def test_unused_definition_is_reported():
-    sources = {"a": "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h()\n",
-               "b": "from .a import g\n\nclass C:\n    pass\n\ndef h():\n    return C\n"}
-    assert unreferenced_definitions(sources) == ["a.f"]
+    sources = {"a": "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h()\n\n"
+                    "def k():\n    pass\n",
+               "b": "from .a import g\n\nclass C:\n    pass\n\ndef h():\n    return C\n",
+               "__init__": "from .a import f, k\n"}
+    assert unreferenced_definitions(sources) == ["a.f", "a.k"]
+    assert unreferenced_definitions(sources, named={"k"}) == ["a.f"]
 
 
 def test_traced_layers_resolve():
