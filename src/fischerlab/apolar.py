@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .fields import EXACT, GaussianRational, abs_sq
@@ -139,6 +140,13 @@ def adjoint_residual(q: Poly, f: Poly, g: Poly) -> float:
     return abs(diff)
 
 
+@lru_cache(maxsize=1024)
+def _unit_operator(dim: int, alpha: tuple, field) -> Poly:
+    """z^alpha, the operator D^alpha; a Poly is immutable, so one serves
+    every call."""
+    return Poly.monomial(dim, alpha, 1, field=field)
+
+
 def reznick_residual(pk: Poly, fm: Poly) -> float:
     """|  ||pk fm||^2 - sum_alpha ||(d^alpha pk*)(D) fm||^2 / alpha!  |.
 
@@ -158,7 +166,7 @@ def reznick_residual(pk: Poly, fm: Poly) -> float:
     rhs = Fraction(0) if lhs.__class__ is Fraction else 0.0
     for deg in range(int(k) + 1):
         for alpha in enumerate_monomials(pk.dim, deg):
-            d_op = apply_diff_op(Poly.monomial(pk.dim, alpha, 1, field=pk.field), pk_star)
+            d_op = apply_diff_op(_unit_operator(pk.dim, alpha, pk.field), pk_star)
             if d_op.is_zero:
                 continue
             term = norm_sq(apply_diff_op(d_op, fm))

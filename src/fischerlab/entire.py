@@ -32,6 +32,9 @@ class TaylorStream:
     generators).  Components are cached.  A stream backed by a polynomial
     has its degree as ``poly_degree`` (-1 for zero; None for any other
     stream): every component beyond it is known to be exactly zero.
+    A component from ``component_fn`` must be homogeneous of its degree
+    (or zero) and is checked; ``from_poly`` and ``from_exp`` build theirs
+    so and skip the check.
     """
 
     def __init__(self, dim, component_fn, max_degree=math.inf, poly_degree=None):
@@ -41,6 +44,7 @@ class TaylorStream:
         self.max_degree = max_degree
         self.poly_degree = poly_degree
         self._fn = component_fn
+        self._check = True
         self._cache = {}
 
     def component(self, m: int) -> Poly:
@@ -51,7 +55,7 @@ class TaylorStream:
                 f"component {m} beyond declared max degree {self.max_degree}")
         if m not in self._cache:
             fm = self._fn(m)
-            if not fm.is_homogeneous(m) and not fm.is_zero:
+            if self._check and not fm.is_homogeneous(m) and not fm.is_zero:
                 raise InvalidInputError(f"component {m} is not homogeneous of degree {m}")
             self._cache[m] = fm
         return self._cache[m]
@@ -66,8 +70,10 @@ class TaylorStream:
         comps = p.homogeneous_components()
         zero = Poly.zero(p.dim, p.field)
         deg = -1 if p.is_zero else int(p.degree)
-        return cls(p.dim, lambda m: comps.get(m, zero), max_degree=math.inf,
-                   poly_degree=deg)
+        stream = cls(p.dim, lambda m: comps.get(m, zero), max_degree=math.inf,
+                     poly_degree=deg)
+        stream._check = False
+        return stream
 
     @classmethod
     def from_exp(cls, inner: Poly, max_degree=math.inf) -> "TaylorStream":
@@ -93,7 +99,9 @@ class TaylorStream:
             raise InvalidInputError("exp generator needs vanishing constant term")
         comp = (_exact_exp_components if inner.field == EXACT
                 else _float_exp_components)(inner)
-        return cls(inner.dim, comp, max_degree=max_degree)
+        stream = cls(inner.dim, comp, max_degree=max_degree)
+        stream._check = False
+        return stream
 
 
 def _join(dim, parts) -> Poly:

@@ -422,17 +422,20 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
 
     Each variable of q acts as the corresponding partial derivative, so on
     monomials z^alpha(D) z^beta = beta!/(beta-alpha)! z^(beta-alpha) when
-    beta >= alpha and 0 otherwise.
+    beta >= alpha and 0 otherwise.  An exact unit coefficient of q, as in
+    the operator D^alpha, skips its product: 1 * v is v exactly.
     """
     if q.dim != f.dim:
         raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {f.dim}")
+    exact = q.field == f.field == EXACT
     acc = {}
     for alpha, c in q._terms.items():
+        unit = exact and c == 1
         for beta, v in f._terms.items():
             rest = midx_sub(beta, alpha)
             if rest is None:
                 continue
-            w = c * v * falling_product(beta, alpha)
+            w = (v if unit else c * v) * falling_product(beta, alpha)
             if rest in acc:
                 acc[rest] = acc[rest] + w
             else:

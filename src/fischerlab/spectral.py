@@ -15,19 +15,20 @@ the closed-form graded-lex rank, and each entry
 c sqrt(delta!/beta!) from the exact integer falling product delta!/beta!,
 rounded to float once before its one square root.
 
-The extremes come from the sparse Gram matrix M^H M of the multiplication
-matrix M (each column of M has len(pk.terms) nonzeros), not from an SVD.
-A quadratic pk is first brought to its Takagi normal form
+The extremes come from the Gram matrix M^H M, not from an SVD.  It is
+block diagonal, and each block is solved on its own: small blocks by a
+dense Hermitian eigensolve, large ones by ARPACK with shift-invert at 0
+for the minimum (Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM
+1998).  A quadratic pk is first brought to its Takagi normal form
 sum sigma_i z_i^2, sigma_i the singular values of its symmetric
 coefficient matrix: the apolar norm is unitarily invariant, so M keeps
-its singular values, and it becomes real.  The Gram matrix is block
-diagonal over the connected components of its sparsity pattern (for the
-normal form, the 2^(d-1) classes of exponent parities), and each block
-is solved on its own: small blocks by a dense Hermitian eigensolve, large
-ones by ARPACK with shift-invert at 0 for the minimum (Lehoucq, Sorensen
-and Yang, ARPACK Users' Guide, SIAM 1998).  The results agree with a
-dense SVD of pk's own M to a relative 1e-12, and a fixed seed makes them
-repeat bit for bit.
+its singular values, and it becomes real.  Its Gram matrix and blocks
+(the 2^(d-1) classes of exponent parities) have closed forms, assembled
+in numpy with no sparse matrix.  Any other pk gets the sparse product
+M^H M (each column of M has len(pk.terms) nonzeros), blocked by the
+connected components of its sparsity pattern.  The results agree with a
+dense SVD of pk's own M to a relative 1e-12, and a fixed seed makes
+them repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import permutations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,11 +45,12 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
-from .polyalg import (Poly, count_monomials, enumerate_monomials, mult_entries,
+from .polyalg import (Poly, count_monomials, enumerate_monomials, grlex_rank, mult_entries,
                       mult_pattern, require_nonzero_homogeneous, write_atomic)
 
-# scipy.sparse is imported where an operator is built, so that importing
-# this module (and the CLI) does not load it
+# scipy.sparse is imported only where a sparse operator is built or ARPACK
+# runs, so that importing this module (and the CLI) does not load it, nor
+# does the spectrum of a quadratic whose blocks all go to eigvalsh
 if TYPE_CHECKING:
     from scipy.sparse import csc_array
 
@@ -160,22 +163,72 @@ def _arpack_extreme(gram, **mode) -> float:
                       return_eigenvectors=False, **mode)[0].real)
 
 
-def _block_eig_extremes(gram) -> tuple:
-    """(lowest, highest) eigenvalue of a sparse Hermitian matrix, taken
-    over the diagonal blocks of its connected components.
+def _normal_form_gram(nf: Poly, m: int) -> tuple:
+    """(rows, cols, vals, labels) of the Gram matrix M^T M of a Takagi
+    normal form nf = sum_{t<r} sigma_t z_t^2 on the degree-m slice, built
+    from closed forms with no sparse product.
 
-    The components come from the sparsity pattern, not from the values,
-    which may be purely imaginary.  Blocks up to DENSE_EIG_MAX go to a
-    dense eigvalsh, stacked by size in batches of at most _DENSE_BATCH
-    entries; larger ones go to ARPACK one by one.
+    Column beta of M holds v_t(beta) = sigma_t sqrt((beta_t+1)(beta_t+2))
+    in row beta + 2e_t, in ``mult_entries``' arithmetic.  So the diagonal
+    is sum_t v_t(beta)^2, summed in term order as the sparse product sums
+    it, and each pair i != j < r with beta_j >= 2 gives row beta one more
+    entry, G[beta, beta'] = v_i(beta) v_j(beta'), beta' = beta + 2e_i - 2e_j,
+    from the one row of M that columns beta and beta' share: the entries
+    of M^T M bit for bit.  Such a move keeps the parities of the active
+    exponents (t < r) and the inactive exponents, and joins every beta
+    that shares them, so these classes are the blocks; each is labeled
+    through one integer, the graded-lex rank of its reduced exponent
+    times m + 1 plus that exponent's degree.
     """
+    r = len(nf.terms)  # the sigma_t sit on z_0 .. z_{r-1}, in term order
+    sigma = np.array([complex(c) for _, c in nf.sorted_terms()])
+    beta = np.array(enumerate_monomials(nf.dim, m), dtype=np.int64).reshape(-1, nf.dim)
+    act = beta[:, :r]
+    v = (sigma * np.sqrt(((act + 1) * (act + 2)).astype(float))).real
+    index = np.arange(len(beta))
+    rows, cols, vals = [index], [index], [sum((v * v).T)]  # 0 + v_0^2 + v_1^2 + ...
+    for i, j in permutations(range(r), 2):
+        src = np.flatnonzero(beta[:, j] >= 2)
+        moved = beta[src]
+        moved[:, [i, j]] += [2, -2]
+        dst = grlex_rank(moved)
+        rows.append(src)
+        cols.append(dst)
+        vals.append(v[src, i] * v[dst, j])
+    reduced = beta.copy()
+    reduced[:, :r] &= 1
+    codes = grlex_rank(reduced) * (m + 1) + reduced.sum(axis=1)
+    labels = np.unique(codes, return_inverse=True)[1]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), labels
+
+
+def _sparse_gram(a) -> tuple:
+    """(rows, cols, vals, labels) of the Gram matrix a^H a of a sparse
+    multiplication matrix: its COO entries, and the connected component of
+    each index in its sparsity pattern, not in its values, which may be
+    purely imaginary."""
     from scipy.sparse import csc_array
     from scipy.sparse.csgraph import connected_components
 
-    gram = gram.tocoo()
+    if not a.data.imag.any():
+        a = a.real
+    gram = (a.conj().T @ a).tocoo()
     r, c, v = gram.row, gram.col, gram.data
     pattern = csc_array((np.ones(len(v)), (r, c)), shape=gram.shape)
     _, labels = connected_components(pattern, directed=False)
+    return r, c, v, labels
+
+
+def _block_eig_extremes(r, c, v, labels) -> tuple:
+    """(lowest, highest) eigenvalue of a Hermitian matrix given by its
+    entries (r, c, v) and the block label of each index, taken over the
+    diagonal blocks.
+
+    Blocks up to DENSE_EIG_MAX go to a dense eigvalsh, stacked by size in
+    batches of at most _DENSE_BATCH entries; larger ones go to ARPACK one
+    by one.  A failed eigensolve raises NumericalError naming the block's
+    size.
+    """
     sizes = np.bincount(labels)
     # position of each index inside its block, keeping the original order
     order = np.argsort(labels, kind="stable")
@@ -183,41 +236,50 @@ def _block_eig_extremes(gram) -> tuple:
     pos[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     entry_label = labels[r]
     lo, hi = [], []
-    for s in np.unique(sizes).tolist():
-        comps = np.flatnonzero(sizes == s)
-        if s > DENSE_EIG_MAX:
-            for comp in comps:
-                e = entry_label == comp
-                block = csc_array((v[e], (pos[r[e]], pos[c[e]])), shape=(s, s))
-                lo.append(_arpack_extreme(block, sigma=0, which="LM"))
-                hi.append(_arpack_extreme(block, which="LR"))
-            continue
-        per_batch = max(1, _DENSE_BATCH // (s * s))
-        for first in range(0, len(comps), per_batch):
-            batch = comps[first:first + per_batch]
-            slot = np.full(len(sizes), -1)
-            slot[batch] = np.arange(len(batch))
-            e = slot[entry_label] >= 0
-            stack = np.zeros((len(batch), s, s), dtype=v.dtype)
-            stack[slot[entry_label[e]], pos[r[e]], pos[c[e]]] = v[e]
-            ev = np.linalg.eigvalsh(stack)
-            lo.append(float(ev[:, 0].min()))
-            hi.append(float(ev[:, -1].max()))
+    try:
+        for s in np.unique(sizes).tolist():
+            comps = np.flatnonzero(sizes == s)
+            if s > DENSE_EIG_MAX:
+                from scipy.sparse import csc_array
+
+                for comp in comps:
+                    e = entry_label == comp
+                    block = csc_array((v[e], (pos[r[e]], pos[c[e]])), shape=(s, s))
+                    lo.append(_arpack_extreme(block, sigma=0, which="LM"))
+                    hi.append(_arpack_extreme(block, which="LR"))
+                continue
+            per_batch = max(1, _DENSE_BATCH // (s * s))
+            for first in range(0, len(comps), per_batch):
+                batch = comps[first:first + per_batch]
+                slot = np.full(len(sizes), -1)
+                slot[batch] = np.arange(len(batch))
+                e = slot[entry_label] >= 0
+                stack = np.zeros((len(batch), s, s), dtype=v.dtype)
+                stack[slot[entry_label[e]], pos[r[e]], pos[c[e]]] = v[e]
+                ev = np.linalg.eigvalsh(stack)
+                lo.append(float(ev[:, 0].min()))
+                hi.append(float(ev[:, -1].max()))
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # RuntimeError: ARPACK's ArpackError / ArpackNoConvergence and
+        # SuperLU's exactly singular factor
+        raise NumericalError(f"eigensolve failed on a block of size {s}: {exc}") from exc
     return min(lo), max(hi)
 
 
 def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
     """(sigma_min, sigma_max) of the degree-m multiplication matrix M.
 
-    They are the square roots of the extreme eigenvalues of the sparse
-    Gram matrix G = M^H M, which is Hermitian positive definite: M is
-    injective and sigma_min >= ||pk|| > 0 (Bombieri), so squaring loses
-    at most eps * cond(M)^2.  A quadratic pk is first replaced by its
-    Takagi normal form sum sigma_i z_i^2, whose M has the same singular
-    values and is real.  G is block diagonal over the connected components
-    of its sparsity pattern: for sum sigma_i z_i^2 the 2^(d-1) classes of
-    exponent parities (finer when some sigma_i vanish), and sparse pk
-    such as sum c_i z_i^3 split too.  Each block of size up to
+    They are the square roots of the extreme eigenvalues of the Gram
+    matrix G = M^H M, which is Hermitian positive definite: M is injective
+    and sigma_min >= ||pk|| > 0 (Bombieri), so squaring loses at most
+    eps * cond(M)^2.  G is block diagonal, and each block is solved on its
+    own.  A quadratic pk is replaced by its Takagi normal form
+    sum sigma_i z_i^2, whose M has the same singular values and is real;
+    its G and blocks (the 2^(d-1) classes of exponent parities, finer when
+    some sigma_i vanish) come from closed forms, in numpy, with no sparse
+    matrix.  Any other pk gets the sparse G = M^H M of ``mult_matrix``,
+    blocked by the connected components of its sparsity pattern (sparse pk
+    such as sum c_i z_i^3 split too).  Each block of size up to
     DENSE_EIG_MAX goes to a dense eigvalsh; above it ARPACK (implicitly
     restarted Arnoldi) finds the minimum by shift-invert at 0 through a
     sparse LU and the maximum directly.  Both agree with a dense SVD of
@@ -225,18 +287,13 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
     """
     _check_operator(pk, m, dim_cap)
     if pk.degree == 2:
-        pk = _takagi_normal_form(pk)
-    a = mult_matrix(pk, m, dim_cap=dim_cap).matrix
-    if not a.data.imag.any():
-        a = a.real
-    gram = a.conj().T @ a
+        entries = _normal_form_gram(_takagi_normal_form(pk), m)
+    else:
+        entries = _sparse_gram(mult_matrix(pk, m, dim_cap=dim_cap).matrix)
     try:
-        lo, hi = _block_eig_extremes(gram)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        # RuntimeError: ARPACK's ArpackError / ArpackNoConvergence and
-        # SuperLU's exactly singular factor
-        raise NumericalError(
-            f"eigensolve failed for degree {m} (shape {a.shape}): {exc}") from exc
+        lo, hi = _block_eig_extremes(*entries)
+    except NumericalError as exc:
+        raise NumericalError(f"degree {m}: {exc}") from exc
     return math.sqrt(lo), math.sqrt(hi)
 
 

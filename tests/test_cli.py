@@ -860,6 +860,21 @@ def test_exit_code_eigensolve_failure(tmp_path, monkeypatch, error):
     assert rc == cli.EXIT_NUMERICAL
 
 
+def test_exit_code_eigvalsh_failure_on_a_quadratic(tmp_path, monkeypatch, capsys):
+    def failing_eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # a quadratic's blocks come from closed forms, all below
+    # spectral.DENSE_EIG_MAX at m 8-11, and go to the dense eigensolve
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    pk = Poly(3, {alpha: complex(1 + i, 2 - i) for i, alpha in
+                  enumerate(enumerate_monomials(3, 2))})
+    save_poly(pk, tmp_path / "pk2.json")
+    rc = cli.main(["ks-fit", "--p", str(tmp_path / "pk2.json"), "--m-min", "8",
+                   "--m-max", "11", "--out", str(tmp_path / "ks")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "degree 8: eigensolve failed on a block of size" in capsys.readouterr().err
+
+
 def test_exit_code_float_on_exact_backend(files, tmp_path):
     x, y = variables(2)
     save_poly((0.5 * x).to_float(), tmp_path / "float.json")

@@ -62,6 +62,16 @@ def test_stream_component_validation():
         s.component(11)
 
 
+def test_package_streams_skip_the_homogeneity_check(monkeypatch):
+    # from_poly and from_exp build homogeneous components; only a
+    # user-supplied component_fn is checked (above)
+    x, y = variables(2)
+    streams = [TaylorStream.from_poly(x ** 3 + y), TaylorStream.from_exp(x + y),
+               TaylorStream.from_exp((x + y).to_float())]
+    monkeypatch.setattr(Poly, "is_homogeneous", lambda self, j=None: pytest.fail("checked"))
+    assert [s.component(3).is_zero for s in streams] == [False, False, False]
+
+
 def test_stream_json_round_trip():
     x, y = variables(2)
     obj = {"kind": "exp_poly", "inner": {"dim": 2, "terms": [

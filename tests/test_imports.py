@@ -4,7 +4,7 @@ named by README.md or the acceptance tests, or is patched by the
 benchmark's tracer; a re-export by ``__init__`` is no use), no module
 reads the environment, the decomposition modules import nothing from
 scipy, the CLI does not load the heavy scipy subpackages it has no use
-for, every name the benchmark's tracer patches exists, no file is
+for (nor does ``ks-fit`` on a quadratic load ``scipy.sparse``), every name the benchmark's tracer patches exists, no file is
 opened for writing outside ``polyalg.write_atomic``, only ``fields``
 reads the parts of a ``GaussianRational`` by attribute, and the
 unchecked ``Poly._canonical`` builds only results of ``polyalg``,
@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import fischerlab
+from fischerlab.polyalg import Poly, enumerate_monomials, save_poly
 
 SOURCES = sorted(Path(fischerlab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports are re-exports
@@ -124,6 +125,23 @@ def test_cli_import_skips_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(fischerlab.__file__).parents[1])
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("degree,loaded", [(2, False), (3, True)])
+def test_ks_fit_loads_scipy_sparse_only_off_quadratics(tmp_path, degree, loaded):
+    # a quadratic's Gram blocks come from closed forms and, up to
+    # spectral.DENSE_EIG_MAX, go to numpy's eigvalsh; a cubic's come from
+    # a sparse product, so the check can fail
+    pk = Poly(3, {alpha: complex(1 + i, 2 - i)
+                  for i, alpha in enumerate(enumerate_monomials(3, degree))})
+    save_poly(pk, tmp_path / "pk.json")
+    argv = ["ks-fit", "--p", str(tmp_path / "pk.json"), "--m-min", "8", "--m-max", "11",
+            "--out", str(tmp_path / "ks")]
+    code = ("import sys; from fischerlab import cli; "
+            f"print(cli.main({argv!r}), 'scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(fischerlab.__file__).parents[1])
+    assert out.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def traced_layers() -> list:

@@ -399,6 +399,50 @@ def test_sigma_extremes_matches_dense_svd(name, m):
     assert hi == pytest.approx(sv[0], rel=1e-12, abs=0)
 
 
+def _seeded_quadratics(d, seed):
+    """Quadratics in d variables: generic, half-sparse, the square of a
+    linear form, the sphere quadratic and one monomial."""
+    rng = np.random.default_rng(seed)
+    mons = enumerate_monomials(d, 2)
+    coeffs = rng.normal(size=len(mons)) + 1j * rng.normal(size=len(mons))
+    keep = rng.random(len(mons)) < 0.5
+    keep[0] = True
+    lin = Poly(d, {tuple(int(v == i) for v in range(d)): complex(c)
+                   for i, c in enumerate(rng.normal(size=d) + 1j * rng.normal(size=d))})
+    return {
+        "generic": Poly(d, dict(zip(mons, coeffs.tolist()))),
+        "half-sparse": Poly(d, {a: c for a, c, k in zip(mons, coeffs.tolist(), keep) if k}),
+        "square": lin * lin,
+        "sphere": Poly(d, {tuple(2 * (v == i) for v in range(d)): 1 + 0j for i in range(d)}),
+        "monomial": Poly(d, {mons[int(rng.integers(len(mons)))]: 1.5 - 0.5j}),
+    }
+
+
+def _sparse_sigma_extremes(pk, m):
+    """sigma_extremes of a quadratic by the sparse route on its normal
+    form: mult_matrix, M^T M and the components of its pattern."""
+    a = spectral.mult_matrix(spectral._takagi_normal_form(pk), m).matrix
+    lo, hi = spectral._block_eig_extremes(*spectral._sparse_gram(a))
+    return math.sqrt(lo), math.sqrt(hi)
+
+
+@pytest.mark.parametrize("dense_max", [spectral.DENSE_EIG_MAX, 2])
+@pytest.mark.parametrize("quadratics,degrees",
+                         # d = 4 stops at m = 15 (816 columns) to keep the run short
+                         [(_seeded_quadratics(d, seed=d), range(32 if d < 4 else 16))
+                          for d in (1, 2, 3, 4)]
+                         + [(QUADRATICS_3D, range(40, 46))],
+                         ids=["d1", "d2", "d3", "d4", "d3-m40"])
+def test_quadratic_blocks_equal_the_sparse_route(monkeypatch, quadratics, degrees, dense_max):
+    # the closed-form Gram blocks of the normal form give the sparse
+    # product's extremes bit for bit, on the dense and the ARPACK branch
+    monkeypatch.setattr(spectral, "DENSE_EIG_MAX", dense_max)
+    for name, pk in quadratics.items():
+        for m in degrees:
+            got, want = spectral.sigma_extremes(pk, m), _sparse_sigma_extremes(pk, m)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (name, m)
+
+
 @pytest.mark.parametrize("pk,m", [(QUADRATICS_3D["sphere"], m) for m in (12, 14, 19, 23)]
                          + [(Poly(3, {(2, 0, 0): 1 + 0j}), m) for m in (13, 14)]
                          + [(FULL_CUBIC_3D, 12), (SPLIT_CUBICS["sum-of-cubes"], 20)])
