@@ -165,7 +165,7 @@ def _cmd_spectrum(args) -> int:
     m_min, m_max = args.m_min, args.m_max
     if m_max < m_min:
         raise InvalidInputError(f"need m_max >= m_min, got window [{m_min}, {m_max}]")
-    if args.verb == "ks-fit" or m_max - m_min + 1 >= 4:
+    if args.verb == "ks-fit":
         report = spectral.ks_exponent_fit(pk, (m_min, m_max), dim_cap=args.dim_cap)
     else:
         degrees = list(range(m_min, m_max + 1))

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, NumericalError
 from .fields import GaussianRational
 
 _ZERO = GaussianRational(0)
@@ -131,6 +131,19 @@ def checked_condition(sv, rank: int, ncols: int) -> float:
             f"system too ill-conditioned (estimated condition {cond:.3e})",
             condition=cond)
     return cond
+
+
+def ldexp_normal(x, e: int) -> np.ndarray:
+    """x * 2^e entrywise and exactly, undoing a power-of-two scale; a
+    nonzero real or imaginary part that leaves the normal doubles, where
+    the result would round, raises NumericalError."""
+    x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    parts = x.view(float)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(parts, e)
+    if not np.all((np.isfinite(out) & (np.abs(out) >= np.finfo(float).tiny)) | (parts == 0)):
+        raise NumericalError(f"a value scaled by 2^{e} leaves the normal double range")
+    return out.view(x.dtype)
 
 
 def float_lstsq_solve(a: np.ndarray, b: np.ndarray):

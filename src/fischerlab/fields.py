@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import NumericalError
+
 EXACT = "exact"
 FLOAT = "float"
 
@@ -117,7 +119,12 @@ class GaussianRational:
     def __rtruediv__(self, other):
         o = _exact_parts(other)
         if o is None:
-            return other / complex(self) if isinstance(other, (float, complex)) else NotImplemented
+            if not isinstance(other, (float, complex)):
+                return NotImplemented
+            z = complex(self)
+            if self and not z:
+                raise NumericalError("an exact divisor underflows to 0 in floats")
+            return other / z
         return _quotient(*o, self._re, self._im, self._den)
 
     def __pow__(self, n):
@@ -149,11 +156,18 @@ class GaussianRational:
         return hash((self.real, self.imag))
 
     def __abs__(self) -> float:
-        # int / int rounds correctly, as float(Fraction) does
-        return math.hypot(self._re / self._den, self._im / self._den)
+        return math.hypot(*self._float_parts())
 
     def __complex__(self) -> complex:
-        return complex(self._re / self._den, self._im / self._den)
+        return complex(*self._float_parts())
+
+    def _float_parts(self) -> tuple:
+        """(real, imag) as correctly rounded floats (int / int): the one
+        conversion of an exact value to floats; NumericalError past their range."""
+        try:
+            return self._re / self._den, self._im / self._den
+        except OverflowError:
+            raise NumericalError("an exact value exceeds the float range") from None
 
     def __repr__(self):
         return f"GaussianRational({self.real!s}, {self.imag!s})"

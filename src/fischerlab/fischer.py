@@ -31,8 +31,8 @@ orthonormal basis z^alpha/sqrt(alpha!) the slice matrix of
 q |-> P_k*(D)(P_k q) is M^H M, M the multiplication matrix, and the
 projection of a homogeneous f_m is q = M^+ f_m.  Exact slices solve the
 raw-basis slice matrix (``fischer_matrix``), weights kept exact.  Float
-slices take one SVD of M (``polyalg.mult_entries``, weights rounded once
-before one square root) into a cached pseudoinverse (``slice_projector``);
+slices take one SVD of M (``orthonormal_operator``, shared with float
+``spectral.kernel_basis``) into a cached pseudoinverse (``slice_projector``);
 Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.  Each
 degree's monomials, their index and the weights sqrt(alpha!/m!) form one
 ``DegreeTable``, built once per ``SliceSolver`` (one decomposition) and
@@ -51,10 +51,10 @@ import numpy as np
 
 from . import apolar
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
-from .exactlinalg import bareiss_solve, checked_condition
+from .exactlinalg import bareiss_solve, checked_condition, ldexp_normal
 from .fields import EXACT, FLOAT
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial, mult_entries,
-                      mult_pattern, require_nonzero_homogeneous)
+                      mult_pattern, require_nonzero_homogeneous, unit_scaled)
 
 
 @dataclass(frozen=True)
@@ -154,33 +154,33 @@ class SliceProjector:
     condition: float
 
 
-def slice_projector(pk: Poly, m: int, tables=None) -> SliceProjector:
-    """The degree-m float projector for homogeneous pk, from one SVD of M.
-
-    ``tables`` maps degrees to their ``DegreeTable``; the two this slice
-    reads, m and m - k, are taken from it or built into it.  Slice m's
-    source table is slice m + k's basis table, so the slices of one
-    decomposition that share a dict build each degree once.
-    """
-    low_deg = _slice_degree(pk, m)
+def orthonormal_operator(pk: Poly, m: int, tables=None):
+    """(M, e, degree-m table, degree m - k table): the dense matrix M of
+    multiplication by 2^-e pk (``unit_scaled``) between the orthonormal
+    slices m - k and m; ``tables`` (degree -> ``DegreeTable``) lends or
+    receives the two tables."""
     tables = {} if tables is None else tables
-    for n in (m, low_deg):
-        if n not in tables:
-            tables[n] = degree_table(pk.dim, n)
-    src, low = tables[m], tables[low_deg]
-    rows, cols, vals = mult_entries(pk, low.monomials)
+    src, low = (tables[n] if n in tables else tables.setdefault(n, degree_table(pk.dim, n))
+                for n in (m, _slice_degree(pk, m)))
+    scaled, e = unit_scaled(pk)
+    rows, cols, vals = mult_entries(scaled, low.monomials)
     mult = np.zeros((len(src.monomials), len(low.monomials)), dtype=complex)
     mult[rows, cols] = vals
+    return mult, e, src, low
+
+
+def slice_projector(pk: Poly, m: int, tables=None) -> SliceProjector:
+    """The degree-m float projector for homogeneous pk, from one SVD of its
+    ``orthonormal_operator``; slices that share ``tables`` build each degree once."""
+    mult, e, src, low = orthonormal_operator(pk, m, tables)
     u, s, vh = np.linalg.svd(mult, full_matrices=False)
-    gram_sv = s * s  # the singular values of M^H M
-    rank = int(np.count_nonzero(gram_sv > len(s) * np.finfo(float).eps * gram_sv[0]))
-    cond = checked_condition(gram_sv, rank, len(low.monomials))
+    cond = checked_condition(s * s, len(s), len(s))  # kappa(M^H M); refuses a low rank too
     # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
     # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
     # ratios of the two tables, so no weight is a lone sqrt(alpha!)
     pinv = (((vh.conj().T / (s * low.weights[:, None])) @ (u.conj().T * src.weights))
-            * math.sqrt(math.factorial(m) // math.factorial(low_deg)))
-    return SliceProjector(low.monomials, src.index, pinv, cond)
+            * math.sqrt(math.factorial(m) // math.factorial(m - pk.degree)))
+    return SliceProjector(low.monomials, src.index, ldexp_normal(pinv, -e), cond)
 
 
 class SliceSolver:
@@ -459,4 +459,7 @@ def _division_condition(p: Poly, f: Poly, q: Poly, r: Poly) -> float:
     sizes = _poly_divmod_1d(
         Poly(1, {a: abs(c) for a, c in f.terms.items()}),
         Poly(1, {a: abs(c) if a == (k,) else -abs(c) for a, c in p.terms.items()}))
-    return sum(map(apolar.norm, sizes)) / (apolar.norm(q) + apolar.norm(r))
+    size = apolar.norm(q) + apolar.norm(r)
+    if not size:  # f's terms have underflowed out of q and r
+        raise NumericalError("the division underflows: q and r vanish in floats")
+    return sum(map(apolar.norm, sizes)) / size

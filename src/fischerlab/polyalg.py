@@ -330,9 +330,9 @@ class Poly:
     def __truediv__(self, c):
         if isinstance(c, Poly):
             return NotImplemented
-        if is_exact_scalar(c) and self.field == EXACT:
-            inv = GaussianRational(1) / to_exact(c)
-            return self.scale(inv)
+        if is_exact_scalar(c):  # 1.0 / c refuses an exact c that rounds to 0
+            c = to_exact(c)
+            return self.scale((GaussianRational(1) if self.field == EXACT else 1.0) / c)
         return self.scale(1.0 / complex(c))
 
     def __pow__(self, n: int):
@@ -497,6 +497,32 @@ def mult_entries(pk: Poly, col_basis):
     coeffs = np.array([complex(c) for _, c in pk.sorted_terms()], dtype=complex)
     vals = coeffs * np.sqrt(weights.astype(float))
     return rows.ravel(), np.repeat(np.arange(len(rows)), rows.shape[1]), vals.ravel()
+
+
+def _floor_log2(c: GaussianRational) -> int:
+    """floor(log2 max(|Re c|, |Im c|)) for nonzero exact c, from bit lengths."""
+    re, im, den = c.parts()
+    top = max(abs(re), abs(im))
+    k = top.bit_length() - den.bit_length()  # floor(log2 top/den) is k or k - 1
+    return k - ((top << max(-k, 0)) < (den << max(k, 0)))
+
+
+def unit_scaled(p: Poly) -> tuple:
+    """(2^-e p, e) for nonzero p, e = floor(log2 t) for t the largest real
+    or imaginary part of p's coefficients in modulus, so that 2^-e p has
+    its largest part in [1, 2): exact coefficients scale exactly, float
+    ones by ``math.ldexp``, dropping any that underflow to 0.  A float
+    coefficient that is not finite raises NumericalError."""
+    terms = p._terms
+    if p.field == EXACT:
+        e = max(map(_floor_log2, terms.values()))
+        factor = Fraction(2) ** -e
+        return Poly._canonical(p.dim, {a: c * factor for a, c in terms.items()}, EXACT), e
+    if not all(map(cmath.isfinite, terms.values())):
+        raise NumericalError("a float coefficient is not finite")
+    e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in terms.values()))[1] - 1
+    scaled = {a: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for a, c in terms.items()}
+    return Poly._canonical(p.dim, {a: c for a, c in scaled.items() if c}, FLOAT), e
 
 
 # ---------------------------------------------------------------------------

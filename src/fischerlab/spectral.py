@@ -10,10 +10,9 @@ The log-log slope of sigma_min against m is the growth exponent reported
 by :func:`ks_exponent_fit`.
 
 M is assembled by ``polyalg.mult_entries`` in one numpy pass over every
-column, from the pattern of ``polyalg.mult_pattern``: row indices from
-the closed-form graded-lex rank, and each entry
-c sqrt(delta!/beta!) from the exact integer falling product delta!/beta!,
-rounded to float once before its one square root.
+column, from the pattern of ``polyalg.mult_pattern``: row indices from the
+closed-form graded-lex rank, each entry c sqrt(delta!/beta!) from the
+exact falling product delta!/beta!, rounded once before one square root.
 
 The extremes come from the Gram matrix M^H M, not from an SVD.  It is
 block diagonal, and each block is solved on its own: small blocks by a
@@ -28,7 +27,8 @@ in numpy with no sparse matrix.  Any other pk gets the sparse product
 M^H M (each column of M has len(pk.terms) nonzeros), blocked by the
 connected components of its sparsity pattern.  The results agree with a
 dense SVD of pk's own M to a relative 1e-12, and a fixed seed makes
-them repeat bit for bit.
+them repeat bit for bit.  Float :func:`kernel_basis` reads the float
+slices' dense operator and condition gate.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .exactlinalg import exact_nullspace
+from .exactlinalg import checked_condition, exact_nullspace, ldexp_normal
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
+from .fischer import orthonormal_operator
 from .polyalg import (Poly, count_monomials, enumerate_monomials, grlex_rank, mult_entries,
-                      mult_pattern, require_nonzero_homogeneous, write_atomic)
+                      mult_pattern, require_nonzero_homogeneous, unit_scaled, write_atomic)
 
 # scipy.sparse is imported only where a sparse operator is built or ARPACK
 # runs, so that importing this module (and the CLI) does not load it, nor
@@ -272,8 +273,9 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
     They are the square roots of the extreme eigenvalues of the Gram
     matrix G = M^H M, which is Hermitian positive definite: M is injective
     and sigma_min >= ||pk|| > 0 (Bombieri), so squaring loses at most
-    eps * cond(M)^2.  G is block diagonal, and each block is solved on its
-    own.  A quadratic pk is replaced by its Takagi normal form
+    eps * cond(M)^2.  They are taken for 2^-e pk (``unit_scaled``) and
+    scaled back by 2^e.  G is block diagonal, and each block is solved on
+    its own.  A quadratic pk is replaced by its Takagi normal form
     sum sigma_i z_i^2, whose M has the same singular values and is real;
     its G and blocks (the 2^(d-1) classes of exponent parities, finer when
     some sigma_i vanish) come from closed forms, in numpy, with no sparse
@@ -286,15 +288,16 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
     pk's own M to a relative 1e-12 and repeat bit for bit.
     """
     _check_operator(pk, m, dim_cap)
+    pk, e = unit_scaled(pk)
     if pk.degree == 2:
         entries = _normal_form_gram(_takagi_normal_form(pk), m)
     else:
         entries = _sparse_gram(mult_matrix(pk, m, dim_cap=dim_cap).matrix)
     try:
         lo, hi = _block_eig_extremes(*entries)
+        return tuple(ldexp_normal([math.sqrt(lo), math.sqrt(hi)], e).tolist())
     except NumericalError as exc:
         raise NumericalError(f"degree {m}: {exc}") from exc
-    return math.sqrt(lo), math.sqrt(hi)
 
 
 @dataclass
@@ -353,15 +356,15 @@ def ks_exponent_fit(pk: Poly, m_range=(8, 40), dim_cap: int = DEFAULT_DIM_CAP) -
 def kernel_basis(pk: Poly, m: int):
     """Basis of the kernel of pk(D) on the homogeneous degree-m slice.
 
-    The matrix of pk(D) from slice m to slice m - k is the transposed
-    pattern of ``polyalg.mult_pattern`` on slice m - k: pk(D) sends
-    z^delta, delta = beta + gamma, to c delta!/beta! z^beta for each term
-    c z^gamma.  pk(D) is the apolar adjoint of multiplication by pk*, so
-    this kernel is the orthogonal complement of pk* times slice m - k,
-    and the slice matrix of pk*(D)(pk .) is M^H M in the orthonormal
-    basis, M from :func:`mult_matrix`.  Exact coefficients give an exact
-    rational basis via reduced row echelon form; float input falls back
-    to an SVD nullspace.
+    pk(D) is the apolar adjoint of the injective multiplication by pk*,
+    so the kernel is the orthogonal complement of pk* times slice m - k,
+    of dimension count(m) - count(m - k).  Exact coefficients give an
+    exact basis by row reduction of pk(D)'s raw-basis matrix, the
+    transposed pattern of ``polyalg.mult_pattern``.  Float coefficients
+    take the last count(m) - count(m - k) left singular vectors of pk*'s
+    ``fischer.orthonormal_operator``, behind the float slices' gate,
+    divided by the degree-m weights: an apolar-orthogonal basis of
+    common norm sqrt(m!).
     """
     require_nonzero_homogeneous(pk)
     if m < 0:
@@ -371,6 +374,12 @@ def kernel_basis(pk: Poly, m: int):
     col_basis = enumerate_monomials(d, m)
     if m < k:
         return [Poly.monomial(d, alpha, 1, field=pk.field) for alpha in col_basis]
+    if pk.field == FLOAT:
+        mult, _, src, _ = orthonormal_operator(pk.star(), m)
+        u, s, _ = np.linalg.svd(mult)
+        checked_condition(s * s, len(s), len(s))
+        return [Poly(d, dict(zip(src.monomials, vec.tolist())), field=FLOAT)
+                for vec in (u[:, len(s):] / src.weights[:, None]).T]
     coeffs = [c for _, c in pk.sorted_terms()]
     zero = coeffs[0] - coeffs[0]  # 0 in pk's field
     ranks, weights = mult_pattern(pk, enumerate_monomials(d, m - k))
@@ -378,15 +387,8 @@ def kernel_basis(pk: Poly, m: int):
     for row, ranks_j, weights_j in zip(rows, ranks.tolist(), weights.tolist()):
         for c, delta, w in zip(coeffs, ranks_j, weights_j):
             row[delta] = c * w
-    if pk.field == EXACT:
-        vecs = exact_nullspace(rows, len(col_basis))
-        return [Poly(d, dict(zip(col_basis, v)), field=EXACT) for v in vecs]
-    a = np.array(rows, dtype=complex)
-    _, sv, vh = np.linalg.svd(a)
-    tol = max(a.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
-    rank = int(np.sum(sv > tol))
-    return [Poly(d, {alpha: complex(v) for alpha, v in zip(col_basis, row)}, field=FLOAT)
-            for row in vh[rank:].conj()]
+    return [Poly(d, dict(zip(col_basis, v)), field=EXACT)
+            for v in exact_nullspace(rows, len(col_basis))]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import apolar, cli, entire, fischer
@@ -904,3 +905,152 @@ def test_every_verb_has_a_handler():
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert cli._handlers().keys() == subparsers.choices.keys()
+
+
+# ---------------------------------------------------------------------------
+# inputs at the edges of the double range
+
+_SUM_SQ = {(2, 0): 1, (0, 2): 1}  # z1^2 + z2^2
+_HUGE = GaussianRational(10 ** 400)  # past the double range, exactly
+
+
+def _sum_sq(c):
+    return Poly(2, {alpha: c * v for alpha, v in _SUM_SQ.items()})
+
+
+_F_EXACT = Poly(2, {(3, 0): GaussianRational(1, Fraction(1, 2)), (1, 2): Fraction(-1, 4),
+                    (1, 0): 2, (0, 0): 1})
+_WINDOW = ["--m-min", "2", "--m-max", "6"]
+
+# (p, f or None, argv after the verb's --p/--f or --q, exit code)
+_EDGE_CASES = {
+    # sigma below the least normal double, whatever the scale rule does
+    "ks-fit-subnormal": (Poly(2, {(1, 1): 5e-324}), None, ["ks-fit"] + _WINDOW, 4),
+    "ks-fit-exact-tiny": (_sum_sq(1 / _HUGE), None, ["ks-fit"] + _WINDOW, 4),
+    "decompose-tiny": (_sum_sq(1e-200), _F_EXACT.to_float(), ["decompose"], 0),
+    # the solve succeeds; the square of pk*(D) r's norm, near 1e368, overflows
+    "decompose-huge": (_sum_sq(1e200), _F_EXACT.to_float(), ["decompose"], 4),
+    "kernel-tiny": (_sum_sq(1e-200), None, ["kernel", "--m", "4"], 0),
+    "kernel-huge": (_sum_sq(1e200), None, ["kernel", "--m", "4"], 0),
+    # an exact value outside the double range meets a float
+    "decompose-float-backend": (_sum_sq(_HUGE), _F_EXACT, ["decompose", "--backend", "float"], 4),
+    "decompose-float-f": (_sum_sq(_HUGE), _F_EXACT.to_float(), ["decompose"], 4),
+    "inner-float-backend": (_sum_sq(_HUGE), _F_EXACT, ["inner", "--backend", "float"], 4),
+    "kernel-float-backend": (_sum_sq(_HUGE), None, ["kernel", "--m", "3", "--backend", "float"],
+                             4),
+    "verify-given": (_sum_sq(_HUGE), _F_EXACT, ["verify", "--mc-samples", "2"], 4),
+    "divide-exact-tiny-lead": (Poly(1, {(2,): 1 / _HUGE}), Poly(1, {(3,): 1.0}), ["decompose"],
+                               4),
+    "divide-exact-tiny-constant": (Poly(1, {(0,): 1 / _HUGE}), Poly(1, {(0,): 1e200}),
+                                   ["decompose"], 4),
+    "spectrum-huge-linear": (Poly(1, {(1,): _HUGE}), None,
+                             ["spectrum", "--m-min", "0", "--m-max", "3"], 4),
+    # ||q|| and ||r|| near 1e-200: their squares underflow
+    "divide-tiny-quotient": (Poly(1, {(1,): 9.8e199 - 7.0e199j, (0,): -0.159}),
+                             Poly(1, {(1,): -0.5 - 2j}), ["decompose"], 4),
+    "spectrum-long-window": (_sum_sq(1), None, ["spectrum", "--m-min", "0", "--m-max", "10"], 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CASES))
+def test_values_at_the_edges_of_the_double_range_exit_as_documented(tmp_path, name):
+    p, f, argv, code = _EDGE_CASES[name]
+    save_poly(p, tmp_path / "p.json")
+    argv = [argv[0], "--p", str(tmp_path / "p.json")] + argv[1:]
+    if f is not None:
+        save_poly(f, tmp_path / "f.json")
+        argv += ["--q" if argv[0] == "inner" else "--f", str(tmp_path / "f.json")]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
+    if name == "spectrum-long-window":
+        assert json.load(open(tmp_path / "out.json"))["flags"] == ["no-fit"]
+
+
+def test_float_kernel_exits_4_when_the_condition_gate_fires(tmp_path, monkeypatch):
+    svd = np.linalg.svd
+
+    def rank_deficient(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        s[-1] = 0.0
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", rank_deficient)
+    save_poly(_sum_sq(1.0), tmp_path / "p.json")
+    assert cli.main(["kernel", "--p", str(tmp_path / "p.json"), "--m", "4",
+                     "--out", str(tmp_path / "k.json")]) == cli.EXIT_NUMERICAL
+    assert not (tmp_path / "k.json").exists()
+
+
+def _spectrum_csv(path):
+    rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+    return [(int(m), float(lo), float(hi)) for m, lo, hi in rows]
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200, 2.0 ** -700, 2.0 ** 700])
+def test_ks_fit_at_any_scale_fits_the_unit_slope(tmp_path, c):
+    save_poly(_sum_sq(c), tmp_path / "p.json")
+    save_poly(_sum_sq(1.0), tmp_path / "unit.json")
+    for name in ("p", "unit"):
+        assert cli.main(["ks-fit", "--p", str(tmp_path / f"{name}.json")] + _WINDOW
+                        + ["--out", str(tmp_path / name)]) == 0
+    got, unit = (json.load(open(tmp_path / f"{name}.json")) for name in ("p", "unit"))
+    assert got["fitted_tau"] == pytest.approx(unit["fitted_tau"], abs=1e-12)
+    rows = _spectrum_csv(tmp_path / "p.csv")
+    assert all(sys.float_info.min <= s < math.inf for _, *pair in rows for s in pair)
+    e = math.frexp(c)[1] - 1
+    if c == 2.0 ** e:  # a power of two scales every sigma exactly
+        assert rows == [(m, math.ldexp(lo, e), math.ldexp(hi, e))
+                        for m, lo, hi in _spectrum_csv(tmp_path / "unit.csv")]
+
+
+# Coefficients at the edges of the double range, and exact values of 400
+# digits, beside ordinary ones
+_FLOAT_POOL = [1.0, -0.5 + 2j, 0.159, 1e200, -1e-200j, 1e300 - 1e300j, -1e-300, 5e-324,
+               2.2e-310j, -1.7e308, 9.8e199 - 7.0e199j]
+_EXACT_POOL = [GaussianRational(1), GaussianRational(Fraction(-3, 7), 1), _HUGE, 1 / _HUGE,
+               GaussianRational(Fraction(10 ** 400 + 1, 3 ** 800))]
+
+
+@st.composite
+def _edge_polys(draw, d, homogeneous):
+    pool = _EXACT_POOL if draw(st.booleans()) else _FLOAT_POOL
+    if homogeneous:
+        exps = st.sampled_from(enumerate_monomials(d, draw(st.integers(1, 3))))
+    else:
+        exps = st.lists(st.integers(0, 3), min_size=d, max_size=d).map(tuple).filter(
+            lambda alpha: sum(alpha) <= 3)
+    return Poly(d, draw(st.dictionaries(exps, st.sampled_from(pool), min_size=1, max_size=3)))
+
+
+@st.composite
+def _edge_calls(draw):
+    """(p, f, argv): one inner, decompose, kernel, spectrum or ks-fit call
+    in dimension 1-3, degrees <= 3 and degree windows <= 12."""
+    verb = draw(st.sampled_from(["inner", "decompose", "kernel", "spectrum", "ks-fit"]))
+    d = draw(st.integers(1, 3))
+    p = draw(_edge_polys(d, verb in ("kernel", "spectrum", "ks-fit")))
+    f = draw(_edge_polys(d, False))
+    backend = draw(st.sampled_from([[], ["--backend", "float"], ["--backend", "exact"]]))
+    if verb in ("inner", "decompose"):
+        return p, f, [verb, "--p", "P", "--q" if verb == "inner" else "--f", "F"] + backend
+    if verb == "kernel":
+        return p, f, [verb, "--p", "P", "--m", str(draw(st.integers(0, 12)))] + backend
+    lo = draw(st.integers(0, 9))
+    return p, f, [verb, "--p", "P", "--m-min", str(lo),
+                  "--m-max", str(draw(st.integers(lo, 12)))]
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edges")
+
+
+@settings(max_examples=100)
+@given(call=_edge_calls())
+def test_edge_values_never_exit_internal(edge_dir, call):
+    # a value past the double range is a numerical failure (4), never a bug (5)
+    p, f, argv = call
+    paths = {"P": edge_dir / "p.json", "F": edge_dir / "f.json"}
+    save_poly(p, paths["P"])
+    save_poly(f, paths["F"])
+    argv = [str(paths.get(a, a)) for a in argv] + ["--out", str(edge_dir / "out")]
+    assert cli.main(argv) in (0, 2, 3, 4), argv

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fischerlab.errors import NumericalError
 from fischerlab.fields import (GaussianRational, abs_sq, fraction_sqrt,
                                gaussian_sqrt, is_exact_scalar, to_exact)
 
@@ -343,5 +344,10 @@ def test_conversions_round_like_fraction_to_float():
                    (Fraction(1, 3 ** 700), Fraction(2 ** 80 + 1, 3))]:
         assert repr(complex(G(re, im))) == repr(complex(float(re), float(im)))
         assert abs(G(re, im)) == math.hypot(float(re), float(im))
-    with pytest.raises(OverflowError):
-        complex(G(10 ** 400))
+    # past the double range both conversions are a numerical failure
+    for convert in (complex, abs):
+        with pytest.raises(NumericalError):
+            convert(G(10 ** 400))
+    # and so is a float divided by an exact value that rounds to 0
+    with pytest.raises(NumericalError):
+        1.0 / G(Fraction(1, 10 ** 400))

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fischerlab.entire import TaylorStream
-from fischerlab.errors import DimensionMismatchError, FormatError, InvalidInputError
+from fischerlab.errors import (DimensionMismatchError, FormatError, InvalidInputError,
+                               NumericalError)
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.fischer import SliceSolver, decompose_direct
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
                                 mult_entries, poly_from_dict, poly_to_dict, save_poly,
-                                variables, write_atomic)
+                                unit_scaled, variables, write_atomic)
 from conftest import exact_polys, rand_poly
 
 
@@ -512,3 +513,29 @@ def test_save_poly_writes_the_zero_polynomial(tmp_path):
         for field in (EXACT, FLOAT):
             save_poly(Poly.zero(d, field), tmp_path / "z.json")
             assert (tmp_path / "z.json").read_text() == f'{{\n "dim": {d},\n "terms": []\n}}\n'
+
+
+@pytest.mark.parametrize("coeffs, e", [
+    ([1.5 + 1.5j, 0.1], 0),  # the modulus 2.12 does not count, only the parts
+    ([2.0, -0.75j], 1),
+    ([-3j, 1.0], 1),
+    ([5e-324], -1074),
+    ([1.7e308, 1e-300], 1023),
+    ([GaussianRational(Fraction(1, 10 ** 400))], -1329),
+    ([GaussianRational(Fraction(-7, 3), Fraction(1, 2)), GaussianRational(1)], 1),
+    ([GaussianRational(2 ** 80 - 1)], 79),
+    ([GaussianRational(0, 2 ** 80)], 80),
+])
+def test_unit_scaled_puts_the_largest_part_in_one_to_two(coeffs, e):
+    p = Poly(1, {(j,): c for j, c in enumerate(coeffs)})
+    scaled, got = unit_scaled(p)
+    assert got == e and scaled.field == p.field
+    assert 1 <= max(max(abs(c.real), abs(c.imag)) for c in scaled.terms.values()) < 2
+    if p.field == EXACT:
+        assert scaled.terms == {a: c * Fraction(2) ** -e for a, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("c", [math.nan, -math.inf, complex(1, math.nan)])
+def test_unit_scaled_refuses_a_coefficient_that_is_not_finite(c):
+    with pytest.raises(NumericalError):
+        unit_scaled(Poly(1, {(0,): 1.0, (1,): c}))

@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import connected_components
 
-from fischerlab import apolar, spectral
+from fischerlab import apolar, fischer, spectral
 from fischerlab.errors import InvalidInputError
 from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, count_monomials, enumerate_monomials,
@@ -242,6 +242,68 @@ def test_kernel_float_backend():
     assert len(basis) == 2
     for b in basis:
         assert apolar.norm(apply_diff_op((x * x + y * y).to_float(), b)) <= 1e-12
+
+
+def _dyadic_homogeneous(rng, d, k):
+    """Nonzero homogeneous pk of degree k with coefficients (a + b i)/4,
+    a, b in [-8, 8]: the float pk holds the same values."""
+    monos = enumerate_monomials(d, k)
+    part = lambda: Fraction(rng.randint(-8, 8), 4)
+    terms = {alpha: GaussianRational(part(), part()) for alpha in monos if rng.random() < 0.6}
+    terms[monos[rng.randrange(len(monos))]] = GaussianRational(1, 1)
+    return Poly(d, terms)
+
+
+def _orthonormal_rows(basis, d, m):
+    """Each polynomial's coordinates c_alpha sqrt(alpha!) on the degree-m
+    monomials: the apolar inner product is their dot product."""
+    monos = enumerate_monomials(d, m)
+    return np.array([[complex(b.coefficient(alpha)) * math.sqrt(midx_factorial(alpha))
+                      for alpha in monos] for b in basis]).reshape(len(basis), len(monos))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_float_kernel_is_apolar_orthogonal_and_spans_the_exact_kernel(rng, d):
+    top = {2: 12, 3: 9, 4: 6}[d]
+    for k in (1, 2, 3):
+        pk = _dyadic_homogeneous(rng, d, k)
+        pkf = pk.to_float()
+        for m in sorted({k, (k + top) // 2, top}):
+            basis = spectral.kernel_basis(pkf, m)
+            assert len(basis) == count_monomials(d, m) - count_monomials(d, m - k)
+            for b in basis:
+                assert apolar.norm(apply_diff_op(pkf, b)) <= 1e-12 * apolar.norm(b)
+            if not basis:
+                continue
+            rows = _orthonormal_rows(basis, d, m)
+            gram = rows.conj() @ rows.T
+            assert np.abs(gram - gram[0, 0] * np.eye(len(basis))).max() <= 1e-12 * gram[0, 0].real
+            # every exact kernel vector lies in the float basis' span
+            onb = rows / math.sqrt(gram[0, 0].real)
+            exact = _orthonormal_rows(spectral.kernel_basis(pk, m), d, m)
+            resid = exact - (exact @ onb.conj().T) @ onb
+            assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("c", [2.0 ** -700, 1.0, 2.0 ** 700])
+@pytest.mark.parametrize("pk,m", [(QUADRATICS_3D["generic"], 8), (QUADRATICS_3D["generic"], 21),
+                                  (QUADRATICS_3D["square"], 12), (FULL_CUBIC_3D, 6)])
+def test_float_slice_maps_scale_by_powers_of_two_bit_for_bit(c, pk, m):
+    # every float slice map scales pk to one power of two first, so c pk
+    # gives c times the extremes, 1/c times the pseudoinverse and the same
+    # kernel, bit for bit
+    e = math.frexp(c)[1] - 1
+    scaled = pk * c
+    want = [math.ldexp(s, e).hex() for s in spectral.sigma_extremes(pk, m)]
+    assert [s.hex() for s in spectral.sigma_extremes(scaled, m)] == want
+    if m > 12:
+        return
+    pinv = fischer.slice_projector(pk, m).pinv
+    want = np.empty_like(pinv)
+    want.real, want.imag = np.ldexp(pinv.real, -e), np.ldexp(pinv.imag, -e)
+    assert fischer.slice_projector(scaled, m).pinv.tobytes() == want.tobytes()
+    assert ([repr(b.sorted_terms()) for b in spectral.kernel_basis(scaled, m)]
+            == [repr(b.sorted_terms()) for b in spectral.kernel_basis(pk, m)])
 
 
 def test_classify_degenerate_121():
