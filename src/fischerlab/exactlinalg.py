@@ -1,14 +1,17 @@
 """Linear solves: one fraction-free exact kernel and a diagnosed float path.
 
-:func:`exact_rref` scales rows of Gaussian rationals to Gaussian integers
-held as ``(re, im)`` int pairs and runs Bareiss elimination (Math. Comp. 22,
-1968) over Z[i]: every entry stays a subdeterminant, so dividing by the
-previous pivot is exact.  Back-substitution is scaled by the last pivot,
-the pivot minor's determinant, so only returned entries are rationals.
-:func:`bareiss_solve` and :func:`exact_nullspace` read the reduced form.
-The float path is a rank-revealing least-squares solve that raises
-:class:`ConditioningError` instead of returning garbage; every float
-solve's condition passes the one gate of :func:`checked_condition`.
+The exact kernel works on Gaussian integers held as ``(re, im)`` int
+pairs: callers bring their rows over a common denominator first (the
+kernel and the reduced form do not change when a row is scaled).
+Bareiss elimination (Math. Comp. 22, 1968) runs over Z[i]: every entry
+stays a subdeterminant, so dividing by the previous pivot is exact.
+Back-substitution is scaled by the last pivot, the pivot minor's
+determinant, so only returned entries are rationals, each built once.
+:func:`exact_rref`, :func:`bareiss_solve` and :func:`exact_nullspace`
+share the one elimination.  The float path is a rank-revealing
+least-squares solve that raises :class:`ConditioningError` instead of
+returning garbage; every float solve's condition passes the one gate of
+:func:`checked_condition`.
 """
 
 from __future__ import annotations
@@ -32,28 +35,9 @@ def _divisor(re, im):
     return re // g, -im // g, (re * re + im * im) // g
 
 
-def bareiss_solve(rows, rhs):
-    """Solve A x = b exactly; returns None if A is singular.
-
-    ``rows`` is a list of lists of GaussianRational (square), ``rhs`` a
-    list of the same length.  x is column n of the reduced ``[A | b]``.
-    """
-    n = len(rows)
-    mat, pivots = exact_rref([list(row) + [b] for row, b in zip(rows, rhs)], n + 1)
-    return [row[n] for row in mat] if pivots == list(range(n)) else None
-
-
-def exact_rref(rows, ncols):
-    """Reduced row echelon form over the Gaussian rationals.
-
-    ``ncols`` is the row length (the column count when ``rows`` is empty).
-    Returns (reduced rows, pivot column indices).
-    """
-    mat = []
-    for row in rows:
-        parts = [c.parts() for c in row]
-        scale = math.lcm(*(den for _, _, den in parts))
-        mat.append([(re * (scale // den), im * (scale // den)) for re, im, den in parts])
+def _eliminate(mat, ncols) -> list:
+    """Fraction-free forward elimination of the int-pair rows ``mat`` in
+    place; returns the pivot columns.  Rows at and past the rank end zero."""
     pivots = []
     qr, qi, qn = 1, 0, 1  # divisor of the previous pivot
     for col in range(ncols):
@@ -75,31 +59,65 @@ def exact_rref(rows, ncols):
             row[col] = (0, 0)
         qr, qi, qn = _divisor(pr, pi)
         pivots.append(col)
+    return pivots
+
+
+def _reduced_column(mat, pivots, j, den=1) -> list:
+    """Column j of the reduced form of the eliminated ``mat``, divided by
+    den, in the rows whose pivot lies left of j: GaussianRationals, one
+    ``from_parts`` per nonzero entry."""
     # det = last pivot; det * (reduced column j) lies in Z[i] (Cramer's rule)
     dr, di = mat[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
-    dn = dr * dr + di * di
+    dn = (dr * dr + di * di) * den
+    top = sum(pc < j for pc in pivots)
+    x = [None] * top
+    out = [_ZERO] * top
+    for i in range(top - 1, -1, -1):
+        ar, ai = mat[i][j]
+        sr, si = dr * ar - di * ai, dr * ai + di * ar
+        for k in range(i + 1, top):
+            ur, ui = mat[i][pivots[k]]
+            xr, xi = x[k]
+            sr -= ur * xr - ui * xi
+            si -= ur * xi + ui * xr
+        ur, ui, un = _divisor(*mat[i][pivots[i]])
+        xr, xi = x[i] = ((sr * ur - si * ui) // un, (sr * ui + si * ur) // un)
+        if xr or xi:
+            out[i] = GaussianRational.from_parts(xr * dr + xi * di, xi * dr - xr * di, dn)
+    return out
+
+
+def bareiss_solve(rows, rhs, den=1):
+    """Solve A x = b / den exactly; returns None if A is singular.
+
+    ``rows`` (square) and ``rhs`` hold Gaussian integers as (re, im) int
+    pairs and den is a positive int; x is a list of GaussianRational.
+    """
+    n = len(rows)
+    mat = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = _eliminate(mat, n + 1)
+    return _reduced_column(mat, pivots, n, den) if pivots == list(range(n)) else None
+
+
+def exact_rref(rows, ncols):
+    """Reduced row echelon form of int-pair rows over the Gaussian rationals.
+
+    ``ncols`` is the row length (the column count when ``rows`` is empty).
+    Returns (reduced rows of GaussianRational, pivot column indices).
+    """
+    mat = [list(row) for row in rows]
+    pivots = _eliminate(mat, ncols)
     out = [[_ONE if j == pc else _ZERO for j in range(ncols)] for pc in pivots]
     out += [[_ZERO] * ncols for _ in mat[len(pivots):]]
     for j in sorted(set(range(ncols)).difference(pivots)):
-        top = sum(pc < j for pc in pivots)
-        x = [None] * top
-        for i in range(top - 1, -1, -1):
-            ar, ai = mat[i][j]
-            sr, si = dr * ar - di * ai, dr * ai + di * ar
-            for k in range(i + 1, top):
-                ur, ui = mat[i][pivots[k]]
-                xr, xi = x[k]
-                sr -= ur * xr - ui * xi
-                si -= ur * xi + ui * xr
-            ur, ui, un = _divisor(*mat[i][pivots[i]])
-            xr, xi = x[i] = ((sr * ur - si * ui) // un, (sr * ui + si * ur) // un)
-            if xr or xi:
-                out[i][j] = GaussianRational.from_parts(xr * dr + xi * di, xi * dr - xr * di, dn)
+        for row, v in zip(out, _reduced_column(mat, pivots, j)):
+            row[j] = v
     return out, pivots
 
 
 def exact_nullspace(rows, ncols):
-    """Basis of the nullspace of A over the Gaussian rationals.
+    """Basis of the nullspace of A, given as int-pair rows, over the
+    Gaussian rationals.
 
     One vector per free column: the free coordinate is 1 and pivot
     coordinates are read off the reduced form, giving a deterministic

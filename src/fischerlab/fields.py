@@ -207,6 +207,16 @@ def _quotient(ar, ai, d, br, bi, e):
                        d * (br * br + bi * bi))
 
 
+def gaussian_integers(values) -> tuple:
+    """(numerators, den): the Gaussian rationals ``values`` as (re, im) int
+    pairs over one denominator, the lcm of theirs (1 for no values), so
+    that values[i] == (re_i + i im_i) / den."""
+    parts = [c.parts() for c in values]
+    den = math.lcm(*(d for _, _, d in parts))
+    return [(re, im) if d == den else (re * (den // d), im * (den // d))
+            for re, im, d in parts], den
+
+
 def is_exact_scalar(c) -> bool:
     return isinstance(c, (GaussianRational, int, Fraction))
 

@@ -30,7 +30,10 @@ Multiplication by P_k and P_k*(D) are apolar adjoints, so in the
 orthonormal basis z^alpha/sqrt(alpha!) the slice matrix of
 q |-> P_k*(D)(P_k q) is M^H M, M the multiplication matrix, and the
 projection of a homogeneous f_m is q = M^+ f_m.  Exact slices solve the
-raw-basis slice matrix (``fischer_matrix``), weights kept exact.  Float
+raw-basis slice matrix (``fischer_matrix``) in Gaussian integers: pk's
+coefficients over their common denominator D, the exact weights and so
+the matrix times D^2 and pk*(D) times D^2 are integer, and each right-hand
+side goes over f_m's common denominator.  Float
 slices take one SVD of M (``orthonormal_operator``, shared with float
 ``spectral.kernel_basis``) into a cached pseudoinverse (``slice_projector``);
 Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.  Each
@@ -46,30 +49,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from . import apolar
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .exactlinalg import bareiss_solve, checked_condition, ldexp_normal
-from .fields import EXACT, FLOAT
+from .fields import EXACT, FLOAT, gaussian_integers
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial, mult_entries,
                       mult_pattern, require_nonzero_homogeneous, unit_scaled)
 
 
 @dataclass(frozen=True)
 class FischerMatrix:
-    """Matrix of q |-> pk*(D)(pk q) on one homogeneous slice.
+    """Matrix of q |-> pk*(D)(pk q) on one homogeneous slice, for exact pk.
 
     Rows and columns are indexed by ``basis`` (the graded-lex monomials
-    of degree m - deg pk) in the raw monomial basis, with entries in pk's
-    field.  The map is self-adjoint and positive definite for the
-    alpha!-weighted inner product, being of the form M^H M with M
-    injective.
+    of degree m - deg pk) in the raw monomial basis.  ``rows`` holds the
+    entries times ``den`` as Gaussian integers, (re, im) int pairs; den is
+    D^2, D the common denominator of pk's coefficients.  ``adjoint`` holds
+    pk*(D) from slice m to the basis times den as sparse integer columns:
+    each exponent delta of degree m maps to the (i, re, im) with
+    (re + i im) / den the coefficient of z^basis[i] in pk*(D) z^delta,
+    and to nothing when that image is 0.  The map is self-adjoint and
+    positive definite for the alpha!-weighted inner product, being of the
+    form M^H M with M injective.
     """
 
     basis: tuple
     rows: tuple
+    adjoint: dict
+    den: int
 
 
 @dataclass
@@ -92,29 +103,38 @@ def _slice_degree(pk: Poly, m: int) -> int:
 
 
 def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
-    """Assemble the degree-m normal-equations matrix for homogeneous pk.
+    """Assemble the degree-m normal-equations matrix for homogeneous exact pk.
 
     Entry (i, j) is the coefficient of z^beta_i in pk*(D)(pk z^beta_j):
     the sum of conj(c) c' delta!/beta_i! over the terms c z^gamma,
     c' z^gamma' of pk with beta_i + gamma = delta = beta_j + gamma', read
     from ``mult_pattern`` by grouping its entries by their row delta.
+    With c = n / D for Gaussian integers n, the sums run over the ints
+    conj(n) n' delta!/beta_i!, the entries times D^2.
     """
     basis = tuple(enumerate_monomials(pk.dim, _slice_degree(pk, m)))
-    coeffs = [c for _, c in pk.sorted_terms()]
-    products = [[c.conjugate() * c2 for c2 in coeffs] for c in coeffs]
+    if pk.field != EXACT:
+        raise InvalidInputError("the exact slice matrix needs exact pk")
+    nums, d = gaussian_integers(c for _, c in pk.sorted_terms())
     rows, weights = mult_pattern(pk, basis)
+    # per row delta: (i, conj(n) w) of pk*(D) and (i, n) of pk, i = beta's index
     by_row = {}
-    for j, (row_j, weight_j) in enumerate(zip(rows.tolist(), weights.tolist())):
-        for a, (delta, w) in enumerate(zip(row_j, weight_j)):
-            by_row.setdefault(delta, []).append((j, a, w))
-    zero = coeffs[0] - coeffs[0]  # 0 in pk's field
-    mat = [[zero] * len(basis) for _ in basis]
+    for i, (row_i, weight_i) in enumerate(zip(rows.tolist(), weights.tolist())):
+        for delta, w, (nr, ni) in zip(row_i, weight_i, nums):
+            by_row.setdefault(delta, []).append((i, nr * w, -ni * w, nr, ni))
+    mat_re = [[0] * len(basis) for _ in basis]
+    mat_im = [[0] * len(basis) for _ in basis]
     for entries in by_row.values():
-        for i, a, w in entries:
-            row, prod = mat[i], products[a]
-            for j, a2, _ in entries:
-                row[j] += prod[a2] * w
-    return FischerMatrix(basis, tuple(map(tuple, mat)))
+        for i, cr, ci, _, _ in entries:
+            row_re, row_im = mat_re[i], mat_im[i]
+            for j, _, _, nr, ni in entries:
+                row_re[j] += cr * nr - ci * ni
+                row_im[j] += cr * ni + ci * nr
+    top = enumerate_monomials(pk.dim, m)
+    adjoint = {top[delta]: tuple((i, cr * d, ci * d) for i, cr, ci, _, _ in entries)
+               for delta, entries in by_row.items()}
+    return FischerMatrix(basis, tuple(tuple(zip(re, im)) for re, im in zip(mat_re, mat_im)),
+                         adjoint, d * d)
 
 
 @dataclass(frozen=True)
@@ -154,25 +174,27 @@ class SliceProjector:
     condition: float
 
 
-def orthonormal_operator(pk: Poly, m: int, tables=None):
+def orthonormal_operator(pk: Poly, m: int, tables=None, unit=None):
     """(M, e, degree-m table, degree m - k table): the dense matrix M of
     multiplication by 2^-e pk (``unit_scaled``) between the orthonormal
     slices m - k and m; ``tables`` (degree -> ``DegreeTable``) lends or
-    receives the two tables."""
+    receives the two tables, and ``unit``, when given, is pk's
+    ``unit_scaled`` pair, taken once for many slices."""
     tables = {} if tables is None else tables
     src, low = (tables[n] if n in tables else tables.setdefault(n, degree_table(pk.dim, n))
                 for n in (m, _slice_degree(pk, m)))
-    scaled, e = unit_scaled(pk)
+    scaled, e = unit_scaled(pk) if unit is None else unit
     rows, cols, vals = mult_entries(scaled, low.monomials)
     mult = np.zeros((len(src.monomials), len(low.monomials)), dtype=complex)
     mult[rows, cols] = vals
     return mult, e, src, low
 
 
-def slice_projector(pk: Poly, m: int, tables=None) -> SliceProjector:
+def slice_projector(pk: Poly, m: int, tables=None, unit=None) -> SliceProjector:
     """The degree-m float projector for homogeneous pk, from one SVD of its
-    ``orthonormal_operator``; slices that share ``tables`` build each degree once."""
-    mult, e, src, low = orthonormal_operator(pk, m, tables)
+    ``orthonormal_operator``; slices that share ``tables`` and ``unit``
+    build each degree and scale pk once."""
+    mult, e, src, low = orthonormal_operator(pk, m, tables, unit)
     u, s, vh = np.linalg.svd(mult, full_matrices=False)
     cond = checked_condition(s * s, len(s), len(s))  # kappa(M^H M); refuses a low rank too
     # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
@@ -188,12 +210,13 @@ class SliceSolver:
     route but long division, the top-down ``decompose_direct`` included,
     reaches the slice operator only through :meth:`project`.
 
-    Each slice is prepared once and kept: exact slices as the matrix of
-    q |-> pk*(D)(pk q) (``fischer_matrix``), solved by Bareiss; float
-    slices as the pseudoinverse M^+ of the multiplication matrix in the
-    orthonormal basis (``slice_projector``, one SVD per slice), so that a
-    float projection is one matrix-vector product.  The float slices share
-    one dict of per-degree tables (``degree_table``: monomials, index,
+    Each slice is prepared once and kept: exact slices as the integer
+    matrix of q |-> pk*(D)(pk q) and pk*(D) on slice m (``fischer_matrix``),
+    solved by Bareiss; float slices as the pseudoinverse M^+ of the
+    multiplication matrix in the orthonormal basis (``slice_projector``,
+    one SVD per slice), so that a float projection is one matrix-vector
+    product.  The float slices share pk's power-of-two scale, taken once,
+    and one dict of per-degree tables (``degree_table``: monomials, index,
     weights), so each degree is enumerated and weighted once, as the
     source of one slice and the basis of the slice k below it.  The tables
     live as long as the solver, that is for one decomposition.
@@ -207,42 +230,57 @@ class SliceSolver:
         self._projectors = {}
         self._tables = {}
 
+    @cached_property
+    def _unit(self):
+        """pk's ``unit_scaled`` pair, shared by the float slices."""
+        return unit_scaled(self.pk)
+
     def project(self, fm: Poly):
         """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous.
 
         fm is not checked: the routes project the components they split
         off themselves, and ``project_homogeneous`` checks its caller's.
         The condition is that of the float slice, kappa(M)^2; exact pk and
-        fm give an exact q and None.
+        fm give an exact q and None.  Exact slices form pk*(D) fm from the
+        matrix's integer columns over fm's common denominator and solve in
+        Gaussian integers; a float q that leaves the float range raises
+        NumericalError naming the slice.
         """
         pk = self.pk
         if fm.is_zero or fm.degree < pk.degree:
             return Poly.zero(pk.dim, fm.field), None
         m = fm.degree
         if pk.field == EXACT and fm.field == EXACT:
-            rhs = apply_diff_op(self.pk_star, fm)
-            if rhs.is_zero:
-                return Poly.zero(pk.dim, EXACT), None
             mat = self._matrices.get(m)
             if mat is None:
                 mat = self._matrices[m] = fischer_matrix(pk, m)
-            # one common denominator for b keeps it out of every row of [A | b]
-            b = [rhs.coefficient(alpha) for alpha in mat.basis]
-            den = math.lcm(*(c.parts()[2] for c in b))
-            x = bareiss_solve(mat.rows, [c * den for c in b])
+            nums, den = gaussian_integers(fm.terms.values())
+            # b = mat.den * den * pk*(D) fm, den fm's common denominator
+            b_re, b_im = [0] * len(mat.basis), [0] * len(mat.basis)
+            for alpha, (gr, gi) in zip(fm.terms, nums):
+                for i, cr, ci in mat.adjoint.get(alpha, ()):
+                    b_re[i] += cr * gr - ci * gi
+                    b_im[i] += cr * gi + ci * gr
+            if not (any(b_re) or any(b_im)):
+                return Poly.zero(pk.dim, EXACT), None
+            # (rows / mat.den) q = pk*(D) fm, i.e. rows q = b / den
+            x = bareiss_solve(mat.rows, list(zip(b_re, b_im)), den)
             if x is None:
                 raise NumericalError("projection system unexpectedly singular")
-            return Poly._canonical(pk.dim, {alpha: v / den for alpha, v in zip(mat.basis, x)
-                                            if v}, EXACT), None
+            return Poly._canonical(pk.dim, {alpha: v for alpha, v in zip(mat.basis, x) if v},
+                                   EXACT), None
         proj = self._projectors.get(m)
         if proj is None:
-            proj = self._projectors[m] = slice_projector(pk, m, self._tables)
+            proj = self._projectors[m] = slice_projector(pk, m, self._tables, self._unit)
         vec = np.zeros(len(proj.source), dtype=complex)
         for alpha, c in fm.terms.items():
             vec[proj.source[alpha]] = complex(c)
-        q = Poly._canonical(pk.dim, {a: c for a, c in zip(proj.basis, (proj.pinv @ vec).tolist())
-                                     if c}, FLOAT)
-        return q, proj.condition
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = proj.pinv @ vec
+        if not np.isfinite(q).all():
+            raise NumericalError(f"the degree-{m} slice projection exceeds the float range")
+        return Poly._canonical(pk.dim, {a: c for a, c in zip(proj.basis, q.tolist()) if c},
+                               FLOAT), proj.condition
 
 
 def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:

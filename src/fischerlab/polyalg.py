@@ -30,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, InvalidInputError, NumericalError
-from .fields import EXACT, FLOAT, GaussianRational, is_exact_scalar, to_exact
+from .fields import EXACT, FLOAT, GaussianRational, gaussian_integers, is_exact_scalar, to_exact
 
 NEG_INF = float("-inf")
 
@@ -310,6 +310,21 @@ class Poly:
         field = EXACT if self.field == EXACT and other.field == EXACT else FLOAT
         if self.is_zero or other.is_zero:
             return Poly.zero(self.dim, field)
+        if field == EXACT:
+            # Gaussian-integer numerators over da * db, one from_parts per term
+            nums_a, da = gaussian_integers(self._terms.values())
+            nums_b, db = gaussian_integers(other._terms.values())
+            sums = {}
+            for a, (ar, ai) in zip(self._terms, nums_a):
+                for b, (br, bi) in zip(other._terms, nums_b):
+                    key = tuple(map(add, a, b))
+                    s = sums.get(key)
+                    if s is None:
+                        sums[key] = [ar * br - ai * bi, ar * bi + ai * br]
+                    else:
+                        s[0] += ar * br - ai * bi
+                        s[1] += ar * bi + ai * br
+            return _from_numerators(self.dim, sums, da * db)
         acc = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
@@ -422,20 +437,36 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
 
     Each variable of q acts as the corresponding partial derivative, so on
     monomials z^alpha(D) z^beta = beta!/(beta-alpha)! z^(beta-alpha) when
-    beta >= alpha and 0 otherwise.  An exact unit coefficient of q, as in
-    the operator D^alpha, skips its product: 1 * v is v exactly.
+    beta >= alpha and 0 otherwise.  Exact q and f sum Gaussian-integer
+    numerators over the product of their common denominators and build
+    one coefficient per term of the result.
     """
     if q.dim != f.dim:
         raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {f.dim}")
-    exact = q.field == f.field == EXACT
+    if q.field == f.field == EXACT:
+        nums_q, dq = gaussian_integers(q._terms.values())
+        nums_f, df = gaussian_integers(f._terms.values())
+        sums = {}
+        for alpha, (cr, ci) in zip(q._terms, nums_q):
+            for beta, (vr, vi) in zip(f._terms, nums_f):
+                rest = midx_sub(beta, alpha)
+                if rest is None:
+                    continue
+                w = falling_product(beta, alpha)
+                s = sums.get(rest)
+                if s is None:
+                    sums[rest] = [(cr * vr - ci * vi) * w, (cr * vi + ci * vr) * w]
+                else:
+                    s[0] += (cr * vr - ci * vi) * w
+                    s[1] += (cr * vi + ci * vr) * w
+        return _from_numerators(f.dim, sums, dq * df)
     acc = {}
     for alpha, c in q._terms.items():
-        unit = exact and c == 1
         for beta, v in f._terms.items():
             rest = midx_sub(beta, alpha)
             if rest is None:
                 continue
-            w = (v if unit else c * v) * falling_product(beta, alpha)
+            w = c * v * falling_product(beta, alpha)
             if rest in acc:
                 acc[rest] = acc[rest] + w
             else:
@@ -444,12 +475,20 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
 
 
 def _from_sums(dim: int, acc: dict, field_a, field_b) -> Poly:
-    """The Poly of the term sums ``acc`` (one entry per exponent) of two
-    operands: its nonzero entries in order when both share one field,
-    else the validating constructor, which coerces mixed sums to float."""
+    """The Poly of the float term sums ``acc`` (one entry per exponent) of
+    two operands: its nonzero entries in order when both are float, else
+    the validating constructor, which coerces mixed sums to float."""
     if field_a == field_b:
         return Poly._canonical(dim, {a: c for a, c in acc.items() if c}, field_a)
     return Poly(dim, acc, field=FLOAT)
+
+
+def _from_numerators(dim: int, sums: dict, den: int) -> Poly:
+    """The exact Poly of the Gaussian-integer term sums ``sums`` (exponent
+    -> [re, im]) over den: its nonzero entries, in order."""
+    make = GaussianRational.from_parts
+    return Poly._canonical(dim, {a: make(re, im, den) for a, (re, im) in sums.items()
+                                 if re or im}, EXACT)
 
 
 def mult_pattern(pk: Poly, col_basis):
@@ -511,16 +550,21 @@ def unit_scaled(p: Poly) -> tuple:
     """(2^-e p, e) for nonzero p, e = floor(log2 t) for t the largest real
     or imaginary part of p's coefficients in modulus, so that 2^-e p has
     its largest part in [1, 2): exact coefficients scale exactly, float
-    ones by ``math.ldexp``, dropping any that underflow to 0.  A float
-    coefficient that is not finite raises NumericalError."""
+    ones by ``math.ldexp``, dropping any that underflow to 0; at e = 0 the
+    result is p itself.  A float coefficient that is not finite raises
+    NumericalError."""
     terms = p._terms
     if p.field == EXACT:
         e = max(map(_floor_log2, terms.values()))
+        if not e:
+            return p, 0
         factor = Fraction(2) ** -e
         return Poly._canonical(p.dim, {a: c * factor for a, c in terms.items()}, EXACT), e
     if not all(map(cmath.isfinite, terms.values())):
         raise NumericalError("a float coefficient is not finite")
     e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in terms.values()))[1] - 1
+    if not e:
+        return p, 0
     scaled = {a: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for a, c in terms.items()}
     return Poly._canonical(p.dim, {a: c for a, c in scaled.items() if c}, FLOAT), e
 

@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import checked_condition, exact_nullspace, ldexp_normal
-from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
+from .fields import (EXACT, FLOAT, GaussianRational, gaussian_integers, gaussian_sqrt,
+                     is_exact_scalar, to_exact)
 from .fischer import orthonormal_operator
 from .polyalg import (Poly, count_monomials, enumerate_monomials, grlex_rank, mult_entries,
                       mult_pattern, require_nonzero_homogeneous, unit_scaled, write_atomic)
@@ -360,11 +361,12 @@ def kernel_basis(pk: Poly, m: int):
     so the kernel is the orthogonal complement of pk* times slice m - k,
     of dimension count(m) - count(m - k).  Exact coefficients give an
     exact basis by row reduction of pk(D)'s raw-basis matrix, the
-    transposed pattern of ``polyalg.mult_pattern``.  Float coefficients
-    take the last count(m) - count(m - k) left singular vectors of pk*'s
-    ``fischer.orthonormal_operator``, behind the float slices' gate,
-    divided by the degree-m weights: an apolar-orthogonal basis of
-    common norm sqrt(m!).
+    transposed pattern of ``polyalg.mult_pattern``, built in Gaussian
+    integers from pk's numerators over their common denominator.  Float
+    coefficients take the last count(m) - count(m - k) left singular
+    vectors of pk*'s ``fischer.orthonormal_operator``, behind the float
+    slices' gate, divided by the degree-m weights: an apolar-orthogonal
+    basis of common norm sqrt(m!).
     """
     require_nonzero_homogeneous(pk)
     if m < 0:
@@ -380,13 +382,14 @@ def kernel_basis(pk: Poly, m: int):
         checked_condition(s * s, len(s), len(s))
         return [Poly(d, dict(zip(src.monomials, vec.tolist())), field=FLOAT)
                 for vec in (u[:, len(s):] / src.weights[:, None]).T]
-    coeffs = [c for _, c in pk.sorted_terms()]
-    zero = coeffs[0] - coeffs[0]  # 0 in pk's field
+    # the rows times the common denominator of pk's coefficients, which
+    # leaves the kernel as it is
+    nums, _ = gaussian_integers(c for _, c in pk.sorted_terms())
     ranks, weights = mult_pattern(pk, enumerate_monomials(d, m - k))
-    rows = [[zero] * len(col_basis) for _ in ranks]
+    rows = [[(0, 0)] * len(col_basis) for _ in ranks]
     for row, ranks_j, weights_j in zip(rows, ranks.tolist(), weights.tolist()):
-        for c, delta, w in zip(coeffs, ranks_j, weights_j):
-            row[delta] = c * w
+        for (nr, ni), delta, w in zip(nums, ranks_j, weights_j):
+            row[delta] = (nr * w, ni * w)
     return [Poly(d, dict(zip(col_basis, v)), field=EXACT)
             for v in exact_nullspace(rows, len(col_basis))]
 

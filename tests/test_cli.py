@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -455,6 +456,23 @@ def test_float_stream_overflow_is_numerical(files, capsys, argv):
     rc = cli.main(argv + ["--out", str(files["tmp"] / "overflow")])
     assert rc == cli.EXIT_NUMERICAL
     assert "component 2 overflowed" in capsys.readouterr().err
+
+
+def test_float_slice_overflow_names_its_slice(files, capsys):
+    # 1e-300 (z1^2 + z2^2) scales to a unit divisor, so the degree-4
+    # slice's pseudoinverse holds about 1e300 and q = M^+ f about 1e600
+    x, y = variables(2, field=FLOAT)
+    p_path, f_path = files["tmp"] / "tiny.p.json", files["tmp"] / "huge.f.json"
+    save_poly((x * x + y * y) * 1e-300, p_path)
+    save_poly(x ** 4 * 1e300, f_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["decompose", "--p", str(p_path), "--f", str(f_path),
+                       "--out", str(files["tmp"] / "overflow")])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "degree-4 slice" in err and "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_order_cli_polynomial_defaults(files, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fischerlab.errors import ConditioningError
 from fischerlab.exactlinalg import (bareiss_solve, exact_nullspace, exact_rref,
                                     float_lstsq_solve)
-from fischerlab.fields import GaussianRational
+from fischerlab.fields import GaussianRational, gaussian_integers
 
 
 def G(re, im=0):
@@ -19,16 +19,35 @@ def _mat(rows):
             for row in rows]
 
 
+def _ints(rows):
+    """Rows of Gaussian rationals as the kernel takes them: (re, im) int
+    pairs, each row scaled by the lcm of its denominators."""
+    return [gaussian_integers(row)[0] for row in rows]
+
+
+def _solve(rows, rhs):
+    """bareiss_solve on the rationals A x = b, each row of [A | b] scaled
+    to Gaussian integers."""
+    system = _ints([list(row) + [b] for row, b in zip(rows, rhs)])
+    return bareiss_solve([row[:-1] for row in system], [row[-1] for row in system])
+
+
 def test_bareiss_known_system():
     a = _mat([[2, 1], [1, 3]])
-    x = bareiss_solve(a, [G(5), G(10)])
+    x = _solve(a, [G(5), G(10)])
     assert x == [G(1), G(3)]
+
+
+def test_bareiss_divides_the_right_hand_side_by_den():
+    a = [[(2, 0), (1, 0)], [(1, 0), (3, 0)]]
+    assert bareiss_solve(a, [(5, 0), (10, 0)], 7) == [G("1/7"), G("3/7")]
+    assert bareiss_solve(a, [(5, 5), (0, 0)], 5) == [G("3/5", "3/5"), G("-1/5", "-1/5")]
 
 
 def test_bareiss_with_fractions_and_complex():
     a = [[G("1/2"), G(0, 1)], [G(1), G("1/3")]]
     b = [G(1, 1), G(0)]
-    x = bareiss_solve(a, b)
+    x = _solve(a, b)
     assert x is not None
     for row, rhs in zip(a, b):
         acc = G(0)
@@ -39,7 +58,7 @@ def test_bareiss_with_fractions_and_complex():
 
 def test_bareiss_singular_returns_none():
     a = _mat([[1, 2], [2, 4]])
-    assert bareiss_solve(a, [G(1), G(2)]) is None
+    assert _solve(a, [G(1), G(2)]) is None
 
 
 def test_bareiss_random_consistency(rng):
@@ -49,7 +68,7 @@ def test_bareiss_random_consistency(rng):
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
               for _ in range(n)] for _ in range(n)]
         b = [G(rng.randint(-5, 5)) for _ in range(n)]
-        x = bareiss_solve([row[:] for row in a], b[:])
+        x = _solve([row[:] for row in a], b[:])
         if x is None:
             continue
         for row, rhs in zip(a, b):
@@ -60,14 +79,14 @@ def test_bareiss_random_consistency(rng):
 
 
 def test_rref_pivots():
-    mat, pivots = exact_rref(_mat([[0, 2, 1], [0, 4, 2]]), 3)
+    mat, pivots = exact_rref(_ints(_mat([[0, 2, 1], [0, 4, 2]])), 3)
     assert pivots == [1]
     assert mat[0][1] == G(1)
 
 
 def test_nullspace_dimension_and_membership():
     rows = _mat([[1, 0, -1], [0, 1, 1]])
-    basis = exact_nullspace(rows, 3)
+    basis = exact_nullspace(_ints(rows), 3)
     assert len(basis) == 1
     v = basis[0]
     for row in rows:
@@ -121,7 +140,7 @@ def _matrices(draw, square=False):
 @given(_matrices())
 def test_rref_is_reduced_and_row_equivalent(system):
     rows, ncols = system
-    mat, pivots = exact_rref(rows, ncols)
+    mat, pivots = exact_rref(_ints(rows), ncols)
     rank = len(pivots)
     assert len(mat) == len(rows) and pivots == sorted(set(pivots))
     for i, pc in enumerate(pivots):
@@ -141,23 +160,23 @@ def test_rref_is_unique_under_row_permutation_and_scaling(system, rnd, scales):
     # Re(s) + 4 > 0, so every row scale is nonzero
     shuffled = [[c * (s + 4) for c in row] for row, s in zip(rows, scales)]
     rnd.shuffle(shuffled)
-    assert exact_rref(shuffled, ncols) == exact_rref(rows, ncols)
+    assert exact_rref(_ints(shuffled), ncols) == exact_rref(_ints(rows), ncols)
 
 
 @_bounded
 @given(_matrices())
 def test_rref_is_idempotent(system):
     rows, ncols = system
-    mat, pivots = exact_rref(rows, ncols)
-    assert exact_rref(mat, ncols) == (mat, pivots)
+    mat, pivots = exact_rref(_ints(rows), ncols)
+    assert exact_rref(_ints(mat), ncols) == (mat, pivots)
 
 
 @_bounded
 @given(_matrices())
 def test_nullspace_is_annihilated_and_complements_rank(system):
     rows, ncols = system
-    basis = exact_nullspace(rows, ncols)
-    assert len(basis) == ncols - len(exact_rref(rows, ncols)[1])
+    basis = exact_nullspace(_ints(rows), ncols)
+    assert len(basis) == ncols - len(exact_rref(_ints(rows), ncols)[1])
     assert all(_dot(row, v) == _ZERO for v in basis for row in rows)
 
 
@@ -166,8 +185,8 @@ def test_nullspace_is_annihilated_and_complements_rank(system):
 def test_bareiss_solves_exactly_or_reports_singular(system, rhs):
     rows, n = system
     rhs = rhs[:n]
-    x = bareiss_solve(rows, rhs)
-    assert (x is None) == (len(exact_rref(rows, n)[1]) < n)
+    x = _solve(rows, rhs)
+    assert (x is None) == (len(exact_rref(_ints(rows), n)[1]) < n)
     if x is not None:
         assert [_dot(row, x) for row in rows] == rhs
 

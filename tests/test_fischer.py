@@ -47,17 +47,23 @@ def _assert_matches_exact(res, p, f, tol):
 # ---------------------------------------------------------------------------
 # fischer_matrix
 
+def _rationals(fm):
+    """The entries of a FischerMatrix as Gaussian rationals."""
+    return tuple(tuple(GaussianRational.from_parts(re, im, fm.den) for re, im in row)
+                 for row in fm.rows)
+
+
 def test_fischer_matrix_laplacian_1x1():
     x, y = variables(2)
     fm = fischer.fischer_matrix(x * x + y * y, 2)
     assert fm.basis == ((0, 0),)
-    assert fm.rows == ((GaussianRational(4),),)
+    assert _rationals(fm) == ((GaussianRational(4),),)
 
 
 def test_fischer_matrix_univariate():
     z, = variables(1)
     fm = fischer.fischer_matrix(z * z, 2)
-    assert fm.rows == ((GaussianRational(2),),)
+    assert _rationals(fm) == ((GaussianRational(2),),)
 
 
 def test_fischer_matrix_diagonal_positive(rng):
@@ -65,7 +71,7 @@ def test_fischer_matrix_diagonal_positive(rng):
     cases = [(x * x, 3)] + [(rand_homogeneous(rng, d, 2), m) for d, m in [(2, 8), (3, 6), (4, 5)]]
     for pk, m in cases:
         fm = fischer.fischer_matrix(pk, m)
-        mat = np.array([[complex(v) for v in row] for row in fm.rows])
+        mat = np.array([[complex(v) for v in row] for row in _rationals(fm)])
         # the alpha!-weighted slice matrix is M^H M, M the multiplication
         # matrix in the orthonormal basis: Hermitian positive definite
         w = np.sqrt([midx_factorial(a) for a in fm.basis])
@@ -86,22 +92,25 @@ def test_fischer_matrix_rejects_low_degree():
         fischer.fischer_matrix(Poly.zero(2), 3)
 
 
+def test_fischer_matrix_rejects_float_pk():
+    # float slices go through slice_projector; the slice matrix is integer
+    x, y = variables(2)
+    with pytest.raises(InvalidInputError):
+        fischer.fischer_matrix((x * x).to_float(), 3)
+
+
 def _assert_columns_are_images(pk, m):
-    """Column j of fischer_matrix(pk, m) is pk*(D)(pk z^beta_j): equal for
-    exact pk, within 1e-14 of the largest coefficient for float pk."""
+    """Column j of fischer_matrix(pk, m) is pk*(D)(pk z^beta_j), and its
+    adjoint columns are pk*(D) z^delta, both exactly."""
     fm = fischer.fischer_matrix(pk, m)
-    entry = GaussianRational if pk.field == EXACT else complex
-    assert all(type(v) is entry for row in fm.rows for v in row)
+    rows = _rationals(fm)
     for j, beta in enumerate(fm.basis):
-        column = Poly(pk.dim, {alpha: row[j] for alpha, row in zip(fm.basis, fm.rows)},
-                      field=pk.field)
-        image = apply_diff_op(pk.star(), pk * Poly.monomial(pk.dim, beta, 1, field=pk.field))
-        if pk.field == EXACT:
-            assert column == image
-        else:
-            scale = max(abs(c) for c in image.terms.values())
-            assert all(abs(column.coefficient(a) - image.coefficient(a)) <= 1e-14 * scale
-                       for a in fm.basis)
+        column = Poly(pk.dim, {alpha: row[j] for alpha, row in zip(fm.basis, rows)})
+        assert column == apply_diff_op(pk.star(), pk * Poly.monomial(pk.dim, beta, 1))
+    for delta in enumerate_monomials(pk.dim, m):
+        column = Poly(pk.dim, {fm.basis[i]: GaussianRational.from_parts(re, im, fm.den)
+                               for i, re, im in fm.adjoint.get(delta, ())})
+        assert column == apply_diff_op(pk.star(), Poly.monomial(pk.dim, delta, 1))
 
 
 def test_fischer_matrix_columns_are_diff_op_images():
@@ -111,7 +120,6 @@ def test_fischer_matrix_columns_are_diff_op_images():
             pk = rand_homogeneous(rng, d, k)
             for m in range(k, k + (4 if d < 4 else 3)):
                 _assert_columns_are_images(pk, m)
-                _assert_columns_are_images(pk.to_float(), m)
 
 
 def test_fischer_matrix_past_int64_weights():
@@ -181,11 +189,12 @@ def test_project_float_matches_exact(rng):
 
 def _reference_float_projection(pk, fm):
     """The float projection by the normal equations: the slice system
-    pk*(D)(pk q) = pk*(D) fm on the fischer_matrix rows, solved by least
-    squares in the orthonormal basis; returns (q, condition)."""
+    pk*(D)(pk q) = pk*(D) fm on the rows of exact pk's fischer_matrix,
+    solved by least squares in the orthonormal basis; returns
+    (q, condition)."""
     mat = fischer.fischer_matrix(pk, fm.degree)
     weights = np.array([math.sqrt(midx_factorial(alpha)) for alpha in mat.basis])
-    a = np.array([[complex(v) for v in row] for row in mat.rows], dtype=complex)
+    a = np.array([[complex(v) for v in row] for row in _rationals(mat)], dtype=complex)
     a = a * (weights[:, None] / weights[None, :])
     rhs = apply_diff_op(pk.star(), fm).to_float()
     b = np.array([complex(rhs.coefficient(alpha)) for alpha in mat.basis]) * weights
@@ -205,7 +214,7 @@ def test_slice_projector_matches_normal_equations(rng, d):
             fm = rand_homogeneous(rng, d, m)
             for pp, ff in [(pk.to_float(), fm.to_float()), (pk, fm.to_float()),
                            (pk.to_float(), fm)]:
-                ref, ref_cond = _reference_float_projection(pp, ff)
+                ref, ref_cond = _reference_float_projection(pk, ff)
                 q, cond = fischer.SliceSolver(pp).project(ff)
                 assert q.field == FLOAT
                 assert apolar.norm(q - ref) <= 1e-12 * apolar.norm(ref)
@@ -446,6 +455,22 @@ def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
     count("degree_table")
     fischer.decompose_direct(p.to_float(), stream, 12)
     assert assembled == Counter(range(13))
+
+
+def test_float_slices_scale_pk_once(monkeypatch):
+    calls = Counter()
+    original = fischer.unit_scaled
+
+    def counting(pk):
+        calls[pk] += 1
+        return original(pk)
+
+    monkeypatch.setattr(fischer, "unit_scaled", counting)
+    x, y = variables(2, field=FLOAT)
+    stream = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
+    res = fischer.decompose_direct(3 * (x * x + y * y) - 1, stream, 12)
+    assert res.diagnostics["truncation_degree"] == 12
+    assert list(calls.values()) == [1]
 
 
 def test_exact_direct_equals_series_at_degree_14():

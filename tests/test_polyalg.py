@@ -535,6 +535,13 @@ def test_unit_scaled_puts_the_largest_part_in_one_to_two(coeffs, e):
         assert scaled.terms == {a: c * Fraction(2) ** -e for a, c in p.terms.items()}
 
 
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_unit_scaled_returns_a_unit_poly_itself(field):
+    x, y = variables(2, field=field)
+    p = x * x + y * y
+    assert unit_scaled(p) == (p, 0) and unit_scaled(p)[0] is p
+
+
 @pytest.mark.parametrize("c", [math.nan, -math.inf, complex(1, math.nan)])
 def test_unit_scaled_refuses_a_coefficient_that_is_not_finite(c):
     with pytest.raises(NumericalError):
