@@ -30,11 +30,11 @@ Multiplication by P_k and P_k*(D) are apolar adjoints, so in the
 orthonormal basis z^alpha/sqrt(alpha!) the slice matrix of
 q |-> P_k*(D)(P_k q) is M^H M, M the multiplication matrix, and the
 projection of a homogeneous f_m is q = M^+ f_m.  Exact slices solve the
-raw-basis slice matrix (``fischer_matrix``) in Gaussian integers: pk's
-coefficients over their common denominator D, the exact weights and so
-the matrix times D^2 and pk*(D) times D^2 are integer, and each right-hand
-side goes over f_m's common denominator.  Float
-slices take one SVD of M (``orthonormal_operator``, shared with float
+raw-basis slice matrix (``fischer_matrix``, which takes exact pk only) in
+Gaussian integers: pk's coefficients over their common denominator D,
+the exact weights and so the matrix times D^2 and pk*(D) times D^2 are
+integer, and each right-hand side goes over f_m's common denominator.
+Float slices take one SVD of M (``orthonormal_operator``, shared with float
 ``spectral.kernel_basis``) into a cached pseudoinverse (``slice_projector``);
 Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.  Each
 degree's monomials, their index and the weights sqrt(alpha!/m!) form one
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -111,10 +110,13 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     from ``mult_pattern`` by grouping its entries by their row delta.
     With c = n / D for Gaussian integers n, the sums run over the ints
     conj(n) n' delta!/beta_i!, the entries times D^2.
+
+    Exact pk only: float pk raises TypeError, its slices being served by
+    ``slice_projector``.
     """
-    basis = tuple(enumerate_monomials(pk.dim, _slice_degree(pk, m)))
     if pk.field != EXACT:
-        raise InvalidInputError("the exact slice matrix needs exact pk")
+        raise TypeError("fischer_matrix takes exact pk; float slices use slice_projector")
+    basis = tuple(enumerate_monomials(pk.dim, _slice_degree(pk, m)))
     nums, d = gaussian_integers(c for _, c in pk.sorted_terms())
     rows, weights = mult_pattern(pk, basis)
     # per row delta: (i, conj(n) w) of pk*(D) and (i, n) of pk, i = beta's index
@@ -174,27 +176,25 @@ class SliceProjector:
     condition: float
 
 
-def orthonormal_operator(pk: Poly, m: int, tables=None, unit=None):
+def orthonormal_operator(pk: Poly, m: int, tables=None):
     """(M, e, degree-m table, degree m - k table): the dense matrix M of
     multiplication by 2^-e pk (``unit_scaled``) between the orthonormal
     slices m - k and m; ``tables`` (degree -> ``DegreeTable``) lends or
-    receives the two tables, and ``unit``, when given, is pk's
-    ``unit_scaled`` pair, taken once for many slices."""
+    receives the two tables."""
     tables = {} if tables is None else tables
     src, low = (tables[n] if n in tables else tables.setdefault(n, degree_table(pk.dim, n))
                 for n in (m, _slice_degree(pk, m)))
-    scaled, e = unit_scaled(pk) if unit is None else unit
+    scaled, e = unit_scaled(pk)
     rows, cols, vals = mult_entries(scaled, low.monomials)
     mult = np.zeros((len(src.monomials), len(low.monomials)), dtype=complex)
     mult[rows, cols] = vals
     return mult, e, src, low
 
 
-def slice_projector(pk: Poly, m: int, tables=None, unit=None) -> SliceProjector:
+def slice_projector(pk: Poly, m: int, tables=None) -> SliceProjector:
     """The degree-m float projector for homogeneous pk, from one SVD of its
-    ``orthonormal_operator``; slices that share ``tables`` and ``unit``
-    build each degree and scale pk once."""
-    mult, e, src, low = orthonormal_operator(pk, m, tables, unit)
+    ``orthonormal_operator``; slices that share ``tables`` build each degree once."""
+    mult, e, src, low = orthonormal_operator(pk, m, tables)
     u, s, vh = np.linalg.svd(mult, full_matrices=False)
     cond = checked_condition(s * s, len(s), len(s))  # kappa(M^H M); refuses a low rank too
     # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
@@ -215,9 +215,8 @@ class SliceSolver:
     solved by Bareiss; float slices as the pseudoinverse M^+ of the
     multiplication matrix in the orthonormal basis (``slice_projector``,
     one SVD per slice), so that a float projection is one matrix-vector
-    product.  The float slices share pk's power-of-two scale, taken once,
-    and one dict of per-degree tables (``degree_table``: monomials, index,
-    weights), so each degree is enumerated and weighted once, as the
+    product.  The float slices share one dict of per-degree tables
+    (``degree_table``: monomials, index, weights), so each degree is enumerated and weighted once, as the
     source of one slice and the basis of the slice k below it.  The tables
     live as long as the solver, that is for one decomposition.
     """
@@ -229,11 +228,6 @@ class SliceSolver:
         self._matrices = {}
         self._projectors = {}
         self._tables = {}
-
-    @cached_property
-    def _unit(self):
-        """pk's ``unit_scaled`` pair, shared by the float slices."""
-        return unit_scaled(self.pk)
 
     def project(self, fm: Poly):
         """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous.
@@ -271,7 +265,7 @@ class SliceSolver:
                                    EXACT), None
         proj = self._projectors.get(m)
         if proj is None:
-            proj = self._projectors[m] = slice_projector(pk, m, self._tables, self._unit)
+            proj = self._projectors[m] = slice_projector(pk, m, self._tables)
         vec = np.zeros(len(proj.source), dtype=complex)
         for alpha, c in fm.terms.items():
             vec[proj.source[alpha]] = complex(c)

@@ -92,11 +92,12 @@ def test_fischer_matrix_rejects_low_degree():
         fischer.fischer_matrix(Poly.zero(2), 3)
 
 
-def test_fischer_matrix_rejects_float_pk():
-    # float slices go through slice_projector; the slice matrix is integer
-    x, y = variables(2)
-    with pytest.raises(InvalidInputError):
-        fischer.fischer_matrix((x * x).to_float(), 3)
+def test_fischer_matrix_rejects_float_pk_before_enumerating():
+    # float slices go through slice_projector; the slice matrix is integer.
+    # The field is checked first: slice 10^9 is never enumerated
+    x = variables(3)[0]
+    with pytest.raises(TypeError, match="exact pk"):
+        fischer.fischer_matrix((x * x).to_float(), 10 ** 9)
 
 
 def _assert_columns_are_images(pk, m):
@@ -455,22 +456,6 @@ def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
     count("degree_table")
     fischer.decompose_direct(p.to_float(), stream, 12)
     assert assembled == Counter(range(13))
-
-
-def test_float_slices_scale_pk_once(monkeypatch):
-    calls = Counter()
-    original = fischer.unit_scaled
-
-    def counting(pk):
-        calls[pk] += 1
-        return original(pk)
-
-    monkeypatch.setattr(fischer, "unit_scaled", counting)
-    x, y = variables(2, field=FLOAT)
-    stream = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
-    res = fischer.decompose_direct(3 * (x * x + y * y) - 1, stream, 12)
-    assert res.diagnostics["truncation_degree"] == 12
-    assert list(calls.values()) == [1]
 
 
 def test_exact_direct_equals_series_at_degree_14():
