@@ -17,8 +17,8 @@ from functools import lru_cache
 
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .fields import EXACT, GaussianRational, abs_sq
-from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add,
-                      midx_factorial)
+from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add, midx_factorial,
+                      unit_scaled)
 from . import sampling
 
 
@@ -83,7 +83,19 @@ def norm_sq(p: Poly):
 
 
 def norm(p: Poly) -> float:
-    return math.sqrt(float(norm_sq(p)))
+    """sqrt(<p, p>).  A nonzero float p whose square overflows or falls
+    below the normal doubles, losing bits or reading 0, is taken as
+    2^e ||2^-e p|| at ``polyalg.unit_scaled``'s e instead."""
+    if p.field == EXACT:
+        return math.sqrt(float(norm_sq(p)))
+    try:
+        sq = norm_sq(p)
+    except NumericalError:
+        sq = 0.0
+    if sq >= sys.float_info.min or p.is_zero:
+        return math.sqrt(sq)
+    scaled, e = unit_scaled(p)
+    return math.ldexp(math.sqrt(norm_sq(scaled)), e)
 
 
 # log a! = lgamma(a + 1) at index a, grown on demand by log_norm_sq

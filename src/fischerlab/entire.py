@@ -14,15 +14,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
 from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
-from .fields import EXACT, FLOAT, GaussianRational
+from .fields import EXACT, FLOAT, gaussian_integers
 from .fischer import DecompositionResult, decompose_direct
-from .polyalg import Poly, _merge_into, poly_from_dict
+from .polyalg import (Poly, _float_products, _from_numerators, _gaussian_products, _merge_into,
+                      poly_from_dict)
 
 
 class TaylorStream:
@@ -80,11 +80,11 @@ class TaylorStream:
         """Components of exp(inner), inner a polynomial with inner(0) = 0.
 
         Uses the Euler-operator recurrence m f_m = sum_j (j g_j) f_{m-j}, g_j
-        the components of inner, on plain coefficient dicts; only the
-        requested component becomes a Poly.  Exact input runs on
-        Gaussian-integer numerators: inner is scaled once by the lcm D of
-        its denominators, each f_n is kept as (re, im) integer pairs over
-        one denominator, step n sums over the common denominator
+        the components of inner, on plain coefficient dicts multiplied by
+        ``Poly``'s own product kernels; only the requested component becomes
+        a Poly.  Exact input runs on Gaussian-integer numerators: inner's
+        over the lcm D of its denominators, each f_n as (re, im) integer
+        pairs over one denominator; step n sums over the common denominator
         n D lcm(den f_{n-j}) and divides out one gcd, so components are
         exactly those of the Gaussian-rational recurrence.  Float input
         takes the recurrence's float operations in a fixed order (product,
@@ -120,8 +120,9 @@ def _pair_add(u, v):
 def _exact_exp_components(inner: Poly):
     """component(m) of exp(inner) for exact inner, on Z[i] numerators."""
     dim = inner.dim
-    scale = math.lcm(*(c.parts()[2] for c in inner.terms.values()))
-    parts = [(j, [(a, (c * scale).parts()[:2]) for a, c in gj.terms.items()])
+    nums, scale = gaussian_integers(inner.terms.values())
+    num_of = dict(zip(inner.terms, nums))
+    parts = [(j, [(a, num_of[a]) for a in gj.terms])
              for j, gj in inner.homogeneous_components().items()]
     nums = [{(0,) * dim: (1, 0)}]  # f_n = nums[n] / dens[n]
     dens = [1]
@@ -133,15 +134,9 @@ def _exact_exp_components(inner: Poly):
         acc = {}
         for j, gj, prev, den in terms:
             w = j * (lcm // den)
-            prod = {}
-            for a, (gr, gi) in gj:
-                gr, gi = w * gr, w * gi
-                for b, (fr, fi) in prev.items():
-                    key = tuple(map(add, a, b))
-                    pr, pi = gr * fr - gi * fi, gr * fi + gi * fr
-                    old = prod.get(key)
-                    prod[key] = (pr, pi) if old is None else (old[0] + pr, old[1] + pi)
-            part = {k: v for k, v in prod.items() if v != (0, 0)}
+            prod = _gaussian_products([(a, (w * gr, w * gi)) for a, (gr, gi) in gj],
+                                      prev.items())
+            part = {k: v for k, v in prod.items() if v[0] or v[1]}
             if acc:
                 _merge_into(acc, part, _pair_add, (0, 0))
             else:
@@ -154,9 +149,7 @@ def _exact_exp_components(inner: Poly):
     def comp(m):
         for n in range(len(nums), m + 1):
             step(n)
-        den = dens[m]
-        return Poly._canonical(dim, {a: GaussianRational.from_parts(re, im, den)
-                                     for a, (re, im) in nums[m].items()}, EXACT)
+        return _from_numerators(dim, nums[m], dens[m])
 
     return comp
 
@@ -174,15 +167,7 @@ def _float_exp_components(inner: Poly):
         for j, gj in parts:
             if j > n or not comps[n - j]:
                 continue
-            prev = comps[n - j]
-            prod = {}
-            for a, ca in gj:
-                for b, cb in prev.items():
-                    key = tuple(map(add, a, b))
-                    if key in prod:
-                        prod[key] = prod[key] + ca * cb
-                    else:
-                        prod[key] = ca * cb
+            prod = _float_products(gj, comps[n - j].items())
             part = {k: v * j for k, v in prod.items() if v != 0}
             if acc:
                 _merge_into(acc, part)
@@ -317,7 +302,7 @@ def blambda_norm(f: TaylorStream, lam: LambdaSeq, m_cap: int) -> WeightedNormRep
     The m = 0 term is read as ||f_0||.  The trend compares the weighted
     ratios over the last quartile of degrees: steady decay is consistent
     with membership (the defining ratio must tend to 0), a flat or rising
-    tail is not.
+    tail is not.  A sup past the double range raises NumericalError.
     """
     if m_cap < 1:
         raise InvalidInputError("m_cap must be >= 1")
@@ -336,7 +321,10 @@ def blambda_norm(f: TaylorStream, lam: LambdaSeq, m_cap: int) -> WeightedNormRep
         logs.append(t)
     best = max(logs)
     argmax = logs.index(best)
-    norm_val = math.exp(best) if not math.isinf(best) else 0.0
+    try:
+        norm_val = math.exp(best) if not math.isinf(best) else 0.0
+    except OverflowError:
+        raise NumericalError("the weighted sup norm exceeds the float range") from None
     quart = [v for v in logs[-max(2, (m_cap + 1) // 4):] if not math.isinf(v)]
     if len(quart) < 2:
         trend = "consistent-with-membership"

@@ -10,8 +10,8 @@ picks how to compute it: ``decompose_direct`` answers every divisor.
   down: q_n is the projection (``SliceSolver.project``) of the degree
   n + k part of f - (p - P_k)(q_{n+1} + q_{n+2} + ...), in either field
   and for every deg p >= 1.  ``project_homogeneous`` is its one-slice
-  case: exact input by the normal equations, float input by the
-  pseudoinverse of the multiplication matrix.
+  case, literally: the same body on homogeneous pk and fm, so it too
+  divides in d = 1.
 * ``decompose_series`` runs the iterated projection series on a
   polynomial; it terminates exactly and agrees with the direct solve by
   uniqueness.  It refuses float input with a d = 1 divisor, whose float
@@ -280,17 +280,15 @@ class SliceSolver:
 def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
     """Orthogonal split fm = pk q + r with pk*(D) r = 0, all homogeneous.
 
-    Pythagoras holds: ||fm||^2 = ||pk q||^2 + ||r||^2.
+    Pythagoras holds: ||fm||^2 = ||pk q||^2 + ||r||^2.  It is
+    ``decompose_direct`` on a homogeneous pk and fm, whose recursion then
+    projects one slice (d = 1 divides with remainder, method
+    ``"univariate"``), after the same front door plus a homogeneity check.
     """
     fm, _ = _admit(pk, fm)
     if not fm.is_homogeneous():
         raise InvalidInputError("fm must be homogeneous")
-    solver = SliceSolver(pk)
-    q, cond = solver.project(fm)
-    r = fm - pk * q if fm.degree >= pk.degree else fm
-    diag = {} if cond is None else {"condition": cond}
-    return DecompositionResult(q, r, apolar.norm(apply_diff_op(solver.pk_star, r)), "direct",
-                               diag)
+    return _decompose_direct(pk, fm, SliceSolver(pk))
 
 
 def _project_components(solver: SliceSolver, g: Poly) -> Poly:
@@ -300,7 +298,8 @@ def _project_components(solver: SliceSolver, g: Poly) -> Poly:
 
 
 def _admit(p: Poly, f, max_degree=None, series=False):
-    """(f, cap): the one front door of every route, f made ready for its body.
+    """(f, cap): the one front door of every route, f made ready for its body
+    (``project_homogeneous`` adds only its check that f is homogeneous).
 
     p must be nonzero, and f, a polynomial or a Taylor stream, must have
     p's dimension.  A stream is truncated at cap: max_degree, else its

@@ -311,30 +311,12 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly.zero(self.dim, field)
         if field == EXACT:
-            # Gaussian-integer numerators over da * db, one from_parts per term
             nums_a, da = gaussian_integers(self._terms.values())
             nums_b, db = gaussian_integers(other._terms.values())
-            sums = {}
-            for a, (ar, ai) in zip(self._terms, nums_a):
-                for b, (br, bi) in zip(other._terms, nums_b):
-                    key = tuple(map(add, a, b))
-                    s = sums.get(key)
-                    if s is None:
-                        sums[key] = [ar * br - ai * bi, ar * bi + ai * br]
-                    else:
-                        s[0] += ar * br - ai * bi
-                        s[1] += ar * bi + ai * br
+            sums = _gaussian_products(zip(self._terms, nums_a), list(zip(other._terms, nums_b)))
             return _from_numerators(self.dim, sums, da * db)
-        acc = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                key = tuple(map(add, a, b))
-                prod = ca * cb
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return _from_sums(self.dim, acc, self.field, other.field)
+        return _from_sums(self.dim, _float_products(self._terms.items(), other._terms.items()),
+                          self.field, other.field)
 
     __rmul__ = __mul__
 
@@ -472,6 +454,37 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
             else:
                 acc[rest] = w
     return _from_sums(f.dim, acc, q.field, f.field)
+
+
+def _gaussian_products(a_terms, b_terms) -> dict:
+    """Exponent sum -> [re, im]: the summed Z[i] products of two operands'
+    (exponent, (re, im)) pairs, a outer, b (re-iterable) inner, zeros kept."""
+    sums = {}
+    for a, (ar, ai) in a_terms:
+        for b, (br, bi) in b_terms:
+            key = tuple(map(add, a, b))
+            s = sums.get(key)
+            if s is None:
+                sums[key] = [ar * br - ai * bi, ar * bi + ai * br]
+            else:
+                s[0] += ar * br - ai * bi
+                s[1] += ar * bi + ai * br
+    return sums
+
+
+def _float_products(a_terms, b_terms) -> dict:
+    """Exponent sum -> coefficient: the summed products of two operands'
+    (exponent, coefficient) pairs, one side float, as _gaussian_products."""
+    acc = {}
+    for a, ca in a_terms:
+        for b, cb in b_terms:
+            key = tuple(map(add, a, b))
+            prod = ca * cb
+            if key in acc:
+                acc[key] = acc[key] + prod
+            else:
+                acc[key] = prod
+    return acc
 
 
 def _from_sums(dim: int, acc: dict, field_a, field_b) -> Poly:

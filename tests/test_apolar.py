@@ -75,6 +75,22 @@ def test_norm_scaled_monomial():
     assert apolar.norm_sq(p) == (Fraction(9, 4) + Fraction(1, 9)) * math.factorial(k)
 
 
+@pytest.mark.parametrize("c", [1e200, 3e-200j, 2.0 ** 600, 1e-170 - 1e-170j,
+                               1.2345678912345e-160])
+def test_float_norm_whose_square_leaves_the_double_range(c):
+    # ||c (z1^2 + 2 z1 z2)|| = |c| sqrt(2! + 4), though |c|^2 is inf, 0 or
+    # subnormal (1e-320 keeps 5 significant digits)
+    x, y = variables(2, field=FLOAT)
+    p = (x * x + 2 * x * y) * c
+    assert apolar.norm(p) == pytest.approx(abs(c) * math.sqrt(6), rel=1e-15, abs=0)
+    unit = x * x + 2 * x * y
+    assert apolar.norm(unit) == math.sqrt(apolar.norm_sq(unit))  # the normal path
+    if c == 2.0 ** 600:  # a power of two scales exactly
+        assert apolar.norm(p) == 2.0 ** 600 * apolar.norm(unit)
+    with pytest.raises(NumericalError):
+        apolar.norm(Poly(1, {(1,): complex(math.inf, 0)}))
+
+
 def test_adjoint_identity_example():
     x, y = variables(2)
     assert apolar.adjoint_residual(x * y, x * x * y * y, x * y) == 0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import apolar, cli, entire, fischer
@@ -491,6 +491,24 @@ def test_blambda_cli(files, capsys):
     assert payload["membership_trend"] == "consistent-with-membership"
 
 
+@pytest.mark.parametrize("stream", [
+    {"kind": "poly", "dim": 1, "terms": [{"exp": [1], "re": 1.7e308, "im": 0.0}]},
+    {"kind": "poly", "dim": 1, "terms": [{"exp": [1], "re": f"{10 ** 400}/1", "im": "0/1"}]},
+    {"kind": "exp_poly", "max_degree": 25,
+     "inner": {"dim": 1, "terms": [{"exp": [1], "re": f"{10 ** 400}/1", "im": "0/1"}]}},
+], ids=["float", "exact", "exact-exp"])
+def test_blambda_norm_past_the_double_range_is_numerical(files, capsys, stream):
+    # the weighted sup's log is finite, its exp is not: it exited 5 with an
+    # OverflowError from math.exp
+    path = files["tmp"] / "huge_stream.json"
+    path.write_text(json.dumps(stream))
+    rc = cli.main(["blambda", "--f", str(path), "--lam", "inv-log", "--mcap", "25",
+                   "--out", str(files["tmp"] / "huge")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "weighted sup norm" in capsys.readouterr().err
+    assert not (files["tmp"] / "huge").exists()
+
+
 def test_verify_cli(tmp_path):
     out = str(tmp_path / "verify.json")
     rc = cli.main(["verify", "--seed", "7", "--cases", "25",
@@ -946,8 +964,8 @@ _EDGE_CASES = {
     "ks-fit-subnormal": (Poly(2, {(1, 1): 5e-324}), None, ["ks-fit"] + _WINDOW, 4),
     "ks-fit-exact-tiny": (_sum_sq(1 / _HUGE), None, ["ks-fit"] + _WINDOW, 4),
     "decompose-tiny": (_sum_sq(1e-200), _F_EXACT.to_float(), ["decompose"], 0),
-    # the solve succeeds; the square of pk*(D) r's norm, near 1e368, overflows
-    "decompose-huge": (_sum_sq(1e200), _F_EXACT.to_float(), ["decompose"], 4),
+    # pk*(D) r's norm, near 1e184, is in range though its square is not
+    "decompose-huge": (_sum_sq(1e200), _F_EXACT.to_float(), ["decompose"], 0),
     "kernel-tiny": (_sum_sq(1e-200), None, ["kernel", "--m", "4"], 0),
     "kernel-huge": (_sum_sq(1e200), None, ["kernel", "--m", "4"], 0),
     # an exact value outside the double range meets a float
@@ -963,9 +981,9 @@ _EDGE_CASES = {
                                    ["decompose"], 4),
     "spectrum-huge-linear": (Poly(1, {(1,): _HUGE}), None,
                              ["spectrum", "--m-min", "0", "--m-max", "3"], 4),
-    # ||q|| and ||r|| near 1e-200: their squares underflow
+    # ||q|| and ||r|| near 1e-200 are in range though their squares are not
     "divide-tiny-quotient": (Poly(1, {(1,): 9.8e199 - 7.0e199j, (0,): -0.159}),
-                             Poly(1, {(1,): -0.5 - 2j}), ["decompose"], 4),
+                             Poly(1, {(1,): -0.5 - 2j}), ["decompose"], 0),
     "spectrum-long-window": (_sum_sq(1), None, ["spectrum", "--m-min", "0", "--m-max", "10"], 0),
 }
 
@@ -1039,22 +1057,50 @@ def _edge_polys(draw, d, homogeneous):
     return Poly(d, draw(st.dictionaries(exps, st.sampled_from(pool), min_size=1, max_size=3)))
 
 
+# classify2x2's scalars: no leading minus, which argparse reads as a flag
+_SCALAR_POOL = ["0", "1", "3/7", "0.5-2j", "1e200", "1e-200j", "1e300-1e300j", "5e-324",
+                "1.7e308", "2.2e-310j", str(10 ** 400), f"1/{10 ** 400}",
+                f"{10 ** 400 + 1}/{3 ** 800}"]
+
+
+@st.composite
+def _edge_streams(draw, d):
+    """A "poly" or an "exp_poly" stream of odd max_degree, as a JSON object."""
+    body = draw(_edge_polys(d, False))
+    cap = draw(st.sampled_from([1, 3, 21, 23]))
+    if draw(st.booleans()):
+        return {"kind": "poly", "max_degree": cap, **poly_to_dict(body)}
+    inner = Poly(d, {alpha: c for alpha, c in body.terms.items() if any(alpha)}, body.field)
+    return {"kind": "exp_poly", "max_degree": cap, "inner": poly_to_dict(inner)}
+
+
 @st.composite
 def _edge_calls(draw):
-    """(p, f, argv): one inner, decompose, kernel, spectrum or ks-fit call
-    in dimension 1-3, degrees <= 3 and degree windows <= 12."""
-    verb = draw(st.sampled_from(["inner", "decompose", "kernel", "spectrum", "ks-fit"]))
+    """(p, f, stream, argv): one call of any verb in dimension 1-3, degrees
+    <= 3, degree windows <= 12 and stream degrees <= 23."""
+    verb = draw(st.sampled_from(["inner", "decompose", "kernel", "spectrum", "ks-fit",
+                                 "order", "blambda", "classify2x2", "verify"]))
     d = draw(st.integers(1, 3))
     p = draw(_edge_polys(d, verb in ("kernel", "spectrum", "ks-fit")))
     f = draw(_edge_polys(d, False))
+    stream = draw(_edge_streams(d))
     backend = draw(st.sampled_from([[], ["--backend", "float"], ["--backend", "exact"]]))
     if verb in ("inner", "decompose"):
-        return p, f, [verb, "--p", "P", "--q" if verb == "inner" else "--f", "F"] + backend
+        return p, f, stream, [verb, "--p", "P", "--q" if verb == "inner" else "--f", "F"] + backend
     if verb == "kernel":
-        return p, f, [verb, "--p", "P", "--m", str(draw(st.integers(0, 12)))] + backend
+        return p, f, stream, [verb, "--p", "P", "--m", str(draw(st.integers(0, 12)))] + backend
+    if verb == "order":
+        return p, f, stream, [verb, "--f", "S", "--min-degree", str(draw(st.sampled_from([0, 3])))]
+    if verb == "blambda":
+        return p, f, stream, [verb, "--f", "S", "--mcap", str(draw(st.integers(1, 23))),
+                              "--lam", draw(st.sampled_from(["inv-log", "inv-linear", "power:2"]))]
+    if verb == "classify2x2":
+        return p, f, stream, [verb] + [draw(st.sampled_from(_SCALAR_POOL)) for _ in range(3)]
+    if verb == "verify":
+        return p, f, stream, [verb, "--p", "P", "--f", "F", "--mc-samples", "2"]
     lo = draw(st.integers(0, 9))
-    return p, f, [verb, "--p", "P", "--m-min", str(lo),
-                  "--m-max", str(draw(st.integers(lo, 12)))]
+    return p, f, stream, [verb, "--p", "P", "--m-min", str(lo),
+                          "--m-max", str(draw(st.integers(lo, 12)))]
 
 
 @pytest.fixture(scope="module")
@@ -1062,13 +1108,23 @@ def edge_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("edges")
 
 
-@settings(max_examples=100)
+# blambda's weighted sup past the double range, once exit 5
+_BLAMBDA_CALLS = [(_sum_sq(1), _F_EXACT, {"kind": kind, "max_degree": 23, **body},
+                   ["blambda", "--f", "S", "--mcap", "23", "--lam", "inv-log"])
+                  for kind, body in [("poly", poly_to_dict(Poly(1, {(1,): 1.7e308}))),
+                                     ("exp_poly", {"inner": poly_to_dict(Poly(1, {(1,): _HUGE}))})]]
+
+
+@settings(max_examples=150)
 @given(call=_edge_calls())
+@example(call=_BLAMBDA_CALLS[0])
+@example(call=_BLAMBDA_CALLS[1])
 def test_edge_values_never_exit_internal(edge_dir, call):
     # a value past the double range is a numerical failure (4), never a bug (5)
-    p, f, argv = call
-    paths = {"P": edge_dir / "p.json", "F": edge_dir / "f.json"}
+    p, f, stream, argv = call
+    paths = {"P": edge_dir / "p.json", "F": edge_dir / "f.json", "S": edge_dir / "s.json"}
     save_poly(p, paths["P"])
     save_poly(f, paths["F"])
+    paths["S"].write_text(json.dumps(stream))
     argv = [str(paths.get(a, a)) for a in argv] + ["--out", str(edge_dir / "out")]
     assert cli.main(argv) in (0, 2, 3, 4), argv

@@ -188,6 +188,29 @@ def test_project_float_matches_exact(rng):
         assert apolar.norm(diff) <= 1e-9 * max(1.0, apolar.norm(exact.q))
 
 
+@pytest.mark.parametrize("field", ["exact", "float"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_project_homogeneous_is_decompose_direct_on_one_slice(d, field):
+    # the one-slice split runs decompose_direct's recursion: the same q, r
+    # and annihilator residual, so d = 1 divides on every direct route
+    rng = random.Random(30 + d)
+    cases = [(rand_homogeneous(rng, d, rng.randint(1, 3)), rand_homogeneous(rng, d, m))
+             for m in (0, 2, 4, 5) for _ in range(2)]
+    if d == 1:
+        cases.append((Poly(1, {(3,): 0.7 + 0.3j}), Poly(1, {(7,): 1.3 - 0.2j})))
+    for pk, fm in cases:
+        if field == "float":
+            pk, fm = pk.to_float(), fm.to_float()
+        got, want = fischer.project_homogeneous(pk, fm), fischer.decompose_direct(pk, fm)
+        assert (got.q, got.r, got.method) == (want.q, want.r, want.method)
+        assert got.annihilator_residual == want.annihilator_residual
+        assert got.diagnostics == want.diagnostics
+        if d == 1:
+            assert got.method == "univariate"
+            if fm.degree >= pk.degree:  # division leaves no remainder
+                assert got.r.is_zero and got.annihilator_residual == 0.0
+
+
 def _reference_float_projection(pk, fm):
     """The float projection by the normal equations: the slice system
     pk*(D)(pk q) = pk*(D) fm on the rows of exact pk's fischer_matrix,

@@ -9,8 +9,9 @@ opened for writing outside ``polyalg.write_atomic``, only ``fields``
 reads the parts of a ``GaussianRational`` by attribute, and the
 unchecked ``Poly._canonical`` builds only results of ``polyalg``,
 ``fischer`` and ``entire``, never what a file or the command line
-supplies, and inside ``fischer`` only the front door ``_admit``
-truncates a stream or promotes f to float."""
+supplies, inside ``fischer`` only the front door ``_admit``
+truncates a stream or promotes f to float, and only ``polyalg``'s two
+product kernels sum exponents termwise (``map(add, a, b)``)."""
 
 import ast
 import importlib
@@ -35,6 +36,7 @@ TRUSTED_MODULES = {"polyalg", "fischer", "entire"}
 PARSERS = {"poly_from_dict", "stream_from_dict"}  # and every load_* function
 FRONT_DOOR = "_admit"
 PREPARATIONS = {"truncate", "to_float"}
+PRODUCT_KERNELS = {"_gaussian_products", "_float_products"}  # in polyalg
 
 
 def unused_imports(source: str) -> list:
@@ -364,3 +366,35 @@ def test_stray_preparation_is_reported():
               "    f = f.to_float() if p.field == 'float' else f\n"
               "    cut = f.truncate\n")
     assert stray_preparations(source) == ["to_float (line 5)", "truncate (line 6)"]
+
+
+def exponent_sums(source: str, module: str) -> list:
+    """Calls map(add, ...), the termwise exponent sum of a product loop,
+    outside PRODUCT_KERNELS of polyalg: add by name or as operator.add."""
+    tree = ast.parse(source)
+    allowed = {id(n) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and module == "polyalg"
+               and fn.name in PRODUCT_KERNELS for n in ast.walk(fn)}
+    return sorted(f"map(add) (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "map" and node.args
+                  and (getattr(node.args[0], "id", None) == "add"
+                       or getattr(node.args[0], "attr", None) == "add")
+                  and id(node) not in allowed)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_term_products_run_only_in_polyalg_kernels(path):
+    # Poly multiplication and the exp recurrences share one exact and one
+    # float product loop; another copy would drift from them
+    assert exponent_sums(path.read_text(), path.stem) == []
+
+
+def test_exponent_sum_is_reported():
+    source = ("from operator import add\nimport operator\n\n"
+              "def _float_products(a, b):\n"
+              "    return [tuple(map(add, x, y)) for x in a for y in b]\n\n"
+              "def step(a, b):\n"
+              "    return [tuple(map(operator.add, x, y)) for x in a for y in b]\n")
+    assert exponent_sums(source, "polyalg") == ["map(add) (line 8)"]
+    assert exponent_sums(source, "entire") == ["map(add) (line 5)", "map(add) (line 8)"]

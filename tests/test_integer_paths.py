@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fischerlab import fischer, spectral
+from fischerlab.entire import TaylorStream
 from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add,
                                 midx_factorial, midx_sub, variables)
@@ -289,6 +290,20 @@ def test_integer_loops_do_no_rational_arithmetic():
                        *spectral.kernel_basis(pk, 5)]
         assert counts["arithmetic"] == 0
         assert 0 < counts["from_parts"] <= _terms(*outputs)
+
+
+def test_exact_exp_streams_do_no_rational_arithmetic():
+    # inner's numerators come from gaussian_integers, the recurrence adds int
+    # pairs, and each component is built once from its numerators
+    rng = random.Random(30)
+    for d in (1, 2, 3):
+        for den in DENS:
+            inner = _poly(rng, d, (1, 2, 3), 4, den)
+            with _counting() as counts:
+                stream = TaylorStream.from_exp(inner)
+                outputs = [stream.component(m) for m in range(12)]
+            assert counts["arithmetic"] == 0
+            assert 0 < counts["from_parts"] <= _terms(*outputs)
 
 
 def test_the_guard_sees_rational_arithmetic():
