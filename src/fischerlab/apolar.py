@@ -85,7 +85,8 @@ def norm_sq(p: Poly):
 def norm(p: Poly) -> float:
     """sqrt(<p, p>).  A nonzero float p whose square overflows or falls
     below the normal doubles, losing bits or reading 0, is taken as
-    2^e ||2^-e p|| at ``polyalg.unit_scaled``'s e instead."""
+    2^e ||2^-e p|| at ``polyalg.unit_scaled``'s e instead; a norm itself
+    beyond the double range raises NumericalError."""
     if p.field == EXACT:
         return math.sqrt(float(norm_sq(p)))
     try:
@@ -95,7 +96,10 @@ def norm(p: Poly) -> float:
     if sq >= sys.float_info.min or p.is_zero:
         return math.sqrt(sq)
     scaled, e = unit_scaled(p)
-    return math.ldexp(math.sqrt(norm_sq(scaled)), e)
+    try:
+        return math.ldexp(math.sqrt(norm_sq(scaled)), e)
+    except OverflowError:
+        raise NumericalError("apolar norm exceeds the float range") from None
 
 
 # log a! = lgamma(a + 1) at index a, grown on demand by log_norm_sq

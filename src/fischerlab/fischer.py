@@ -284,6 +284,8 @@ def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
     ``decompose_direct`` on a homogeneous pk and fm, whose recursion then
     projects one slice (d = 1 divides with remainder, method
     ``"univariate"``), after the same front door plus a homogeneity check.
+    Its ``system_size``, as ``decompose_direct``'s, counts the monomials of
+    degree <= deg fm - deg pk, though only the top slice's are solved.
     """
     fm, _ = _admit(pk, fm)
     if not fm.is_homogeneous():

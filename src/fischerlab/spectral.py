@@ -424,11 +424,18 @@ def classify_quadratic_2d(a, b, c) -> QuadraticClass:
         degenerate = disc == 0
         is_zero = lambda v: not v
     else:
-        a, b, c = complex(a), complex(b), complex(c)
-        scale = max(abs(a), abs(b), abs(c))
+        # an exact value converts through GaussianRational, which raises
+        # NumericalError past the double range
+        a, b, c = (complex(to_exact(v)) if is_exact_scalar(v) else complex(v) for v in (a, b, c))
+        try:
+            scale = max(abs(a), abs(b), abs(c))
+        except OverflowError:
+            raise NumericalError("a coefficient's modulus exceeds the float range") from None
         if scale == 0:
             raise InvalidInputError("coefficients must not all vanish")
-        degenerate = abs(4 * a * c - b * b) <= _CLASSIFY_TOL * scale * scale
+        # the discriminant of P / scale, whose products neither overflow nor underflow
+        an, bn, cn = a / scale, b / scale, c / scale
+        degenerate = abs(4 * an * cn - bn * bn) <= _CLASSIFY_TOL
         is_zero = lambda v: abs(v) <= _CLASSIFY_TOL * scale
     square_root = None
     witness = None

@@ -89,6 +89,8 @@ def test_float_norm_whose_square_leaves_the_double_range(c):
         assert apolar.norm(p) == 2.0 ** 600 * apolar.norm(unit)
     with pytest.raises(NumericalError):
         apolar.norm(Poly(1, {(1,): complex(math.inf, 0)}))
+    with pytest.raises(NumericalError):  # finite coefficients, but 8e307 sqrt(6) is past the range
+        apolar.norm(unit * 8e307)
 
 
 def test_adjoint_identity_example():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import apolar, cli, entire, fischer
@@ -509,6 +509,16 @@ def test_blambda_norm_past_the_double_range_is_numerical(files, capsys, stream):
     assert not (files["tmp"] / "huge").exists()
 
 
+@pytest.mark.parametrize("scalars", [["0", "0.5-2j", str(10 ** 400)],
+                                     ["1.7e308+1.7e308j", "0", "1"]], ids=["exact", "float"])
+def test_classify2x2_past_the_double_range_is_numerical(tmp_path, scalars):
+    # an exact scalar beside float ones, or a float modulus, past the double
+    # range: it exited 5 with an OverflowError
+    assert cli.main(["classify2x2"] + scalars
+                    + ["--out", str(tmp_path / "c.json")]) == cli.EXIT_NUMERICAL
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_verify_cli(tmp_path):
     out = str(tmp_path / "verify.json")
     rc = cli.main(["verify", "--seed", "7", "--cases", "25",
@@ -984,6 +994,8 @@ _EDGE_CASES = {
     # ||q|| and ||r|| near 1e-200 are in range though their squares are not
     "divide-tiny-quotient": (Poly(1, {(1,): 9.8e199 - 7.0e199j, (0,): -0.159}),
                              Poly(1, {(1,): -0.5 - 2j}), ["decompose"], 0),
+    # q = -1.7e308 z1^2, whose norm 1.7e308 sqrt(2) is itself past the range
+    "divide-huge-quotient": (Poly(1, {(2,): 1.0}), Poly(1, {(4,): -1.7e308}), ["decompose"], 4),
     "spectrum-long-window": (_sum_sq(1), None, ["spectrum", "--m-min", "0", "--m-max", "10"], 0),
 }
 
@@ -1065,13 +1077,15 @@ _SCALAR_POOL = ["0", "1", "3/7", "0.5-2j", "1e200", "1e-200j", "1e300-1e300j", "
 
 @st.composite
 def _edge_streams(draw, d):
-    """A "poly" or an "exp_poly" stream of odd max_degree, as a JSON object."""
+    """A "poly" or an "exp_poly" stream of odd max_degree, as a JSON object;
+    a "poly" body, of degree <= 3, fits under its max_degree."""
     body = draw(_edge_polys(d, False))
-    cap = draw(st.sampled_from([1, 3, 21, 23]))
     if draw(st.booleans()):
-        return {"kind": "poly", "max_degree": cap, **poly_to_dict(body)}
+        return {"kind": "poly", "max_degree": draw(st.sampled_from([3, 21, 23])),
+                **poly_to_dict(body)}
     inner = Poly(d, {alpha: c for alpha, c in body.terms.items() if any(alpha)}, body.field)
-    return {"kind": "exp_poly", "max_degree": cap, "inner": poly_to_dict(inner)}
+    return {"kind": "exp_poly", "max_degree": draw(st.sampled_from([1, 3, 21, 23])),
+            "inner": poly_to_dict(inner)}
 
 
 @st.composite
@@ -1108,17 +1122,8 @@ def edge_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("edges")
 
 
-# blambda's weighted sup past the double range, once exit 5
-_BLAMBDA_CALLS = [(_sum_sq(1), _F_EXACT, {"kind": kind, "max_degree": 23, **body},
-                   ["blambda", "--f", "S", "--mcap", "23", "--lam", "inv-log"])
-                  for kind, body in [("poly", poly_to_dict(Poly(1, {(1,): 1.7e308}))),
-                                     ("exp_poly", {"inner": poly_to_dict(Poly(1, {(1,): _HUGE}))})]]
-
-
 @settings(max_examples=150)
 @given(call=_edge_calls())
-@example(call=_BLAMBDA_CALLS[0])
-@example(call=_BLAMBDA_CALLS[1])
 def test_edge_values_never_exit_internal(edge_dir, call):
     # a value past the double range is a numerical failure (4), never a bug (5)
     p, f, stream, argv = call

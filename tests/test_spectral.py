@@ -7,7 +7,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import connected_components
 
 from fischerlab import apolar, fischer, spectral
-from fischerlab.errors import InvalidInputError
+from fischerlab.errors import InvalidInputError, NumericalError
 from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, count_monomials, enumerate_monomials,
                                 midx_factorial, variables)
@@ -340,6 +340,21 @@ def test_classify_all_zero_rejected():
 def test_classify_float_tolerance():
     cls = spectral.classify_quadratic_2d(1.0, 2.0 + 1e-15, 1.0)
     assert cls.degenerate
+
+
+@pytest.mark.parametrize("c", [1e300, 1e-200])
+def test_classify_float_at_any_scale(c):
+    # 4ac - b^2 is taken of P / max |coefficient|: c^2 itself overflowed or
+    # underflowed, and c (z1^2 + z2^2) read as degenerate
+    assert not spectral.classify_quadratic_2d(c, 0.0, c).degenerate
+    assert spectral.classify_quadratic_2d(c, 2 * c, c).degenerate
+
+
+@pytest.mark.parametrize("a, b, c", [(0.5 - 2j, Fraction(10 ** 400), 1),
+                                     (1.7e308 + 1.7e308j, 0.0, 1.0)])
+def test_classify_past_the_double_range_is_numerical(a, b, c):
+    with pytest.raises(NumericalError):
+        spectral.classify_quadratic_2d(a, b, c)
 
 
 def test_classify_exact_irrational_root_falls_back_to_float():
