@@ -18,7 +18,7 @@ from functools import lru_cache
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .fields import EXACT, GaussianRational, abs_sq
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add, midx_factorial,
-                      unit_scaled)
+                      sqrt_int, unit_scaled)
 from . import sampling
 
 
@@ -83,15 +83,13 @@ def norm_sq(p: Poly):
 
 
 def norm(p: Poly) -> float:
-    """sqrt(<p, p>).  A nonzero float p whose square overflows or falls
-    below the normal doubles, losing bits or reading 0, is taken as
-    2^e ||2^-e p|| at ``polyalg.unit_scaled``'s e instead; a norm itself
-    beyond the double range raises NumericalError."""
-    if p.field == EXACT:
-        return math.sqrt(float(norm_sq(p)))
+    """sqrt(<p, p>) as a float, in either field.  A nonzero p whose square
+    as a float overflows or falls below the normal doubles, losing bits or
+    reading 0, is taken as 2^e ||2^-e p|| at ``polyalg.unit_scaled``'s e
+    instead; a norm itself beyond the double range raises NumericalError."""
     try:
-        sq = norm_sq(p)
-    except NumericalError:
+        sq = float(norm_sq(p))
+    except (NumericalError, OverflowError):  # a float square, an exact one
         sq = 0.0
     if sq >= sys.float_info.min or p.is_zero:
         return math.sqrt(sq)
@@ -217,23 +215,33 @@ def beauzamy_bound(pk: Poly, m: int) -> float:
     if pk.is_zero:
         return 0.0
     k = pk.degree
-    s = sum(math.sqrt(float(abs_sq(c))) * math.sqrt(midx_factorial(alpha))
+    s = sum(math.sqrt(float(abs_sq(c))) * sqrt_int(midx_factorial(alpha))
             for alpha, c in pk.terms.items())
     return (1 + m) ** (k / 2) * s
 
 
 def shapiro_pointwise_residual(fk: Poly, z) -> float:
-    """max(0, |fk(z)|^2 - |z|^(2k) ||fk||^2 / k!); always 0 in theory."""
+    """max(0, |fk(z)|^2 - |z|^(2k) ||fk||^2 / k!); always 0 in theory.
+
+    Past degree 170, where k! leaves the double range, the bound is
+    taken exactly and rounded once; a value beyond the range raises
+    NumericalError."""
     if not fk.is_homogeneous():
         raise InvalidInputError("fk must be homogeneous")
     if fk.is_zero:
         return 0.0
     k = fk.degree
     zt = [complex(v) for v in z]
-    val = abs(complex(fk.to_float().evaluate(zt))) ** 2
     z_norm_sq = sum(abs(v) ** 2 for v in zt)
-    bound = z_norm_sq ** k * float(norm_sq(fk)) / math.factorial(k)
-    return max(0.0, val - bound)
+    sq = norm_sq(fk)
+    try:
+        bound = z_norm_sq ** k * float(sq) / math.factorial(k)
+    except OverflowError:  # k! or ||fk||^2 past the double range
+        bound = Fraction(z_norm_sq) ** k * Fraction(sq) / math.factorial(k)
+    try:
+        return max(0.0, abs(complex(fk.to_float().evaluate(zt))) ** 2 - float(bound))
+    except OverflowError:
+        raise NumericalError("a pointwise value exceeds the float range") from None
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from . import __version__, apolar, entire, fischer, spectral
 from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
 from .fields import EXACT, GaussianRational, to_exact
-from .polyalg import (Poly, _rational_strings, enumerate_monomials, load_json, load_poly,
-                      poly_from_dict, poly_to_dict, save_poly, write_atomic)
+from .polyalg import (DIM_CAP, Poly, _rational_strings, enumerate_monomials, load_json,
+                      load_poly, poly_from_dict, poly_to_dict, save_poly, write_atomic)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", required=True)
         sp.add_argument("--m-min", type=int, default=8)
         sp.add_argument("--m-max", type=int, default=40)
-        sp.add_argument("--dim-cap", type=int, default=spectral.DEFAULT_DIM_CAP)
+        sp.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     sp = sub.add_parser("kernel", help="kernel basis of pk(D) on one slice")
     sp.add_argument("--p", required=True)

@@ -139,16 +139,25 @@ def checked_condition(sv, rank: int, ncols: int) -> float:
     singular values ``sv`` (descending) and numerical ``rank``.
 
     Raises ConditioningError when the system is numerically singular or
-    its condition exceeds _COND_LIMIT.
+    its condition exceeds _COND_LIMIT or is not a number.
     """
     if len(sv) == 0 or sv[0] == 0:
         raise ConditioningError("zero system", condition=float("inf"))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if rank < ncols or cond > _COND_LIMIT:
+    if rank < ncols or not cond <= _COND_LIMIT:
         raise ConditioningError(
             f"system too ill-conditioned (estimated condition {cond:.3e})",
             condition=cond)
     return cond
+
+
+def gram_condition(sv) -> float:
+    """checked_condition of M^H M from the singular values sv of a full
+    column rank M, descending: sv is squared at the power-of-two scale that
+    puts sv[0] in [1/2, 1), so that a square past the double range cannot
+    read as inf / inf, and every in-range ratio keeps its bits."""
+    scaled = np.ldexp(sv, -math.frexp(sv[0])[1])
+    return checked_condition(scaled * scaled, len(sv), len(sv))
 
 
 def ldexp_normal(x, e: int) -> np.ndarray:

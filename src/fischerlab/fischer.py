@@ -24,8 +24,11 @@ when p is float.  ``decompose_direct`` decomposes a stream as its
 truncation; for d >= 2 it returns q and r up to degree cap - deg p, the
 degrees of f = P q + r that the truncation at cap fixes.
 
-Every slice map of P_k reads one pattern, ``polyalg.mult_pattern``: the
-row of each term of P_k z^beta and its exact weight delta!/beta!.
+Every slice map of P_k passes one guard first, ``polyalg.check_slice``
+(P_k nonzero and homogeneous, a source degree >= 0, at most
+``polyalg.DIM_CAP`` monomials at the target degree), before any monomial
+is listed, and reads one pattern, ``polyalg.mult_pattern``: the row of
+each term of P_k z^beta and its exact weight delta!/beta!.
 Multiplication by P_k and P_k*(D) are apolar adjoints, so in the
 orthonormal basis z^alpha/sqrt(alpha!) the slice matrix of
 q |-> P_k*(D)(P_k q) is M^H M, M the multiplication matrix, and the
@@ -54,10 +57,10 @@ import numpy as np
 
 from . import apolar
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
-from .exactlinalg import bareiss_solve, checked_condition, ldexp_normal
+from .exactlinalg import bareiss_solve, gram_condition, ldexp_normal
 from .fields import EXACT, FLOAT, gaussian_integers
-from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial, mult_entries,
-                      mult_pattern, require_nonzero_homogeneous, unit_scaled)
+from .polyalg import (Poly, apply_diff_op, check_slice, enumerate_monomials, midx_factorial,
+                      mult_entries, mult_pattern, sqrt_int, unit_scaled)
 
 
 @dataclass(frozen=True)
@@ -91,16 +94,6 @@ class DecompositionResult:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _slice_degree(pk: Poly, m: int) -> int:
-    """m - deg pk, the degree of the unknowns of slice m, once pk is
-    nonzero homogeneous and m >= deg pk."""
-    require_nonzero_homogeneous(pk)
-    k = pk.degree
-    if m < k:
-        raise InvalidInputError(f"target degree {m} is below deg pk = {k}")
-    return m - k
-
-
 def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     """Assemble the degree-m normal-equations matrix for homogeneous exact pk.
 
@@ -112,11 +105,14 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     conj(n) n' delta!/beta_i!, the entries times D^2.
 
     Exact pk only: float pk raises TypeError, its slices being served by
-    ``slice_projector``.
+    ``slice_projector``.  ``polyalg.check_slice`` refuses first a pk that
+    is zero or inhomogeneous, m < deg pk and a degree m past its cap.
     """
     if pk.field != EXACT:
         raise TypeError("fischer_matrix takes exact pk; float slices use slice_projector")
-    basis = tuple(enumerate_monomials(pk.dim, _slice_degree(pk, m)))
+    n = m - pk.degree
+    check_slice(pk, n)
+    basis = tuple(enumerate_monomials(pk.dim, n))
     nums, d = gaussian_integers(c for _, c in pk.sorted_terms())
     rows, weights = mult_pattern(pk, basis)
     # per row delta: (i, conj(n) w) of pk*(D) and (i, n) of pk, i = beta's index
@@ -179,11 +175,13 @@ class SliceProjector:
 def orthonormal_operator(pk: Poly, m: int, tables=None):
     """(M, e, degree-m table, degree m - k table): the dense matrix M of
     multiplication by 2^-e pk (``unit_scaled``) between the orthonormal
-    slices m - k and m; ``tables`` (degree -> ``DegreeTable``) lends or
-    receives the two tables."""
+    slices m - k and m, behind ``check_slice`` as ``fischer_matrix``;
+    ``tables`` (degree -> ``DegreeTable``) lends or receives the two tables."""
+    n = m - pk.degree
+    check_slice(pk, n)
     tables = {} if tables is None else tables
-    src, low = (tables[n] if n in tables else tables.setdefault(n, degree_table(pk.dim, n))
-                for n in (m, _slice_degree(pk, m)))
+    src, low = (tables[j] if j in tables else tables.setdefault(j, degree_table(pk.dim, j))
+                for j in (m, n))
     scaled, e = unit_scaled(pk)
     rows, cols, vals = mult_entries(scaled, low.monomials)
     mult = np.zeros((len(src.monomials), len(low.monomials)), dtype=complex)
@@ -196,12 +194,12 @@ def slice_projector(pk: Poly, m: int, tables=None) -> SliceProjector:
     ``orthonormal_operator``; slices that share ``tables`` build each degree once."""
     mult, e, src, low = orthonormal_operator(pk, m, tables)
     u, s, vh = np.linalg.svd(mult, full_matrices=False)
-    cond = checked_condition(s * s, len(s), len(s))  # kappa(M^H M); refuses a low rank too
+    cond = gram_condition(s)  # kappa(M^H M); refuses a low rank too
     # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
     # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
     # ratios of the two tables, so no weight is a lone sqrt(alpha!)
     pinv = (((vh.conj().T / (s * low.weights[:, None])) @ (u.conj().T * src.weights))
-            * math.sqrt(math.factorial(m) // math.factorial(m - pk.degree)))
+            * sqrt_int(math.perm(m, pk.degree)))
     return SliceProjector(low.monomials, src.index, ldexp_normal(pinv, -e), cond)
 
 
@@ -222,7 +220,6 @@ class SliceSolver:
     """
 
     def __init__(self, pk: Poly):
-        require_nonzero_homogeneous(pk)
         self.pk = pk
         self.pk_star = pk.star()
         self._matrices = {}
@@ -288,8 +285,8 @@ def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
     degree <= deg fm - deg pk, though only the top slice's are solved.
     """
     fm, _ = _admit(pk, fm)
-    if not fm.is_homogeneous():
-        raise InvalidInputError("fm must be homogeneous")
+    if not (pk.is_homogeneous() and fm.is_homogeneous()):
+        raise InvalidInputError("pk and fm must be homogeneous")
     return _decompose_direct(pk, fm, SliceSolver(pk))
 
 
@@ -485,14 +482,17 @@ def _divide(p: Poly, f: Poly, pk_star: Poly, cap=None) -> DecompositionResult:
 def _division_condition(p: Poly, f: Poly, q: Poly, r: Poly) -> float:
     """(||q'|| + ||r'||) / (||q|| + ||r||) for the long division f = p q + r,
     q' and r' the division of |f| by p's moduli with every subtraction an
-    addition; 1.0 when the division subtracts nothing."""
+    addition; 1.0 when the division subtracts nothing.  A q or r past
+    the float range, or lost to underflow, raises NumericalError."""
     k = int(p.degree)
-    if k == 0 or f.is_zero or f.degree < k:
+    if f.is_zero or f.degree < k:
+        return 1.0
+    size = apolar.norm(q) + apolar.norm(r)
+    if not size:  # f's terms have underflowed out of q and r
+        raise NumericalError("the division underflows: q and r vanish in floats")
+    if k == 0:
         return 1.0
     sizes = _poly_divmod_1d(
         Poly(1, {a: abs(c) for a, c in f.terms.items()}),
         Poly(1, {a: abs(c) if a == (k,) else -abs(c) for a, c in p.terms.items()}))
-    size = apolar.norm(q) + apolar.norm(r)
-    if not size:  # f's terms have underflowed out of q and r
-        raise NumericalError("the division underflows: q and r vanish in floats")
     return sum(map(apolar.norm, sizes)) / size

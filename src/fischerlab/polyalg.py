@@ -33,6 +33,7 @@ from .errors import DimensionMismatchError, FormatError, InvalidInputError, Nume
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_integers, is_exact_scalar, to_exact
 
 NEG_INF = float("-inf")
+DIM_CAP = 20000  # the most monomials a slice map builds at its target degree
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +401,6 @@ class Poly:
         return " + ".join(bits)
 
 
-def require_nonzero_homogeneous(pk: Poly) -> None:
-    """Raise InvalidInputError unless pk is a nonzero homogeneous polynomial,
-    the leading form every slice map of the package is built from."""
-    if pk.is_zero:
-        raise InvalidInputError("pk must be nonzero")
-    if not pk.is_homogeneous():
-        raise InvalidInputError("pk must be homogeneous")
-
-
 def variables(d: int, field=EXACT):
     """Convenience tuple (z1, ..., zd) of coordinate polynomials."""
     return tuple(Poly.variable(d, j, field=field) for j in range(d))
@@ -448,7 +440,10 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
             rest = midx_sub(beta, alpha)
             if rest is None:
                 continue
-            w = c * v * falling_product(beta, alpha)
+            try:
+                w = c * v * falling_product(beta, alpha)
+            except OverflowError:  # the weight alone is past the double range
+                w = _times_int(c * v, falling_product(beta, alpha))
             if rest in acc:
                 acc[rest] = acc[rest] + w
             else:
@@ -504,6 +499,50 @@ def _from_numerators(dim: int, sums: dict, den: int) -> Poly:
                                  if re or im}, EXACT)
 
 
+def _times_int(z: complex, n: int) -> complex:
+    """z n for an int n past the double range, rounded as z * float(n)
+    would be: n rounded once at the scale 2^-s that leaves it 53 bits,
+    and the product scaled back by 2^s exactly.  A product itself past the
+    range raises NumericalError."""
+    s = n.bit_length() - 53
+    w = z * (n / (1 << s))
+    try:
+        w = complex(math.ldexp(w.real, s), math.ldexp(w.imag, s))
+        if cmath.isfinite(w):
+            return w
+    except OverflowError:
+        pass
+    raise NumericalError("a float term exceeds the float range")
+
+
+def sqrt_int(n: int) -> float:
+    """sqrt(n) for an int n >= 0, rounding n once and its root once as
+    ``math.sqrt(n)`` does, also past the double range: n is read as
+    4^s (n / 4^s), which scales both roundings exactly.  A root itself
+    past the range raises NumericalError."""
+    s = max(n.bit_length() - 1000, 0) // 2
+    try:
+        return math.ldexp(math.sqrt(n / (1 << 2 * s)), s)
+    except OverflowError:
+        raise NumericalError("a square root exceeds the float range") from None
+
+
+def check_slice(pk: Poly, m: int, dim_cap: int = DIM_CAP) -> int:
+    """k = deg pk, every slice map's first call: InvalidInputError unless pk
+    is nonzero and homogeneous, m >= 0 and multiplication by pk from degree
+    m reaches a degree m + k of at most dim_cap monomials."""
+    degrees = {sum(alpha) for alpha in pk._terms}
+    if len(degrees) != 1:
+        raise InvalidInputError("pk must be nonzero" if not degrees else "pk must be homogeneous")
+    k, = degrees
+    if m < 0:
+        raise InvalidInputError(f"no slice from degree {m} to {m + k}: degrees start at 0")
+    if count_monomials(pk.dim, m + k) > dim_cap:
+        raise InvalidInputError(f"the slice from degree {m} to {m + k} has more than {dim_cap} "
+                                f"monomials at degree {m + k}")
+    return k
+
+
 def mult_pattern(pk: Poly, col_basis):
     """(rows, weights): where multiplication by homogeneous pk sends each
     column monomial, and with what exact weight.
@@ -517,8 +556,8 @@ def mult_pattern(pk: Poly, col_basis):
     ``weights[j, a]`` is delta!/beta_j!, the exact integer falling product
     prod_i (beta_i + 1) ... (beta_i + gamma_i): int64 while
     (m + k)^k < 2^63, Python ints (object dtype) past that.  Every slice
-    map of pk reads it: ``mult_entries``, ``fischer.fischer_matrix`` and
-    ``spectral.kernel_basis``.
+    map of pk reads it, after ``check_slice``: ``mult_entries``,
+    ``fischer.fischer_matrix`` and ``spectral.kernel_basis``.
     """
     k = int(pk.degree)
     beta = np.asarray(col_basis, dtype=np.int64).reshape(-1, pk.dim)
@@ -543,11 +582,17 @@ def mult_entries(pk: Poly, col_basis):
     delta.  The entries come column by column with pk's terms in
     graded-lex order, so rows ascend within each column (CSC order).  The
     exact weight delta!/beta! is rounded to float once, then one square
-    root is taken per entry.
+    root is taken per entry, by ``sqrt_int`` past the double range.  An
+    entry past the range raises NumericalError.
     """
     rows, weights = mult_pattern(pk, col_basis)
     coeffs = np.array([complex(c) for _, c in pk.sorted_terms()], dtype=complex)
-    vals = coeffs * np.sqrt(weights.astype(float))
+    roots = (np.sqrt(weights.astype(float)) if weights.dtype != object
+             else np.array([sqrt_int(w) for w in weights.flat]).reshape(weights.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = coeffs * roots
+    if not np.isfinite(vals).all():
+        raise NumericalError("a multiplication matrix entry exceeds the float range")
     return rows.ravel(), np.repeat(np.arange(len(rows)), rows.shape[1]), vals.ravel()
 
 

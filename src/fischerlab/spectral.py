@@ -28,7 +28,8 @@ M^H M (each column of M has len(pk.terms) nonzeros), blocked by the
 connected components of its sparsity pattern.  The results agree with a
 dense SVD of pk's own M to a relative 1e-12, and a fixed seed makes
 them repeat bit for bit.  Float :func:`kernel_basis` reads the float
-slices' dense operator and condition gate.
+slices' dense operator and condition gate.  Each slice map here passes
+``polyalg.check_slice`` first, whose cap ``dim_cap`` raises.
 """
 
 from __future__ import annotations
@@ -43,20 +44,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .exactlinalg import checked_condition, exact_nullspace, ldexp_normal
+from .exactlinalg import exact_nullspace, gram_condition, ldexp_normal
 from .fields import (EXACT, FLOAT, GaussianRational, gaussian_integers, gaussian_sqrt,
                      is_exact_scalar, to_exact)
 from .fischer import orthonormal_operator
-from .polyalg import (Poly, count_monomials, enumerate_monomials, grlex_rank, mult_entries,
-                      mult_pattern, require_nonzero_homogeneous, unit_scaled, write_atomic)
+from .polyalg import (DIM_CAP, Poly, check_slice, count_monomials, enumerate_monomials,
+                      grlex_rank, mult_entries, mult_pattern, unit_scaled, write_atomic)
 
 # scipy.sparse is imported only where a sparse operator is built or ARPACK
 # runs, so that importing this module (and the CLI) does not load it, nor
 # does the spectrum of a quadratic whose blocks all go to eigvalsh
 if TYPE_CHECKING:
     from scipy.sparse import csc_array
-
-DEFAULT_DIM_CAP = 20000
 
 # Gram blocks up to this size go to a dense eigvalsh, larger ones to
 # ARPACK, which also needs size >= 3.  Measured with one BLAS thread,
@@ -100,29 +99,19 @@ class MultiplicationMatrix:
     col_basis: tuple
 
 
-def _check_operator(pk: Poly, m: int, dim_cap: int) -> None:
-    """Raise InvalidInputError unless multiplication by pk on the degree-m
-    slice is a valid operator under the dimension cap."""
-    require_nonzero_homogeneous(pk)
-    if pk.degree < 1:
-        raise InvalidInputError("pk must have degree >= 1")
-    if m < 0:
-        raise InvalidInputError("source degree must be >= 0")
-    if count_monomials(pk.dim, m + pk.degree) > dim_cap:
-        raise InvalidInputError(
-            f"slice dimension exceeds cap {dim_cap}; raise dim_cap to override")
-
-
-def mult_matrix(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> MultiplicationMatrix:
+def mult_matrix(pk: Poly, m: int, dim_cap: int = DIM_CAP) -> MultiplicationMatrix:
+    """pk's ``MultiplicationMatrix`` from degree m, for deg pk >= 1."""
     from scipy.sparse import csc_array
 
-    _check_operator(pk, m, dim_cap)
+    k = check_slice(pk, m, dim_cap)
+    if k < 1:
+        raise InvalidInputError("pk must have degree >= 1")
     col_basis = enumerate_monomials(pk.dim, m)
     rows, _, vals = mult_entries(pk, col_basis)
     # mult_entries lists each column's len(pk.terms) entries with rows ascending
     indptr = np.arange(0, len(vals) + 1, len(pk.terms))
     a = csc_array((vals, rows, indptr),
-                  shape=(count_monomials(pk.dim, m + pk.degree), len(col_basis)))
+                  shape=(count_monomials(pk.dim, m + k), len(col_basis)))
     return MultiplicationMatrix(pk, m, a, tuple(col_basis))
 
 
@@ -268,7 +257,7 @@ def _block_eig_extremes(r, c, v, labels) -> tuple:
     return min(lo), max(hi)
 
 
-def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
+def sigma_extremes(pk: Poly, m: int, dim_cap: int = DIM_CAP):
     """(sigma_min, sigma_max) of the degree-m multiplication matrix M.
 
     They are the square roots of the extreme eigenvalues of the Gram
@@ -286,14 +275,18 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DEFAULT_DIM_CAP):
     DENSE_EIG_MAX goes to a dense eigvalsh; above it ARPACK (implicitly
     restarted Arnoldi) finds the minimum by shift-invert at 0 through a
     sparse LU and the maximum directly.  Both agree with a dense SVD of
-    pk's own M to a relative 1e-12 and repeat bit for bit.
+    pk's own M to a relative 1e-12 and repeat bit for bit.  The slice
+    passes ``polyalg.check_slice`` first (``mult_matrix`` refuses a
+    constant pk); a Gram entry past the double range is a NumericalError.
     """
-    _check_operator(pk, m, dim_cap)
+    k = check_slice(pk, m, dim_cap)
     pk, e = unit_scaled(pk)
-    if pk.degree == 2:
+    if k == 2:
         entries = _normal_form_gram(_takagi_normal_form(pk), m)
     else:
         entries = _sparse_gram(mult_matrix(pk, m, dim_cap=dim_cap).matrix)
+    if not np.isfinite(entries[2]).all():
+        raise NumericalError(f"degree {m}: a Gram matrix entry exceeds the float range")
     try:
         lo, hi = _block_eig_extremes(*entries)
         return tuple(ldexp_normal([math.sqrt(lo), math.sqrt(hi)], e).tolist())
@@ -313,7 +306,7 @@ class SpectralReport:
     flags: list = dc_field(default_factory=list)
 
 
-def sweep_sigma(pk: Poly, degrees, dim_cap: int = DEFAULT_DIM_CAP):
+def sweep_sigma(pk: Poly, degrees, dim_cap: int = DIM_CAP):
     """Per-degree singular-value extremes, in the order of ``degrees``."""
     pairs = [sigma_extremes(pk, mm, dim_cap) for mm in degrees]
     lo = [p[0] for p in pairs]
@@ -321,7 +314,7 @@ def sweep_sigma(pk: Poly, degrees, dim_cap: int = DEFAULT_DIM_CAP):
     return lo, hi
 
 
-def ks_exponent_fit(pk: Poly, m_range=(8, 40), dim_cap: int = DEFAULT_DIM_CAP) -> SpectralReport:
+def ks_exponent_fit(pk: Poly, m_range=(8, 40), dim_cap: int = DIM_CAP) -> SpectralReport:
     """Least-squares fit of log sigma_min(m) = log C + (tau/2) log m.
 
     The fitted exponent is reported as-is; values above deg pk (or above
@@ -366,20 +359,18 @@ def kernel_basis(pk: Poly, m: int):
     coefficients take the last count(m) - count(m - k) left singular
     vectors of pk*'s ``fischer.orthonormal_operator``, behind the float
     slices' gate, divided by the degree-m weights: an apolar-orthogonal
-    basis of common norm sqrt(m!).
+    basis of common norm sqrt(m!).  ``polyalg.check_slice`` takes m as the
+    source degree: m >= 0, and degree m + k, above every slice built, capped.
     """
-    require_nonzero_homogeneous(pk)
-    if m < 0:
-        raise InvalidInputError("degree must be >= 0")
+    k = check_slice(pk, m)
     d = pk.dim
-    k = int(pk.degree)
     col_basis = enumerate_monomials(d, m)
     if m < k:
         return [Poly.monomial(d, alpha, 1, field=pk.field) for alpha in col_basis]
     if pk.field == FLOAT:
         mult, _, src, _ = orthonormal_operator(pk.star(), m)
         u, s, _ = np.linalg.svd(mult)
-        checked_condition(s * s, len(s), len(s))
+        gram_condition(s)
         return [Poly(d, dict(zip(src.monomials, vec.tolist())), field=FLOAT)
                 for vec in (u[:, len(s):] / src.weights[:, None]).T]
     # the rows times the common denominator of pk's coefficients, which

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings, strategies as st
 
+from fischerlab import apolar, cli, fischer, polyalg, spectral
 from fischerlab.fields import EXACT, GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials
 
@@ -63,3 +64,20 @@ def exact_homogeneous(d, m, max_terms=5):
 @pytest.fixture
 def rng():
     return random.Random(20240901)
+
+
+class Listed(Exception):
+    """Raised by a monomial listing that ``listing_fails`` patched."""
+
+
+@pytest.fixture
+def listing_fails(monkeypatch):
+    """enumerate_monomials and degree_table raise Listed, in every module
+    that holds them: a slice guard must refuse before either runs."""
+    def listed(*args, **kwargs):
+        raise Listed
+
+    for module in (polyalg, fischer, spectral, apolar, cli):
+        for name in ("enumerate_monomials", "degree_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, listed)

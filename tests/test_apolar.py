@@ -93,6 +93,19 @@ def test_float_norm_whose_square_leaves_the_double_range(c):
         apolar.norm(unit * 8e307)
 
 
+def test_exact_norm_takes_the_float_path():
+    # in range, the bits of sqrt(float(<p, p>)); a square past the double
+    # range, or below the normal doubles, is taken at a power-of-two scale
+    x, y = variables(2)
+    p = GaussianRational(Fraction(3, 7), 2) * x * x - Fraction(1, 5) * x * y
+    assert apolar.norm(p) == math.sqrt(float(apolar.norm_sq(p)))
+    tiny = Fraction(1, 10 ** 200) * (x + y)
+    assert apolar.norm(tiny) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15, abs=0)
+    assert apolar.norm(10 ** 160 * (x + y)) == pytest.approx(math.sqrt(2) * 1e160, rel=1e-15)
+    with pytest.raises(NumericalError):  # sqrt(2) 10^400 itself is past the range
+        apolar.norm(10 ** 400 * (x + y))
+
+
 def test_adjoint_identity_example():
     x, y = variables(2)
     assert apolar.adjoint_residual(x * y, x * x * y * y, x * y) == 0
@@ -208,6 +221,14 @@ def test_beauzamy_values():
     assert apolar.beauzamy_bound(x * x + y * y, 3) == pytest.approx(8 * math.sqrt(2))
 
 
+def test_beauzamy_bound_past_degree_170():
+    # sqrt(171!) is in range though 171! is not
+    x, y = variables(2, field=FLOAT)
+    root = math.exp(math.lgamma(172) / 2)
+    assert apolar.beauzamy_bound(x ** 171 + y ** 171, 2) == pytest.approx(
+        3 ** 85.5 * 2 * root, rel=1e-12)
+
+
 def test_beauzamy_dominates(rng):
     for _ in range(100):
         d = rng.randint(1, 3)
@@ -229,6 +250,18 @@ def test_shapiro_extremal_monomial():
 def test_shapiro_aligned_direction():
     x, y = variables(2)
     assert apolar.shapiro_pointwise_residual(x + y, (1, 1)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_shapiro_past_degree_170():
+    # |z|^(2k) ||fk||^2 / k! is in range though k! is not; a value that
+    # itself leaves the range is a numerical failure
+    x, y = variables(2)
+    fk = Fraction(1, 10 ** 10) * (x ** 171 + x ** 170 * y)
+    for z in [(1, 0), (0.6 - 0.2j, 1.1), (2, -1j)]:
+        assert apolar.shapiro_pointwise_residual(fk, z) <= 1e-9 * float(apolar.norm_sq(fk))
+    assert apolar.shapiro_pointwise_residual(x ** 171, (1, 0)) == 0.0  # |z1^171|^2 = 1 = bound
+    with pytest.raises(NumericalError):
+        apolar.shapiro_pointwise_residual(10 ** 200 * x, (1, 0))
 
 
 def test_shapiro_fuzz(rng):

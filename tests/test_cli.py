@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from fischerlab import apolar, cli, entire, fischer
-from fischerlab.fields import FLOAT, GaussianRational
+from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, enumerate_monomials, load_poly, poly_to_dict, save_poly,
                                 variables)
 
@@ -967,6 +968,9 @@ def _sum_sq(c):
 _F_EXACT = Poly(2, {(3, 0): GaussianRational(1, Fraction(1, 2)), (1, 2): Fraction(-1, 4),
                     (1, 0): 2, (0, 0): 1})
 _WINDOW = ["--m-min", "2", "--m-max", "6"]
+_DEG_171_EXACT = Poly(2, {(171, 0): 1, (0, 171): 1})
+_DEG_171 = _DEG_171_EXACT.to_float()
+_DEG_200 = Poly(2, {(200, 0): 1.0, (0, 200): 1.0})
 
 # (p, f or None, argv after the verb's --p/--f or --q, exit code)
 _EDGE_CASES = {
@@ -997,6 +1001,18 @@ _EDGE_CASES = {
     # q = -1.7e308 z1^2, whose norm 1.7e308 sqrt(2) is itself past the range
     "divide-huge-quotient": (Poly(1, {(2,): 1.0}), Poly(1, {(4,): -1.7e308}), ["decompose"], 4),
     "spectrum-long-window": (_sum_sq(1), None, ["spectrum", "--m-min", "0", "--m-max", "10"], 0),
+    # past degree 170 the exact weights delta!/beta! leave the double range,
+    # while their roots, and k! against ||f||^2, stay in it
+    "decompose-deg-171": (_DEG_171, Poly(2, {(174, 0): 1.0, (1, 173): 0.5}), ["decompose"], 4),
+    "decompose-deg-200": (_DEG_200, Poly(2, {(203, 0): 1.0, (1, 202): 0.5}), ["decompose"], 4),
+    "kernel-deg-171": (_DEG_171, None, ["kernel", "--m", "172"], 0),
+    "spectrum-deg-171": (_DEG_171, None, ["spectrum", "--m-min", "0", "--m-max", "3"], 4),
+    "ks-fit-deg-200": (_DEG_200, None, ["ks-fit"] + _WINDOW, 4),
+    "verify-deg-171": (_DEG_171_EXACT, _DEG_171_EXACT, ["verify", "--mc-samples", "2"], 4),
+    "verify-deg-171-tiny-f": (Poly(2, {(1, 0): 1, (0, 1): 1}),
+                              Poly(2, {(171, 0): Fraction(1, 10 ** 10),
+                                       (170, 1): Fraction(1, 10 ** 10)}),
+                              ["verify", "--mc-samples", "2"], 0),
 }
 
 
@@ -1011,6 +1027,43 @@ def test_values_at_the_edges_of_the_double_range_exit_as_documented(tmp_path, na
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
     if name == "spectrum-long-window":
         assert json.load(open(tmp_path / "out.json"))["flags"] == ["no-fit"]
+
+
+# (p, f or a stream, argv after the verb's --p/--f): each asks for a slice
+# past polyalg.DIM_CAP monomials at its target degree
+_OVERSIZED = {
+    "decompose-exact": (_sum_sq(1), Poly(2, {(10 ** 6, 0): 1}), ["decompose"]),
+    "decompose-exact-200000": (_sum_sq(1), Poly(2, {(200000, 0): 1}), ["decompose"]),
+    "decompose-float": (_sum_sq(1), Poly(2, {(10 ** 6, 0): 1}),
+                        ["decompose", "--backend", "float"]),
+    # exp(z1) cut at degree 200 in d = 3, whose top slice has C(202, 2) = 20301 monomials
+    "decompose-stream": (Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}),
+                         {"kind": "exp_poly", "max_degree": 200,
+                          "inner": {"dim": 3, "terms": [{"exp": [1, 0, 0], "re": "1/1"}]}},
+                         ["decompose"]),
+    "kernel-exact": (_sum_sq(1), None, ["kernel", "--m", "100000"]),
+    "kernel-float": (_sum_sq(1), None, ["kernel", "--m", "100000", "--backend", "float"]),
+    "spectrum": (_sum_sq(1), None, ["spectrum", "--m-min", "100000", "--m-max", "100000"]),
+    "ks-fit": (_sum_sq(1), None, ["ks-fit", "--m-min", "100000", "--m-max", "100003"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERSIZED))
+def test_oversized_slices_exit_3_before_any_monomial_is_listed(tmp_path, listing_fails, name):
+    # a listing that ran would exit 5; the refusal costs milliseconds
+    p, f, argv = _OVERSIZED[name]
+    save_poly(p, tmp_path / "p.json")
+    argv = [argv[0], "--p", str(tmp_path / "p.json")] + argv[1:]
+    if isinstance(f, Poly):
+        save_poly(f, tmp_path / "f.json")
+    elif f is not None:
+        (tmp_path / "f.json").write_text(json.dumps(f))
+    if f is not None:
+        argv += ["--f", str(tmp_path / "f.json")]
+    start = time.perf_counter()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_PRECONDITION
+    assert time.perf_counter() - start < 1.0
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_float_kernel_exits_4_when_the_condition_gate_fires(tmp_path, monkeypatch):
@@ -1069,6 +1122,22 @@ def _edge_polys(draw, d, homogeneous):
     return Poly(d, draw(st.dictionaries(exps, st.sampled_from(pool), min_size=1, max_size=3)))
 
 
+@st.composite
+def _high_degree_polys(draw, d, top, spread):
+    """A polynomial of degree top in d <= 2 variables, its 1-3 terms of
+    degrees top - spread .. top: past degree 170, where alpha! leaves the
+    double range."""
+    pool = st.sampled_from(_EXACT_POOL if draw(st.booleans()) else _FLOAT_POOL)
+
+    def exponents(n):
+        return st.integers(0, n).map(lambda a: (a, n - a) if d == 2 else (n,))
+
+    terms = draw(st.dictionaries(st.integers(top - spread, top).flatmap(exponents), pool,
+                                 max_size=2))
+    terms[draw(exponents(top))] = draw(pool)
+    return Poly(d, terms)
+
+
 # classify2x2's scalars: no leading minus, which argparse reads as a flag
 _SCALAR_POOL = ["0", "1", "3/7", "0.5-2j", "1e200", "1e-200j", "1e300-1e300j", "5e-324",
                 "1.7e308", "2.2e-310j", str(10 ** 400), f"1/{10 ** 400}",
@@ -1095,14 +1164,34 @@ def _edge_calls(draw):
     verb = draw(st.sampled_from(["inner", "decompose", "kernel", "spectrum", "ks-fit",
                                  "order", "blambda", "classify2x2", "verify"]))
     d = draw(st.integers(1, 3))
-    p = draw(_edge_polys(d, verb in ("kernel", "spectrum", "ks-fit")))
-    f = draw(_edge_polys(d, False))
+    homogeneous = verb in ("kernel", "spectrum", "ks-fit")
+    # mostly degrees <= 3; else a zero or constant p, or (verify's Reznick
+    # check visits every alpha with |alpha| <= deg p) p of degree 171-200
+    # in d <= 2 with deg f - deg p <= 3
+    shape = draw(st.sampled_from(["low"] * 5 + ["zero", "constant"]
+                                 + ["high"] * 3 * (verb != "verify")))
+    m = draw(st.integers(0, 12))
+    if shape == "high":
+        d, n = min(d, 2), draw(st.integers(171, 200))
+        p = draw(_high_degree_polys(d, n, 0 if homogeneous else 3))
+        f = draw(_high_degree_polys(d, n + draw(st.integers(0, 3)), 3))
+        m = n + draw(st.integers(-1, 3))
+    else:
+        p = {"zero": Poly.zero(d),
+             "constant": Poly.constant(d, draw(st.sampled_from(_EXACT_POOL + _FLOAT_POOL))),
+             "low": draw(_edge_polys(d, homogeneous))}[shape]
+        f = draw(_edge_polys(draw(st.sampled_from([d] * 4 + [1, 2, 3])), False))
+    if verb == "kernel" and d == 3 and p.field == EXACT and shape == "low":
+        # the exact d = 3 kernel of 400-digit coefficients takes 48 s at
+        # m = 11 (Bareiss entries carry every digit; ROADMAP item 8, bit
+        # size), 0.5 s at m = 6, so these stop at m = 4
+        m = min(m, 4)
     stream = draw(_edge_streams(d))
     backend = draw(st.sampled_from([[], ["--backend", "float"], ["--backend", "exact"]]))
     if verb in ("inner", "decompose"):
         return p, f, stream, [verb, "--p", "P", "--q" if verb == "inner" else "--f", "F"] + backend
     if verb == "kernel":
-        return p, f, stream, [verb, "--p", "P", "--m", str(draw(st.integers(0, 12)))] + backend
+        return p, f, stream, [verb, "--p", "P", "--m", str(m)] + backend
     if verb == "order":
         return p, f, stream, [verb, "--f", "S", "--min-degree", str(draw(st.sampled_from([0, 3])))]
     if verb == "blambda":
@@ -1125,11 +1214,17 @@ def edge_dir(tmp_path_factory):
 @settings(max_examples=150)
 @given(call=_edge_calls())
 def test_edge_values_never_exit_internal(edge_dir, call):
-    # a value past the double range is a numerical failure (4), never a bug (5)
+    # a value past the double range is a numerical failure (4), never a bug
+    # (5); an exact decomposition that succeeds splits f exactly
     p, f, stream, argv = call
     paths = {"P": edge_dir / "p.json", "F": edge_dir / "f.json", "S": edge_dir / "s.json"}
     save_poly(p, paths["P"])
     save_poly(f, paths["F"])
     paths["S"].write_text(json.dumps(stream))
     argv = [str(paths.get(a, a)) for a in argv] + ["--out", str(edge_dir / "out")]
-    assert cli.main(argv) in (0, 2, 3, 4), argv
+    code = cli.main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if argv[0] == "decompose" and code == 0 and p.field == f.field == EXACT \
+            and "float" not in argv:
+        q, r = (load_poly(edge_dir / f"out.{part}.json") for part in ("q", "r"))
+        assert f == p * q + r, argv

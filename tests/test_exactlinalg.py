@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fischerlab.errors import ConditioningError
-from fischerlab.exactlinalg import (bareiss_solve, exact_nullspace, exact_rref,
-                                    float_lstsq_solve)
+from fischerlab.exactlinalg import (bareiss_solve, checked_condition, exact_nullspace,
+                                    exact_rref, float_lstsq_solve, gram_condition)
 from fischerlab.fields import GaussianRational, gaussian_integers
 
 
@@ -202,3 +202,19 @@ def test_float_lstsq_rejects_singular():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ConditioningError):
         float_lstsq_solve(a, np.array([1.0, 1.0]))
+
+
+def test_gram_condition_squares_at_a_power_of_two_scale():
+    # kappa(M)^2 of singular values whose squares overflow, or underflow,
+    # is the in-range ratio; in range it keeps the bits of sv * sv
+    for sv in ([3e200, 1e200], [3e-200, 1e-200]):
+        assert gram_condition(np.array(sv)) == pytest.approx(9.0, rel=1e-15)
+    sv = np.array([7.3, 2.1, 0.4])
+    assert gram_condition(sv) == checked_condition(sv * sv, 3, 3)
+    with pytest.raises(ConditioningError):
+        gram_condition(np.array([1e7, 1.0]))
+
+
+def test_checked_condition_refuses_nan():
+    with pytest.raises(ConditioningError):
+        checked_condition(np.array([np.nan, 1.0]), 2, 2)

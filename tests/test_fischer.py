@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from fischerlab import apolar, cli, fischer, spectral
-from fischerlab.errors import ConditioningError, DimensionMismatchError, InvalidInputError
+from fischerlab.errors import (ConditioningError, DimensionMismatchError, InvalidInputError,
+                               NumericalError)
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial,
@@ -841,9 +842,17 @@ def test_every_route_rejects_f_of_another_dimension(route, field, f_kind, p_dim,
 
 def test_project_homogeneous_rejects_inhomogeneous_fm():
     x, y = variables(2)
-    for pk, fm in ((x * x + y * y, x ** 3 + y), ((x * y).to_float(), (x ** 2 - 1).to_float())):
+    for pk, fm in ((x * x + y * y, x ** 3 + y), ((x * y).to_float(), (x ** 2 - 1).to_float()),
+                   (x * x + y, x ** 3), (x * x - 1, x ** 3)):
         with pytest.raises(InvalidInputError, match="homogeneous"):
             fischer.project_homogeneous(pk, fm)
+
+
+@pytest.mark.parametrize("c,f", [(5e-324, 1.0), (1e300, 1e-300)], ids=["overflow", "underflow"])
+def test_float_constant_divisor_refuses_a_quotient_out_of_range(c, f):
+    # q = f / c is inf, or 0 with f nonzero: exit 4, never a file holding inf
+    with pytest.raises(NumericalError):
+        fischer.decompose_direct(Poly(1, {(0,): c}), Poly(1, {(1,): f}))
 
 
 @pytest.mark.parametrize("field", ["exact", "float"])

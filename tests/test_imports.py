@@ -10,12 +10,15 @@ reads the parts of a ``GaussianRational`` by attribute, and the
 unchecked ``Poly._canonical`` builds only results of ``polyalg``,
 ``fischer`` and ``entire``, never what a file or the command line
 supplies, inside ``fischer`` only the front door ``_admit``
-truncates a stream or promotes f to float, and only ``polyalg``'s two
-product kernels sum exponents termwise (``map(add, a, b)``)."""
+truncates a stream or promotes f to float, only ``polyalg``'s two
+product kernels sum exponents termwise (``map(add, a, b)``), and every
+slice map calls ``polyalg.check_slice`` before it lists a monomial,
+the one place that compares a monomial count with a cap."""
 
 import ast
 import importlib
 import importlib.util
+import math
 import re
 import subprocess
 import sys
@@ -37,6 +40,11 @@ PARSERS = {"poly_from_dict", "stream_from_dict"}  # and every load_* function
 FRONT_DOOR = "_admit"
 PREPARATIONS = {"truncate", "to_float"}
 PRODUCT_KERNELS = {"_gaussian_products", "_float_products"}  # in polyalg
+SLICE_GUARD = "check_slice"
+SLICE_MAPS = {"fischer_matrix", "orthonormal_operator", "kernel_basis", "mult_matrix",
+              "sigma_extremes"}
+LISTINGS = {"enumerate_monomials", "degree_table", "mult_pattern", "mult_entries",
+            "_normal_form_gram"}
 
 
 def unused_imports(source: str) -> list:
@@ -398,3 +406,63 @@ def test_exponent_sum_is_reported():
               "    return [tuple(map(operator.add, x, y)) for x in a for y in b]\n")
     assert exponent_sums(source, "polyalg") == ["map(add) (line 8)"]
     assert exponent_sums(source, "entire") == ["map(add) (line 5)", "map(add) (line 8)"]
+
+
+def _callee(call) -> str:
+    """The name a call calls: f(...) and obj.f(...) both give f."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def unguarded_slices(source: str) -> list:
+    """In each function of SLICE_MAPS, the calls of LISTINGS that come
+    before its first SLICE_GUARD call (all of them when it has none), and
+    anywhere outside SLICE_GUARD, a comparison of count_monomials(...)."""
+    tree = ast.parse(source)
+    hits = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        calls = sorted((n.lineno, n.col_offset, _callee(n)) for n in ast.walk(fn)
+                       if isinstance(n, ast.Call))
+        if fn.name in SLICE_MAPS:
+            guard = min(((line, col) for line, col, name in calls if name == SLICE_GUARD),
+                        default=(math.inf, 0))
+            hits += [f"{fn.name}: {name} (line {line})" for line, col, name in calls
+                     if name in LISTINGS and (line, col) < guard]
+        if fn.name != SLICE_GUARD:
+            hits += [f"{fn.name}: count_monomials compared (line {node.lineno})"
+                     for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                     and any(isinstance(side, ast.Call) and _callee(side) == "count_monomials"
+                             for side in [node.left, *node.comparators])]
+    return sorted(hits)
+
+
+def test_every_slice_map_passes_the_slice_guard_first():
+    # one guard (pk nonzero and homogeneous, m >= 0, the slice size under
+    # the cap) runs before any monomial, degree table or pattern exists;
+    # a slice map with its own check, or none, would drift from it
+    found = set()
+    for path in SOURCES:
+        source = path.read_text()
+        found |= {fn.name for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef) and fn.name in SLICE_MAPS}
+        assert unguarded_slices(source) == [], path.name
+    assert found == SLICE_MAPS
+
+
+def test_unguarded_slice_is_reported():
+    source = ("def check_slice(pk, m, cap):\n"
+              "    return count_monomials(pk.dim, m) > cap\n\n"
+              "def mult_matrix(pk, m):\n"
+              "    cols = enumerate_monomials(pk.dim, m)\n"
+              "    check_slice(pk, m, 9)\n"
+              "    return polyalg.mult_entries(pk, cols)\n\n"
+              "def kernel_basis(pk, m):\n"
+              "    return degree_table(pk.dim, m)\n\n"
+              "def sweep(pk, m, cap):\n"
+              "    if cap < polyalg.count_monomials(pk.dim, m):\n"
+              "        return mult_pattern(pk, m)\n")
+    assert unguarded_slices(source) == ["kernel_basis: degree_table (line 10)",
+                                        "mult_matrix: enumerate_monomials (line 5)",
+                                        "sweep: count_monomials compared (line 13)"]

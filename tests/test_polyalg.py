@@ -18,7 +18,7 @@ from fischerlab.fischer import SliceSolver, decompose_direct
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
                                 mult_entries, poly_from_dict, poly_to_dict, save_poly,
-                                unit_scaled, variables, write_atomic)
+                                sqrt_int, unit_scaled, variables, write_atomic)
 from conftest import exact_polys, rand_poly
 
 
@@ -141,6 +141,46 @@ def test_mult_entries_past_int64_falling_products():
         assert pk.coefficient((20, 0)) != 0
         for m in range(7):
             _assert_matches_reference(pk, m)
+
+
+def test_sqrt_int_rounds_as_math_sqrt_also_past_the_double_range():
+    rng = random.Random(171)
+    for bits in (1, 30, 53, 64, 200, 1023):
+        t = 520 if bits < 500 else 490  # 4^t n past the double range, its root not
+        for _ in range(20):
+            n = rng.getrandbits(bits) | 1
+            assert sqrt_int(n) == math.sqrt(n)
+            # 4^t n rounds as n does, and its root is 2^t times n's
+            assert sqrt_int(n << 2 * t) == math.ldexp(math.sqrt(n), t)
+    assert sqrt_int(math.factorial(171)) == pytest.approx(math.exp(math.lgamma(172) / 2),
+                                                          rel=1e-13)
+    with pytest.raises(NumericalError):  # 2^1050
+        sqrt_int(1 << 2100)
+
+
+def test_mult_entries_past_the_double_range():
+    # the weights 172!/1! and 172!/(1! 171!) leave the double range; their
+    # roots do not, and a root past it is refused
+    pk = Poly(2, {(171, 0): 1.0, (0, 171): 0.5})
+    rows, cols, vals = mult_entries(pk, [(1, 0), (0, 1)])
+    weights = [math.factorial(172), math.factorial(171), math.factorial(171), math.factorial(172)]
+    assert vals.tolist() == [c * sqrt_int(w) for c, w in zip([1, 0.5, 1, 0.5], weights)]
+    with pytest.raises(NumericalError):
+        mult_entries(Poly(1, {(400,): 1.0}), [(0,)])
+
+
+def test_float_diff_op_past_the_double_range():
+    # 171! and 172! leave the double range, c 171! does not
+    q = Poly(2, {(171, 0): 1e-300})
+    f = Poly(2, {(171, 0): 1.0, (172, 1): 2.0 - 1j})
+    got = apply_diff_op(q, f)
+    want = {(0, 0): Fraction(1e-300) * math.factorial(171),
+            (1, 1): Fraction(1e-300) * math.factorial(172) * GaussianRational(2, -1)}
+    assert got.terms.keys() == want.keys()
+    for alpha, c in want.items():
+        assert got.coefficient(alpha) == pytest.approx(complex(c), rel=1e-15)
+    with pytest.raises(NumericalError):
+        apply_diff_op(Poly(1, {(171,): 1.0}), Poly(1, {(171,): 1.0}))
 
 
 def test_difference_of_squares():

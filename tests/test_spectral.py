@@ -6,12 +6,12 @@ import pytest
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import connected_components
 
-from fischerlab import apolar, fischer, spectral
+from fischerlab import apolar, fischer, polyalg, spectral
 from fischerlab.errors import InvalidInputError, NumericalError
 from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, count_monomials, enumerate_monomials,
                                 midx_factorial, variables)
-from conftest import rand_homogeneous
+from conftest import Listed, rand_homogeneous
 
 # ARPACK gets real blocks for quadratics: a complex start vector cast to
 # real would warn here
@@ -66,6 +66,42 @@ def test_mult_matrix_respects_cap():
     x, y = variables(2)
     with pytest.raises(InvalidInputError):
         spectral.mult_matrix(x, 10, dim_cap=5)
+
+
+_SUM_SQ = Poly(2, {(2, 0): 1, (0, 2): 1})  # degree n has n + 1 monomials in d = 2
+# name -> (slice map, n minus its degree argument at target degree n: 0,
+# or k = 2 for the maps that take the source degree)
+_SLICE_MAPS = {
+    "fischer_matrix": (fischer.fischer_matrix, 0),
+    "orthonormal_operator": (lambda pk, m: fischer.orthonormal_operator(pk.to_float(), m), 0),
+    "slice_projector": (lambda pk, m: fischer.slice_projector(pk.to_float(), m), 0),
+    "kernel_basis-exact": (spectral.kernel_basis, 2),
+    "kernel_basis-float": (lambda pk, m: spectral.kernel_basis(pk.to_float(), m), 2),
+    "mult_matrix": (spectral.mult_matrix, 2),
+    "sigma_extremes": (spectral.sigma_extremes, 2),
+}
+
+
+@pytest.mark.parametrize("name", _SLICE_MAPS)
+def test_every_slice_map_refuses_one_monomial_past_the_cap_before_listing(listing_fails, name):
+    # the guard reads degree m + k: DIM_CAP + 1 monomials at n = DIM_CAP is
+    # refused before anything is listed, DIM_CAP monomials are let through
+    call, offset = _SLICE_MAPS[name]
+    n = polyalg.DIM_CAP
+    with pytest.raises(InvalidInputError, match=f"more than {n} monomials at degree {n}"):
+        call(_SUM_SQ, n - offset)
+    with pytest.raises(Listed):
+        call(_SUM_SQ, n - 1 - offset)
+
+
+@pytest.mark.parametrize("name", _SLICE_MAPS)
+@pytest.mark.parametrize("pk,n", [(Poly.zero(2), 6), (_SUM_SQ + Poly(2, {(1, 0): 1}), 6),
+                                  (_SUM_SQ, 1)], ids=["zero", "inhomogeneous", "below-deg-pk"])
+def test_every_slice_map_refuses_bad_input_before_listing(listing_fails, name, pk, n):
+    # n is the target degree; at n = 1 the source degree is -1
+    call, offset = _SLICE_MAPS[name]
+    with pytest.raises(InvalidInputError):
+        call(pk, n - offset)
 
 
 def _dense_mult_oracle(pk, m):
