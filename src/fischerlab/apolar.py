@@ -4,6 +4,10 @@ For P = sum c_alpha z^alpha and Q = sum d_alpha z^alpha the inner product
 is <P,Q> = sum alpha! c_alpha conj(d_alpha); equivalently [Q*(D)P](0).
 Multiplication by Q and the differential operator Q*(D) are adjoint to
 each other in this product, which is what the residual checkers verify.
+
+Float values past the double range follow one rule: where alpha!, a sum
+or a nonzero square leaves the normal doubles, the value is recomputed
+exactly on the dyadic values (``fields.dyadic``) and rounded once.
 """
 
 from __future__ import annotations
@@ -16,87 +20,80 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
-from .fields import EXACT, GaussianRational, abs_sq
+from .fields import EXACT, GaussianRational, abs_sq, dyadic
 from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add, midx_factorial,
-                      sqrt_int, unit_scaled)
+                      sqrt_int)
 from . import sampling
 
 
 def inner_product(p: Poly, q: Poly):
     """<p, q> = sum alpha! c_alpha conj(d_alpha); linear in the first slot.
 
-    Exact inputs give an exact Gaussian-rational value; a float value
-    beyond the double range raises NumericalError.
+    Exact inputs give an exact Gaussian-rational value, float inputs a sum
+    in floats, alpha! first so that it meets a tiny c, or past the double
+    range the exact value rounded once (NumericalError if it is past it).
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if p.field != q.field:
         p, q = p.to_float(), q.to_float()
-    small = p if len(p.terms) <= len(q.terms) else q
-    total = GaussianRational(0) if p.field == EXACT else 0j
-    for alpha in small.terms:
-        c = p.coefficient(alpha)
-        d = q.coefficient(alpha)
-        if c == 0 or d == 0:
-            continue
-        if p.field == EXACT:
+    if len(p.terms) <= len(q.terms):  # over the shorter, in its order
+        get = q.terms.get
+        triples = [(alpha, c, d) for alpha, c in p.terms.items() if (d := get(alpha)) is not None]
+    else:
+        get = p.terms.get
+        triples = [(alpha, c, d) for alpha, d in q.terms.items() if (c := get(alpha)) is not None]
+    if p.field == EXACT:
+        total = GaussianRational(0)
+        for alpha, c, d in triples:
             total = total + midx_factorial(alpha) * c * d.conjugate()
-        else:
-            total = total + _float_term(alpha, c, d)
-    return total if p.field == EXACT else _finite(total)
-
-
-def _finite(value):
-    """value itself, or NumericalError if a float term or total overflowed."""
-    if not cmath.isfinite(value):
-        raise NumericalError("apolar product exceeds the float range")
-    return value
-
-
-def _float_term(alpha, c, d) -> complex:
-    """alpha! c conj(d) in floats, alpha! first so that it meets a tiny c;
-    past degree 170, where alpha! leaves the double range, through logs."""
+        return total
+    total = 0j
     try:
-        return _finite(float(midx_factorial(alpha)) * c * d.conjugate())
-    except OverflowError:
-        log_w = sum(math.lgamma(a + 1) for a in alpha)
+        for alpha, c, d in triples:
+            total += float(midx_factorial(alpha)) * c * d.conjugate()
+        if cmath.isfinite(total):
+            return total
+    except OverflowError:  # alpha! past the double range
+        pass
     try:
-        mod = math.exp(log_w + math.log(abs(c)) + math.log(abs(d)))
-    except OverflowError:
+        return complex(inner_product(_dyadic(p), _dyadic(q)))
+    except NumericalError:
         raise NumericalError("apolar product exceeds the float range") from None
-    return mod * (c / abs(c)) * (d / abs(d)).conjugate()
+
+
+def _dyadic(p: Poly) -> Poly:
+    """p, with float coefficients read exactly (``fields.dyadic``)."""
+    return p if p.field == EXACT else Poly(p.dim, {a: dyadic(c) for a, c in p.terms.items()})
 
 
 def norm_sq(p: Poly):
-    """<p, p>, exact rational for exact input, float otherwise; a float
-    value beyond the double range raises NumericalError."""
+    """<p, p>, exact rational for exact input, else ``inner_product``'s
+    float, or one rounding of the exact value when that is not normal."""
     if p.field == EXACT:
         # sum alpha! |re + i im|^2 / den^2 over one common denominator
         terms = [(midx_factorial(alpha), *c.parts()) for alpha, c in p.terms.items()]
         den = math.lcm(*(d for *_, d in terms)) ** 2
         return Fraction(sum(w * (re * re + im * im) * (den // (d * d))
                             for w, re, im, d in terms), den)
-    total = 0.0
-    for alpha, c in p.terms.items():
-        total += _float_term(alpha, c, c).real
-    return _finite(total)
+    sq = inner_product(p, p).real
+    return sq if sq >= sys.float_info.min or p.is_zero else float(norm_sq(_dyadic(p)))
 
 
 def norm(p: Poly) -> float:
-    """sqrt(<p, p>) as a float, in either field.  A nonzero p whose square
-    as a float overflows or falls below the normal doubles, losing bits or
-    reading 0, is taken as 2^e ||2^-e p|| at ``polyalg.unit_scaled``'s e
-    instead; a norm itself beyond the double range raises NumericalError."""
+    """sqrt(<p, p>) as a float, in either field: the root of the float
+    square when that is a normal double, else ``sqrt_int`` of the exact
+    square; a norm itself past the double range raises NumericalError."""
     try:
         sq = float(norm_sq(p))
     except (NumericalError, OverflowError):  # a float square, an exact one
         sq = 0.0
     if sq >= sys.float_info.min or p.is_zero:
         return math.sqrt(sq)
-    scaled, e = unit_scaled(p)
+    exact = norm_sq(_dyadic(p))
     try:
-        return math.ldexp(math.sqrt(norm_sq(scaled)), e)
-    except OverflowError:
+        return sqrt_int(exact.numerator, exact.denominator)
+    except NumericalError:
         raise NumericalError("apolar norm exceeds the float range") from None
 
 
@@ -202,7 +199,7 @@ def c_alpha_m(alpha, m: int) -> float:
         raise InvalidInputError("degree must be >= 0")
     best = max(Fraction(midx_factorial(midx_add(alpha, beta)), midx_factorial(beta))
                for beta in enumerate_monomials(len(alpha), m))
-    return math.sqrt(float(best))
+    return sqrt_int(best.numerator, best.denominator)
 
 
 def beauzamy_bound(pk: Poly, m: int) -> float:
@@ -223,9 +220,9 @@ def beauzamy_bound(pk: Poly, m: int) -> float:
 def shapiro_pointwise_residual(fk: Poly, z) -> float:
     """max(0, |fk(z)|^2 - |z|^(2k) ||fk||^2 / k!); always 0 in theory.
 
-    Past degree 170, where k! leaves the double range, the bound is
-    taken exactly and rounded once; a value beyond the range raises
-    NumericalError."""
+    Where k!, |z|^2k, ||fk||^2 or the bound leaves the double range, the
+    bound is recomputed exactly, on fk's dyadic values for float fk, and
+    rounded once; a value beyond the range raises NumericalError."""
     if not fk.is_homogeneous():
         raise InvalidInputError("fk must be homogeneous")
     if fk.is_zero:
@@ -233,11 +230,12 @@ def shapiro_pointwise_residual(fk: Poly, z) -> float:
     k = fk.degree
     zt = [complex(v) for v in z]
     z_norm_sq = sum(abs(v) ** 2 for v in zt)
-    sq = norm_sq(fk)
     try:
-        bound = z_norm_sq ** k * float(sq) / math.factorial(k)
-    except OverflowError:  # k! or ||fk||^2 past the double range
-        bound = Fraction(z_norm_sq) ** k * Fraction(sq) / math.factorial(k)
+        bound = z_norm_sq ** k * float(norm_sq(fk)) / math.factorial(k)
+    except (OverflowError, NumericalError):  # k!, |z|^2k or ||fk||^2 past the range
+        bound = math.inf
+    if not math.isfinite(bound):
+        bound = Fraction(z_norm_sq) ** k * norm_sq(_dyadic(fk)) / math.factorial(k)
     try:
         return max(0.0, abs(complex(fk.to_float().evaluate(zt))) ** 2 - float(bound))
     except OverflowError:

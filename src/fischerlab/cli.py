@@ -28,8 +28,8 @@ from . import __version__, apolar, entire, fischer, spectral
 from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
 from .fields import EXACT, GaussianRational, to_exact
-from .polyalg import (DIM_CAP, Poly, _rational_strings, enumerate_monomials, load_json,
-                      load_poly, poly_from_dict, poly_to_dict, save_poly, write_atomic)
+from .polyalg import (Poly, _rational_strings, enumerate_monomials, load_json, load_poly,
+                      poly_from_dict, poly_to_dict, save_poly, write_atomic)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -166,10 +166,10 @@ def _cmd_spectrum(args) -> int:
     if m_max < m_min:
         raise InvalidInputError(f"need m_max >= m_min, got window [{m_min}, {m_max}]")
     if args.verb == "ks-fit":
-        report = spectral.ks_exponent_fit(pk, (m_min, m_max), dim_cap=args.dim_cap)
+        report = spectral.ks_exponent_fit(pk, (m_min, m_max))
     else:
         degrees = list(range(m_min, m_max + 1))
-        lo, hi = spectral.sweep_sigma(pk, degrees, dim_cap=args.dim_cap)
+        lo, hi = spectral.sweep_sigma(pk, degrees)
         report = spectral.SpectralReport(degrees, lo, hi, float("nan"),
                                          float("nan"), (m_min, m_max),
                                          float("nan"), ["no-fit"])
@@ -293,7 +293,7 @@ def _cmd_verify(args) -> int:
         z = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d)]
         check("shapiro-pointwise",
               apolar.shapiro_pointwise_residual(fmf, z)
-              <= 1e-9 * max(1.0, float(apolar.norm_sq(fm))))
+              <= Fraction(1e-9) * max(1, apolar.norm_sq(fm)))  # exact: past the double range too
 
     if args.p or args.f:
         # run the battery on the supplied polynomials instead of random data
@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", required=True)
         sp.add_argument("--m-min", type=int, default=8)
         sp.add_argument("--m-max", type=int, default=40)
-        sp.add_argument("--dim-cap", type=int, default=DIM_CAP)
 
     sp = sub.add_parser("kernel", help="kernel basis of pk(D) on one slice")
     sp.add_argument("--p", required=True)

@@ -217,6 +217,15 @@ def gaussian_integers(values) -> tuple:
             for re, im, d in parts], den
 
 
+def dyadic(z) -> GaussianRational:
+    """Float or complex z exactly, the inverse of ``_float_parts``;
+    NumericalError for inf or nan."""
+    try:
+        return GaussianRational(Fraction(z.real), Fraction(z.imag))
+    except (OverflowError, ValueError):
+        raise NumericalError("a float value is not finite") from None
+
+
 def is_exact_scalar(c) -> bool:
     return isinstance(c, (GaussianRational, int, Fraction))
 

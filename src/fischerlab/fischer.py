@@ -147,11 +147,14 @@ class DegreeTable:
 
 
 def degree_table(d: int, m: int) -> DegreeTable:
-    """The ``DegreeTable`` of degree m in d variables."""
+    """The ``DegreeTable`` of degree m in d variables; past degree ~1000,
+    where alpha!/m! falls below the normal doubles, by ``sqrt_int``."""
     monomials = tuple(enumerate_monomials(d, m))
     top = math.factorial(m)
-    return DegreeTable(monomials, {alpha: i for i, alpha in enumerate(monomials)},
-                       np.array([math.sqrt(midx_factorial(alpha) / top) for alpha in monomials]))
+    ratios = [midx_factorial(alpha) / top for alpha in monomials]
+    weights = (np.sqrt(ratios) if min(ratios) >= np.finfo(float).tiny
+               else np.array([sqrt_int(midx_factorial(alpha), top) for alpha in monomials]))
+    return DegreeTable(monomials, {alpha: i for i, alpha in enumerate(monomials)}, weights)
 
 
 @dataclass(frozen=True)
@@ -304,9 +307,10 @@ def _admit(p: Poly, f, max_degree=None, series=False):
     p's dimension.  A stream is truncated at cap: max_degree, else its
     declared degree, finite and >= 0, clipped to the latter and, past
     d = 1, at least deg p.  cap is None for a polynomial.  f is promoted
-    to float when p is float.  ``series`` refuses a stream, and float
-    input with a d = 1 divisor, whose slice projections leave round-off
-    in r at degrees >= deg p where long division leaves none.
+    to float when p is float (NumericalError if that empties a nonzero f).
+    ``series`` refuses a stream, and float input with a d = 1 divisor,
+    whose slice projections leave round-off in r at degrees >= deg p where
+    long division leaves none.
     """
     if p.is_zero:
         raise InvalidInputError("p must be nonzero")
@@ -329,7 +333,10 @@ def _admit(p: Poly, f, max_degree=None, series=False):
     elif series and p.dim == 1 and FLOAT in (p.field, f.field):
         raise InvalidInputError("the series route needs dimension >= 2 for float input; "
                                 "d = 1 goes by long division")
-    return (f.to_float() if p.field == FLOAT else f), cap
+    promoted = f.to_float() if p.field == FLOAT else f
+    if promoted.is_zero and not f.is_zero:
+        raise NumericalError("every coefficient of f underflows to 0 in floats")
+    return promoted, cap
 
 
 def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:

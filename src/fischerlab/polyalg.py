@@ -30,7 +30,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, InvalidInputError, NumericalError
-from .fields import EXACT, FLOAT, GaussianRational, gaussian_integers, is_exact_scalar, to_exact
+from .fields import (EXACT, FLOAT, GaussianRational, dyadic, gaussian_integers, is_exact_scalar,
+                     to_exact)
 
 NEG_INF = float("-inf")
 DIM_CAP = 20000  # the most monomials a slice map builds at its target degree
@@ -413,7 +414,8 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
     monomials z^alpha(D) z^beta = beta!/(beta-alpha)! z^(beta-alpha) when
     beta >= alpha and 0 otherwise.  Exact q and f sum Gaussian-integer
     numerators over the product of their common denominators and build
-    one coefficient per term of the result.
+    one coefficient per term of the result.  A float term whose weight
+    leaves the double range is recomputed exactly and rounded once.
     """
     if q.dim != f.dim:
         raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {f.dim}")
@@ -443,7 +445,7 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
             try:
                 w = c * v * falling_product(beta, alpha)
             except OverflowError:  # the weight alone is past the double range
-                w = _times_int(c * v, falling_product(beta, alpha))
+                w = complex(dyadic(c * v) * falling_product(beta, alpha))
             if rest in acc:
                 acc[rest] = acc[rest] + w
             else:
@@ -499,46 +501,31 @@ def _from_numerators(dim: int, sums: dict, den: int) -> Poly:
                                  if re or im}, EXACT)
 
 
-def _times_int(z: complex, n: int) -> complex:
-    """z n for an int n past the double range, rounded as z * float(n)
-    would be: n rounded once at the scale 2^-s that leaves it 53 bits,
-    and the product scaled back by 2^s exactly.  A product itself past the
-    range raises NumericalError."""
-    s = n.bit_length() - 53
-    w = z * (n / (1 << s))
+def sqrt_int(n: int, den: int = 1) -> float:
+    """sqrt(n / den) for ints n >= 0, den > 0, rounding the ratio once and its
+    root once as ``math.sqrt(n / den)`` does, also past the normal doubles,
+    where the ratio is read as 4^s (n / (den 4^s)), scaling both roundings
+    exactly (a subnormal root rounds once more); NumericalError past the range."""
+    s = (n.bit_length() - den.bit_length()) // 2
+    s = s if abs(s) > 500 else 0  # else n / den is a normal double
     try:
-        w = complex(math.ldexp(w.real, s), math.ldexp(w.imag, s))
-        if cmath.isfinite(w):
-            return w
-    except OverflowError:
-        pass
-    raise NumericalError("a float term exceeds the float range")
-
-
-def sqrt_int(n: int) -> float:
-    """sqrt(n) for an int n >= 0, rounding n once and its root once as
-    ``math.sqrt(n)`` does, also past the double range: n is read as
-    4^s (n / 4^s), which scales both roundings exactly.  A root itself
-    past the range raises NumericalError."""
-    s = max(n.bit_length() - 1000, 0) // 2
-    try:
-        return math.ldexp(math.sqrt(n / (1 << 2 * s)), s)
+        return math.ldexp(math.sqrt(n / (den << 2 * s) if s >= 0 else (n << -2 * s) / den), s)
     except OverflowError:
         raise NumericalError("a square root exceeds the float range") from None
 
 
-def check_slice(pk: Poly, m: int, dim_cap: int = DIM_CAP) -> int:
+def check_slice(pk: Poly, m: int) -> int:
     """k = deg pk, every slice map's first call: InvalidInputError unless pk
     is nonzero and homogeneous, m >= 0 and multiplication by pk from degree
-    m reaches a degree m + k of at most dim_cap monomials."""
+    m reaches a degree m + k of at most ``DIM_CAP`` monomials."""
     degrees = {sum(alpha) for alpha in pk._terms}
     if len(degrees) != 1:
         raise InvalidInputError("pk must be nonzero" if not degrees else "pk must be homogeneous")
     k, = degrees
     if m < 0:
         raise InvalidInputError(f"no slice from degree {m} to {m + k}: degrees start at 0")
-    if count_monomials(pk.dim, m + k) > dim_cap:
-        raise InvalidInputError(f"the slice from degree {m} to {m + k} has more than {dim_cap} "
+    if count_monomials(pk.dim, m + k) > DIM_CAP:
+        raise InvalidInputError(f"the slice from degree {m} to {m + k} has more than {DIM_CAP} "
                                 f"monomials at degree {m + k}")
     return k
 

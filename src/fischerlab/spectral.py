@@ -29,7 +29,7 @@ connected components of its sparsity pattern.  The results agree with a
 dense SVD of pk's own M to a relative 1e-12, and a fixed seed makes
 them repeat bit for bit.  Float :func:`kernel_basis` reads the float
 slices' dense operator and condition gate.  Each slice map here passes
-``polyalg.check_slice`` first, whose cap ``dim_cap`` raises.
+``polyalg.check_slice`` first.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .exactlinalg import exact_nullspace, gram_condition, ldexp_normal
 from .fields import (EXACT, FLOAT, GaussianRational, gaussian_integers, gaussian_sqrt,
                      is_exact_scalar, to_exact)
 from .fischer import orthonormal_operator
-from .polyalg import (DIM_CAP, Poly, check_slice, count_monomials, enumerate_monomials,
-                      grlex_rank, mult_entries, mult_pattern, unit_scaled, write_atomic)
+from .polyalg import (Poly, check_slice, count_monomials, enumerate_monomials, grlex_rank,
+                      mult_entries, mult_pattern, unit_scaled, write_atomic)
 
 # scipy.sparse is imported only where a sparse operator is built or ARPACK
 # runs, so that importing this module (and the CLI) does not load it, nor
@@ -99,11 +99,11 @@ class MultiplicationMatrix:
     col_basis: tuple
 
 
-def mult_matrix(pk: Poly, m: int, dim_cap: int = DIM_CAP) -> MultiplicationMatrix:
+def mult_matrix(pk: Poly, m: int) -> MultiplicationMatrix:
     """pk's ``MultiplicationMatrix`` from degree m, for deg pk >= 1."""
     from scipy.sparse import csc_array
 
-    k = check_slice(pk, m, dim_cap)
+    k = check_slice(pk, m)
     if k < 1:
         raise InvalidInputError("pk must have degree >= 1")
     col_basis = enumerate_monomials(pk.dim, m)
@@ -257,7 +257,7 @@ def _block_eig_extremes(r, c, v, labels) -> tuple:
     return min(lo), max(hi)
 
 
-def sigma_extremes(pk: Poly, m: int, dim_cap: int = DIM_CAP):
+def sigma_extremes(pk: Poly, m: int):
     """(sigma_min, sigma_max) of the degree-m multiplication matrix M.
 
     They are the square roots of the extreme eigenvalues of the Gram
@@ -279,12 +279,12 @@ def sigma_extremes(pk: Poly, m: int, dim_cap: int = DIM_CAP):
     passes ``polyalg.check_slice`` first (``mult_matrix`` refuses a
     constant pk); a Gram entry past the double range is a NumericalError.
     """
-    k = check_slice(pk, m, dim_cap)
+    k = check_slice(pk, m)
     pk, e = unit_scaled(pk)
     if k == 2:
         entries = _normal_form_gram(_takagi_normal_form(pk), m)
     else:
-        entries = _sparse_gram(mult_matrix(pk, m, dim_cap=dim_cap).matrix)
+        entries = _sparse_gram(mult_matrix(pk, m).matrix)
     if not np.isfinite(entries[2]).all():
         raise NumericalError(f"degree {m}: a Gram matrix entry exceeds the float range")
     try:
@@ -306,15 +306,15 @@ class SpectralReport:
     flags: list = dc_field(default_factory=list)
 
 
-def sweep_sigma(pk: Poly, degrees, dim_cap: int = DIM_CAP):
+def sweep_sigma(pk: Poly, degrees):
     """Per-degree singular-value extremes, in the order of ``degrees``."""
-    pairs = [sigma_extremes(pk, mm, dim_cap) for mm in degrees]
+    pairs = [sigma_extremes(pk, mm) for mm in degrees]
     lo = [p[0] for p in pairs]
     hi = [p[1] for p in pairs]
     return lo, hi
 
 
-def ks_exponent_fit(pk: Poly, m_range=(8, 40), dim_cap: int = DIM_CAP) -> SpectralReport:
+def ks_exponent_fit(pk: Poly, m_range=(8, 40)) -> SpectralReport:
     """Least-squares fit of log sigma_min(m) = log C + (tau/2) log m.
 
     The fitted exponent is reported as-is; values above deg pk (or above
@@ -329,7 +329,7 @@ def ks_exponent_fit(pk: Poly, m_range=(8, 40), dim_cap: int = DIM_CAP) -> Spectr
     if m_max - m_min + 1 < 4:
         raise InvalidInputError("fit window must span at least 4 degrees")
     degrees = list(range(m_min, m_max + 1))
-    lo, hi = sweep_sigma(pk, degrees, dim_cap=dim_cap)
+    lo, hi = sweep_sigma(pk, degrees)
     x = np.log(np.array(degrees, dtype=float))
     y = np.log(np.array(lo))
     design = np.stack([x, np.ones_like(x)], axis=1)

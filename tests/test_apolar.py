@@ -456,6 +456,100 @@ def test_float_apolar_overflow_raises(terms):
         apolar.inner_product(p, p)
 
 
+def _reference_inner_product(p, q):
+    """<p, q> of float p and q as the float loop computed it before the
+    exact retry: over the shorter's terms, alpha! first, left to right."""
+    small = p if len(p.terms) <= len(q.terms) else q
+    total = 0j
+    for alpha in small.terms:
+        c, d = p.coefficient(alpha), q.coefficient(alpha)
+        if c == 0 or d == 0:
+            continue
+        total = total + float(midx_factorial(alpha)) * c * d.conjugate()
+    return total
+
+
+def _reference_norm_sq(p):
+    """<p, p> of float p as that float loop computed it: real parts summed."""
+    total = 0.0
+    for alpha, c in p.terms.items():
+        total += (float(midx_factorial(alpha)) * c * c.conjugate()).real
+    return total
+
+
+def _exact(p):
+    """p with its float coefficients read exactly, built from Fractions."""
+    return Poly(p.dim, {a: GaussianRational(Fraction(c.real), Fraction(c.imag))
+                        for a, c in p.terms.items()})
+
+
+def _correctly_rounded_sqrt(x: Fraction) -> float:
+    """sqrt(x) rounded once, from an integer root with 80 or more bits and
+    a sticky bit for an inexact one."""
+    t = max(0, (160 - x.numerator.bit_length() + x.denominator.bit_length()) // 2)
+    scaled = (x.numerator << 2 * t) // x.denominator
+    root = math.isqrt(scaled)
+    if root * root != scaled or scaled * x.denominator != x.numerator << 2 * t:
+        root |= 1
+    return math.ldexp(float(root), -t)
+
+
+_NORMAL_PARTS = st.one_of(st.just(0.0), st.builds(lambda m, s: math.copysign(m, s),
+                                                  st.floats(1e-100, 1e100),
+                                                  st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_float_apolar_values_in_range_keep_the_float_loop_bits(data):
+    # normal coefficients up to 1e100 at degree <= 30 keep every term and
+    # sum a normal double, so no value takes the exact retry
+    d = data.draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 30 // d), min_size=d, max_size=d).map(tuple)
+    coeffs = st.builds(complex, _NORMAL_PARTS, _NORMAL_PARTS)
+    p, q = (Poly(d, data.draw(st.dictionaries(exps, coeffs, max_size=8)), field=FLOAT)
+            for _ in range(2))
+    assert apolar.inner_product(p, q) == _reference_inner_product(p, q)
+    assert apolar.inner_product(q, p) == _reference_inner_product(q, p)
+    assert apolar.norm_sq(p) == _reference_norm_sq(p)
+    assert apolar.norm(p) == math.sqrt(_reference_norm_sq(p))
+
+
+@pytest.mark.parametrize("terms", [{(171, 0): 1.0, (0, 171): 1.0},
+                                   {(200, 0): 1e-190 - 3e-191j, (100, 100): 7e-200},
+                                   {(171, 1): 3e-160, (2, 0): 1e150},
+                                   {(180, 0): 1e-170j, (0, 185): -2.5e-171},
+                                   {(1, 0): 1e200, (0, 1): -3e199j},
+                                   {(1, 0): 1.2345678912345e-160, (0, 1): 2.5e-162j},
+                                   {(1, 0): 1e-200, (0, 1): 2.5e-200}])
+def test_float_apolar_values_past_the_range_round_the_exact_value_once(terms):
+    # alpha! past the double range (degree 171-200), or a square outside the
+    # normal doubles (coefficients near 1e+-200): the exact value on the
+    # dyadic coefficients, rounded once, in both fields; only a value that
+    # is itself past the range is refused
+    p = Poly(2, terms, field=FLOAT)
+    q = Poly(2, {alpha: c * (0.5 + 1j) for alpha, c in terms.items()}, field=FLOAT)
+    sq, pq = apolar.norm_sq(_exact(p)), apolar.inner_product(_exact(p), _exact(q))
+    if sq > Fraction(sys.float_info.max):
+        with pytest.raises(NumericalError):
+            apolar.norm_sq(p)
+        with pytest.raises(NumericalError):
+            apolar.inner_product(p, q)
+    else:
+        assert apolar.norm_sq(p) == float(sq)
+        assert apolar.inner_product(p, q) == complex(pq)
+    assert apolar.norm(p) == apolar.norm(_exact(p)) == _correctly_rounded_sqrt(sq)
+
+
+def test_norm_of_degree_171_is_computed_though_its_square_is_past_the_range():
+    x, y = variables(2)
+    want = _correctly_rounded_sqrt(Fraction(2 * math.factorial(171)))  # about 5e154
+    p = x ** 171 + y ** 171
+    assert apolar.norm(p) == apolar.norm(p.to_float()) == want
+    with pytest.raises(NumericalError):  # its square, 2 171!, is refused
+        apolar.norm_sq(p.to_float())
+
+
 def test_sphere_bound_fuzz(rng):
     for _ in range(10):
         m = rng.randint(1, 6)

@@ -1013,6 +1013,14 @@ _EDGE_CASES = {
                               Poly(2, {(171, 0): Fraction(1, 10 ** 10),
                                        (170, 1): Fraction(1, 10 ** 10)}),
                               ["verify", "--mc-samples", "2"], 0),
+    # ||z1^171 + z2^171|| = sqrt(2 171!), about 5e154, though its square is
+    # past the range; <p, p> = 0.01 171! is written rounded once
+    "verify-deg-171-norm": (Poly(2, {(1, 0): 1}), _DEG_171_EXACT,
+                            ["verify", "--mc-samples", "2"], 0),
+    "inner-deg-171": (Poly(2, {(171, 0): 0.1}), Poly(2, {(171, 0): 0.1}), ["inner"], 0),
+    # a float p's promotion would empty the nonzero f: refused, no file written
+    "decompose-promotion-empties-f": (Poly(1, {(0,): 1.0}), Poly(1, {(0,): 1 / _HUGE}),
+                                      ["decompose"], 4),
 }
 
 
@@ -1027,6 +1035,11 @@ def test_values_at_the_edges_of_the_double_range_exit_as_documented(tmp_path, na
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
     if name == "spectrum-long-window":
         assert json.load(open(tmp_path / "out.json"))["flags"] == ["no-fit"]
+    if name == "inner-deg-171":
+        want = float(Fraction(0.1) ** 2 * math.factorial(171))  # 1.241018070217668e+307
+        assert _read_envelope(tmp_path / "out")["inner_product"] == {"re": want, "im": 0.0}
+    if code != 0:  # a refusal writes no output
+        assert not list(tmp_path.glob("out*"))
 
 
 # (p, f or a stream, argv after the verb's --p/--f): each asks for a slice

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from fischerlab.errors import (ConditioningError, DimensionMismatchError, Invali
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial,
-                               poly_to_dict, save_poly, variables)
+                               poly_to_dict, save_poly, sqrt_int, variables)
 from fischerlab.entire import TaylorStream
 from conftest import rand_gaussian, rand_homogeneous, rand_poly
 
@@ -480,6 +481,20 @@ def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
     count("degree_table")
     fischer.decompose_direct(p.to_float(), stream, 12)
     assert assembled == Counter(range(13))
+
+
+def test_degree_table_weights_stay_normal_past_degree_1000():
+    # at degree 1100 in d = 2, alpha!/m! falls to 1/C(1100, 550), about
+    # 1e-329: those weights come from sqrt_int, and every one is normal;
+    # tables in range keep the bits of sqrt(alpha!/m!)
+    table = fischer.degree_table(2, 1100)
+    top = math.factorial(1100)
+    assert (table.weights >= sys.float_info.min).all()
+    assert table.weights.tolist() == [sqrt_int(midx_factorial(a), top) for a in table.monomials]
+    for d, m in [(1, 0), (1, 170), (2, 40), (2, 900), (3, 25), (4, 12)]:
+        table = fischer.degree_table(d, m)
+        assert table.weights.tolist() == [math.sqrt(midx_factorial(a) / math.factorial(m))
+                                          for a in table.monomials]
 
 
 def test_exact_direct_equals_series_at_degree_14():

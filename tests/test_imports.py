@@ -13,7 +13,9 @@ supplies, inside ``fischer`` only the front door ``_admit``
 truncates a stream or promotes f to float, only ``polyalg``'s two
 product kernels sum exponents termwise (``map(add, a, b)``), and every
 slice map calls ``polyalg.check_slice`` before it lists a monomial,
-the one place that compares a monomial count with a cap."""
+the one place that compares a monomial count with a cap, and only the
+log-domain norms (``apolar.log_norm_sq`` and ``entire``) call
+``math.lgamma``, while ``apolar`` does without ``unit_scaled``."""
 
 import ast
 import importlib
@@ -45,6 +47,7 @@ SLICE_MAPS = {"fischer_matrix", "orthonormal_operator", "kernel_basis", "mult_ma
               "sigma_extremes"}
 LISTINGS = {"enumerate_monomials", "degree_table", "mult_pattern", "mult_entries",
             "_normal_form_gram"}
+LOG_DOMAIN = {"apolar": {"log_norm_sq"}}  # and every function of entire
 
 
 def unused_imports(source: str) -> list:
@@ -466,3 +469,40 @@ def test_unguarded_slice_is_reported():
     assert unguarded_slices(source) == ["kernel_basis: degree_table (line 10)",
                                         "mult_matrix: enumerate_monomials (line 5)",
                                         "sweep: count_monomials compared (line 13)"]
+
+
+def lossy_range_paths(source: str, module: str) -> list:
+    """Names lgamma outside the log-domain norms (LOG_DOMAIN, and all of
+    entire), and in apolar any name unit_scaled: the lossy lgamma fallback
+    and the norm's power-of-two retry that the exact retry replaced."""
+    tree = ast.parse(source)
+    allowed = {id(n) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name in LOG_DOMAIN.get(module, ())
+               for n in ast.walk(fn)}
+    banned = {"lgamma"} | ({"unit_scaled"} if module == "apolar" else set())
+    names = [(getattr(node, "id", None) or getattr(node, "attr", None) or node.name, node)
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    return sorted(f"{name} (line {node.lineno})" for name, node in names
+                  if name in banned and module != "entire"
+                  and (name != "lgamma" or id(node) not in allowed))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_values_past_the_double_range_take_no_lossy_path(path):
+    # past the double range a float apolar value is recomputed exactly and
+    # rounded once; a log-domain or power-of-two copy would drift from it
+    assert lossy_range_paths(path.read_text(), path.stem) == []
+
+
+def test_lossy_range_path_is_reported():
+    source = ("from math import lgamma\n"
+              "from .polyalg import Poly, unit_scaled\n\n"
+              "def log_norm_sq(p):\n"
+              "    return math.lgamma(3)\n\n"
+              "def norm(p):\n"
+              "    return math.exp(math.lgamma(4)), polyalg.unit_scaled(p)\n")
+    assert lossy_range_paths(source, "apolar") == ["lgamma (line 1)", "lgamma (line 8)",
+                                                   "unit_scaled (line 2)", "unit_scaled (line 8)"]
+    assert lossy_range_paths(source, "spectral") == ["lgamma (line 1)", "lgamma (line 5)",
+                                                     "lgamma (line 8)"]
+    assert lossy_range_paths(source, "entire") == []

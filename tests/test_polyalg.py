@@ -156,6 +156,15 @@ def test_sqrt_int_rounds_as_math_sqrt_also_past_the_double_range():
                                                           rel=1e-13)
     with pytest.raises(NumericalError):  # 2^1050
         sqrt_int(1 << 2100)
+    # the root of a ratio n / den: its rounding scaled by powers of four,
+    # past the double range and below the normal doubles alike
+    for _ in range(200):
+        n, den = rng.getrandbits(rng.randint(1, 400)) | 1, rng.getrandbits(rng.randint(1, 400)) | 1
+        assert sqrt_int(n, den) == math.sqrt(n / den)
+        assert sqrt_int(n << 1300, den) == math.ldexp(math.sqrt(n / den), 650)
+        assert sqrt_int(n, den << 1300) == math.ldexp(math.sqrt(n / den), -650)
+    assert sqrt_int(0, 1 << 3000) == 0.0
+    assert sqrt_int(1, 1 << 2100) == 2.0 ** -1050  # a root below the normal doubles
 
 
 def test_mult_entries_past_the_double_range():
@@ -179,6 +188,14 @@ def test_float_diff_op_past_the_double_range():
     assert got.terms.keys() == want.keys()
     for alpha, c in want.items():
         assert got.coefficient(alpha) == pytest.approx(complex(c), rel=1e-15)
+    # each term is c v, rounded as floats multiply, times the exact weight,
+    # rounded once, at degrees 171-200 and coefficients near 1e+-200
+    for c, v, beta in [(1e-300, 1.0, (171, 0)), (1e-200 + 3e-201j, 2.5e-100, (200, 3)),
+                       (7e-190j, -1.5e-100 + 1e-101j, (185, 185))]:
+        got = apply_diff_op(Poly(2, {(171, 0): c}), Poly(2, {beta: v}))
+        w = math.factorial(beta[0]) // math.factorial(beta[0] - 171)
+        want = complex(GaussianRational(Fraction((c * v).real), Fraction((c * v).imag)) * w)
+        assert got.terms == {(beta[0] - 171, beta[1]): want}
     with pytest.raises(NumericalError):
         apply_diff_op(Poly(1, {(171,): 1.0}), Poly(1, {(171,): 1.0}))
 

@@ -62,10 +62,11 @@ def test_mult_matrix_column_norms_random(rng):
         assert np.linalg.norm(mm.matrix.toarray()[:, j]) ** 2 == pytest.approx(float(expected))
 
 
-def test_mult_matrix_respects_cap():
+def test_mult_matrix_respects_cap(monkeypatch):
     x, y = variables(2)
+    monkeypatch.setattr(polyalg, "DIM_CAP", 5)  # read at call time
     with pytest.raises(InvalidInputError):
-        spectral.mult_matrix(x, 10, dim_cap=5)
+        spectral.mult_matrix(x, 10)
 
 
 _SUM_SQ = Poly(2, {(2, 0): 1, (0, 2): 1})  # degree n has n + 1 monomials in d = 2
