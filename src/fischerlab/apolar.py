@@ -19,24 +19,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DimensionMismatchError, InvalidInputError, NumericalError
-from .fields import EXACT, GaussianRational, abs_sq, dyadic
-from .polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add, midx_factorial,
-                      sqrt_int)
+from .errors import InvalidInputError, NumericalError
+from .fields import EXACT, GaussianRational, dyadic
+from .polyalg import (Poly, _one_field, apply_diff_op, enumerate_monomials, midx_add,
+                      midx_factorial, sqrt_int)
 from . import sampling
 
 
 def inner_product(p: Poly, q: Poly):
     """<p, q> = sum alpha! c_alpha conj(d_alpha); linear in the first slot.
 
-    Exact inputs give an exact Gaussian-rational value, float inputs a sum
-    in floats, alpha! first so that it meets a tiny c, or past the double
-    range the exact value rounded once (NumericalError if it is past it).
+    p and q meet by ``polyalg._one_field``.  Exact inputs give an exact
+    Gaussian-rational value, float inputs a sum in floats, alpha! first so
+    that it meets a tiny c, or past the double range the exact value
+    rounded once (NumericalError if it is past it).
     """
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if p.field != q.field:
-        p, q = p.to_float(), q.to_float()
+    p, q = _one_field(p, q)
     if len(p.terms) <= len(q.terms):  # over the shorter, in its order
         get = q.terms.get
         triples = [(alpha, c, d) for alpha, c in p.terms.items() if (d := get(alpha)) is not None]
@@ -106,8 +104,8 @@ def log_norm_sq(p: Poly) -> float:
 
     log alpha! is the left-to-right sum of lgamma(a_i + 1), read from a
     module-level table grown to the largest exponent seen.  An exact |c|^2
-    is the reduced integer ratio (re^2 + im^2) / den^2 of c's parts, the
-    one ``fields.abs_sq`` returns as a Fraction, whose two logs are taken.
+    is the reduced integer ratio (re^2 + im^2) / den^2 of c's parts, whose
+    two logs are taken.
     Float coefficients enter through log|c|, since |c|^2 underflows long
     before |c| does.  A subnormal coefficient whose term is not negligible
     next to the largest one raises NumericalError: the coefficient has lost
@@ -205,15 +203,16 @@ def c_alpha_m(alpha, m: int) -> float:
 def beauzamy_bound(pk: Poly, m: int) -> float:
     """(1+m)^(k/2) sum |c_alpha| sqrt(alpha!) for homogeneous pk of degree k.
 
-    Dominates ||pk f|| / ||f|| for every homogeneous f of degree m.
+    Dominates ||pk f|| / ||f|| for every homogeneous f of degree m.  Each
+    |c_alpha| is ``abs(c)``, never a root of |c|^2, which overflows from
+    |c| ~ 1e154; an exact c past the double range raises NumericalError.
     """
     if not pk.is_homogeneous():
         raise InvalidInputError("pk must be homogeneous")
     if pk.is_zero:
         return 0.0
     k = pk.degree
-    s = sum(math.sqrt(float(abs_sq(c))) * sqrt_int(midx_factorial(alpha))
-            for alpha, c in pk.terms.items())
+    s = sum(abs(c) * sqrt_int(midx_factorial(alpha)) for alpha, c in pk.terms.items())
     return (1 + m) ** (k / 2) * s
 
 
@@ -257,11 +256,9 @@ def bargmann_mc_estimate(p: Poly, q: Poly, samples: int, seed: int) -> MonteCarl
     p(z) conj(q(z)).  Deterministic for a fixed seed regardless of how
     chunks are scheduled.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    pf, qf = (g.to_float() for g in _one_field(p, q))
     if samples < 2:  # one sample has no spread: a standard error of 0
         raise InvalidInputError(f"samples must be >= 2, got {samples}")
-    pf, qf = p.to_float(), q.to_float()
     total = 0.0 + 0.0j
     total_abs2 = 0.0
     for pts in sampling.gaussian_point_chunks(p.dim, samples, seed):

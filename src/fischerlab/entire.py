@@ -105,12 +105,12 @@ class TaylorStream:
 
 
 def _join(dim, parts) -> Poly:
-    """Sum of polynomials of disjoint degrees, float if any part is."""
-    fields = {g.field for g in parts}
-    terms = {a: c for g in parts for a, c in g.terms.items()}
-    if len(fields) == 1:
-        return Poly._canonical(dim, terms, fields.pop())
-    return Poly(dim, terms, field=FLOAT if FLOAT in fields else EXACT)
+    """Sum of polynomials of disjoint degrees, float if any part is: then
+    every part goes through ``Poly.to_float``, as ``polyalg._one_field``
+    promotes two operands."""
+    field = FLOAT if any(g.field == FLOAT for g in parts) else EXACT
+    parts = [g.to_float() for g in parts] if field == FLOAT else parts
+    return Poly._canonical(dim, {a: c for g in parts for a, c in g.terms.items()}, field)
 
 
 def _pair_add(u, v):

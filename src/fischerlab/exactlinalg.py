@@ -8,10 +8,11 @@ stays a subdeterminant, so dividing by the previous pivot is exact.
 Back-substitution is scaled by the last pivot, the pivot minor's
 determinant, so only returned entries are rationals, each built once.
 :func:`exact_rref`, :func:`bareiss_solve` and :func:`exact_nullspace`
-share the one elimination.  The float path is a rank-revealing
-least-squares solve that raises :class:`ConditioningError` instead of
-returning garbage; every float solve's condition passes the one gate of
-:func:`checked_condition`.
+share the one elimination.  The float solves are the slice
+pseudoinverses behind :func:`gram_condition`; every float condition
+passes the one gate of :func:`checked_condition`, which raises
+:class:`ConditioningError` instead of returning garbage.
+(:func:`float_lstsq_solve` has no caller here; the benchmark patches it.)
 """
 
 from __future__ import annotations

@@ -238,15 +238,6 @@ def to_exact(c) -> GaussianRational:
     raise TypeError(f"cannot represent {type(c).__name__} exactly")
 
 
-def abs_sq(c):
-    """|c|^2, exact (Fraction) for exact scalars, float otherwise."""
-    if isinstance(c, GaussianRational):
-        return Fraction(c._re * c._re + c._im * c._im, c._den * c._den)
-    if isinstance(c, (int, Fraction)):
-        return c * c
-    return c.real * c.real + c.imag * c.imag
-
-
 def fraction_sqrt(f: Fraction):
     """Exact square root of a non-negative rational, or None."""
     if f < 0:

@@ -19,10 +19,11 @@ picks how to compute it: ``decompose_direct`` answers every divisor.
 
 Every public entry, ``project_homogeneous`` included, first passes
 (p, f) through one front door, ``_admit``: p nonzero, f of p's
-dimension, a Taylor stream truncated by one rule, f promoted to float
-when p is float.  ``decompose_direct`` decomposes a stream as its
-truncation; for d >= 2 it returns q and r up to degree cap - deg p, the
-degrees of f = P q + r that the truncation at cap fixes.
+dimension, a Taylor stream truncated by one rule, then p and f in one
+field (``polyalg._one_field``: both float when either is, so no route
+sees an exact p beside a float f).  ``decompose_direct`` decomposes a
+stream as its truncation; for d >= 2 it returns q and r up to degree
+cap - deg p, the degrees of f = P q + r that the truncation at cap fixes.
 
 Every slice map of P_k passes one guard first, ``polyalg.check_slice``
 (P_k nonzero and homogeneous, a source degree >= 0, at most
@@ -59,8 +60,8 @@ from . import apolar
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .exactlinalg import bareiss_solve, gram_condition, ldexp_normal
 from .fields import EXACT, FLOAT, gaussian_integers
-from .polyalg import (Poly, apply_diff_op, check_slice, enumerate_monomials, midx_factorial,
-                      mult_entries, mult_pattern, sqrt_int, unit_scaled)
+from .polyalg import (Poly, _one_field, apply_diff_op, check_slice, enumerate_monomials,
+                      midx_factorial, mult_entries, mult_pattern, sqrt_int, unit_scaled)
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def project_homogeneous(pk: Poly, fm: Poly) -> DecompositionResult:
     Its ``system_size``, as ``decompose_direct``'s, counts the monomials of
     degree <= deg fm - deg pk, though only the top slice's are solved.
     """
-    fm, _ = _admit(pk, fm)
+    pk, fm, _ = _admit(pk, fm)
     if not (pk.is_homogeneous() and fm.is_homogeneous()):
         raise InvalidInputError("pk and fm must be homogeneous")
     return _decompose_direct(pk, fm, SliceSolver(pk))
@@ -300,14 +301,17 @@ def _project_components(solver: SliceSolver, g: Poly) -> Poly:
 
 
 def _admit(p: Poly, f, max_degree=None, series=False):
-    """(f, cap): the one front door of every route, f made ready for its body
-    (``project_homogeneous`` adds only its check that f is homogeneous).
+    """(p, f, cap): the one front door of every route, p and f made ready
+    for its body (``project_homogeneous`` adds only its check that they
+    are homogeneous).
 
     p must be nonzero, and f, a polynomial or a Taylor stream, must have
     p's dimension.  A stream is truncated at cap: max_degree, else its
     declared degree, finite and >= 0, clipped to the latter and, past
-    d = 1, at least deg p.  cap is None for a polynomial.  f is promoted
-    to float when p is float (NumericalError if that empties a nonzero f).
+    d = 1, at least deg p.  cap is None for a polynomial.  p and f then
+    meet by ``polyalg._one_field``: when either is float, both are
+    promoted (NumericalError if that empties a nonzero f, or p's top
+    component, which would change the divisor's degree).
     ``series`` refuses a stream, and float input with a d = 1 divisor,
     whose slice projections leave round-off in r at degrees >= deg p where
     long division leaves none.
@@ -333,10 +337,12 @@ def _admit(p: Poly, f, max_degree=None, series=False):
     elif series and p.dim == 1 and FLOAT in (p.field, f.field):
         raise InvalidInputError("the series route needs dimension >= 2 for float input; "
                                 "d = 1 goes by long division")
-    promoted = f.to_float() if p.field == FLOAT else f
-    if promoted.is_zero and not f.is_zero:
+    p_one, f_one = _one_field(p, f)
+    if p_one.degree != p.degree:
+        raise NumericalError("the top-degree coefficients of p underflow to 0 in floats")
+    if f_one.is_zero and not f.is_zero:
         raise NumericalError("every coefficient of f underflows to 0 in floats")
-    return promoted, cap
+    return p_one, f_one, cap
 
 
 def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
@@ -354,7 +360,7 @@ def decompose_direct(p: Poly, f, max_degree=None) -> DecompositionResult:
     its declared degree), reported as ``truncation_degree``; that cap must
     be at least deg p, and q and r are returned up to degree cap - deg p.
     """
-    f, cap = _admit(p, f, max_degree)
+    p, f, cap = _admit(p, f, max_degree)
     return _decompose_direct(p, f, SliceSolver(p.homogeneous_component(p.degree)), cap)
 
 
@@ -404,7 +410,7 @@ def decompose_series(p: Poly, f: Poly) -> DecompositionResult:
     A Taylor stream, and float input with a d = 1 divisor, are refused
     (``_admit``).
     """
-    f, _ = _admit(p, f, series=True)
+    p, f, _ = _admit(p, f, series=True)
     return _decompose_series(p, f, SliceSolver(p.homogeneous_component(p.degree)))
 
 
@@ -428,7 +434,7 @@ def _decompose_series(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionRes
 def _direct_and_series(p: Poly, f: Poly):
     """(decompose_direct(p, f), decompose_series(p, f)) on one
     SliceSolver, so each slice matrix is assembled once for both."""
-    f, _ = _admit(p, f, series=True)
+    p, f, _ = _admit(p, f, series=True)
     solver = SliceSolver(p.homogeneous_component(p.degree))
     return _decompose_direct(p, f, solver), _decompose_series(p, f, solver)
 
@@ -437,8 +443,8 @@ def _direct_and_series(p: Poly, f: Poly):
 # d = 1: division with remainder
 
 def _poly_divmod_1d(f: Poly, p: Poly):
-    """Univariate long division: f = p q + rem with deg rem < deg p, in f's
-    field (float when p is; see _admit)."""
+    """Univariate long division: f = p q + rem with deg rem < deg p, in the
+    one field of p and f (see _admit)."""
     k = int(p.degree)
     lead = p.coefficient((k,))
     q_terms = {}

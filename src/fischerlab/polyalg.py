@@ -140,10 +140,10 @@ class Poly:
     """Immutable sparse polynomial over one of the two coefficient fields.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  The field is
-    inferred from the coefficients unless forced; mixing exact and float
-    operands promotes to float.  ``Poly(...)`` validates its input; results
-    the package builds from its own polynomials in one field are wrapped
-    by ``_canonical`` instead.
+    inferred from the coefficients unless forced; two operands meet by
+    ``_one_field``, so mixing exact and float promotes both to float.
+    ``Poly(...)`` validates its input; results the package builds from its
+    own polynomials are wrapped by ``_canonical`` instead.
     """
 
     __slots__ = ("dim", "_terms", "field")
@@ -273,24 +273,16 @@ class Poly:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {other.dim}")
-
     def __add__(self, other):
         if not isinstance(other, Poly):
             if isinstance(other, (int, Fraction, float, complex, GaussianRational)):
                 other = Poly.constant(self.dim, other)
             else:
                 return NotImplemented
-        self._check_dim(other)
-        if self.field != other.field:
-            merged = list(self._terms.items()) + list(other._terms.items())
-            return Poly(self.dim, merged, field=FLOAT)
-        store = dict(self._terms)
-        _merge_into(store, other._terms)
-        return Poly._canonical(self.dim, store, self.field)
+        a, b = _one_field(self, other)
+        store = dict(a._terms)
+        _merge_into(store, b._terms)
+        return Poly._canonical(a.dim, store, a.field)
 
     __radd__ = __add__
 
@@ -308,17 +300,15 @@ class Poly:
             if isinstance(other, (int, Fraction, float, complex, GaussianRational)):
                 return self.scale(other)
             return NotImplemented
-        self._check_dim(other)
-        field = EXACT if self.field == EXACT and other.field == EXACT else FLOAT
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.dim, field)
-        if field == EXACT:
-            nums_a, da = gaussian_integers(self._terms.values())
-            nums_b, db = gaussian_integers(other._terms.values())
-            sums = _gaussian_products(zip(self._terms, nums_a), list(zip(other._terms, nums_b)))
-            return _from_numerators(self.dim, sums, da * db)
-        return _from_sums(self.dim, _float_products(self._terms.items(), other._terms.items()),
-                          self.field, other.field)
+        a, b = _one_field(self, other)
+        if a.is_zero or b.is_zero:
+            return Poly.zero(a.dim, a.field)
+        if a.field == EXACT:
+            nums_a, da = gaussian_integers(a._terms.values())
+            nums_b, db = gaussian_integers(b._terms.values())
+            sums = _gaussian_products(zip(a._terms, nums_a), list(zip(b._terms, nums_b)))
+            return _from_numerators(a.dim, sums, da * db)
+        return _from_sums(a.dim, _float_products(a._terms.items(), b._terms.items()))
 
     __rmul__ = __mul__
 
@@ -402,6 +392,17 @@ class Poly:
         return " + ".join(bits)
 
 
+def _one_field(a: Poly, b: Poly) -> tuple:
+    """(a, b) ready to meet: DimensionMismatchError unless they share a
+    dimension, as they are when they share a field, else both through
+    ``Poly.to_float``.  The package's one rule for two operands."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.field == b.field:
+        return a, b
+    return a.to_float(), b.to_float()
+
+
 def variables(d: int, field=EXACT):
     """Convenience tuple (z1, ..., zd) of coordinate polynomials."""
     return tuple(Poly.variable(d, j, field=field) for j in range(d))
@@ -412,14 +413,14 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
 
     Each variable of q acts as the corresponding partial derivative, so on
     monomials z^alpha(D) z^beta = beta!/(beta-alpha)! z^(beta-alpha) when
-    beta >= alpha and 0 otherwise.  Exact q and f sum Gaussian-integer
-    numerators over the product of their common denominators and build
-    one coefficient per term of the result.  A float term whose weight
-    leaves the double range is recomputed exactly and rounded once.
+    beta >= alpha and 0 otherwise.  q and f meet by ``_one_field``.  Exact
+    q and f sum Gaussian-integer numerators over the product of their
+    common denominators and build one coefficient per term of the result.
+    A float term whose weight leaves the double range is recomputed
+    exactly and rounded once (NumericalError if the term is past it).
     """
-    if q.dim != f.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {f.dim}")
-    if q.field == f.field == EXACT:
+    q, f = _one_field(q, f)
+    if q.field == EXACT:
         nums_q, dq = gaussian_integers(q._terms.values())
         nums_f, df = gaussian_integers(f._terms.values())
         sums = {}
@@ -445,12 +446,15 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
             try:
                 w = c * v * falling_product(beta, alpha)
             except OverflowError:  # the weight alone is past the double range
-                w = complex(dyadic(c * v) * falling_product(beta, alpha))
+                try:
+                    w = complex(dyadic(c * v) * falling_product(beta, alpha))
+                except NumericalError:
+                    raise NumericalError("a float term exceeds the float range") from None
             if rest in acc:
                 acc[rest] = acc[rest] + w
             else:
                 acc[rest] = w
-    return _from_sums(f.dim, acc, q.field, f.field)
+    return _from_sums(f.dim, acc)
 
 
 def _gaussian_products(a_terms, b_terms) -> dict:
@@ -470,8 +474,8 @@ def _gaussian_products(a_terms, b_terms) -> dict:
 
 
 def _float_products(a_terms, b_terms) -> dict:
-    """Exponent sum -> coefficient: the summed products of two operands'
-    (exponent, coefficient) pairs, one side float, as _gaussian_products."""
+    """Exponent sum -> coefficient: the summed products of two float
+    operands' (exponent, coefficient) pairs, as _gaussian_products."""
     acc = {}
     for a, ca in a_terms:
         for b, cb in b_terms:
@@ -484,13 +488,10 @@ def _float_products(a_terms, b_terms) -> dict:
     return acc
 
 
-def _from_sums(dim: int, acc: dict, field_a, field_b) -> Poly:
-    """The Poly of the float term sums ``acc`` (one entry per exponent) of
-    two operands: its nonzero entries in order when both are float, else
-    the validating constructor, which coerces mixed sums to float."""
-    if field_a == field_b:
-        return Poly._canonical(dim, {a: c for a, c in acc.items() if c}, field_a)
-    return Poly(dim, acc, field=FLOAT)
+def _from_sums(dim: int, acc: dict) -> Poly:
+    """The float Poly of the term sums ``acc`` (one entry per exponent):
+    its nonzero entries, in order."""
+    return Poly._canonical(dim, {a: c for a, c in acc.items() if c}, FLOAT)
 
 
 def _from_numerators(dim: int, sums: dict, den: int) -> Poly:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from fischerlab import apolar, cli, fischer, polyalg, spectral
-from fischerlab.fields import EXACT, GaussianRational
+from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials
 
 # no per-example deadline on a shared host; the same examples on every run
@@ -53,6 +53,17 @@ def exact_polys(draw, dims=(1, 3), degrees=(0, 3), max_terms=5):
         lambda a: degrees[0] <= sum(a) <= degrees[1])
     terms = draw(st.dictionaries(exps, gaussian_rationals(), max_size=max_terms))
     return Poly(d, terms, field=EXACT)
+
+
+@st.composite
+def float_polys(draw, d, degrees=(0, 3), max_terms=5):
+    """Float polynomials in d variables with parts in [-4, 4] whose terms
+    have total degree in ``degrees``; may be zero."""
+    exps = st.lists(st.integers(0, degrees[1]), min_size=d, max_size=d).map(tuple).filter(
+        lambda a: degrees[0] <= sum(a) <= degrees[1])
+    part = st.floats(-4, 4, allow_subnormal=False)
+    terms = draw(st.dictionaries(exps, st.builds(complex, part, part), max_size=max_terms))
+    return Poly(d, terms, field=FLOAT)
 
 
 def exact_homogeneous(d, m, max_terms=5):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fischerlab import apolar, fischer, sampling
 from fischerlab.errors import DimensionMismatchError, InvalidInputError, NumericalError
-from fischerlab.fields import FLOAT, GaussianRational, abs_sq
+from fischerlab.fields import FLOAT, GaussianRational
 from fischerlab.polyalg import Poly, enumerate_monomials, midx_factorial, variables
 from conftest import (exact_homogeneous, exact_polys, gaussian_rationals,
                       rand_homogeneous, rand_poly)
@@ -229,6 +229,21 @@ def test_beauzamy_bound_past_degree_170():
         3 ** 85.5 * 2 * root, rel=1e-12)
 
 
+def test_beauzamy_bound_is_finite_where_squared_coefficients_overflow():
+    # |c|^2 = 1e400 is past the double range, |c| = 1e200 is not: a bound
+    # read off |c|^2 would be inf, and verify's "beauzamy" check would pass
+    # without testing anything
+    x, y = variables(2, field=FLOAT)
+    pk, fm = 1e200 * (x + y), 1e-200 * x
+    bound = apolar.beauzamy_bound(pk, 1)
+    assert math.isfinite(bound)
+    assert apolar.norm(pk * fm) / apolar.norm(fm) <= bound  # 1.73e200 <= 2.83e200
+    xe, ye = variables(2)
+    assert apolar.beauzamy_bound(10 ** 200 * (xe + ye), 1) == bound
+    with pytest.raises(NumericalError):  # an exact |c| past the range
+        apolar.beauzamy_bound(10 ** 400 * xe, 1)
+
+
 def test_beauzamy_dominates(rng):
     for _ in range(100):
         d = rng.randint(1, 3)
@@ -365,8 +380,8 @@ def test_log_norm_sq_float_underflow():
 
 def _reference_log_norm_sq(p):
     """log <p, p> as log_norm_sq first computed it: lgamma summed per
-    exponent, an exact |c|^2 from abs_sq's Fraction, log-sum-exp in storage
-    order."""
+    exponent, an exact |c|^2 as the Fraction Re(c)^2 + Im(c)^2, log-sum-exp
+    in storage order."""
     if p.is_zero:
         return float("-inf")
     logs = []
@@ -378,7 +393,7 @@ def _reference_log_norm_sq(p):
             if abs(c) < sys.float_info.min:
                 log_subnormal = max(log_subnormal, la + lc)
         else:
-            a2 = abs_sq(c)
+            a2 = c.real * c.real + c.imag * c.imag
             lc = math.log(a2.numerator) - math.log(a2.denominator)
         logs.append(la + lc)
     top = max(logs)

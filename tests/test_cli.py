@@ -1021,11 +1021,20 @@ _EDGE_CASES = {
     # a float p's promotion would empty the nonzero f: refused, no file written
     "decompose-promotion-empties-f": (Poly(1, {(0,): 1.0}), Poly(1, {(0,): 1 / _HUGE}),
                                       ["decompose"], 4),
+    # a float f's promotion would empty the nonzero exact p: refused alike
+    "decompose-promotion-empties-p": (_sum_sq(1 / _HUGE), Poly(2, {(1, 0): 1.0}), ["decompose"],
+                                      4),
+}
+# what the refusals among _EDGE_CASES say on stderr, where it names the cause
+_EDGE_MESSAGES = {
+    "decompose-deg-171": "a float term exceeds the float range",
+    "decompose-promotion-empties-f": "coefficient of f underflows",
+    "decompose-promotion-empties-p": "coefficients of p underflow",
 }
 
 
 @pytest.mark.parametrize("name", list(_EDGE_CASES))
-def test_values_at_the_edges_of_the_double_range_exit_as_documented(tmp_path, name):
+def test_values_at_the_edges_of_the_double_range_exit_as_documented(tmp_path, capsys, name):
     p, f, argv, code = _EDGE_CASES[name]
     save_poly(p, tmp_path / "p.json")
     argv = [argv[0], "--p", str(tmp_path / "p.json")] + argv[1:]
@@ -1040,6 +1049,7 @@ def test_values_at_the_edges_of_the_double_range_exit_as_documented(tmp_path, na
         assert _read_envelope(tmp_path / "out")["inner_product"] == {"re": want, "im": 0.0}
     if code != 0:  # a refusal writes no output
         assert not list(tmp_path.glob("out*"))
+    assert _EDGE_MESSAGES.get(name, "") in capsys.readouterr().err
 
 
 # (p, f or a stream, argv after the verb's --p/--f): each asks for a slice

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fischerlab.errors import NumericalError
-from fischerlab.fields import (GaussianRational, abs_sq, fraction_sqrt,
-                               gaussian_sqrt, is_exact_scalar, to_exact)
+from fischerlab.fields import (GaussianRational, fraction_sqrt, gaussian_sqrt, is_exact_scalar,
+                               to_exact)
 
 
 def G(re, im=0):
@@ -80,8 +80,11 @@ def test_eq_and_hash_with_rationals():
 def test_abs_and_complex():
     assert abs(G(3, 4)) == 5.0
     assert complex(G("1/2", "-1/4")) == 0.5 - 0.25j
-    assert abs_sq(G(3, 4)) == Fraction(25)
-    assert abs_sq(1 + 1j) == pytest.approx(2.0)
+    # |c| of exact parts whose squares are past the double range, and of
+    # parts themselves past it
+    assert abs(G(3 * 10 ** 200, 4 * 10 ** 200)) == math.hypot(3e200, 4e200)
+    with pytest.raises(NumericalError):
+        abs(G(10 ** 400))
 
 
 def test_exactness_predicates():

@@ -9,16 +9,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fischerlab import apolar, cli, fischer, spectral
-from fischerlab.errors import (ConditioningError, DimensionMismatchError, InvalidInputError,
-                               NumericalError)
+from fischerlab.errors import (ConditioningError, DimensionMismatchError, FischerLabError,
+                               InvalidInputError, NumericalError)
 from fischerlab.exactlinalg import float_lstsq_solve
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_factorial,
                                poly_to_dict, save_poly, sqrt_int, variables)
 from fischerlab.entire import TaylorStream
-from conftest import rand_gaussian, rand_homogeneous, rand_poly
+from conftest import exact_polys, float_polys, rand_gaussian, rand_homogeneous, rand_poly
 
 
 def _annihilates(p, r):
@@ -446,6 +447,33 @@ def test_float_input_gives_float_q_and_r_on_every_route(route):
             res = getattr(fischer, f"decompose_{route}")(pp, ff)
         assert res.q.field == res.r.field == FLOAT
         assert apolar.norm(pp * res.q + res.r - ff) < 1e-12
+
+
+def _outcome(route, p, f):
+    """(q, r, key order of q and r, residual, method, diagnostics) of a
+    route, or the type and text of its refusal."""
+    try:
+        res = route(p, f)
+    except FischerLabError as exc:  # both sides must refuse alike
+        return type(exc), str(exc)
+    return (res.q, res.r, list(res.q.terms.items()), list(res.r.terms.items()),
+            res.annihilator_residual, res.method, res.diagnostics)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    exact_polys(dims=(d, d), degrees=(0, 2), max_terms=4).filter(lambda p: not p.is_zero),
+    float_polys(d, degrees=(0, 4), max_terms=6))))
+def test_exact_p_beside_float_f_decomposes_as_its_float_promotion(pair):
+    # _admit promotes p with f (polyalg._one_field), so no route, slice
+    # solver or division sees an exact p beside a float f
+    p, f = pair
+    pk, fm = (g.homogeneous_component(g.degree) for g in (p, f))
+    routes = [(fischer.decompose_direct, p, f), (fischer.project_homogeneous, pk, fm)]
+    if p.dim >= 2:
+        routes.append((fischer.decompose_series, p, f))
+    for route, a, b in routes:
+        assert _outcome(route, a, b) == _outcome(route, a.to_float(), b)
 
 
 def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):

@@ -15,7 +15,11 @@ product kernels sum exponents termwise (``map(add, a, b)``), and every
 slice map calls ``polyalg.check_slice`` before it lists a monomial,
 the one place that compares a monomial count with a cap, and only the
 log-domain norms (``apolar.log_norm_sq`` and ``entire``) call
-``math.lgamma``, while ``apolar`` does without ``unit_scaled``."""
+``math.lgamma``, while ``apolar`` does without ``unit_scaled``, and two
+polynomials meet by one rule: only ``polyalg._one_field`` (and
+``Poly.__eq__``) compares two ``.field`` attributes, and only it,
+``fischer._admit`` (p against f, streams included) and ``Poly.evaluate``
+(a point) raise ``DimensionMismatchError``."""
 
 import ast
 import importlib
@@ -48,6 +52,8 @@ SLICE_MAPS = {"fischer_matrix", "orthonormal_operator", "kernel_basis", "mult_ma
 LISTINGS = {"enumerate_monomials", "degree_table", "mult_pattern", "mult_entries",
             "_normal_form_gram"}
 LOG_DOMAIN = {"apolar": {"log_norm_sq"}}  # and every function of entire
+FIELD_MEETINGS = {"polyalg": {"_one_field", "__eq__"}}
+DIMENSION_REFUSALS = {"polyalg": {"_one_field", "evaluate"}, "fischer": {"_admit"}}
 
 
 def unused_imports(source: str) -> list:
@@ -506,3 +512,53 @@ def test_lossy_range_path_is_reported():
     assert lossy_range_paths(source, "spectral") == ["lgamma (line 1)", "lgamma (line 5)",
                                                      "lgamma (line 8)"]
     assert lossy_range_paths(source, "entire") == []
+
+
+def operand_rule_copies(source: str, module: str) -> list:
+    """Comparisons of two .field attributes outside FIELD_MEETINGS, and
+    raises of DimensionMismatchError outside DIMENSION_REFUSALS: a copy of
+    the rule by which two polynomials meet."""
+    tree = ast.parse(source)
+
+    def inside(allowed):
+        return {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and fn.name in allowed.get(module, ()) for n in ast.walk(fn)}
+
+    meetings, refusals = inside(FIELD_MEETINGS), inside(DIMENSION_REFUSALS)
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in meetings and sum(
+                isinstance(side, ast.Attribute) and side.attr == "field"
+                for side in [node.left, *node.comparators]) >= 2:
+            hits.append(f"field comparison (line {node.lineno})")
+        if isinstance(node, ast.Raise) and id(node) not in refusals and node.exc is not None \
+                and "DimensionMismatchError" in _names(node.exc):
+            hits.append(f"DimensionMismatchError (line {node.lineno})")
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_two_polynomials_meet_by_one_rule(path):
+    # polyalg._one_field checks the dimensions and promotes a mixed pair to
+    # float; an operation with its own copy would drift from it
+    assert operand_rule_copies(path.read_text(), path.stem) == []
+
+
+def test_operand_rule_copy_is_reported():
+    source = ("def _one_field(a, b):\n"
+              "    if a.dim != b.dim:\n"
+              "        raise DimensionMismatchError('dims')\n"
+              "    return (a, b) if a.field == b.field else (a.to_float(), b.to_float())\n\n"
+              "def __add__(self, other):\n"
+              "    if self.dim != other.dim:\n"
+              "        raise errors.DimensionMismatchError('dims')\n"
+              "    if self.field != other.field and other.field == 'exact':\n"
+              "        return None\n\n"
+              "def apply(q, f):\n"
+              "    return q.field == f.field == 'exact', f.field == 'float'\n")
+    assert operand_rule_copies(source, "polyalg") == [
+        "DimensionMismatchError (line 8)", "field comparison (line 13)",
+        "field comparison (line 9)"]
+    assert operand_rule_copies(source, "apolar") == [
+        "DimensionMismatchError (line 3)", "DimensionMismatchError (line 8)",
+        "field comparison (line 13)", "field comparison (line 4)", "field comparison (line 9)"]

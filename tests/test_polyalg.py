@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fischerlab import apolar
 from fischerlab.entire import TaylorStream
 from fischerlab.errors import (DimensionMismatchError, FormatError, InvalidInputError,
                                NumericalError)
@@ -19,7 +20,7 @@ from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
                                 mult_entries, poly_from_dict, poly_to_dict, save_poly,
                                 sqrt_int, unit_scaled, variables, write_atomic)
-from conftest import exact_polys, rand_poly
+from conftest import exact_polys, float_polys, rand_poly
 
 
 def test_enumerate_single_variable():
@@ -491,6 +492,34 @@ def test_operation_results_are_canonical(pair, j):
     for x, y in [(a, b), (a, -b)]:
         merged = list(x.terms.items()) + list(y.terms.items())
         assert list((x + y).terms.items()) == list(Poly(a.dim, merged, field=field).terms.items())
+
+
+def _same_poly(x: Poly, y: Poly) -> None:
+    assert x == y
+    assert list(x.terms.items()) == list(y.terms.items())
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    exact_polys(dims=(d, d), max_terms=4), exact_polys(dims=(d, d), max_terms=3),
+    float_polys(d, max_terms=6))), st.integers(0, 3))
+def test_mixed_operands_meet_as_their_float_promotions(polys, cap):
+    # one rule, polyalg._one_field: an exact and a float operand give what
+    # the same call gives on both promoted by to_float, term order included;
+    # the exact one has terms that round to 0 in floats, which promotion drops
+    exact, tiny, b = polys
+    a = exact + tiny * Fraction(1, 10 ** 400)
+    for x, y in ((a, b), (b, a)):
+        fx, fy = x.to_float(), y.to_float()
+        _same_poly(x + y, fx + fy)
+        _same_poly(x - y, fx - fy)
+        _same_poly(x * y, fx * fy)
+        _same_poly(apply_diff_op(x, y), apply_diff_op(fx, fy))
+        assert apolar.inner_product(x, y) == apolar.inner_product(fx, fy)
+    parts = {m: (a if m % 2 else b).homogeneous_component(m) for m in range(4)}
+    stream = TaylorStream(a.dim, parts.__getitem__, max_degree=3)
+    promoted = TaylorStream(a.dim, lambda m: parts[m].to_float(), max_degree=3)
+    _same_poly(stream.truncate(cap), promoted.truncate(cap))
 
 
 def test_to_float_drops_coefficients_that_round_to_zero():
