@@ -205,15 +205,22 @@ def beauzamy_bound(pk: Poly, m: int) -> float:
 
     Dominates ||pk f|| / ||f|| for every homogeneous f of degree m.  Each
     |c_alpha| is ``abs(c)``, never a root of |c|^2, which overflows from
-    |c| ~ 1e154; an exact c past the double range raises NumericalError.
+    |c| ~ 1e154; an exact c, a modulus, (1+m)^(k/2) or the bound past the
+    double range raises NumericalError.
     """
     if not pk.is_homogeneous():
         raise InvalidInputError("pk must be homogeneous")
     if pk.is_zero:
         return 0.0
     k = pk.degree
-    s = sum(abs(c) * sqrt_int(midx_factorial(alpha)) for alpha, c in pk.terms.items())
-    return (1 + m) ** (k / 2) * s
+    try:
+        bound = (1 + m) ** (k / 2) * sum(abs(c) * sqrt_int(midx_factorial(alpha))
+                                         for alpha, c in pk.terms.items())
+    except OverflowError:  # the power, or the modulus of a float c, alone
+        bound = math.inf
+    if bound == math.inf:
+        raise NumericalError("the Beauzamy bound exceeds the float range")
+    return bound
 
 
 def shapiro_pointwise_residual(fk: Poly, z) -> float:

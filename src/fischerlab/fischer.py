@@ -495,8 +495,8 @@ def _divide(p: Poly, f: Poly, pk_star: Poly, cap=None) -> DecompositionResult:
 def _division_condition(p: Poly, f: Poly, q: Poly, r: Poly) -> float:
     """(||q'|| + ||r'||) / (||q|| + ||r||) for the long division f = p q + r,
     q' and r' the division of |f| by p's moduli with every subtraction an
-    addition; 1.0 when the division subtracts nothing.  A q or r past
-    the float range, or lost to underflow, raises NumericalError."""
+    addition; 1.0 when the division subtracts nothing.  q and r are finite, as built;
+    a norm past the float range, or q and r lost to underflow, raise NumericalError."""
     k = int(p.degree)
     if f.is_zero or f.degree < k:
         return 1.0

@@ -143,7 +143,9 @@ class Poly:
     inferred from the coefficients unless forced; two operands meet by
     ``_one_field``, so mixing exact and float promotes both to float.
     ``Poly(...)`` validates its input; results the package builds from its
-    own polynomials are wrapped by ``_canonical`` instead.
+    own polynomials are wrapped by ``_canonical`` instead.  A float Poly is
+    finite: ``Poly(...)`` and ``_from_sums`` (float sums, products and
+    ``apply_diff_op``) refuse an inf or nan coefficient with NumericalError.
     """
 
     __slots__ = ("dim", "_terms", "field")
@@ -175,6 +177,8 @@ class Poly:
                 store.pop(alpha, None)
             else:
                 store[alpha] = c
+        if field == FLOAT and not all(map(cmath.isfinite, store.values())):
+            raise NumericalError("a float coefficient is not finite")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", store)
         object.__setattr__(self, "field", field)
@@ -282,7 +286,9 @@ class Poly:
         a, b = _one_field(self, other)
         store = dict(a._terms)
         _merge_into(store, b._terms)
-        return Poly._canonical(a.dim, store, a.field)
+        if a.field == FLOAT:
+            return _from_sums(a.dim, store)
+        return Poly._canonical(a.dim, store, EXACT)
 
     __radd__ = __add__
 
@@ -490,7 +496,9 @@ def _float_products(a_terms, b_terms) -> dict:
 
 def _from_sums(dim: int, acc: dict) -> Poly:
     """The float Poly of the term sums ``acc`` (one entry per exponent):
-    its nonzero entries, in order."""
+    its nonzero entries, in order; NumericalError if one is inf or nan."""
+    if not all(map(cmath.isfinite, acc.values())):
+        raise NumericalError("a float coefficient exceeds the float range")
     return Poly._canonical(dim, {a: c for a, c in acc.items() if c}, FLOAT)
 
 
@@ -596,9 +604,8 @@ def unit_scaled(p: Poly) -> tuple:
     """(2^-e p, e) for nonzero p, e = floor(log2 t) for t the largest real
     or imaginary part of p's coefficients in modulus, so that 2^-e p has
     its largest part in [1, 2): exact coefficients scale exactly, float
-    ones by ``math.ldexp``, dropping any that underflow to 0; at e = 0 the
-    result is p itself.  A float coefficient that is not finite raises
-    NumericalError."""
+    ones (finite, as in every float Poly) by ``math.ldexp``, dropping any
+    that underflow to 0; at e = 0 the result is p itself."""
     terms = p._terms
     if p.field == EXACT:
         e = max(map(_floor_log2, terms.values()))
@@ -606,8 +613,6 @@ def unit_scaled(p: Poly) -> tuple:
             return p, 0
         factor = Fraction(2) ** -e
         return Poly._canonical(p.dim, {a: c * factor for a, c in terms.items()}, EXACT), e
-    if not all(map(cmath.isfinite, terms.values())):
-        raise NumericalError("a float coefficient is not finite")
     e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in terms.values()))[1] - 1
     if not e:
         return p, 0
@@ -680,40 +685,25 @@ def poly_from_dict(obj) -> Poly:
                 coeff = complex(float(re), float(im))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise FormatError(f"bad coefficient in term {t!r}") from exc
-        if isinstance(coeff, complex) and not cmath.isfinite(coeff):
-            raise FormatError(f"non-finite coefficient in term {t!r}")
         if exp in terms:
             raise FormatError(f"duplicate exponent {exp}")
         terms[exp] = coeff
     field = EXACT if kinds in ({"exact"}, set()) else FLOAT
     try:
         return Poly(dim, terms, field=field)
-    except InvalidInputError as exc:
+    except (InvalidInputError, NumericalError) as exc:  # a float inf or nan
         raise FormatError(str(exc)) from exc
-
-
-def _json_float(x: float) -> str:
-    """x as json spells it: float.__repr__, or NaN / Infinity / -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def save_poly(p: Poly, path) -> None:
     """Write ``json.dumps(poly_to_dict(p), indent=1) + "\n"`` to path, byte
-    for byte, built for this one schema without json's pure-Python
-    indenting encoder: terms in ``sorted_terms()`` order."""
+    for byte, built for this one schema without json's pure-Python indenting
+    encoder: terms in ``sorted_terms()`` order, float parts (all finite) by ``repr``."""
     terms = p.sorted_terms()
     if p.field == EXACT:
         parts = [[f'"{s}"' for s in _rational_strings(c)] for _, c in terms]
     else:
-        # json spells only the non-finite floats differently from repr
-        num = repr if all(map(cmath.isfinite, p._terms.values())) else _json_float
-        parts = [(num(c.real), num(c.imag)) for _, c in terms]
+        parts = [(repr(c.real), repr(c.imag)) for _, c in terms]
     sep = ",\n    "  # between exponents
     items = [f'  {{\n   "exp": [\n    {sep.join(map(str, alpha))}\n   ],\n   "re": {re},\n'
              f'   "im": {im}\n  }}' for (alpha, _), (re, im) in zip(terms, parts)]

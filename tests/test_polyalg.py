@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -560,25 +561,58 @@ def test_stream_and_decomposition_results_are_canonical(d, field):
 
 
 # ---------------------------------------------------------------------------
+# a float Poly holds only finite coefficients
+
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                                1.7e308, -1.7e308])
+
+
+@st.composite
+def _edge_float_polys(draw, d):
+    """Float polynomials in d variables of degree <= 3, zero included, with
+    parts at the edges of the double range or of moderate size."""
+    exps = st.lists(st.integers(0, 3), min_size=d, max_size=d).map(tuple).filter(
+        lambda alpha: sum(alpha) <= 3)
+    part = st.one_of(_edge_floats, st.floats(-4, 4))
+    return Poly(d, draw(st.dictionaries(exps, st.builds(complex, part, part), max_size=5)),
+                field=FLOAT)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(_edge_float_polys(d), _edge_float_polys(d))),
+       st.builds(complex, _edge_floats, _edge_floats).filter(bool))
+def test_float_arithmetic_makes_finite_coefficients_or_refuses(pq, c):
+    p, q = pq
+    for op in (p.__add__, p.__sub__, p.__mul__, lambda q: p ** 3, lambda q: p.scale(c),
+               lambda q: p / c, lambda q: apply_diff_op(p, q)):
+        try:
+            out = op(q)
+        except NumericalError:
+            continue
+        assert out.field == FLOAT and all(map(cmath.isfinite, out.terms.values()))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericalError):
+            Poly(p.dim, {(1,) * p.dim: bad})
+
+
+# ---------------------------------------------------------------------------
 # save_poly writes what json.dumps(poly_to_dict(p), indent=1) writes
 
-_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
-                                math.inf, -math.inf, math.nan])
 _big = st.integers(-10 ** 40, 10 ** 40)
 
 
 @st.composite
 def _polys_to_save(draw):
     """Exact or float polynomials in 1-4 variables, zero included: exact
-    parts large and negative, floats with signed zeros, subnormals, huge
-    values, inf and nan (which only Poly(...) builds; files never hold them)."""
+    parts large and negative, finite floats with signed zeros, subnormals
+    and huge values (no float Poly holds inf or nan)."""
     d = draw(st.integers(1, 4))
     exps = st.lists(st.integers(0, 12), min_size=d, max_size=d).map(tuple)
     if draw(st.booleans()):
         part = st.builds(Fraction, _big, st.integers(1, 10 ** 30))
         coeff = st.builds(GaussianRational, part, part)
     else:
-        part = st.one_of(st.floats(), _edge_floats)
+        part = st.one_of(_finite, _edge_floats)
         coeff = st.builds(complex, part, part)
     return Poly(d, draw(st.dictionaries(exps, coeff, max_size=8)))
 
@@ -628,7 +662,7 @@ def test_unit_scaled_returns_a_unit_poly_itself(field):
     assert unit_scaled(p) == (p, 0) and unit_scaled(p)[0] is p
 
 
-@pytest.mark.parametrize("c", [math.nan, -math.inf, complex(1, math.nan)])
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
 def test_unit_scaled_refuses_a_coefficient_that_is_not_finite(c):
-    with pytest.raises(NumericalError):
-        unit_scaled(Poly(1, {(0,): 1.0, (1,): c}))
+    with pytest.raises(NumericalError):  # no float Poly holds one for unit_scaled to see
+        Poly(1, {(0,): 1.0, (1,): c})
