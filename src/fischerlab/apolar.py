@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidInputError, NumericalError
-from .fields import EXACT, GaussianRational, dyadic
-from .polyalg import (Poly, _one_field, apply_diff_op, enumerate_monomials, midx_add,
+from .fields import EXACT, GaussianRational, dyadic, gaussian_integers
+from .polyalg import (Poly, _one_field, apply_diff_op, enumerate_monomials, log_ratio, midx_add,
                       midx_factorial, sqrt_int)
 from . import sampling
 
@@ -65,15 +65,18 @@ def _dyadic(p: Poly) -> Poly:
     return p if p.field == EXACT else Poly(p.dim, {a: dyadic(c) for a, c in p.terms.items()})
 
 
+def _sq_numerator(pairs) -> int:
+    """sum alpha! (re^2 + im^2) over (alpha, (re, im)) pairs: <p, p> den^2
+    for the exact p = sum (re + i im) z^alpha / den."""
+    return sum(midx_factorial(alpha) * (re * re + im * im) for alpha, (re, im) in pairs)
+
+
 def norm_sq(p: Poly):
     """<p, p>, exact rational for exact input, else ``inner_product``'s
     float, or one rounding of the exact value when that is not normal."""
     if p.field == EXACT:
-        # sum alpha! |re + i im|^2 / den^2 over one common denominator
-        terms = [(midx_factorial(alpha), *c.parts()) for alpha, c in p.terms.items()]
-        den = math.lcm(*(d for *_, d in terms)) ** 2
-        return Fraction(sum(w * (re * re + im * im) * (den // (d * d))
-                            for w, re, im, d in terms), den)
+        nums, den = gaussian_integers(p.terms.values())
+        return Fraction(_sq_numerator(zip(p.terms, nums)), den * den)
     sq = inner_product(p, p).real
     return sq if sq >= sys.float_info.min or p.is_zero else float(norm_sq(_dyadic(p)))
 
@@ -95,43 +98,38 @@ def norm(p: Poly) -> float:
         raise NumericalError("apolar norm exceeds the float range") from None
 
 
-# log a! = lgamma(a + 1) at index a, grown on demand by log_norm_sq
+# log a! = lgamma(a + 1) at index a, grown on demand by float log_norm_sq
 _LOG_FACTORIALS = []
 
 
 def log_norm_sq(p: Poly) -> float:
     """log <p, p>, overflow-safe for extreme degrees; -inf for p = 0.
 
-    log alpha! is the left-to-right sum of lgamma(a_i + 1), read from a
-    module-level table grown to the largest exponent seen.  An exact |c|^2
-    is the reduced integer ratio (re^2 + im^2) / den^2 of c's parts, whose
-    two logs are taken.
+    An exact p's value is ``polyalg.log_ratio`` of ``norm_sq(p)``: the log
+    of the exact rational sum alpha! |c|^2, taken once.
     Float coefficients enter through log|c|, since |c|^2 underflows long
-    before |c| does.  A subnormal coefficient whose term is not negligible
-    next to the largest one raises NumericalError: the coefficient has lost
-    precision, and terms of its size may have flushed to zero unseen.
+    before |c| does: log alpha! is the left-to-right sum of lgamma(a_i + 1),
+    read from a module-level table grown to the largest exponent seen, and
+    the terms' logs meet in one log-sum-exp.  A subnormal coefficient whose
+    term is not negligible next to the largest one raises NumericalError:
+    the coefficient has lost precision, and terms of its size may have
+    flushed to zero unseen.
     """
     if p.is_zero:
         return float("-inf")
+    if p.field == EXACT:
+        sq = norm_sq(p)
+        return log_ratio(sq.numerator, sq.denominator)
     terms = p.terms
     table = _LOG_FACTORIALS
     for a in range(len(table), max(map(max, terms)) + 1):
         table.append(math.lgamma(a + 1))
     log_fact = table.__getitem__
     log = math.log
-    log_subnormal = float("-inf")
-    if p.field == EXACT:
-        logs = []
-        for alpha, c in terms.items():
-            re, im, den = c.parts()
-            num, den = re * re + im * im, den * den
-            g = math.gcd(num, den)
-            logs.append(sum(map(log_fact, alpha)) + (log(num // g) - log(den // g)))
-    else:
-        mods = list(map(abs, terms.values()))
-        logs = [sum(map(log_fact, alpha)) + 2.0 * log(mod) for alpha, mod in zip(terms, mods)]
-        log_subnormal = max((l for l, mod in zip(logs, mods) if mod < sys.float_info.min),
-                            default=log_subnormal)
+    mods = list(map(abs, terms.values()))
+    logs = [sum(map(log_fact, alpha)) + 2.0 * log(mod) for alpha, mod in zip(terms, mods)]
+    log_subnormal = max((l for l, mod in zip(logs, mods) if mod < sys.float_info.min),
+                        default=float("-inf"))
     top = max(logs)
     if log_subnormal > top + log(sys.float_info.epsilon):
         raise NumericalError("float coefficients underflow: the apolar norm has lost "

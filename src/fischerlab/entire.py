@@ -22,7 +22,7 @@ from .errors import FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT, gaussian_integers
 from .fischer import DecompositionResult, decompose_direct
 from .polyalg import (Poly, _float_products, _from_numerators, _gaussian_products, _merge_into,
-                      poly_from_dict)
+                      log_ratio, poly_from_dict)
 
 
 class TaylorStream:
@@ -34,7 +34,9 @@ class TaylorStream:
     stream): every component beyond it is known to be exactly zero.
     A component from ``component_fn`` must be homogeneous of its degree
     (or zero) and is checked; ``from_poly`` and ``from_exp`` build theirs
-    so and skip the check.
+    so and skip the check.  ``log_norm_sq(m)`` is log ||f_m||^2, which an
+    exact ``from_exp`` stream reads off its recurrence's numerators without
+    building f_m.
     """
 
     def __init__(self, dim, component_fn, max_degree=math.inf, poly_degree=None):
@@ -45,20 +47,33 @@ class TaylorStream:
         self.poly_degree = poly_degree
         self._fn = component_fn
         self._check = True
+        self._log_norm = None
         self._cache = {}
 
-    def component(self, m: int) -> Poly:
+    def _check_degree(self, m: int) -> None:
         if m < 0:
             raise InvalidInputError("component degree must be >= 0")
         if m > self.max_degree:
             raise InvalidInputError(
                 f"component {m} beyond declared max degree {self.max_degree}")
+
+    def component(self, m: int) -> Poly:
+        self._check_degree(m)
         if m not in self._cache:
             fm = self._fn(m)
             if self._check and not fm.is_homogeneous(m) and not fm.is_zero:
                 raise InvalidInputError(f"component {m} is not homogeneous of degree {m}")
             self._cache[m] = fm
         return self._cache[m]
+
+    def log_norm_sq(self, m: int) -> float:
+        """``apolar.log_norm_sq(self.component(m))``, bit for bit, with the
+        same argument checks as ``component``; an exact exp stream takes it
+        from the numerators f_m already has in its recurrence."""
+        self._check_degree(m)
+        if self._log_norm is not None:
+            return self._log_norm(m)
+        return apolar.log_norm_sq(self.component(m))
 
     def truncate(self, cap: int) -> Poly:
         """Sum of components up to min(cap, max_degree), float if any is."""
@@ -86,7 +101,10 @@ class TaylorStream:
         over the lcm D of its denominators, each f_n as (re, im) integer
         pairs over one denominator; step n sums over the common denominator
         n D lcm(den f_{n-j}) and divides out one gcd, so components are
-        exactly those of the Gaussian-rational recurrence.  Float input
+        exactly those of the Gaussian-rational recurrence, and ``log_norm_sq``
+        reads log ||f_m||^2 off f_m's numerators, with no GaussianRational
+        built: the same exact rational ``apolar.log_norm_sq`` takes the log
+        of, so the same float.  Float input
         takes the recurrence's float operations in a fixed order (product,
         times j, sum over j, times 1/n), so components repeat bit for bit.
         A float component that underflow has emptied raises NumericalError:
@@ -97,10 +115,13 @@ class TaylorStream:
         """
         if not inner.homogeneous_component(0).is_zero:
             raise InvalidInputError("exp generator needs vanishing constant term")
-        comp = (_exact_exp_components if inner.field == EXACT
-                else _float_exp_components)(inner)
+        if inner.field == EXACT:
+            comp, log_norm = _exact_exp_components(inner)
+        else:
+            comp, log_norm = _float_exp_components(inner), None
         stream = cls(inner.dim, comp, max_degree=max_degree)
         stream._check = False
+        stream._log_norm = log_norm
         return stream
 
 
@@ -118,7 +139,8 @@ def _pair_add(u, v):
 
 
 def _exact_exp_components(inner: Poly):
-    """component(m) of exp(inner) for exact inner, on Z[i] numerators."""
+    """(comp, log_norm) of exp(inner) for exact inner, on Z[i] numerators:
+    comp(m) is f_m and log_norm(m) is log ||f_m||^2."""
     dim = inner.dim
     nums, scale = gaussian_integers(inner.terms.values())
     num_of = dict(zip(inner.terms, nums))
@@ -146,12 +168,20 @@ def _exact_exp_components(inner: Poly):
         nums.append({k: (re // g, im // g) for k, (re, im) in acc.items()})
         dens.append(den // g)
 
-    def comp(m):
+    def numerators(m):
         for n in range(len(nums), m + 1):
             step(n)
-        return _from_numerators(dim, nums[m], dens[m])
+        return nums[m], dens[m]
 
-    return comp
+    def comp(m):
+        return _from_numerators(dim, *numerators(m))
+
+    def log_norm(m):
+        num, den = numerators(m)
+        sq = apolar._sq_numerator(num.items())
+        return log_ratio(sq, den * den) if sq else float("-inf")
+
+    return comp, log_norm
 
 
 def _float_exp_components(inner: Poly):
@@ -264,14 +294,15 @@ def order_estimate(f: TaylorStream, degrees) -> OrderEstimate:
     three-term least-squares fit over the upper half of the requested
     degrees recovers 1/rho, and its s log m column absorbs the bracket's
     polynomial factor.  All-zero tails report order 0 with a
-    'polynomial/zero' flag.
+    'polynomial/zero' flag.  log ||f_m||^2 is ``f.log_norm_sq(m)``: for an
+    exact f_m, the log of the exact rational ||f_m||^2, taken once.
     """
     degrees = [m for m in degrees if 0 <= m <= f.max_degree]
     if len(degrees) < 20:
         raise InvalidInputError("order estimation needs at least 20 degrees")
     samples = []
     for m in degrees:
-        log_nsq = apolar.log_norm_sq(f.component(m))
+        log_nsq = f.log_norm_sq(m)
         if m >= 2 and not math.isinf(log_nsq):
             samples.append((m, 0.5 * (math.lgamma(m + f.dim) - log_nsq)))
     tail_start = degrees[len(degrees) // 2]
@@ -299,7 +330,9 @@ class WeightedNormReport:
 def blambda_norm(f: TaylorStream, lam: LambdaSeq, m_cap: int) -> WeightedNormReport:
     """Truncated sup of ||f_m|| / (m^(m/2) lambda_m^m) with trend flag.
 
-    The m = 0 term is read as ||f_0||.  The trend compares the weighted
+    The m = 0 term is read as ||f_0||, and every log ||f_m||^2 from
+    ``f.log_norm_sq(m)``, so an exact stream's is the log of the exact
+    rational ||f_m||^2, taken once.  The trend compares the weighted
     ratios over the last quartile of degrees: steady decay is consistent
     with membership (the defining ratio must tend to 0), a flat or rising
     tail is not.  A sup past the double range raises NumericalError.
@@ -309,8 +342,7 @@ def blambda_norm(f: TaylorStream, lam: LambdaSeq, m_cap: int) -> WeightedNormRep
     m_cap = int(min(m_cap, f.max_degree))
     logs = []
     for m in range(m_cap + 1):
-        fm = f.component(m)
-        log_nsq = apolar.log_norm_sq(fm)
+        log_nsq = f.log_norm_sq(m)
         if math.isinf(log_nsq):
             logs.append(float("-inf"))
             continue

@@ -523,6 +523,30 @@ def sqrt_int(n: int, den: int = 1) -> float:
         raise NumericalError("a square root exceeds the float range") from None
 
 
+# log 2 = _LN2_HI + _LN2_LO, split so that s * _LN2_HI is exact for |s| < 2^21
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+
+
+def log_ratio(n: int, den: int) -> float:
+    """log(n / den) for ints n > 0, den > 0: a function of the value n / den
+    alone, monotone in it and finite however far it lies past the double
+    range.  A ratio in [1/2, 2] gives the log1p of the exact (n - den) / den
+    rounded once; any other is read as 2^s q, q in [1, 2) rounded once, and
+    gives s log 2 + log q, s log 2 in two parts of which the larger is exact.
+    """
+    if n <= 0 or den <= 0:
+        raise ValueError("log_ratio needs n > 0 and den > 0")
+    if den <= 2 * n and n <= 2 * den:
+        return math.log1p((n - den) / den)
+    s = n.bit_length() - den.bit_length()  # floor(log2 n / den) is s or s - 1
+    s -= (n << max(-s, 0)) < (den << max(s, 0))
+    q = n / (den << s) if s >= 0 else (n << -s) / den
+    if q == 2.0:  # rounded up to the next power of two, which is then s + 1
+        s, q = s + 1, 1.0
+    return s * _LN2_HI + (math.log(q) + s * _LN2_LO)
+
+
 def check_slice(pk: Poly, m: int) -> int:
     """k = deg pk, every slice map's first call: InvalidInputError unless pk
     is nonzero and homogeneous, m >= 0 and multiplication by pk from degree

@@ -72,6 +72,73 @@ def test_package_streams_skip_the_homogeneity_check(monkeypatch):
     assert [s.component(3).is_zero for s in streams] == [False, False, False]
 
 
+def _exact_inners():
+    """(name, inner) of exact exp streams in d = 1-3, seeded: a linear
+    form, z1 + z1 z2 (not homogeneous), z1^2 (every odd component zero) and
+    a form with one coefficient 10^400."""
+    rng = random.Random(36)
+
+    def coeff():
+        return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 9)),
+                                Fraction(rng.randint(-5, 5), rng.randint(1, 9)))
+
+    for d in (1, 2, 3):
+        z = variables(d)
+        yield f"linear-d{d}", sum((v * coeff() for v in z), Poly.zero(d))
+        if d > 1:
+            yield f"z1+z1z2-d{d}", z[0] + z[0] * z[1]
+        yield f"z1^2-d{d}", z[0] * z[0]
+        yield f"huge-d{d}", z[0] * 10 ** 400 + z[-1] * coeff()
+
+
+@pytest.mark.parametrize("name, inner", [pytest.param(*case, id=case[0])
+                                         for case in _exact_inners()])
+def test_stream_log_norm_sq_is_the_component_log_norm(name, inner):
+    # an exact exp stream reads log ||f_m||^2 off its recurrence's
+    # numerators; apolar.log_norm_sq of the built component is the same
+    # float, before the component is built and after
+    stream = TaylorStream.from_exp(inner, max_degree=30)
+    for m in range(31):
+        before = stream.log_norm_sq(m)
+        want = apolar.log_norm_sq(stream.component(m))
+        assert before == want == stream.log_norm_sq(m), m
+        assert math.isinf(want) == (name.startswith("z1^2") and m % 2 == 1), m
+    for m in (-1, 31):
+        with pytest.raises(InvalidInputError) as comp:
+            stream.component(m)
+        with pytest.raises(InvalidInputError) as log_norm:
+            stream.log_norm_sq(m)
+        assert str(log_norm.value) == str(comp.value)
+    # the reports repeat whether a stream reads the numerators or, through
+    # a plain component_fn, apolar.log_norm_sq of each component
+    lam = entire.lambda_from_spec("inv-log")
+    fresh = TaylorStream.from_exp(inner, max_degree=30)
+    plain = TaylorStream(inner.dim, fresh.component, max_degree=30)
+    orders = [entire.order_estimate(s, range(0, 31)) for s in (fresh, plain, stream)]
+    assert orders[0] == orders[1] == orders[2]
+    try:
+        norms = [entire.blambda_norm(s, lam, 30) for s in (fresh, plain, stream)]
+    except NumericalError:  # a weighted sup past the double range
+        assert name.startswith("huge")
+    else:
+        assert norms[0] == norms[1] == norms[2]
+
+
+def test_stream_log_norm_sq_of_other_streams_is_the_component_log_norm():
+    # float exp, poly and plain streams take apolar.log_norm_sq of
+    # component(m), and refuse the degrees component refuses
+    x, y = variables(2)
+    streams = [TaylorStream.from_exp((x + y * 0.5j).to_float(), 5),
+               TaylorStream(2, lambda m: (x - y * Fraction(1, 3)) ** m, max_degree=5),
+               TaylorStream.from_poly(x * y + x)]
+    for stream in streams:
+        for m in range(6):
+            assert stream.log_norm_sq(m) == apolar.log_norm_sq(stream.component(m))
+        for m in [-1] + [6] * (stream.max_degree == 5):
+            with pytest.raises(InvalidInputError):
+                stream.log_norm_sq(m)
+
+
 def test_stream_json_round_trip():
     x, y = variables(2)
     obj = {"kind": "exp_poly", "inner": {"dim": 2, "terms": [

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fischerlab import fischer, spectral
+from fischerlab import entire, fischer, spectral
 from fischerlab.entire import TaylorStream
 from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add,
@@ -304,6 +304,20 @@ def test_exact_exp_streams_do_no_rational_arithmetic():
                 outputs = [stream.component(m) for m in range(12)]
             assert counts["arithmetic"] == 0
             assert 0 < counts["from_parts"] <= _terms(*outputs)
+
+
+def test_exact_order_and_blambda_read_the_numerators():
+    # order and blambda take log ||f_m||^2 of an exact exp stream from the
+    # recurrence's numerators: no component is built, no term reduced
+    rng = random.Random(36)
+    lam = entire.lambda_from_spec("inv-log")
+    for d in (1, 2, 3):
+        for den in DENS:
+            inner = _poly(rng, d, (1, 2), 3, den)
+            with _counting() as counts:
+                entire.order_estimate(TaylorStream.from_exp(inner), range(0, 30))
+                entire.blambda_norm(TaylorStream.from_exp(inner), lam, 30)
+            assert counts == {"arithmetic": 0, "from_parts": 0}
 
 
 def test_the_guard_sees_rational_arithmetic():

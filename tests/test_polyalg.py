@@ -5,6 +5,7 @@ import math
 import os
 import random
 import tempfile
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,8 @@ from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.fischer import SliceSolver, decompose_direct
 from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
                                 enumerate_monomials, grlex_rank, midx_add, midx_factorial,
-                                mult_entries, poly_from_dict, poly_to_dict, save_poly,
-                                sqrt_int, unit_scaled, variables, write_atomic)
+                                log_ratio, mult_entries, poly_from_dict, poly_to_dict,
+                                save_poly, sqrt_int, unit_scaled, variables, write_atomic)
 from conftest import exact_polys, float_polys, rand_poly
 
 
@@ -167,6 +168,61 @@ def test_sqrt_int_rounds_as_math_sqrt_also_past_the_double_range():
         assert sqrt_int(n, den << 1300) == math.ldexp(math.sqrt(n / den), -650)
     assert sqrt_int(0, 1 << 3000) == 0.0
     assert sqrt_int(1, 1 << 2100) == 2.0 ** -1050  # a root below the normal doubles
+
+
+def _ulps(got, want):
+    return abs(got - want) / math.ulp(want)
+
+
+def test_log_ratio_is_the_log_of_the_exact_ratio():
+    assert log_ratio(1, 1) == 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Decimal(2).ln()
+        for k in range(0, 1101):  # k log 2 rounded once, of either sign
+            assert log_ratio(2 ** k, 1) == log_ratio(3 << k, 3) == float(k * ln2)
+            assert log_ratio(1, 2 ** k) == log_ratio(3, 3 << k) == -float(k * ln2)
+            # k * math.log(2) rounds twice: equal where its product is
+            # exact, as at powers of two, else within 1 ulp
+            assert _ulps(log_ratio(2 ** k, 1), k * math.log(2)) <= (k & (k - 1) != 0)
+    # n / den an exact normal double x, whose math.log sees no rounding of
+    # the ratio, and the same x from a scaled pair of ints
+    rng = random.Random(36)
+    for _ in range(2000):
+        x = math.ldexp(rng.uniform(0.5, 1.0), rng.choice([rng.randint(-1021, 1024), 0, 1, 2]))
+        n, den = x.as_integer_ratio()
+        scale = rng.getrandbits(rng.choice([1, 40, 300])) | 1
+        assert _ulps(log_ratio(n * scale, den * scale), math.log(x)) <= 1, (n, den)
+    # any ratio, against a 60-digit reference: near 1 math.log(n / den)
+    # would lose the digits the rounding of n / den drops
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(2000):
+            bits = rng.choice([3, 53, 64, 400])
+            n, den = rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1
+            shift = rng.choice([0, 0, 1, 2, 5, 1000])
+            n, den = (n << shift, den) if rng.random() < 0.5 else (n, den << shift)
+            want = float(Decimal(n).ln() - Decimal(den).ln())
+            if want:
+                assert _ulps(log_ratio(n, den), want) <= 2, (n, den)
+    assert log_ratio(10 ** 12 + 1, 10 ** 12) == pytest.approx(1e-12, rel=1e-12)
+
+
+def test_log_ratio_is_monotone_and_finite_past_the_double_range():
+    # adjacent ratios across the log1p branch's ends (1/2 and 2) and across
+    # powers of two, at small and 1000-bit denominators
+    for den in (3, 7 << 1000, 10 ** 300 + 1):
+        for centre in (den // 2, den, 2 * den, 4 * den, 5 * den, den << 70, den >> 1):
+            vals = [log_ratio(n, den) for n in range(max(1, centre - 40), centre + 40)]
+            assert vals == sorted(vals), (den, centre)
+    big = 10 ** 800
+    assert log_ratio(big, 1) == pytest.approx(800 * math.log(10), rel=1e-15)
+    assert log_ratio(1, big) == -log_ratio(big, 1)
+    assert log_ratio(big + 1, big) == 0.0  # log1p of 1e-800, below the doubles
+    assert math.isfinite(log_ratio(3 ** 1700, big)) and math.isfinite(log_ratio(big, 3 ** 1700))
+    for n, den in ((0, 1), (-1, 1), (1, 0), (1, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            log_ratio(n, den)
 
 
 def test_mult_entries_past_the_double_range():
