@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidInputError, NumericalError
-from .fields import EXACT, GaussianRational, dyadic, gaussian_integers
+from .fields import EXACT, GaussianRational, dyadic
 from .polyalg import (Poly, _one_field, apply_diff_op, enumerate_monomials, log_ratio, midx_add,
                       midx_factorial, sqrt_int)
 from . import sampling
@@ -75,8 +75,8 @@ def norm_sq(p: Poly):
     """<p, p>, exact rational for exact input, else ``inner_product``'s
     float, or one rounding of the exact value when that is not normal."""
     if p.field == EXACT:
-        nums, den = gaussian_integers(p.terms.values())
-        return Fraction(_sq_numerator(zip(p.terms, nums)), den * den)
+        pairs, den = p.numerators()
+        return Fraction(_sq_numerator(pairs.items()), den * den)
     sq = inner_product(p, p).real
     return sq if sq >= sys.float_info.min or p.is_zero else float(norm_sq(_dyadic(p)))
 

@@ -29,7 +29,7 @@ from .errors import (ConditioningError, DimensionMismatchError, FormatError,
                      InvalidInputError, NumericalError)
 from .fields import EXACT, GaussianRational, to_exact
 from .polyalg import (Poly, _rational_strings, enumerate_monomials, load_json, load_poly,
-                      poly_from_dict, poly_to_dict, save_poly, write_atomic)
+                      poly_from_dict, poly_json, poly_to_dict, write_atomic)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -143,12 +143,11 @@ def _cmd_decompose(args) -> int:
             else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
     else:
         res = fischer.decompose_direct(p, f, max_degree=args.mcap)
-    if res.r.field == EXACT:  # r's digits too, before q is written: a refusal writes neither
-        for c in res.r.terms.values():
-            _rational_strings(c)
     prefix = args.out or "decomposition"
-    save_poly(res.q, f"{prefix}.q.json")
-    save_poly(res.r, f"{prefix}.r.json")
+    # both texts before either file: digits past the limit write neither
+    texts = {f"{prefix}.q.json": poly_json(res.q), f"{prefix}.r.json": poly_json(res.r)}
+    for path, text in texts.items():
+        write_atomic(path, text)
     payload = {
         "method": res.method,
         "annihilator_residual": res.annihilator_residual,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
-from .fields import EXACT, FLOAT, gaussian_integers
+from .fields import EXACT, FLOAT
 from .fischer import DecompositionResult, decompose_direct
 from .polyalg import (Poly, _float_products, _from_numerators, _gaussian_products, _merge_into,
                       log_ratio, poly_from_dict)
@@ -98,13 +98,11 @@ class TaylorStream:
         the components of inner, on plain coefficient dicts multiplied by
         ``Poly``'s own product kernels; only the requested component becomes
         a Poly.  Exact input runs on Gaussian-integer numerators: inner's
-        over the lcm D of its denominators, each f_n as (re, im) integer
-        pairs over one denominator; step n sums over the common denominator
-        n D lcm(den f_{n-j}) and divides out one gcd, so components are
-        exactly those of the Gaussian-rational recurrence, and ``log_norm_sq``
-        reads log ||f_m||^2 off f_m's numerators, with no GaussianRational
-        built: the same exact rational ``apolar.log_norm_sq`` takes the log
-        of, so the same float.  Float input
+        over their denominator D, and f_n's over n! D^n, never reduced, so
+        components are exactly those of the Gaussian-rational recurrence,
+        and ``log_norm_sq`` reads log ||f_m||^2 off f_m's numerators, with no
+        GaussianRational built: the same exact rational ``apolar.log_norm_sq``
+        takes the log of, so the same float.  Float input
         takes the recurrence's float operations in a fixed order (product,
         times j, sum over j, times 1/n), so components repeat bit for bit.
         A float component that underflow has emptied raises NumericalError:
@@ -140,38 +138,34 @@ def _pair_add(u, v):
 
 def _exact_exp_components(inner: Poly):
     """(comp, log_norm) of exp(inner) for exact inner, on Z[i] numerators:
-    comp(m) is f_m and log_norm(m) is log ||f_m||^2."""
+    comp(m) is f_m and log_norm(m) is log ||f_m||^2.  With g_j = G_j / D
+    over inner's numerators, f_n = N_n / (n! D^n) for the Gaussian integers
+    N_n = sum_j j (n-1)!/(n-j)! D^(j-1) G_j N_(n-j): no denominator to keep."""
     dim = inner.dim
-    nums, scale = gaussian_integers(inner.terms.values())
-    num_of = dict(zip(inner.terms, nums))
-    parts = [(j, [(a, num_of[a]) for a in gj.terms])
+    pairs, scale = inner.numerators()
+    parts = [(j, [(a, pairs[a]) for a in gj.terms])
              for j, gj in inner.homogeneous_components().items()]
-    nums = [{(0,) * dim: (1, 0)}]  # f_n = nums[n] / dens[n]
-    dens = [1]
+    nums = [{(0,) * dim: (1, 0)}]  # f_n = nums[n] / (n! scale^n)
 
     def step(n):
-        terms = [(j, gj, nums[n - j], dens[n - j]) for j, gj in parts
-                 if j <= n and nums[n - j]]
-        lcm = math.lcm(*(den for *_, den in terms))
         acc = {}
-        for j, gj, prev, den in terms:
-            w = j * (lcm // den)
+        for j, gj in parts:
+            if j > n or not nums[n - j]:
+                continue
+            w = j * math.perm(n - 1, j - 1) * scale ** (j - 1)
             prod = _gaussian_products([(a, (w * gr, w * gi)) for a, (gr, gi) in gj],
-                                      prev.items())
+                                      nums[n - j].items())
             part = {k: v for k, v in prod.items() if v[0] or v[1]}
             if acc:
                 _merge_into(acc, part, _pair_add, (0, 0))
             else:
                 acc = part
-        den = n * scale * lcm
-        g = math.gcd(den, *(x for v in acc.values() for x in v))
-        nums.append({k: (re // g, im // g) for k, (re, im) in acc.items()})
-        dens.append(den // g)
+        nums.append(acc)
 
     def numerators(m):
         for n in range(len(nums), m + 1):
             step(n)
-        return nums[m], dens[m]
+        return nums[m], math.factorial(m) * scale ** m
 
     def comp(m):
         return _from_numerators(dim, *numerators(m))
@@ -371,31 +365,41 @@ def blambda_norm(f: TaylorStream, lam: LambdaSeq, m_cap: int) -> WeightedNormRep
     return WeightedNormReport(norm_val, argmax, trend)
 
 
-def check_main_condition(k: int, tau, beta: int, rho) -> bool:
-    """Exact test of rho (k - tau) < 2 (k - beta)."""
+def _checked_tau(k: int, tau, beta: int) -> Fraction:
+    """tau exactly, after both condition checks' preconditions 0 <= beta < k
+    and 0 <= tau <= k, which a NaN or infinite tau fails."""
     if not 0 <= beta < k:
         raise InvalidInputError("need 0 <= beta < k")
-    tau_f = Fraction(tau)
-    rho_f = Fraction(rho)
-    if not 0 <= tau_f <= k:
-        raise InvalidInputError("need 0 <= tau <= k")
-    if rho_f < 0:
-        raise InvalidInputError("need rho >= 0")
-    return rho_f * (k - tau_f) < 2 * (k - beta)
+    if not 0 <= tau <= k:
+        raise InvalidInputError(f"need 0 <= tau <= k, got tau = {tau!r}")
+    return Fraction(tau)
+
+
+def check_main_condition(k: int, tau, beta: int, rho) -> bool:
+    """Exact test of rho (k - tau) < 2 (k - beta).  rho = inf, the order of
+    super-order growth, fails it for tau < k and is refused at tau = k,
+    where inf * 0 has no value; a NaN tau or rho is refused."""
+    tau = _checked_tau(k, tau, beta)
+    if not rho >= 0:
+        raise InvalidInputError(f"need rho >= 0, got rho = {rho!r}")
+    if rho == math.inf:
+        if tau == k:
+            raise InvalidInputError("rho = inf at tau = k: inf * 0 has no value")
+        return False
+    return Fraction(rho) * (k - tau) < 2 * (k - beta)
 
 
 def check_lambda_condition(lam: LambdaSeq, k: int, tau, beta: int, probe=None):
     """Numerically probe m^((k-tau)/2) lambda_m^(k-beta) -> 0.
 
     Returns (verdict, tail samples); the verdict is a monotone-tail
-    heuristic over the last quartile of the probe range.
+    heuristic over the last quartile of the probe range.  Its preconditions
+    are ``check_main_condition``'s: 0 <= beta < k and 0 <= tau <= k.
     """
-    if not 0 <= beta < k:
-        raise InvalidInputError("need 0 <= beta < k")
+    tau = float(_checked_tau(k, tau, beta))
     probe = list(probe) if probe is not None else list(range(4, 4097, 8))
     if len(probe) < 20:
         raise InvalidInputError("probe range must cover at least 20 degrees")
-    tau = float(tau)
     vals = [(m, m ** ((k - tau) / 2) * lam(m) ** (k - beta)) for m in probe]
     tail = vals[-max(5, len(vals) // 4):]
     ys = [v for _, v in tail]

@@ -5,7 +5,8 @@ Two fields are supported throughout the package: exact Gaussian rationals
 arbitrary-precision ints) and double-precision complex numbers.  The exact
 field keeps every ring operation and division error-free, so algebraic
 identities can be asserted with ``==``; the float field is what the
-numerical layers (SVD sweeps, Monte Carlo) consume.
+numerical layers (SVD sweeps, Monte Carlo) consume.  A polynomial's
+numerators over one denominator are ``Poly.numerators()``, not this module's.
 
 Both coefficient kinds expose ``.real``, ``.imag`` and ``.conjugate()``,
 so generic code can treat them uniformly.
@@ -205,16 +206,6 @@ def _quotient(ar, ai, d, br, bi, e):
     """((ar + i ai) / d) / ((br + i bi) / e): times the conjugate, over the norm."""
     return _from_parts((ar * br + ai * bi) * e, (ai * br - ar * bi) * e,
                        d * (br * br + bi * bi))
-
-
-def gaussian_integers(values) -> tuple:
-    """(numerators, den): the Gaussian rationals ``values`` as (re, im) int
-    pairs over one denominator, the lcm of theirs (1 for no values), so
-    that values[i] == (re_i + i im_i) / den."""
-    parts = [c.parts() for c in values]
-    den = math.lcm(*(d for _, _, d in parts))
-    return [(re, im) if d == den else (re * (den // d), im * (den // d))
-            for re, im, d in parts], den
 
 
 def dyadic(z) -> GaussianRational:

@@ -59,7 +59,7 @@ import numpy as np
 from . import apolar
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 from .exactlinalg import bareiss_solve, gram_condition, ldexp_normal
-from .fields import EXACT, FLOAT, gaussian_integers
+from .fields import EXACT, FLOAT
 from .polyalg import (Poly, _one_field, apply_diff_op, check_slice, enumerate_monomials,
                       midx_factorial, mult_entries, mult_pattern, sqrt_int, unit_scaled)
 
@@ -114,7 +114,8 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
     n = m - pk.degree
     check_slice(pk, n)
     basis = tuple(enumerate_monomials(pk.dim, n))
-    nums, d = gaussian_integers(c for _, c in pk.sorted_terms())
+    pairs, d = pk.numerators()
+    nums = [pairs[gamma] for gamma, _ in pk.sorted_terms()]
     rows, weights = mult_pattern(pk, basis)
     # per row delta: (i, conj(n) w) of pk*(D) and (i, n) of pk, i = beta's index
     by_row = {}
@@ -249,10 +250,10 @@ class SliceSolver:
             mat = self._matrices.get(m)
             if mat is None:
                 mat = self._matrices[m] = fischer_matrix(pk, m)
-            nums, den = gaussian_integers(fm.terms.values())
+            pairs, den = fm.numerators()
             # b = mat.den * den * pk*(D) fm, den fm's common denominator
             b_re, b_im = [0] * len(mat.basis), [0] * len(mat.basis)
-            for alpha, (gr, gi) in zip(fm.terms, nums):
+            for alpha, (gr, gi) in pairs.items():
                 for i, cr, ci in mat.adjoint.get(alpha, ()):
                     b_re[i] += cr * gr - ci * gi
                     b_im[i] += cr * gi + ci * gr

@@ -30,8 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, InvalidInputError, NumericalError
-from .fields import (EXACT, FLOAT, GaussianRational, dyadic, gaussian_integers, is_exact_scalar,
-                     to_exact)
+from .fields import EXACT, FLOAT, GaussianRational, dyadic, is_exact_scalar, to_exact
 
 NEG_INF = float("-inf")
 DIM_CAP = 20000  # the most monomials a slice map builds at its target degree
@@ -146,9 +145,10 @@ class Poly:
     own polynomials are wrapped by ``_canonical`` instead.  A float Poly is
     finite: ``Poly(...)`` and ``_from_sums`` (float sums, products and
     ``apply_diff_op``) refuse an inf or nan coefficient with NumericalError.
+    Exact kernels compute on ``numerators()``, read once and kept.
     """
 
-    __slots__ = ("dim", "_terms", "field")
+    __slots__ = ("dim", "_terms", "field", "_nums")
 
     def __init__(self, dim: int, terms=None, field=None):
         if dim < 1:
@@ -182,6 +182,7 @@ class Poly:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", store)
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_nums", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
@@ -196,6 +197,7 @@ class Poly:
         object.__setattr__(p, "dim", dim)
         object.__setattr__(p, "_terms", store)
         object.__setattr__(p, "field", field)
+        object.__setattr__(p, "_nums", None)
         return p
 
     # -- constructors -------------------------------------------------------
@@ -226,6 +228,18 @@ class Poly:
     @property
     def terms(self):
         return MappingProxyType(self._terms)
+
+    def numerators(self) -> tuple:
+        """(pairs, den) of an exact Poly: each exponent, in term order, to ints
+        (re, im) with coefficient (re + i im) / den; den is the lcm of their
+        denominators (1 for zero) unless ``_from_numerators`` kept its own."""
+        if self._nums is None:
+            parts = [c.parts() for c in self._terms.values()]
+            den = math.lcm(*(d for _, _, d in parts))
+            pairs = {a: (re, im) if d == den else (re * (den // d), im * (den // d))
+                     for a, (re, im, d) in zip(self._terms, parts)}
+            object.__setattr__(self, "_nums", (pairs, den))
+        return self._nums
 
     @property
     def is_zero(self) -> bool:
@@ -310,10 +324,8 @@ class Poly:
         if a.is_zero or b.is_zero:
             return Poly.zero(a.dim, a.field)
         if a.field == EXACT:
-            nums_a, da = gaussian_integers(a._terms.values())
-            nums_b, db = gaussian_integers(b._terms.values())
-            sums = _gaussian_products(zip(a._terms, nums_a), list(zip(b._terms, nums_b)))
-            return _from_numerators(a.dim, sums, da * db)
+            (pa, da), (pb, db) = a.numerators(), b.numerators()
+            return _from_numerators(a.dim, _gaussian_products(pa.items(), pb.items()), da * db)
         return _from_sums(a.dim, _float_products(a._terms.items(), b._terms.items()))
 
     __rmul__ = __mul__
@@ -427,11 +439,10 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
     """
     q, f = _one_field(q, f)
     if q.field == EXACT:
-        nums_q, dq = gaussian_integers(q._terms.values())
-        nums_f, df = gaussian_integers(f._terms.values())
+        (pq, dq), (pf, df) = q.numerators(), f.numerators()
         sums = {}
-        for alpha, (cr, ci) in zip(q._terms, nums_q):
-            for beta, (vr, vi) in zip(f._terms, nums_f):
+        for alpha, (cr, ci) in pq.items():
+            for beta, (vr, vi) in pf.items():
                 rest = midx_sub(beta, alpha)
                 if rest is None:
                     continue
@@ -504,10 +515,13 @@ def _from_sums(dim: int, acc: dict) -> Poly:
 
 def _from_numerators(dim: int, sums: dict, den: int) -> Poly:
     """The exact Poly of the Gaussian-integer term sums ``sums`` (exponent
-    -> [re, im]) over den: its nonzero entries, in order."""
+    -> [re, im]) over den: its nonzero entries, in order, kept with den
+    as its ``numerators()``."""
     make = GaussianRational.from_parts
-    return Poly._canonical(dim, {a: make(re, im, den) for a, (re, im) in sums.items()
-                                 if re or im}, EXACT)
+    pairs = {a: s for a, s in sums.items() if s[0] or s[1]}
+    p = Poly._canonical(dim, {a: make(re, im, den) for a, (re, im) in pairs.items()}, EXACT)
+    object.__setattr__(p, "_nums", (pairs, den))
+    return p
 
 
 def sqrt_int(n: int, den: int = 1) -> float:
@@ -719,10 +733,10 @@ def poly_from_dict(obj) -> Poly:
         raise FormatError(str(exc)) from exc
 
 
-def save_poly(p: Poly, path) -> None:
-    """Write ``json.dumps(poly_to_dict(p), indent=1) + "\n"`` to path, byte
-    for byte, built for this one schema without json's pure-Python indenting
-    encoder: terms in ``sorted_terms()`` order, float parts (all finite) by ``repr``."""
+def poly_json(p: Poly) -> str:
+    """``json.dumps(poly_to_dict(p), indent=1) + "\n"``, byte for byte, built
+    for this one schema without json's pure-Python indenting encoder: terms
+    in ``sorted_terms()`` order, float parts (all finite) by ``repr``."""
     terms = p.sorted_terms()
     if p.field == EXACT:
         parts = [[f'"{s}"' for s in _rational_strings(c)] for _, c in terms]
@@ -732,7 +746,12 @@ def save_poly(p: Poly, path) -> None:
     items = [f'  {{\n   "exp": [\n    {sep.join(map(str, alpha))}\n   ],\n   "re": {re},\n'
              f'   "im": {im}\n  }}' for (alpha, _), (re, im) in zip(terms, parts)]
     body = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-    write_atomic(path, f'{{\n "dim": {p.dim},\n "terms": {body}\n}}\n')
+    return f'{{\n "dim": {p.dim},\n "terms": {body}\n}}\n'
+
+
+def save_poly(p: Poly, path) -> None:
+    """Write ``poly_json(p)`` to path by ``write_atomic``."""
+    write_atomic(path, poly_json(p))
 
 
 def write_atomic(path, text: str) -> None:

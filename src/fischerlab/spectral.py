@@ -45,8 +45,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace, gram_condition, ldexp_normal
-from .fields import (EXACT, FLOAT, GaussianRational, gaussian_integers, gaussian_sqrt,
-                     is_exact_scalar, to_exact)
+from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
 from .fischer import orthonormal_operator
 from .polyalg import (Poly, check_slice, count_monomials, enumerate_monomials, grlex_rank,
                       mult_entries, mult_pattern, unit_scaled, write_atomic)
@@ -375,7 +374,8 @@ def kernel_basis(pk: Poly, m: int):
                 for vec in (u[:, len(s):] / src.weights[:, None]).T]
     # the rows times the common denominator of pk's coefficients, which
     # leaves the kernel as it is
-    nums, _ = gaussian_integers(c for _, c in pk.sorted_terms())
+    pairs = pk.numerators()[0]
+    nums = [pairs[gamma] for gamma, _ in pk.sorted_terms()]
     ranks, weights = mult_pattern(pk, enumerate_monomials(d, m - k))
     rows = [[(0, 0)] * len(col_basis) for _ in ranks]
     for row, ranks_j, weights_j in zip(rows, ranks.tolist(), weights.tolist()):

@@ -1184,23 +1184,22 @@ _SCALAR_POOL = ["0", "1", "3/7", "0.5-2j", "1e200", "1e-200j", "1e300-1e300j", "
 def _edge_streams(draw, d):
     """A "poly" or an "exp_poly" stream of odd max_degree, as a JSON object;
     a "poly" body, of degree <= 3, fits under its max_degree.  Degrees stop
-    at 23: exact exp(10^400 z1 + 10^-400 z2 + (10^400 + 1)/3^800 z3) takes
-    4.5 s in blambda to degree 23 and 18 s to degree 31 (2 CPUs, Python
-    3.11), most of it in the recurrence's gcd and in the exact squares of
-    its norms."""
+    at 27: exact exp(10^400 z1 + 10^-400 z2 + (10^400 + 1)/3^800 z3) takes
+    4.0 s in blambda to degree 27 and 6.7 s to degree 31 (2 CPUs, Python
+    3.11), most of it in the exact squares of its norms."""
     body = draw(_edge_polys(d, False))
     if draw(st.booleans()):
-        return {"kind": "poly", "max_degree": draw(st.sampled_from([3, 21, 23])),
+        return {"kind": "poly", "max_degree": draw(st.sampled_from([3, 21, 27])),
                 **poly_to_dict(body)}
     inner = Poly(d, {alpha: c for alpha, c in body.terms.items() if any(alpha)}, body.field)
-    return {"kind": "exp_poly", "max_degree": draw(st.sampled_from([1, 3, 21, 23])),
+    return {"kind": "exp_poly", "max_degree": draw(st.sampled_from([1, 3, 21, 27])),
             "inner": poly_to_dict(inner)}
 
 
 @st.composite
 def _edge_calls(draw):
     """(p, f, stream, argv): one call of any verb in dimension 1-3, degrees
-    <= 3, degree windows <= 12 and stream degrees <= 23."""
+    <= 3, degree windows <= 12 and stream degrees <= 27."""
     verb = draw(st.sampled_from(["inner", "decompose", "kernel", "spectrum", "ks-fit",
                                  "order", "blambda", "classify2x2", "verify"]))
     d = draw(st.integers(1, 3))
@@ -1235,7 +1234,7 @@ def _edge_calls(draw):
     if verb == "order":
         return p, f, stream, [verb, "--f", "S", "--min-degree", str(draw(st.sampled_from([0, 3])))]
     if verb == "blambda":
-        return p, f, stream, [verb, "--f", "S", "--mcap", str(draw(st.integers(1, 23))),
+        return p, f, stream, [verb, "--f", "S", "--mcap", str(draw(st.integers(1, 27))),
                               "--lam", draw(st.sampled_from(["inv-log", "inv-linear", "power:2"]))]
     if verb == "classify2x2":
         return p, f, stream, [verb] + [draw(st.sampled_from(_SCALAR_POOL)) for _ in range(3)]

@@ -408,6 +408,46 @@ def test_main_condition_validation():
         entire.check_main_condition(2, 3, 0, 1.0)
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("k,tau,beta", [(2, 1.0, 0), (2, 0, 1), (3, Fraction(5, 2), 2)])
+def test_main_condition_fails_at_infinite_order_below_tau_k(k, tau, beta):
+    # order_estimate reports rho = inf for super-order growth: inf times a
+    # positive k - tau is never below 2 (k - beta)
+    assert entire.check_main_condition(k, tau, beta, _INF) is False
+
+
+@pytest.mark.parametrize("k,tau,beta,rho", [
+    (2, 2, 0, _INF),       # inf * 0 has no value
+    (2, 2.0, 1, _INF),
+    (2, _NAN, 0, 1.0),
+    (2, 1, 0, _NAN),
+    (2, _NAN, 0, _INF),
+    (2, _INF, 0, 1.0),
+    (2, -_INF, 0, 1.0),
+    (2, 1, 0, -_INF),
+])
+def test_main_condition_refuses_non_finite_values_without_a_meaning(k, tau, beta, rho):
+    with pytest.raises(InvalidInputError):
+        entire.check_main_condition(k, tau, beta, rho)
+
+
+@pytest.mark.parametrize("tau", [_NAN, _INF, -_INF, -1, 2.5, Fraction(-1, 3)])
+def test_lambda_condition_takes_the_same_tau_range(tau):
+    lam = entire.lambda_from_spec("inv-linear")
+    with pytest.raises(InvalidInputError):
+        entire.check_lambda_condition(lam, 2, tau, 0)
+    with pytest.raises(InvalidInputError):
+        entire.check_main_condition(2, tau, 0, 1)
+
+
+def test_lambda_condition_takes_tau_at_both_ends():
+    lam = entire.lambda_from_spec("inv-linear")
+    assert entire.check_lambda_condition(lam, 2, 0, 0)[0] == "tending-to-zero"
+    assert entire.check_lambda_condition(lam, 2, 2, 1)[0] == "tending-to-zero"
+
+
 def test_lambda_condition_tending():
     lam = entire.lambda_from_spec("inv-linear")
     verdict, tail = entire.check_lambda_condition(lam, 2, 1, 0)

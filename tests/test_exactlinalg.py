@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fischerlab.errors import ConditioningError
 from fischerlab.exactlinalg import (bareiss_solve, checked_condition, exact_nullspace,
                                     exact_rref, float_lstsq_solve, gram_condition)
-from fischerlab.fields import GaussianRational, gaussian_integers
+from fischerlab.fields import GaussianRational
 
 
 def G(re, im=0):
@@ -22,7 +23,12 @@ def _mat(rows):
 def _ints(rows):
     """Rows of Gaussian rationals as the kernel takes them: (re, im) int
     pairs, each row scaled by the lcm of its denominators."""
-    return [gaussian_integers(row)[0] for row in rows]
+    out = []
+    for row in rows:
+        parts = [c.parts() for c in row]
+        den = math.lcm(*(d for _, _, d in parts))
+        out.append([(re * (den // d), im * (den // d)) for re, im, d in parts])
+    return out
 
 
 def _solve(rows, rhs):

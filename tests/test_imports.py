@@ -19,7 +19,9 @@ log-domain norms (``apolar.log_norm_sq`` and ``entire``) call
 polynomials meet by one rule: only ``polyalg._one_field`` (and
 ``Poly.__eq__``) compares two ``.field`` attributes, and only it,
 ``fischer._admit`` (p against f, streams included) and ``Poly.evaluate``
-(a point) raise ``DimensionMismatchError``."""
+(a point) raise ``DimensionMismatchError``, and a common denominator
+(``math.lcm``) is taken only by ``GaussianRational.__init__`` and
+``Poly.numerators``, an exact polynomial's one reader of its numerators."""
 
 import ast
 import importlib
@@ -54,6 +56,7 @@ LISTINGS = {"enumerate_monomials", "degree_table", "mult_pattern", "mult_entries
 LOG_DOMAIN = {"apolar": {"log_norm_sq"}}  # and every function of entire
 FIELD_MEETINGS = {"polyalg": {"_one_field", "__eq__"}}
 DIMENSION_REFUSALS = {"polyalg": {"_one_field", "evaluate"}, "fischer": {"_admit"}}
+LCM_OWNERS = {"fields": {"GaussianRational.__init__"}, "polyalg": {"Poly.numerators"}}
 
 
 def unused_imports(source: str) -> list:
@@ -562,3 +565,52 @@ def test_operand_rule_copy_is_reported():
     assert operand_rule_copies(source, "apolar") == [
         "DimensionMismatchError (line 3)", "DimensionMismatchError (line 8)",
         "field comparison (line 13)", "field comparison (line 4)", "field comparison (line 9)"]
+
+
+def common_denominators(source: str, module: str) -> list:
+    """module.scope of each name lcm (math.lcm, or lcm imported by name)
+    outside LCM_OWNERS, the scope being the enclosing classes and functions
+    joined by dots (<module> at the top level)."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = (getattr(child, "id", None) or getattr(child, "attr", None)
+                    if isinstance(child, (ast.Name, ast.Attribute)) else
+                    child.name if isinstance(child, ast.alias) else None)
+            where = ".".join(scope)
+            if name == "lcm" and where not in LCM_OWNERS.get(module, ()):
+                hits.append(f"{module}.{where or '<module>'} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numerators_have_one_reader(path):
+    # an exact polynomial's numerators over one denominator are derived in
+    # Poly.numerators and kept; a copy elsewhere would derive them again
+    assert common_denominators(path.read_text(), path.stem) == []
+
+
+def test_common_denominator_is_reported():
+    source = ("import math\nfrom math import lcm\n\n"
+              "class Poly:\n"
+              "    def numerators(self):\n"
+              "        return math.lcm(*self.dens)\n\n"
+              "def gaussian_integers(values):\n"
+              "    return math.lcm(*values)\n\n"
+              "def components(inner):\n"
+              "    def step(n):\n"
+              "        return lcm(n, 2)\n"
+              "    return step\n")
+    assert common_denominators(source, "polyalg") == [
+        "polyalg.<module> (line 2)", "polyalg.components.step (line 13)",
+        "polyalg.gaussian_integers (line 9)"]
+    assert common_denominators(source, "entire") == [
+        "entire.<module> (line 2)", "entire.Poly.numerators (line 6)",
+        "entire.components.step (line 13)", "entire.gaussian_integers (line 9)"]

@@ -3,16 +3,17 @@ denominator.  Each is checked here, term order included, against a
 reference written with plain GaussianRational arithmetic, and guarded
 against falling back to that arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fischerlab import entire, fischer, spectral
+from fischerlab import apolar, cli, entire, fischer, spectral
 from fischerlab.entire import TaylorStream
 from fischerlab.fields import GaussianRational
 from fischerlab.polyalg import (Poly, apply_diff_op, enumerate_monomials, midx_add,
-                                midx_factorial, midx_sub, variables)
+                                midx_factorial, midx_sub, save_poly, variables)
 
 G = GaussianRational
 _ZERO = G(0)
@@ -293,8 +294,8 @@ def test_integer_loops_do_no_rational_arithmetic():
 
 
 def test_exact_exp_streams_do_no_rational_arithmetic():
-    # inner's numerators come from gaussian_integers, the recurrence adds int
-    # pairs, and each component is built once from its numerators
+    # inner's numerators come from Poly.numerators, the recurrence adds int
+    # pairs over n! D^n, and each component is built once from its numerators
     rng = random.Random(30)
     for d in (1, 2, 3):
         for den in DENS:
@@ -325,3 +326,128 @@ def test_the_guard_sees_rational_arithmetic():
         G(1, 2) * G(Fraction(1, 3)) + 1
         G.from_parts(1, 2, 3)
     assert counts == {"arithmetic": 2, "from_parts": 1}
+
+
+# ---------------------------------------------------------------------------
+# the numerator view: read once, kept, and the same values as a derivation
+
+def _fresh(p):
+    """p's numerators derived anew, from a copy built by ``Poly(...)``."""
+    return Poly(p.dim, p.terms).numerators()
+
+
+def _same_values(view, want):
+    (pairs, den), (want_pairs, want_den) = view, want
+    assert list(pairs) == list(want_pairs)
+    for a, (re, im) in pairs.items():
+        wr, wi = want_pairs[a]
+        assert (re * want_den, im * want_den) == (wr * den, wi * den)
+
+
+def _view_inputs():
+    rng = random.Random(37)
+    for d in (1, 2, 3):
+        for den in DENS:
+            yield _poly(rng, d, range(4), 6, den), _poly(rng, d, range(3), 4, den)
+
+
+def test_numerators_give_every_coefficient_in_term_order():
+    for p, _ in _view_inputs():
+        pairs, den = p.numerators()
+        assert list(pairs) == list(p.terms)
+        assert den == math.lcm(*(c.parts()[2] for c in p.terms.values()))
+        for (a, (re, im)), c in zip(pairs.items(), p.terms.values()):
+            assert G.from_parts(re, im, den) == c
+    assert Poly.zero(2).numerators() == ({}, 1)
+
+
+def test_numerators_are_read_once_and_change_nothing():
+    for p, _ in _view_inputs():
+        twin = Poly(p.dim, p.terms)
+        view = p.numerators()
+        assert p.numerators() is view
+        assert p == twin and hash(p) == hash(twin)
+        assert list(p.terms.items()) == list(twin.terms.items())
+        assert repr(p) == repr(twin)
+
+
+def test_kept_views_of_products_and_d_operators_hold_the_same_values():
+    for a, b in _view_inputs():
+        for got in (a * b, apply_diff_op(b, a), apply_diff_op(a.star(), a * b)):
+            if not got.is_zero:
+                _same_values(got.numerators(), _fresh(got))
+        # a product keeps the product of its operands' denominators
+        assert (a * b).numerators()[1] == a.numerators()[1] * b.numerators()[1]
+
+
+def test_kept_views_feed_the_slice_maps_as_derived_ones():
+    # pk = a b keeps a denominator that need not be the least one
+    for d, k, den, rng in _cases():
+        if k == 1 or d == 4:
+            continue
+        pk = _homogeneous(rng, d, 1, den) * _homogeneous(rng, d, k - 1, den)
+        m = k + 1
+        fm = fischer.fischer_matrix(pk, m)
+        rows = tuple(tuple(G.from_parts(re, im, fm.den) for re, im in row) for row in fm.rows)
+        assert (fm.basis, rows) == ref_fischer_matrix(pk, m)
+        f = _poly(rng, d, [1], 2, den) * _poly(rng, d, [m], 3, den)
+        if not f.is_zero:
+            _same(fischer.SliceSolver(pk).project(f)[0], ref_project(pk, f))
+        for g, w in zip(spectral.kernel_basis(pk, m), ref_kernel_basis(pk, m)):
+            _same(g, w)
+
+
+class _reads:
+    """The polynomials whose numerators are read inside a with block, each
+    with whether that read derived them."""
+
+    def __enter__(self):
+        self.patch = pytest.MonkeyPatch()
+        reads = []
+        original = Poly.numerators
+
+        def numerators(p):
+            reads.append((p, p._nums is None))
+            return original(p)
+
+        self.patch.setattr(Poly, "numerators", numerators)
+        return reads
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+
+def test_reznick_residual_derives_fm_once_across_its_operators():
+    rng = random.Random(38)
+    for d in (1, 2, 3):
+        for den in DENS:
+            pk = _homogeneous(rng, d, 2, den)
+            fm = _homogeneous(rng, d, 3, den)
+            with _reads() as reads:
+                apolar.reznick_residual(pk, fm)
+            of_fm = [derived for p, derived in reads if p is fm]
+            assert len(of_fm) >= 2 + 1  # pk fm, then k + 1 operators at least
+            assert of_fm.count(True) == 1
+
+
+def test_series_check_derives_pk_star_once_across_both_routes(tmp_path):
+    x, y = variables(2)
+    pk = x * x + G(Fraction(1, 3), 1) * x * y + 2 * y * y  # pk* != pk
+    save_poly(pk + x - 1, tmp_path / "p.json")
+    save_poly((x + y) ** 5 * G(Fraction(1, 7)) + y ** 3, tmp_path / "f.json")
+    argv = ["decompose", "--p", str(tmp_path / "p.json"), "--f", str(tmp_path / "f.json"),
+            "--series-check", "--out", str(tmp_path / "x")]
+    with _reads() as reads:
+        assert cli.main(argv) == 0
+    of_pk_star = [derived for p, derived in reads if p == pk.star()]
+    assert len(of_pk_star) >= 2
+    assert of_pk_star.count(True) == 1
+
+
+def test_the_read_counter_sees_a_derivation():
+    p = _poly(random.Random(39), 2, [2], 3, 3)
+    with _reads() as reads:
+        p.numerators()
+        p.numerators()
+        Poly(p.dim, p.terms).numerators()
+    assert [derived for _, derived in reads] == [True, False, True]
