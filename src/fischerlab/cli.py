@@ -137,10 +137,10 @@ def _cmd_decompose(args) -> int:
     p = _load_poly_arg(args.p, args.backend)
     f = _load_function_arg(args.f, args.backend)
     if args.series_check:
-        res, other = fischer._direct_and_series(p, f)
+        res, series_q = fischer._direct_and_series(p, f)
         res.diagnostics["series_check_agrees"] = (
-            other.q == res.q if res.q.field == EXACT
-            else apolar.norm(other.q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
+            series_q == res.q if res.q.field == EXACT
+            else apolar.norm(series_q - res.q) <= 1e-9 * max(1.0, apolar.norm(res.q)))
     else:
         res = fischer.decompose_direct(p, f, max_degree=args.mcap)
     prefix = args.out or "decomposition"

@@ -38,12 +38,17 @@ raw-basis slice matrix (``fischer_matrix``, which takes exact pk only) in
 Gaussian integers: pk's coefficients over their common denominator D,
 the exact weights and so the matrix times D^2 and pk*(D) times D^2 are
 integer, and each right-hand side goes over f_m's common denominator.
-Float slices take one SVD of M (``orthonormal_operator``, shared with float
-``spectral.kernel_basis``) into a cached pseudoinverse (``slice_projector``);
-Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well conditioned.  Each
-degree's monomials, their index and the weights sqrt(alpha!/m!) form one
-``DegreeTable``, built once per ``SliceSolver`` (one decomposition) and
-read both as slice m's source and as slice m + k's basis.
+Float slices take one SVD of M into a kept pseudoinverse
+(``slice_projectors``); Bombieri's sigma_min(M) >= ||P_k|| keeps M^+ well
+conditioned.  They are built per decomposition in one batch: each route
+names up front every degree it can reach (``_reachable``), and one
+assembly (``orthonormal_operators``, which float ``spectral.kernel_basis``
+also reads, as a batch of one) guards every degree, scales P_k once and
+makes one ``mult_entries`` call over the columns of all the slices.  Each
+degree's monomials, their index, their exponent array and the weights
+sqrt(alpha!/m!) form one ``DegreeTable``, built once per ``SliceSolver``
+(one decomposition) and read both as slice m's source and as slice
+m + k's basis.
 
 Exact inputs give exact results; float solves carry condition estimates.
 When p or f is float, q and r are float on every route.
@@ -139,12 +144,14 @@ def fischer_matrix(pk: Poly, m: int) -> FischerMatrix:
 
 @dataclass(frozen=True)
 class DegreeTable:
-    """One degree m's graded-lex monomials, the position of each, and the
-    weights sqrt(alpha!/m!) that take the raw monomial basis to the
-    orthonormal one up to the common factor sqrt(m!)."""
+    """One degree m's graded-lex monomials, the position of each, their
+    exponents as an (N, d) int64 array, and the weights sqrt(alpha!/m!)
+    that take the raw monomial basis to the orthonormal one up to the
+    common factor sqrt(m!)."""
 
     monomials: tuple
     index: dict
+    exponents: np.ndarray
     weights: np.ndarray
 
 
@@ -156,7 +163,8 @@ def degree_table(d: int, m: int) -> DegreeTable:
     ratios = [midx_factorial(alpha) / top for alpha in monomials]
     weights = (np.sqrt(ratios) if min(ratios) >= np.finfo(float).tiny
                else np.array([sqrt_int(midx_factorial(alpha), top) for alpha in monomials]))
-    return DegreeTable(monomials, {alpha: i for i, alpha in enumerate(monomials)}, weights)
+    return DegreeTable(monomials, {alpha: i for i, alpha in enumerate(monomials)},
+                       np.array(monomials, dtype=np.int64).reshape(-1, d), weights)
 
 
 @dataclass(frozen=True)
@@ -177,35 +185,66 @@ class SliceProjector:
     condition: float
 
 
-def orthonormal_operator(pk: Poly, m: int, tables=None):
-    """(M, e, degree-m table, degree m - k table): the dense matrix M of
-    multiplication by 2^-e pk (``unit_scaled``) between the orthonormal
-    slices m - k and m, behind ``check_slice`` as ``fischer_matrix``;
-    ``tables`` (degree -> ``DegreeTable``) lends or receives the two tables."""
-    n = m - pk.degree
-    check_slice(pk, n)
+def orthonormal_operators(pk: Poly, degrees, tables=None):
+    """(e, operators): the dense matrices M of multiplication by 2^-e pk
+    (``unit_scaled``) from the orthonormal slice m - k to slice m, for each
+    target degree m of ``degrees``, assembled in one batch.
+
+    Every degree passes ``check_slice`` before anything is listed.  Then
+    pk is scaled once, each degree's ``DegreeTable`` is read from
+    ``tables`` (degree -> table), which lends or receives it, and one
+    ``mult_entries`` call covers the exponents of every slice's source
+    degree m - k.  ``operators`` yields (m, M, degree-m table, degree m - k
+    table) in the order of ``degrees``, each M cut from that call when it
+    is reached, so that a consumer that drops M before the next one holds
+    one dense M at a time."""
+    for m in degrees:
+        check_slice(pk, m - pk.degree)
     tables = {} if tables is None else tables
-    src, low = (tables[j] if j in tables else tables.setdefault(j, degree_table(pk.dim, j))
-                for j in (m, n))
+    pairs = [tuple(tables[j] if j in tables else tables.setdefault(j, degree_table(pk.dim, j))
+                   for j in (m, m - pk.degree)) for m in degrees]
     scaled, e = unit_scaled(pk)
-    rows, cols, vals = mult_entries(scaled, low.monomials)
-    mult = np.zeros((len(src.monomials), len(low.monomials)), dtype=complex)
-    mult[rows, cols] = vals
-    return mult, e, src, low
+    entries = mult_entries(scaled, np.concatenate([low.exponents for _, low in pairs]))
+    return e, _cut(degrees, pairs, len(scaled.terms), *entries)
+
+
+def _cut(degrees, pairs, terms, rows, cols, vals):
+    """orthonormal_operators' slices, one dense M at a time, from the
+    entries of all their columns, ``terms`` per column, column by column."""
+    first = 0  # the slice's first column among all of them
+    for m, (src, low) in zip(degrees, pairs):
+        n = len(low.monomials)
+        own = slice(first * terms, (first + n) * terms)
+        mult = np.zeros((len(src.monomials), n), dtype=complex)
+        mult[rows[own], cols[own] - first] = vals[own]
+        first += n
+        yield m, mult, src, low
+        del mult
+
+
+def slice_projectors(pk: Poly, degrees, tables=None) -> dict:
+    """{m: degree-m float projector} for homogeneous pk and the target
+    degrees ``degrees``, from one ``orthonormal_operators`` batch and one
+    SVD per slice; slices that share ``tables`` build each degree once."""
+    e, operators = orthonormal_operators(pk, degrees, tables)
+    projectors = {}
+    for m, mult, src, low in operators:
+        u, s, vh = np.linalg.svd(mult, full_matrices=False)
+        del mult  # one dense M alive at a time
+        cond = gram_condition(s)  # kappa(M^H M); refuses a low rank too
+        # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
+        # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
+        # ratios of the two tables, so no weight is a lone sqrt(alpha!)
+        pinv = (((vh.conj().T / (s * low.weights[:, None])) @ (u.conj().T * src.weights))
+                * sqrt_int(math.perm(m, pk.degree)))
+        projectors[m] = SliceProjector(low.monomials, src.index, ldexp_normal(pinv, -e), cond)
+    return projectors
 
 
 def slice_projector(pk: Poly, m: int, tables=None) -> SliceProjector:
-    """The degree-m float projector for homogeneous pk, from one SVD of its
-    ``orthonormal_operator``; slices that share ``tables`` build each degree once."""
-    mult, e, src, low = orthonormal_operator(pk, m, tables)
-    u, s, vh = np.linalg.svd(mult, full_matrices=False)
-    cond = gram_condition(s)  # kappa(M^H M); refuses a low rank too
-    # back to the raw basis: q = W_{m-k}^-1 M^+ W_m f, W = diag(sqrt(alpha!)),
-    # split as sqrt(m!/(m-k)!) times the bounded sqrt(alpha!/|alpha|!)
-    # ratios of the two tables, so no weight is a lone sqrt(alpha!)
-    pinv = (((vh.conj().T / (s * low.weights[:, None])) @ (u.conj().T * src.weights))
-            * sqrt_int(math.perm(m, pk.degree)))
-    return SliceProjector(low.monomials, src.index, ldexp_normal(pinv, -e), cond)
+    """The degree-m float projector for homogeneous pk: ``slice_projectors``
+    on a batch of one."""
+    return slice_projectors(pk, [m], tables)[m]
 
 
 class SliceSolver:
@@ -215,13 +254,16 @@ class SliceSolver:
 
     Each slice is prepared once and kept: exact slices as the integer
     matrix of q |-> pk*(D)(pk q) and pk*(D) on slice m (``fischer_matrix``),
-    solved by Bareiss; float slices as the pseudoinverse M^+ of the
-    multiplication matrix in the orthonormal basis (``slice_projector``,
-    one SVD per slice), so that a float projection is one matrix-vector
-    product.  The float slices share one dict of per-degree tables
-    (``degree_table``: monomials, index, weights), so each degree is enumerated and weighted once, as the
-    source of one slice and the basis of the slice k below it.  The tables
-    live as long as the solver, that is for one decomposition.
+    assembled when first projected and solved by Bareiss; float slices as
+    the pseudoinverse M^+ of the multiplication matrix in the orthonormal
+    basis, so that a float projection is one matrix-vector product.  The
+    float slices are built per decomposition in one batch
+    (``slice_projectors``): a route first names every target degree it can
+    reach (:meth:`prepare`), and a slice that :meth:`project` then finds
+    missing is a batch of one.  They share one dict of per-degree tables
+    (``degree_table``), so each degree is enumerated and weighted once, as
+    the source of one slice and the basis of the slice k below it.  Tables
+    and slices live as long as the solver, that is for one decomposition.
     """
 
     def __init__(self, pk: Poly):
@@ -231,22 +273,31 @@ class SliceSolver:
         self._projectors = {}
         self._tables = {}
 
+    def prepare(self, degrees):
+        """Build, for float pk, the slices of the target degrees
+        ``degrees`` (each >= deg pk) not yet built, in one batch and in
+        that order; exact slices are left to :meth:`project`."""
+        todo = [m for m in degrees if m not in self._projectors]
+        if todo and self.pk.field == FLOAT:
+            self._projectors.update(slice_projectors(self.pk, todo, self._tables))
+
     def project(self, fm: Poly):
         """(q, condition or None) with pk*(D)(fm - pk q) = 0, fm homogeneous.
 
         fm is not checked: the routes project the components they split
         off themselves, and ``project_homogeneous`` checks its caller's.
         The condition is that of the float slice, kappa(M)^2; exact pk and
-        fm give an exact q and None.  Exact slices form pk*(D) fm from the
-        matrix's integer columns over fm's common denominator and solve in
-        Gaussian integers; a float q that leaves the float range raises
-        NumericalError naming the slice.
+        fm give an exact q and None, and q is float when either is.  Exact
+        slices form pk*(D) fm from the matrix's integer columns over fm's
+        common denominator and solve in Gaussian integers; a float q that
+        leaves the float range raises NumericalError naming the slice.
         """
         pk = self.pk
+        exact = pk.field == EXACT and fm.field == EXACT
         if fm.is_zero or fm.degree < pk.degree:
-            return Poly.zero(pk.dim, fm.field), None
+            return Poly.zero(pk.dim, EXACT if exact else FLOAT), None
         m = fm.degree
-        if pk.field == EXACT and fm.field == EXACT:
+        if exact:
             mat = self._matrices.get(m)
             if mat is None:
                 mat = self._matrices[m] = fischer_matrix(pk, m)
@@ -370,6 +421,7 @@ def _decompose_direct(p: Poly, f: Poly, solver: SliceSolver, cap=None) -> Decomp
     component; cap is the stream's cap."""
     if p.dim == 1:
         return _divide(p, f, solver.pk_star, cap)
+    solver.prepare(_reachable(p, f))
     k = p.degree
     # g = f - (p - pk)(q_{n+1} + q_{n+2} + ...) kept by degree: the slice
     # projection accounts for pk q_n, and each lower component L_s of p
@@ -417,27 +469,52 @@ def decompose_series(p: Poly, f: Poly) -> DecompositionResult:
 
 def _decompose_series(p: Poly, f: Poly, solver: SliceSolver) -> DecompositionResult:
     """decompose_series on admitted input, on the given SliceSolver."""
-    pk = solver.pk
-    lower_neg = pk - p  # the series' lower terms: p = pk - lower_neg
-    total = Poly.zero(p.dim, f.field)
-    level = _project_components(solver, f)
-    levels = 0
-    while not level.is_zero:
-        total = total + level
-        level = _project_components(solver, lower_neg * level)
-        levels += 1
-    q = total
+    q, levels = _series_q(p, f, solver)
     r = f - p * q
     return DecompositionResult(q, r, apolar.norm(apply_diff_op(solver.pk_star, r)), "series",
                                {"levels": levels})
 
 
+def _series_q(p: Poly, f: Poly, solver: SliceSolver):
+    """(q, levels): the series' coefficient on admitted input, summed level
+    by level, and the number of nonzero levels."""
+    solver.prepare(_reachable(p, f))
+    lower_neg = solver.pk - p  # the series' lower terms: p = pk - lower_neg
+    q = Poly.zero(p.dim, f.field)
+    level = _project_components(solver, f)
+    levels = 0
+    while not level.is_zero:
+        q = q + level
+        level = _project_components(solver, lower_neg * level)
+        levels += 1
+    return q, levels
+
+
 def _direct_and_series(p: Poly, f: Poly):
-    """(decompose_direct(p, f), decompose_series(p, f)) on one
-    SliceSolver, so each slice matrix is assembled once for both."""
+    """(decompose_direct(p, f), the q of decompose_series(p, f)) on one
+    SliceSolver, so each slice matrix is assembled once for both; the
+    series' r and residual, which the comparison does not read, are not
+    formed."""
     p, f, _ = _admit(p, f, series=True)
     solver = SliceSolver(p.homogeneous_component(p.degree))
-    return _decompose_direct(p, f, solver), _decompose_series(p, f, solver)
+    return _decompose_direct(p, f, solver), _series_q(p, f, solver)[0]
+
+
+def _reachable(p: Poly, f: Poly) -> list:
+    """The target degrees of the slices that the recursion and the series
+    can project at, descending: f's degrees closed under m -> m - k + s,
+    k = deg p and s the degrees of p's lower part (the part of q of degree
+    m - k times the degree-s part of p lands at degree m - k + s), those
+    below k dropped, as slices of degree < k project to 0."""
+    k = p.degree
+    drops = {k - sum(alpha) for alpha in p.terms if sum(alpha) < k}
+    reach, todo = set(), {sum(alpha) for alpha in f.terms}
+    while todo:
+        m = todo.pop()
+        if m >= k and m not in reach:
+            reach.add(m)
+            todo.update(m - t for t in drops)
+    return sorted(reach, reverse=True)
 
 
 # ---------------------------------------------------------------------------

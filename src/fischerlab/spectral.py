@@ -46,7 +46,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .exactlinalg import exact_nullspace, gram_condition, ldexp_normal
 from .fields import EXACT, FLOAT, GaussianRational, gaussian_sqrt, is_exact_scalar, to_exact
-from .fischer import orthonormal_operator
+from .fischer import orthonormal_operators
 from .polyalg import (Poly, check_slice, count_monomials, enumerate_monomials, grlex_rank,
                       mult_entries, mult_pattern, unit_scaled, write_atomic)
 
@@ -356,9 +356,10 @@ def kernel_basis(pk: Poly, m: int):
     transposed pattern of ``polyalg.mult_pattern``, built in Gaussian
     integers from pk's numerators over their common denominator.  Float
     coefficients take the last count(m) - count(m - k) left singular
-    vectors of pk*'s ``fischer.orthonormal_operator``, behind the float
-    slices' gate, divided by the degree-m weights: an apolar-orthogonal
-    basis of common norm sqrt(m!).  ``polyalg.check_slice`` takes m as the
+    vectors of pk*'s multiplication matrix, a batch of one of
+    ``fischer.orthonormal_operators``, behind the float slices' gate,
+    divided by the degree-m weights: an apolar-orthogonal basis of common
+    norm sqrt(m!).  ``polyalg.check_slice`` takes m as the
     source degree: m >= 0, and degree m + k, above every slice built, capped.
     """
     k = check_slice(pk, m)
@@ -367,7 +368,8 @@ def kernel_basis(pk: Poly, m: int):
     if m < k:
         return [Poly.monomial(d, alpha, 1, field=pk.field) for alpha in col_basis]
     if pk.field == FLOAT:
-        mult, _, src, _ = orthonormal_operator(pk.star(), m)
+        _, operators = orthonormal_operators(pk.star(), [m])
+        (_, mult, src, _), = operators
         u, s, _ = np.linalg.svd(mult)
         gram_condition(s)
         return [Poly(d, dict(zip(src.monomials, vec.tolist())), field=FLOAT)

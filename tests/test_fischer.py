@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fischerlab import apolar, cli, fischer, spectral
+from fischerlab import apolar, cli, fischer, polyalg, spectral
 from fischerlab.errors import (ConditioningError, DimensionMismatchError, FischerLabError,
                                InvalidInputError, NumericalError)
 from fischerlab.exactlinalg import float_lstsq_solve
@@ -273,6 +273,51 @@ def test_slice_projector_bits_unchanged():
         assert [_projector_digest(pk, m) for m in ms] == want
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_projectors_equal_batches_of_one_bit_for_bit(rng, d):
+    # one batch cuts every slice's M from one mult_entries call over all
+    # their columns; each slice keeps the bits it has when built alone.
+    # Complex pk, scaled off [1, 2) so that unit_scaled's exponent is not 0
+    top = {2: 12, 3: 9, 4: 7}[d]
+    for k in (1, 2, 3):
+        pk = (rand_homogeneous(rng, d, k) * GaussianRational(3, 5) * 2 ** 40).to_float()
+        assert polyalg.unit_scaled(pk)[1] != 0
+        assert any(c.imag for c in pk.terms.values())
+        degrees = list(range(top, k - 1, -1))
+        batch = fischer.slice_projectors(pk, degrees)
+        assert list(batch) == degrees
+        for m in degrees:
+            alone = fischer.slice_projector(pk, m)
+            assert batch[m].pinv.tobytes() == alone.pinv.tobytes()
+            assert batch[m].condition.hex() == alone.condition.hex()
+            assert (batch[m].basis, batch[m].source) == (alone.basis, alone.source)
+
+
+def test_batched_projectors_past_int64_weights_keep_their_bits():
+    # (72 + 10)^10 passes 2^63, so the batch reads every slice's weights as
+    # Python ints, slice 20's too, which alone are int64: both round to the
+    # same doubles
+    pk = (rand_homogeneous(random.Random(80), 2, 10) + Poly.monomial(2, (10, 0), 3)).to_float()
+    batch = fischer.slice_projectors(pk, [72, 20])
+    for m in (72, 20):
+        alone = fischer.slice_projector(pk, m)
+        assert batch[m].pinv.tobytes() == alone.pinv.tobytes()
+        assert batch[m].condition.hex() == alone.condition.hex()
+
+
+def test_slice_solver_early_return_follows_the_one_operand_rule():
+    # a zero fm or one below deg pk projects to 0 in the field the two
+    # operands meet in: float when either is, as every other projection
+    x, y = variables(2)
+    pk = x * x + y * y
+    for pp, ff, field in [(pk.to_float(), x, FLOAT), (pk, x.to_float(), FLOAT),
+                          (pk.to_float(), Poly.zero(2), FLOAT), (pk, x, EXACT),
+                          (pk.to_float(), x ** 3, FLOAT), (pk, x ** 3, EXACT)]:
+        q, cond = fischer.SliceSolver(pp).project(ff)
+        assert q.field == field
+        assert (cond is None) == (field == EXACT or ff.degree < 2)
+
+
 def test_float_entire_repeats_bit_for_bit():
     x, y = variables(2)
     p = (x * x + y * y).to_float() - 0.8
@@ -477,15 +522,16 @@ def test_exact_p_beside_float_f_decomposes_as_its_float_promotion(pair):
 
 
 def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
-    # exact slices are assembled by fischer_matrix, float ones by
-    # slice_projector from per-degree tables (degree_table)
+    # exact slices are assembled by fischer_matrix, float ones by one
+    # slice_projectors batch per decomposition, from per-degree tables
+    # (degree_table) and one mult_entries call
     assembled = Counter()
 
-    def count(name):
+    def count(name, key=lambda m: [m]):
         original = getattr(fischer, name)
 
         def counting(first, m, *rest):
-            assembled[m] += 1
+            assembled.update(key(m))
             return original(first, m, *rest)
 
         monkeypatch.setattr(fischer, name, counting)
@@ -498,10 +544,18 @@ def test_slice_matrices_assembled_once_per_decomposition(monkeypatch):
     assert assembled and max(assembled.values()) == 1
     monkeypatch.undo()
     assembled.clear()
-    count("slice_projector")
+    # every target degree from the cap down to deg p, each built once, in
+    # one batch that makes one mult_entries call
+    count("slice_projectors", key=lambda degrees: degrees)
+    count("mult_entries", key=lambda cols: ["mult_entries"])
     stream = TaylorStream.from_exp((x + y) * 0.25, max_degree=40)
     fischer.decompose_direct(p.to_float(), stream, 12)
-    assert assembled and max(assembled.values()) == 1
+    assert assembled == Counter([*range(2, 13), "mult_entries"])
+    assembled.clear()
+    # a homogeneous p reaches only f's own degrees: z1^30 + 1 builds slice
+    # 30 alone, degree 0 lying below deg p
+    fischer.decompose_direct((x * x + y * y).to_float(), x ** 30 + 1)
+    assert assembled == Counter([30, "mult_entries"])
     monkeypatch.undo()
     assembled.clear()
     # slice m reads degree m as its source and degree m - 2 as its basis:
@@ -533,10 +587,14 @@ def test_exact_direct_equals_series_at_degree_14():
     rng = random.Random(3)
     f = Poly(3, {a: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
                  for a in _monomials_up_to(3, 14) if rng.random() < 0.3})
-    direct, series = fischer._direct_and_series(p, f)
-    assert direct.q == series.q
-    assert direct.annihilator_residual == series.annihilator_residual == 0
+    direct, series_q = fischer._direct_and_series(p, f)
+    # equal q's give equal r's, so the series' r = f - p q is direct.r
+    assert direct.q == series_q
+    assert direct.annihilator_residual == 0
     assert f == p * direct.q + direct.r
+    # the series' own result, which --series-check does not form
+    series = fischer.decompose_series(p, f)
+    assert (series.q, series.r, series.annihilator_residual) == (direct.q, direct.r, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ FRONT_DOOR = "_admit"
 PREPARATIONS = {"truncate", "to_float"}
 PRODUCT_KERNELS = {"_gaussian_products", "_float_products"}  # in polyalg
 SLICE_GUARD = "check_slice"
-SLICE_MAPS = {"fischer_matrix", "orthonormal_operator", "kernel_basis", "mult_matrix",
+SLICE_MAPS = {"fischer_matrix", "orthonormal_operators", "kernel_basis", "mult_matrix",
               "sigma_extremes"}
 LISTINGS = {"enumerate_monomials", "degree_table", "mult_pattern", "mult_entries",
             "_normal_form_gram"}

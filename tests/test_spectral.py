@@ -74,8 +74,11 @@ _SUM_SQ = Poly(2, {(2, 0): 1, (0, 2): 1})  # degree n has n + 1 monomials in d =
 # or k = 2 for the maps that take the source degree)
 _SLICE_MAPS = {
     "fischer_matrix": (fischer.fischer_matrix, 0),
-    "orthonormal_operator": (lambda pk, m: fischer.orthonormal_operator(pk.to_float(), m), 0),
+    "orthonormal_operators": (
+        lambda pk, m: list(fischer.orthonormal_operators(pk.to_float(), [m])[1]), 0),
     "slice_projector": (lambda pk, m: fischer.slice_projector(pk.to_float(), m), 0),
+    # a batch guards every degree before it lists one: m - 1 passes, m may not
+    "slice_projectors": (lambda pk, m: fischer.slice_projectors(pk.to_float(), [m - 1, m]), 0),
     "kernel_basis-exact": (spectral.kernel_basis, 2),
     "kernel_basis-float": (lambda pk, m: spectral.kernel_basis(pk.to_float(), m), 2),
     "mult_matrix": (spectral.mult_matrix, 2),
