@@ -193,6 +193,8 @@ def c_alpha_m(alpha, m: int) -> float:
     alpha = tuple(alpha)
     if m < 0:
         raise InvalidInputError("degree must be >= 0")
+    if any(a < 0 for a in alpha):  # midx_factorial reads exponents as table indices
+        raise InvalidInputError(f"exponents must be >= 0, got {alpha}")
     best = max(Fraction(midx_factorial(midx_add(alpha, beta)), midx_factorial(beta))
                for beta in enumerate_monomials(len(alpha), m))
     return sqrt_int(best.numerator, best.denominator)

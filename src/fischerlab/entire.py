@@ -6,6 +6,11 @@ bracket the sup norm up to a factor polynomial in the degree), weighted
 sup norms classify membership in the lambda-weighted Banach spaces, and
 a stream's truncation is the polynomial that ``fischer.decompose_direct``
 divides (``decompose_entire`` is that call under its former name).
+
+An exp stream's recurrence keys its coefficients by packed exponent codes
+(``polyalg.pack_exponents``), so the exponent of a product is one integer
+addition inside ``polyalg``'s product kernels; a component's codes become
+exponent tuples once, when it becomes a Poly or its norm is taken.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from . import apolar
 from .errors import FormatError, InvalidInputError, NumericalError
 from .fields import EXACT, FLOAT
 from .fischer import DecompositionResult, decompose_direct
-from .polyalg import (Poly, _float_products, _from_numerators, _gaussian_products, _merge_into,
-                      log_ratio, poly_from_dict)
+from .polyalg import (CODE_BITS, Poly, _float_products, _from_numerators, _gaussian_products,
+                      _merge_into, log_ratio, pack_exponents, poly_from_dict, unpack_exponents)
 
 
 class TaylorStream:
@@ -95,16 +100,19 @@ class TaylorStream:
         """Components of exp(inner), inner a polynomial with inner(0) = 0.
 
         Uses the Euler-operator recurrence m f_m = sum_j (j g_j) f_{m-j}, g_j
-        the components of inner, on plain coefficient dicts multiplied by
-        ``Poly``'s own product kernels; only the requested component becomes
-        a Poly.  Exact input runs on Gaussian-integer numerators: inner's
-        over their denominator D, and f_n's over n! D^n, never reduced, so
-        components are exactly those of the Gaussian-rational recurrence,
-        and ``log_norm_sq`` reads log ||f_m||^2 off f_m's numerators, with no
-        GaussianRational built: the same exact rational ``apolar.log_norm_sq``
-        takes the log of, so the same float.  Float input
-        takes the recurrence's float operations in a fixed order (product,
-        times j, sum over j, times 1/n), so components repeat bit for bit.
+        the components of inner, on plain coefficient dicts keyed by packed
+        exponent codes and multiplied by ``Poly``'s own product kernels; only
+        the requested component becomes a Poly.  A component of degree
+        2^32 or more, whose exponents no code holds, raises
+        InvalidInputError.  Exact input runs on Gaussian-integer numerators:
+        inner's over their denominator D, and f_n's over n! D^n, never
+        reduced, so components are exactly those of the Gaussian-rational
+        recurrence, and ``log_norm_sq`` reads log ||f_m||^2 off f_m's
+        numerators, with no GaussianRational built: the same exact rational
+        ``apolar.log_norm_sq`` takes the log of, so the same float.  Float
+        input takes the recurrence's float operations in a fixed order
+        (product, times j, sum over j, times 1/n), so components repeat bit
+        for bit.
         A float component that underflow has emptied raises NumericalError:
         a product of nonzero doubles is zero only by underflow, and an
         all-zero component would read as a polynomial's tail.  So does the
@@ -136,16 +144,36 @@ def _pair_add(u, v):
     return u[0] + v[0], u[1] + v[1]
 
 
+_CODE_DEGREES = 1 << CODE_BITS  # a packed code holds the exponents of lower degrees
+
+
+def _check_code_degree(m: int) -> None:
+    """InvalidInputError past the degrees whose exponents a packed code
+    holds: a component of degree m has exponents up to m."""
+    if m >= _CODE_DEGREES:
+        raise InvalidInputError(f"exp stream component {m} has exponents past the "
+                                f"{CODE_BITS}-bit fields of a packed exponent code")
+
+
+def _code_parts(inner: Poly, values) -> list:
+    """(j, [(code, values[alpha]), ...]) for each component g_j of inner, in
+    ascending degree, with its exponents alpha packed; a g_j of a degree no
+    code holds is left out, as its first step is refused."""
+    return [(j, [(pack_exponents(a), values[a]) for a in gj.terms])
+            for j, gj in inner.homogeneous_components().items() if j < _CODE_DEGREES]
+
+
 def _exact_exp_components(inner: Poly):
     """(comp, log_norm) of exp(inner) for exact inner, on Z[i] numerators:
     comp(m) is f_m and log_norm(m) is log ||f_m||^2.  With g_j = G_j / D
     over inner's numerators, f_n = N_n / (n! D^n) for the Gaussian integers
-    N_n = sum_j j (n-1)!/(n-j)! D^(j-1) G_j N_(n-j): no denominator to keep."""
+    N_n = sum_j j (n-1)!/(n-j)! D^(j-1) G_j N_(n-j): no denominator to keep.
+    Each N_n is keyed by packed exponent codes, unpacked when f_m becomes
+    a Poly or its norm is taken."""
     dim = inner.dim
     pairs, scale = inner.numerators()
-    parts = [(j, [(a, pairs[a]) for a in gj.terms])
-             for j, gj in inner.homogeneous_components().items()]
-    nums = [{(0,) * dim: (1, 0)}]  # f_n = nums[n] / (n! scale^n)
+    parts = _code_parts(inner, pairs)
+    nums = [{0: (1, 0)}]  # f_n = nums[n] / (n! scale^n), keyed by codes
 
     def step(n):
         acc = {}
@@ -163,9 +191,11 @@ def _exact_exp_components(inner: Poly):
         nums.append(acc)
 
     def numerators(m):
+        _check_code_degree(m)
         for n in range(len(nums), m + 1):
             step(n)
-        return nums[m], math.factorial(m) * scale ** m
+        num = nums[m]
+        return dict(zip(unpack_exponents(num, dim), num.values())), math.factorial(m) * scale ** m
 
     def comp(m):
         return _from_numerators(dim, *numerators(m))
@@ -180,11 +210,11 @@ def _exact_exp_components(inner: Poly):
 
 def _float_exp_components(inner: Poly):
     """component(m) of exp(inner) for float inner, bit for bit the Poly-op
-    recurrence acc + (g_j * f_{n-j}) * j, then acc * (1/n)."""
+    recurrence acc + (g_j * f_{n-j}) * j, then acc * (1/n), on coefficient
+    dicts keyed by packed exponent codes."""
     dim = inner.dim
-    parts = [(j, list(gj.terms.items()))
-             for j, gj in inner.homogeneous_components().items()]
-    comps = [{(0,) * dim: 1 + 0j}]
+    parts = _code_parts(inner, inner.terms)
+    comps = [{0: 1 + 0j}]
 
     def step(n):
         acc = {}
@@ -207,9 +237,11 @@ def _float_exp_components(inner: Poly):
         comps.append(out)
 
     def comp(m):
+        _check_code_degree(m)
         for n in range(len(comps), m + 1):
             step(n)
-        return Poly._canonical(dim, comps[m], FLOAT)
+        fm = comps[m]
+        return Poly._canonical(dim, dict(zip(unpack_exponents(fm, dim), fm.values())), FLOAT)
 
     return comp
 

@@ -21,9 +21,10 @@ import cmath
 import json
 import math
 import os
+import struct
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import add
 from types import MappingProxyType
 
@@ -34,16 +35,41 @@ from .fields import EXACT, FLOAT, GaussianRational, dyadic, is_exact_scalar, to_
 
 NEG_INF = float("-inf")
 DIM_CAP = 20000  # the most monomials a slice map builds at its target degree
+CODE_BITS = 32  # the width of one exponent's field in a packed code (struct "I")
 
 
 # ---------------------------------------------------------------------------
-# multi-index helpers (exponent tuples)
+# multi-index helpers (exponent tuples, and their packed integer codes)
+
+# a! at index a, grown on demand to the largest exponent seen, up to
+# _FACTORIAL_TABLE_CAP entries (0.6 MB when full); larger a! are computed
+_FACTORIALS = [1]
+_FACTORIAL_TABLE_CAP = 1024
+
 
 def midx_factorial(alpha) -> int:
+    """alpha! = alpha_1! ... alpha_d! for exponents alpha_i >= 0, each factor
+    read from a table of factorials: the exact counterpart of
+    ``apolar._LOG_FACTORIALS``."""
+    table = _FACTORIALS
     out = 1
-    for a in alpha:
-        out *= math.factorial(a)
+    try:
+        for a in alpha:
+            out *= table[a]
+    except IndexError:
+        return _midx_factorial_past_table(alpha)
     return out
+
+
+def _midx_factorial_past_table(alpha) -> int:
+    """midx_factorial(alpha) after the table has grown to max(alpha), or to
+    its cap, past which a factor is ``math.factorial``'s."""
+    table = _FACTORIALS
+    f = table[-1]
+    for a in range(len(table), min(max(alpha), _FACTORIAL_TABLE_CAP - 1) + 1):
+        f *= a
+        table.append(f)
+    return math.prod(table[a] if a < len(table) else math.factorial(a) for a in alpha)
 
 
 def midx_add(alpha, beta):
@@ -62,11 +88,26 @@ def midx_sub(beta, alpha):
 
 def falling_product(beta, alpha) -> int:
     """beta! / (beta - alpha)! assuming beta >= alpha componentwise."""
-    out = 1
-    for b, a in zip(beta, alpha):
-        for i in range(b - a + 1, b + 1):
-            out *= i
-    return out
+    return math.prod(map(math.perm, beta, alpha))
+
+
+def pack_exponents(alpha) -> int:
+    """The packed code of an exponent tuple: field i, bits 32 i to 32 i + 31,
+    holds alpha_i, so while every exponent stays below 2^32 the code of
+    alpha + beta is the sum of their codes.  An exponent outside [0, 2^32)
+    raises InvalidInputError: it is refused, never wrapped."""
+    try:
+        return int.from_bytes(struct.pack(f"<{len(alpha)}I", *alpha), "little")
+    except struct.error:
+        raise InvalidInputError(f"exponent {tuple(alpha)} does not fit the "
+                                f"{CODE_BITS}-bit fields of a packed code") from None
+
+
+def unpack_exponents(codes, dim: int):
+    """The exponent tuples in dim variables of an iterable of packed codes,
+    in order: the inverse of ``pack_exponents``, one pass over their bytes."""
+    raw = b"".join(map(int.to_bytes, codes, repeat(4 * dim), repeat("little")))
+    return struct.iter_unpack(f"<{dim}I", raw)
 
 
 def count_monomials(d: int, m: int) -> int:
@@ -476,11 +517,15 @@ def apply_diff_op(q: Poly, f: Poly) -> Poly:
 
 def _gaussian_products(a_terms, b_terms) -> dict:
     """Exponent sum -> [re, im]: the summed Z[i] products of two operands'
-    (exponent, (re, im)) pairs, a outer, b (re-iterable) inner, zeros kept."""
+    (exponent, (re, im)) pairs, a outer, b (re-iterable) inner, zeros kept.
+    Exponents are keys of one kind throughout, tuples or packed codes
+    (``pack_exponents``), read once per outer term: codes add as ints,
+    tuples entry by entry."""
     sums = {}
     for a, (ar, ai) in a_terms:
+        packed = a.__class__ is int
         for b, (br, bi) in b_terms:
-            key = tuple(map(add, a, b))
+            key = a + b if packed else tuple(map(add, a, b))
             s = sums.get(key)
             if s is None:
                 sums[key] = [ar * br - ai * bi, ar * bi + ai * br]
@@ -492,11 +537,13 @@ def _gaussian_products(a_terms, b_terms) -> dict:
 
 def _float_products(a_terms, b_terms) -> dict:
     """Exponent sum -> coefficient: the summed products of two float
-    operands' (exponent, coefficient) pairs, as _gaussian_products."""
+    operands' (exponent, coefficient) pairs, keyed by tuples or packed
+    codes, as _gaussian_products."""
     acc = {}
     for a, ca in a_terms:
+        packed = a.__class__ is int
         for b, cb in b_terms:
-            key = tuple(map(add, a, b))
+            key = a + b if packed else tuple(map(add, a, b))
             prod = ca * cb
             if key in acc:
                 acc[key] = acc[key] + prod

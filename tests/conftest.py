@@ -1,12 +1,19 @@
-import random
-from fractions import Fraction
+import os
 
-import pytest
-from hypothesis import settings, strategies as st
+# one BLAS thread, set before anything imports numpy: threads of their own
+# make the many small dense SVDs of the suite many times slower on a few cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from fischerlab import apolar, cli, fischer, polyalg, spectral
-from fischerlab.fields import EXACT, FLOAT, GaussianRational
-from fischerlab.polyalg import Poly, enumerate_monomials
+import random  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+import pytest  # noqa: E402
+from hypothesis import settings, strategies as st  # noqa: E402
+
+from fischerlab import apolar, cli, fischer, polyalg, spectral  # noqa: E402
+from fischerlab.fields import EXACT, FLOAT, GaussianRational  # noqa: E402
+from fischerlab.polyalg import Poly, enumerate_monomials  # noqa: E402
 
 # no per-example deadline on a shared host; the same examples on every run
 settings.register_profile("fischerlab", deadline=None, derandomize=True)

@@ -201,6 +201,12 @@ def test_c_alpha_m_values():
     assert apolar.c_alpha_m((2, 0), 2) == pytest.approx(math.sqrt(12))
 
 
+def test_c_alpha_m_refuses_negative_exponents():
+    for alpha in [(-1,), (2, -1)]:
+        with pytest.raises(InvalidInputError):
+            apolar.c_alpha_m(alpha, 3)
+
+
 def test_c_alpha_m_sandwich(rng):
     for _ in range(15):
         d = rng.randint(1, 3)

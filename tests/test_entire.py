@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fischerlab import apolar, entire, fischer
+from fischerlab import apolar, entire, fischer, polyalg
 from fischerlab.entire import LambdaSeq, TaylorStream
 from fischerlab.errors import FormatError, InvalidInputError, NumericalError
 from fischerlab.fields import FLOAT, GaussianRational
-from fischerlab.polyalg import Poly, apply_diff_op, poly_to_dict, variables
+from fischerlab.polyalg import CODE_BITS, Poly, apply_diff_op, poly_to_dict, variables
 from conftest import (exact_homogeneous, exact_polys, gaussian_rationals,
                       rand_homogeneous, rand_poly)
 
@@ -189,7 +189,8 @@ def test_exp_stream_exact_matches_truncated_series(inner, m):
 
 def _poly_op_exp_components(inner, top):
     """Components 0..top of exp(inner) from the recurrence written in Poly
-    operations: acc + (g_j * f_{n-j}) * j summed over j, then acc * (1/n)."""
+    operations: acc + (g_j * f_{n-j}) * j summed over j, then acc * (1/n),
+    1/n a Fraction for exact inner."""
     parts = inner.homogeneous_components()
     state = {0: Poly.constant(inner.dim, 1, field=inner.field)}
     for n in range(1, top + 1):
@@ -200,7 +201,7 @@ def _poly_op_exp_components(inner, top):
             prev = state[n - j]
             if not prev.is_zero:
                 acc = acc + gj * prev * j
-        state[n] = acc * (1.0 / n)
+        state[n] = acc * (1.0 / n if inner.field == FLOAT else Fraction(1, n))
     return [state[n] for n in range(top + 1)]
 
 
@@ -216,12 +217,78 @@ def _bits(p):
     ({(1, 0): 0.6 + 0.2j, (0, 1): -0.5 + 0.4j}, 185),
     ({(2, 0): 0.5 - 0.5j, (1, 1): 1.25, (0, 2): -0.75j, (1, 0): 0.1j}, 60),
     ({(1, 0, 0): 0.9, (0, 1, 1): -0.4 + 0.3j, (0, 0, 3): 0.2 - 0.6j}, 30),
+    # terms in reverse graded-lex order, so every sum runs in that order
+    ({(0, 2): -0.75j, (1, 1): 1.25, (2, 0): 0.5 - 0.5j, (0, 1): 0.3, (1, 0): 0.1j}, 50),
+    # real coefficients of both signs: a product of two negative parts has
+    # imaginary part -0.0, a signed zero that every later operation must
+    # meet as the Poly ops meet it
+    ({(1, 0): -0.7, (0, 1): 1.3, (1, 1): -0.45, (0, 3): 0.2}, 60),
+    # d = 4, parts of degree 1-3
+    ({(1, 0, 0, 0): 0.8 - 0.1j, (0, 0, 0, 1): -0.3j, (0, 1, 1, 0): 0.5,
+      (1, 0, 0, 1): -0.2 + 0.4j, (0, 0, 2, 1): 0.35 + 0.15j, (0, 1, 0, 2): -0.6}, 14),
 ])
 def test_exp_stream_float_bit_identical_to_poly_ops(terms, top):
     inner = Poly(len(next(iter(terms))), terms, field=FLOAT)
     stream = TaylorStream.from_exp(inner)
     for m, expected in enumerate(_poly_op_exp_components(inner, top)):
         assert _bits(stream.component(m)) == _bits(expected), m
+
+
+_Q = GaussianRational
+
+
+@pytest.mark.parametrize("terms, top", [
+    ({(1,): _Q(Fraction(2, 3), -1), (2,): _Q(0, Fraction(1, 4)), (3,): _Q(-1, Fraction(1, 5))},
+     40),
+    ({(1, 0): _Q(1, 1), (0, 1): _Q(Fraction(-1, 2)), (1, 1): _Q(0, Fraction(3, 7)),
+      (0, 2): _Q(Fraction(1, 3), 2)}, 20),
+    ({(0, 0, 1): _Q(-1, Fraction(1, 2)), (1, 1, 0): _Q(Fraction(5, 6)),
+      (2, 0, 1): _Q(0, -1), (1, 0, 0): _Q(Fraction(1, 9), Fraction(1, 9))}, 12),
+    ({(1, 0, 0, 0): _Q(1), (0, 0, 0, 1): _Q(0, Fraction(-2, 3)), (0, 1, 1, 0): _Q(Fraction(1, 2)),
+      (0, 0, 2, 1): _Q(Fraction(3, 4), -1)}, 9),
+])
+def test_exp_stream_exact_equals_poly_ops(terms, top):
+    inner = Poly(len(next(iter(terms))), terms)
+    expected = _poly_op_exp_components(inner, top)
+    # norms first, off the recurrence's numerators alone, then components
+    stream = TaylorStream.from_exp(inner)
+    assert [stream.log_norm_sq(m) for m in range(top + 1)] == [
+        apolar.log_norm_sq(e) for e in expected]
+    assert [stream.component(m) for m in range(top + 1)] == expected
+
+
+def test_exp_recurrences_reach_the_kernels_once_per_step_and_part(monkeypatch):
+    calls = []
+    for module in (entire, polyalg):
+        for name in ("_gaussian_products", "_float_products"):
+            kernel = getattr(polyalg, name)
+            monkeypatch.setattr(module, name, lambda a, b, kernel=kernel, name=name:
+                                calls.append(name) or kernel(a, b))
+    x, y = variables(2)
+    inner = x + y * y * Fraction(1, 2)  # parts j = 1, 2, and no component is zero
+    top = 12
+    for g, kernel in ((inner, "_gaussian_products"), (inner.to_float(), "_float_products")):
+        calls.clear()
+        stream = TaylorStream.from_exp(g)
+        stream.log_norm_sq(top)
+        stream.component(top)
+        stream.component(top - 4)
+        # j = 1 at steps 1..top and j = 2 at steps 2..top, each once
+        assert calls == [kernel] * (2 * top - 1)
+
+
+def test_exp_stream_refuses_a_degree_past_the_code_fields():
+    x, = variables(1)
+    past = Poly.monomial(1, (2 ** CODE_BITS,))
+    for g in (x, x.to_float()):
+        # a part no code holds first acts at a refused degree: the lower
+        # components are exp(x)'s
+        stream = TaylorStream.from_exp(g + past)
+        with pytest.raises(InvalidInputError):
+            stream.component(2 ** CODE_BITS)  # before any step runs
+        with pytest.raises(InvalidInputError):
+            stream.log_norm_sq(2 ** CODE_BITS)
+        assert stream.truncate(6) == TaylorStream.from_exp(g).truncate(6)
 
 
 def test_exp_stream_float_total_underflow_raises():

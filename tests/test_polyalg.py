@@ -18,11 +18,47 @@ from fischerlab.errors import (DimensionMismatchError, FormatError, InvalidInput
                                NumericalError)
 from fischerlab.fields import EXACT, FLOAT, GaussianRational
 from fischerlab.fischer import SliceSolver, decompose_direct
-from fischerlab.polyalg import (NEG_INF, Poly, apply_diff_op, count_monomials,
-                                enumerate_monomials, grlex_rank, midx_add, midx_factorial,
-                                log_ratio, mult_entries, poly_from_dict, poly_to_dict,
-                                save_poly, sqrt_int, unit_scaled, variables, write_atomic)
+from fischerlab.polyalg import (CODE_BITS, NEG_INF, Poly, apply_diff_op, count_monomials,
+                                enumerate_monomials, falling_product, grlex_rank, midx_add,
+                                midx_factorial, log_ratio, mult_entries, pack_exponents,
+                                poly_from_dict, poly_to_dict, save_poly, sqrt_int,
+                                unit_scaled, unpack_exponents, variables, write_atomic)
 from conftest import exact_polys, float_polys, rand_poly
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(0, 2 ** (CODE_BITS - 1) - 1), min_size=d, max_size=d).map(tuple),
+    min_size=2, max_size=4)))
+def test_exponent_codes_round_trip_and_add(alphas):
+    dim = len(alphas[0])
+    codes = [pack_exponents(a) for a in alphas]
+    assert list(unpack_exponents(codes, dim)) == alphas  # in order
+    a, b = alphas[:2]
+    assert pack_exponents(midx_add(a, b)) == codes[0] + codes[1]  # fields below 2^31 each
+
+
+def test_exponent_code_refuses_an_exponent_past_its_field():
+    top = 2 ** CODE_BITS - 1
+    assert list(unpack_exponents([pack_exponents((top, 0, top))], 3)) == [(top, 0, top)]
+    for alpha in [(top + 1,), (0, top + 1), (3, -1)]:
+        with pytest.raises(InvalidInputError):
+            pack_exponents(alpha)
+    assert list(unpack_exponents([], 2)) == []
+
+
+def test_midx_factorial_and_falling_product_values():
+    # exponents on both sides of the factorial table's cap, in any order
+    for alpha in [(0,), (3, 1), (80, 0, 2), (1100, 5), (1023, 1024), (2, 1500, 1025)]:
+        assert midx_factorial(alpha) == math.prod(map(math.factorial, alpha))
+    for beta, alpha in [((5, 4, 3), (1, 2, 0)), ((7, 0), (7, 0)), ((30, 2), (4, 1))]:
+        loop = 1
+        for b, a in zip(beta, alpha):
+            for i in range(b - a + 1, b + 1):
+                loop *= i
+        assert falling_product(beta, alpha) == loop
+        assert falling_product(beta, alpha) * midx_factorial(
+            tuple(b - a for b, a in zip(beta, alpha))) == midx_factorial(beta)
 
 
 def test_enumerate_single_variable():
